@@ -21,6 +21,7 @@ from .core import (
     IndexPower,
     SumProblem,
     brute_multiple_sum,
+    power_sums,
     reduce_multiple_sum,
     reduce_symmetrized,
     symmetrized_multiple_sum,
@@ -36,7 +37,7 @@ from .exact_arith import (
     stirling_first_unsigned,
 )
 from .identities import IdentityId, verify, verify_sweep
-from .partitions import enumerate_partitions
+from .partitions import partition_sum, partition_vectors
 from .polynomials import (
     coeff_ratio_from_roots,
     eval_factored_sum,
@@ -92,8 +93,14 @@ def _random_explicit(rng: random.Random, lo: int, hi: int, nonzero: bool = False
     return ExplicitSequence([_random_fraction(rng, nonzero) for _ in range(hi - lo + 1)], base=lo)
 
 
+def _reduction_oracle(sums: Sequence[Fraction], m: int) -> Fraction:
+    """The paper's formula term by term: (-1)^m sum_y prod_i (-S_i / i)^(y_i) / y_i!."""
+    value = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
+    return -value if m % 2 else value
+
+
 def _criterion_1() -> tuple[bool, str]:
-    """Partition reduction equals brute enumeration across a seeded grid."""
+    """Reduction equals brute enumeration and the partition formula across a seeded grid."""
     rng = random.Random(1001)
     started = time.perf_counter()
     checks = 0
@@ -107,6 +114,9 @@ def _criterion_1() -> tuple[bool, str]:
                     if lhs != rhs:
                         return False, f"mismatch at m={m} q={q} n={n}: {lhs} != {rhs}"
                     checks += 1
+                oracle = _reduction_oracle(power_sums(spec, q, 9, m), m)
+                if oracle != lhs:
+                    return False, f"partition formula at m={m} q={q} n=9: {oracle} != {lhs}"
     elapsed = time.perf_counter() - started
     if elapsed >= 5.0:
         return False, f"{checks} checks exact but took {elapsed:.2f}s (budget 5s)"
@@ -134,16 +144,14 @@ def _criterion_2() -> tuple[bool, str]:
     """Regenerated order-1..4 coefficient tables match the golden ones."""
     for m, golden in _GOLDEN_COEFFS.items():
         regenerated = {}
-        for part in enumerate_partitions(m):
-            coeff = Fraction(1)
-            for i, mult in enumerate(part.y, start=1):
-                if mult:
-                    coeff /= Fraction(i**mult * factorial(mult))
-                    if mult % 2:
-                        coeff = -coeff
-            if m % 2:
-                coeff = -coeff
-            regenerated[part.y] = coeff
+        for y in partition_vectors(m):
+            # Weight every other multiplicity pattern 0, so the partition
+            # formula keeps the coefficient of prod_i S_i^(y_i) alone.
+            def weight(i: int, k: int, y=y) -> Fraction:
+                return Fraction((-1) ** k, i**k * factorial(k)) if k == y[i - 1] else Fraction(0)
+
+            coeff = partition_sum(m, weight)
+            regenerated[y] = -coeff if m % 2 else coeff
         if regenerated != golden:
             return False, f"order {m} table differs: {regenerated} != {golden}"
     total = sum(len(g) for g in _GOLDEN_COEFFS.values())
@@ -306,6 +314,22 @@ def _bernoulli_closed_form(m: int, p: int) -> Fraction:
     raise ValueError("closed form known for p in {1, 2, 3} only")
 
 
+def _mzv_oracle(m: int, p: int) -> PiPolynomial:
+    """(-1)^m sum_y prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2ip)^(y_i), term by term."""
+    value = partition_sum(
+        m,
+        lambda i, k: zeta_even(i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
+        one=PiPolynomial.from_rational(1),
+    )
+    return -value if m % 2 else value
+
+
+def _bernoulli_oracle(m: int, p: int) -> Fraction:
+    """sum_y prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i), term by term."""
+    return partition_sum(m, lambda i, k: (bernoulli(2 * i * p) / (2 * i * factorial(2 * i * p))) ** k
+                         / factorial(k))
+
+
 def _criterion_8() -> tuple[bool, str]:
     """Even zeta table, depth reductions vs closed forms, decimal anchors."""
     checks = 0
@@ -323,11 +347,17 @@ def _criterion_8() -> tuple[bool, str]:
             closed = mzv_closed_form(m, p)
             if reduced != closed:
                 return False, f"depth reduction m={m} p={p}: {reduced.terms} != {closed.terms}"
+            oracle = _mzv_oracle(m, p)
+            if reduced != oracle:
+                return False, f"depth reduction m={m} p={p}: {reduced.terms} != partition formula {oracle.terms}"
             checks += 1
             bps = bernoulli_partition_sum(m, p)
             expected = _bernoulli_closed_form(m, p)
             if bps != expected:
                 return False, f"weight sum m={m} p={p}: {bps} != {expected}"
+            oracle = _bernoulli_oracle(m, p)
+            if bps != oracle:
+                return False, f"weight sum m={m} p={p}: {bps} != partition formula {oracle}"
             checks += 1
     if bernoulli_partition_sum(1, 1) != Fraction(1, 24):
         return False, "printed value 1/24 not reproduced"

@@ -9,11 +9,17 @@ an index window shorter than m gives 0.
 Routes come in independent pairs so each can act as the other's oracle:
 
 * ``brute_multiple_sum``        direct tuple enumeration
-* ``reduce_multiple_sum``       partition-weighted power sums (single sequence)
+* ``reduce_multiple_sum``       power sums reduced by Newton's recurrence,
+                                O(m^2) (single sequence); the paper's partition
+                                formula, ``partitions.partition_sum``, is its
+                                oracle in the tests and the acceptance suite
 * ``brute_recurrent_sum``       weakly increasing tuples, enumeration
 * ``symmetrized_multiple_sum``  all m! spec orderings, enumeration
 * ``reduce_symmetrized``        set-partition reduction of the same total
 * ``variation_*``               window-extension expansions of P `(m, q, n+1)`
+
+Power sums are accumulated as integers over the lcm of the denominators of
+blocks of the window's values, and turned into m rationals at the end.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import lcm
 from typing import Sequence, Union
 
 from .exact_arith import factorial, rational_from_str, rational_to_str
-from .partitions import enumerate_partitions, enumerate_set_partitions
+from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
     "ExplicitSequence",
@@ -35,21 +42,22 @@ __all__ = [
     "sequence_spec_to_json",
     "sequence_spec_from_json",
     "power_sums",
+    "rational_power_sums",
     "brute_multiple_sum",
     "brute_recurrent_sum",
     "reduce_multiple_sum",
     "reduce_from_power_sums",
+    "elementary_from_power_sums",
     "variation_lemma",
     "variation_expand",
     "variation_recursive",
     "symmetrized_multiple_sum",
     "reduce_symmetrized",
     "SYMMETRIZED_BRUTE_MAX_M",
-    "SET_REDUCTION_MAX_M",
 ]
 
 SYMMETRIZED_BRUTE_MAX_M = 6   # m! orderings, each brute forced
-SET_REDUCTION_MAX_M = 8       # Bell(8) = 4140 set partitions
+_POWER_SUM_BLOCK = 32         # values per integer block in rational_power_sums
 
 
 @dataclass(frozen=True)
@@ -99,13 +107,39 @@ def sequence_spec_to_json(spec: SequenceSpec) -> dict:
     }
 
 
-def sequence_spec_from_json(data: dict) -> SequenceSpec:
+def _json_int(data: dict, key: str) -> int:
+    value = data[key]
+    # bool is a subclass of int, and JSON true/false are not numbers here
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"sequence {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value: object) -> Fraction:
+    # Integers and "num/den" strings only: a JSON float is a binary
+    # approximation, and taking it exactly would invent a rational.
+    if isinstance(value, str):
+        return rational_from_str(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"sequence values must be integers or \"num/den\" strings, got {value!r}")
+
+
+def sequence_spec_from_json(data: object) -> SequenceSpec:
+    """Parse a spec written by sequence_spec_to_json; ValueError on anything else."""
+    if not isinstance(data, dict):
+        raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "index_power":
-        return IndexPower(int(data["exponent"]))
+        if "exponent" not in data:
+            raise ValueError("index_power spec needs an 'exponent'")
+        return IndexPower(_json_int(data, "exponent"))
     if kind == "explicit":
-        values = tuple(rational_from_str(v) if isinstance(v, str) else Fraction(v) for v in data["values"])
-        return ExplicitSequence(values, int(data.get("base", 1)))
+        values = data.get("values")
+        if not isinstance(values, list):
+            raise ValueError("explicit spec needs a 'values' list")
+        base = _json_int(data, "base") if "base" in data else 1
+        return ExplicitSequence(tuple(_json_rational(v) for v in values), base)
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
@@ -174,57 +208,92 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     return total
 
 
+def rational_power_sums(values: Sequence[Fraction | int], m: int) -> list[Fraction]:
+    """S_i = sum of v ** i over the values (Fractions or ints), for i = 1..m.
+
+    The values are taken in blocks of 32. With L the lcm of a block's
+    denominators, each value is the integer v L over L, so the block's S_i
+    is an integer power sum over L ** i: the inner loop multiplies and adds
+    integers only. Each block is then folded into the running sums at the
+    lcm of the two scales, and m rationals are built at the end. Blocks keep
+    the integers at the size of a block's lcm: over a long window of
+    distinct denominators, such as N ** -2 on [1, 2000], the lcm of the
+    whole window would make every term thousands of bits long.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    sums, scale = [0] * m, 1
+    for start in range(0, len(values), _POWER_SUM_BLOCK):
+        block = values[start:start + _POWER_SUM_BLOCK]
+        block_scale = lcm(*(v.denominator for v in block))
+        block_sums = [0] * m
+        for v in block:
+            numerator = v.numerator * (block_scale // v.denominator)
+            power = 1
+            for i in range(m):
+                power *= numerator
+                block_sums[i] += power
+        merged = lcm(scale, block_scale)
+        up, block_up = merged // scale, merged // block_scale
+        factor = block_factor = 1
+        for i in range(m):
+            factor *= up
+            block_factor *= block_up
+            sums[i] = sums[i] * factor + block_sums[i] * block_factor
+        scale = merged
+    out = []
+    denominator = 1
+    for total in sums:
+        denominator *= scale
+        out.append(Fraction(total, denominator))
+    return out
+
+
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     """S_i = sum_{N=q}^{n} a_N ** i for i = 1..m.
 
-    Each sequence value is evaluated once and raised incrementally, one
-    multiplication per i, so the whole family costs one pass over the window.
+    Each sequence value is evaluated once, all of them even when m = 0, so
+    an index outside the sequence's domain raises either way; an empty
+    window gives zeros.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if q < 0:
         raise ValueError("q must be >= 0")
-    sums = [Fraction(0)] * m
-    for N in range(q, n + 1):
-        value = eval_sequence(spec, N)
-        power = Fraction(1)
-        for i in range(m):
-            power *= value
-            sums[i] += power
-    return sums
+    return rational_power_sums([eval_sequence(spec, N) for N in range(q, n + 1)], m)
 
 
-def reduce_from_power_sums(sums: Sequence[Fraction], m: int) -> Fraction:
-    """Partition-weighted reduction of an order-m sum from S_1..S_m.
+def elementary_from_power_sums(sums: Sequence[Fraction], m: int) -> list[Fraction]:
+    """e_0..e_m of the underlying values from S_1..S_m, by Newton's identities.
 
-    (-1)^m * sum over partitions y of m of prod_i [(-1)^(y_i) / y_i!] * (S_i / i)^(y_i).
-    Equal to the elementary symmetric function e_m of the underlying values.
-    Extra trailing sums beyond S_m are accepted and ignored.
+    k e_k = sum_{i=1}^{k} (-1)^(i-1) S_i e_{k-i}; O(m^2) exact steps. Extra
+    trailing sums beyond S_m are accepted and ignored.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if len(sums) < m:
         raise ValueError(f"need at least {m} power sums, got {len(sums)}")
-    sums = [Fraction(s) for s in sums]
-    total = Fraction(0)
-    for part in enumerate_partitions(m):
-        term = Fraction(1)
-        for i, mult in enumerate(part.y, start=1):
-            if mult:
-                base = sums[i - 1] / i
-                term *= base ** mult / factorial(mult)
-                if mult % 2:
-                    term = -term
-        total += term
-    return -total if m % 2 else total
+    signed = [Fraction(-s if i % 2 else s) for i, s in enumerate(sums[:m])]
+    return newton_coefficients(signed, m)
+
+
+def reduce_from_power_sums(sums: Sequence[Fraction], m: int) -> Fraction:
+    """Partition-weighted reduction of an order-m sum from S_1..S_m.
+
+    (-1)^m * sum over partitions y of m of prod_i [(-1)^(y_i) / y_i!] * (S_i / i)^(y_i),
+    which is the elementary symmetric function e_m of the underlying values;
+    evaluated by Newton's recurrence (elementary_from_power_sums), not term
+    by term. Extra trailing sums beyond S_m are accepted and ignored.
+    """
+    return elementary_from_power_sums(sums, m)[m]
 
 
 def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     """Order-m multiple sum of one sequence via power sums, no enumeration.
 
-    Agrees with brute_multiple_sum on identical specs, including the
-    degenerate window cases (empty window gives 0 for m >= 1, and m = 0
-    gives 1 through the empty partition).
+    O(n - q + 1) window terms and O(m^2) recurrence steps. Agrees with
+    brute_multiple_sum on identical specs, including the degenerate window
+    cases (empty window gives 0 for m >= 1, and m = 0 gives 1).
     """
     return reduce_from_power_sums(power_sums(spec, q, n, m), m)
 
@@ -321,8 +390,8 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
     m = len(specs)
     if q < 0:
         raise ValueError("q must be >= 0")
-    if m > SET_REDUCTION_MAX_M:
-        raise ValueError(f"set-partition reduction capped at m = {SET_REDUCTION_MAX_M}")
+    if m > SET_PARTITION_MAX_M:
+        raise ValueError(f"set-partition reduction capped at m = {SET_PARTITION_MAX_M}")
     if m == 0:
         return Fraction(1)
     tables = _value_tables(specs, q, n)

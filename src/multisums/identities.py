@@ -6,6 +6,10 @@ statement is a pair of equations carry both sides as ordered pairs, so
 ``equal`` is still literally ``lhs == rhs``.
 
 Registry keys are opaque stable strings (the CLI wire format).
+
+Here the partition sum is the left side under test, so it is evaluated term
+by term with :func:`multisums.partitions.partition_sum` (or its one-pass
+even/odd split), never by the recurrence that the reductions use.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import PiPolynomial, binomial, factorial, rational_to_str, stirling_first_unsigned
-from .partitions import PartitionMultiplicities, enumerate_partitions
+from .partitions import parity_partition_sums, partition_sum, partition_vectors
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "identity_parameter_names"]
 
@@ -93,20 +97,6 @@ def _params_to_json(params: Mapping) -> dict:
     return out
 
 
-def _partition_sum(m: int, weight: Callable[[int, int], Fraction], parity: str | None = None) -> Fraction:
-    """sum over partitions y of m of prod over i with y_i > 0 of weight(i, y_i)."""
-    total = Fraction(0)
-    for part in enumerate_partitions(m):
-        if parity is not None and part.parity != parity:
-            continue
-        term = Fraction(1)
-        for i, mult in enumerate(part.y, start=1):
-            if mult:
-                term *= weight(i, mult)
-        total += term
-    return total
-
-
 def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
     """Multiplicity vector for the sub-partition, padded with zeros to length m."""
     phi = tuple(int(v) for v in phi)
@@ -153,43 +143,15 @@ def _plain_weight(i: int, mult: int) -> Fraction:
     return Fraction(1, i**mult * factorial(mult))
 
 
-def _binom_weight(phi: tuple[int, ...]) -> Callable[[int, int], Fraction]:
-    # C(y_i, phi_i) / (i^(y_i) y_i!); positions with y_i = 0 but phi_i > 0
-    # must still contribute a zero factor, handled by the caller.
+def _binom_weight(phi: tuple[int, ...], signed: bool) -> Callable[[int, int], Fraction]:
+    # (+-1)^mult C(mult, phi_i) / (i^mult mult!). At mult = 0 this is 0 when
+    # phi_i > 0 (C(0, phi_i) = 0), which removes partitions lacking a part
+    # that phi has.
     def weight(i: int, mult: int) -> Fraction:
-        return Fraction(binomial(mult, phi[i - 1]), i**mult * factorial(mult))
+        value = Fraction(binomial(mult, phi[i - 1]), i**mult * factorial(mult))
+        return -value if signed and mult % 2 else value
 
     return weight
-
-
-def _binom_partition_sum(m: int, phi: tuple[int, ...], signed: bool, parity: str | None = None,
-                         restricted: bool = False) -> Fraction:
-    """Partition sums with binomial selection factors against phi.
-
-    A zero multiplicity with phi_i > 0 kills the term (C(0, phi_i) = 0),
-    so the product must range over all i with y_i > 0 or phi_i > 0.
-    """
-    total = Fraction(0)
-    for part in enumerate_partitions(m):
-        if parity is not None and part.parity != parity:
-            continue
-        if restricted and any(part.y[i] < phi[i] for i in range(m)):
-            continue
-        term = Fraction(1)
-        for i in range(1, m + 1):
-            mult, want = part.y[i - 1], phi[i - 1]
-            if mult == 0 and want == 0:
-                continue
-            choose = binomial(mult, want)
-            if choose == 0:
-                term = Fraction(0)
-                break
-            piece = Fraction(choose, i**mult * factorial(mult))
-            if signed and mult % 2:
-                piece = -piece
-            term *= piece
-        total += term
-    return total
 
 
 def _phi_product(phi: tuple[int, ...], signed: bool) -> Fraction:
@@ -206,7 +168,7 @@ def _phi_product(phi: tuple[int, ...], signed: bool) -> Fraction:
 def _verify_lemma_3_1(params: Mapping) -> VerificationReport:
     """Alternating partition weights collapse: sum = (-1)^m for m <= 1, else 0."""
     m = _require_int(params, "m", 0)
-    lhs = _partition_sum(m, _signed_weight)
+    lhs = partition_sum(m, _signed_weight)
     rhs = Fraction(-1 if m % 2 else 1) if m <= 1 else Fraction(0)
     return VerificationReport(IdentityId.LEMMA_3_1, {"m": m}, lhs, rhs, lhs == rhs)
 
@@ -215,10 +177,12 @@ def _verify_lemma_3_2(params: Mapping) -> VerificationReport:
     """Binomial-filtered alternating weights; full and restricted sums agree."""
     m = _require_int(params, "m", 0)
     phi = _normalize_phi(params.get("phi", ()), m)
-    full = _binom_partition_sum(m, phi, signed=True)
-    restricted = _binom_partition_sum(m, phi, signed=True, restricted=True)
+    full = partition_sum(m, _binom_weight(phi, signed=True))
     r = sum(i * v for i, v in enumerate(phi, start=1))
     d = m - r
+    # Only y >= phi contributes; writing y = phi + z with z a partition of d,
+    # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
+    restricted = _phi_product(phi, signed=True) * partition_sum(d, _signed_weight)
     if d <= 1:
         closed = _phi_product(phi, signed=True)
         if d % 2:
@@ -296,8 +260,7 @@ def _verify_recurrent_bridge(params: Mapping) -> VerificationReport:
     def weight(i: int, mult: int) -> Fraction:
         return (sums[i - 1] / i) ** mult / factorial(mult)
 
-    even_sum = _partition_sum(m, weight, parity="even")
-    odd_sum = _partition_sum(m, weight, parity="odd")
+    even_sum, odd_sum = parity_partition_sums(m, weight)
     lhs = (recurrent + signed_multiple, recurrent - signed_multiple)
     rhs = (2 * even_sum, 2 * odd_sum)
     note = (
@@ -317,10 +280,7 @@ def _verify_recurrent_bridge(params: Mapping) -> VerificationReport:
 def _verify_even_odd_weights(params: Mapping) -> VerificationReport:
     """Even and odd partition weight totals: (1,0), (0,1), then (1/2, 1/2)."""
     m = _require_int(params, "m", 0)
-    lhs = (
-        _partition_sum(m, _plain_weight, parity="even"),
-        _partition_sum(m, _plain_weight, parity="odd"),
-    )
+    lhs = parity_partition_sums(m, _plain_weight)
     if m == 0:
         rhs = (Fraction(1), Fraction(0))
     elif m == 1:
@@ -347,10 +307,7 @@ def _verify_even_odd_binom(params: Mapping) -> VerificationReport:
         odd_closed = base if s % 2 == 0 else Fraction(0)
     else:
         even_closed = odd_closed = base / 2
-    lhs = (
-        _binom_partition_sum(m, phi, signed=False, parity="even"),
-        _binom_partition_sum(m, phi, signed=False, parity="odd"),
-    )
+    lhs = parity_partition_sums(m, _binom_weight(phi, signed=False))
     rhs = (even_closed, odd_closed)
     return VerificationReport(
         IdentityId.EVEN_ODD_BINOM,
@@ -375,10 +332,7 @@ def _verify_even_odd_n(params: Mapping) -> VerificationReport:
     def weight(i: int, mult: int) -> Fraction:
         return Fraction(n, i) ** mult / factorial(mult)
 
-    lhs = (
-        _partition_sum(m, weight, parity="even"),
-        _partition_sum(m, weight, parity="odd"),
-    )
+    lhs = parity_partition_sums(m, weight)
     # n = m = 0 gives C(-1, 0) = 1 (empty choice); binomial() wants n >= 0
     main = Fraction(1) if n + m - 1 < 0 else Fraction(binomial(n + m - 1, m))
     correction = Fraction(binomial(n, m))
@@ -450,9 +404,9 @@ def verify_sweep(
         if identity in _PHI_IDENTITIES and "phi" not in params:
             m = int(params["m"])
             for r in range(m + 1):
-                for sub in enumerate_partitions(r):
+                for sub in partition_vectors(r):
                     phi = dict(params)
-                    phi["phi"] = sub.y + (0,) * (m - r)
+                    phi["phi"] = sub + (0,) * (m - r)
                     reports.append(verify(identity, phi))
         else:
             reports.append(verify(identity, params))

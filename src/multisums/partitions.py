@@ -5,6 +5,12 @@ where y_i counts the parts equal to i, so sum(i * y_i) == m and the vector
 always has length exactly m. That encoding lines up one slot per possible
 part size, which is what the partition-weighted product formulas consume.
 
+Sums over all partitions of m of a product of per-part weights have two
+routes here. :func:`partition_sum` is the paper's formula written out term
+by term; it is the readable oracle. :func:`newton_coefficients` gets every
+such sum up to m at once from Newton's recurrence in O(m^2) exact steps;
+the production reductions use it.
+
 Set partitions of {1, ..., m} are kept in a canonical form: each block
 ascending, blocks ordered by (size, smallest element).
 """
@@ -12,22 +18,31 @@ ascending, blocks ordered by (size, smallest element).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .exact_arith import factorial
 
 __all__ = [
     "PartitionMultiplicities",
     "enumerate_partitions",
+    "partition_vectors",
     "partition_count",
     "partition_parity",
+    "partition_sum",
+    "parity_partition_sums",
+    "newton_coefficients",
     "SetPartition",
     "enumerate_set_partitions",
     "set_partition_type",
     "count_set_partitions_of_type",
+    "SET_PARTITION_MAX_M",
 ]
 
-SET_PARTITION_MAX_M = 8  # Bell(8) = 4140; brute enumeration stays cheap
+SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
+
+Ring = TypeVar("Ring")  # Fraction, or PiPolynomial for the zeta layer
 
 
 def partition_parity(y: Iterable[int]) -> str:
@@ -100,6 +115,77 @@ def enumerate_partitions(m: int) -> list[PartitionMultiplicities]:
     if m < 0:
         raise ValueError("m must be >= 0")
     return [PartitionMultiplicities.from_parts(m, parts) for parts in _descending_part_lists(m, m)]
+
+
+@lru_cache(maxsize=32)
+def partition_vectors(m: int) -> tuple[tuple[int, ...], ...]:
+    """The multiplicity vectors of every partition of m, in enumeration order.
+
+    One shared immutable tuple per m; the 32 orders most recently asked for
+    are kept, so identity sweeps that revisit an order enumerate it once.
+    """
+    return tuple(part.y for part in enumerate_partitions(m))
+
+
+def parity_partition_sums(m: int, weight: Callable[[int, int], Ring],
+                          one: Ring = Fraction(1)) -> tuple[Ring, Ring]:
+    """The paper's partition formula, split by parity, in one pass.
+
+    Returns (even, odd): the sums over partitions y of m with an even (odd)
+    number of parts of prod_{i=1}^{m} weight(i, y_i). A zero multiplicity is
+    a factor too: weight(i, 0) is 1 for the usual weights and 0 where a
+    missing part must remove the term. Each weight(i, k) is evaluated once.
+    ``one`` is the unit of the weights' ring.
+    """
+    table = [[weight(i, k) for k in range(m // i + 1)] for i in range(1, m + 1)]
+    rows = [(row, row[0] != one) for row in table]  # True: the zero-multiplicity factor matters
+    sums = [one - one, one - one]
+    for y in partition_vectors(m):
+        term = one
+        for (row, dense), k in zip(rows, y):
+            if k or dense:
+                term = term * row[k]
+        sums[sum(y) % 2] += term
+    return sums[0], sums[1]
+
+
+def partition_sum(m: int, weight: Callable[[int, int], Ring], parity: str | None = None,
+                  one: Ring = Fraction(1)) -> Ring:
+    """sum over partitions y of m of prod_{i=1}^{m} weight(i, y_i): the oracle.
+
+    ``parity`` "even" or "odd" keeps only partitions with that many parts
+    (see :func:`partition_parity`); see :func:`parity_partition_sums` for
+    the weight and ring conventions. Enumerates all p(m) partitions, so
+    production code uses :func:`newton_coefficients` where it applies.
+    """
+    if parity not in (None, "even", "odd"):
+        raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
+    even, odd = parity_partition_sums(m, weight, one)
+    if parity is None:
+        return even + odd
+    return even if parity == "even" else odd
+
+
+def newton_coefficients(p: Sequence[Fraction], m: int) -> list[Fraction]:
+    """c_0..c_m of exp(sum_i p_i t^i / i), by Newton's recurrence.
+
+    c_0 = 1 and k c_k = sum_{i=1}^{k} p_i c_{k-i}: O(m^2) exact steps. c_k is
+    the partition sum over y of k of prod_i (p_i / i)^(y_i) / y_i!, the
+    weight :func:`partition_sum` evaluates term by term (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. I, eqs. 2.11 and 2.14').
+    Uses p_1..p_m; extra trailing values are ignored.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if len(p) < m:
+        raise ValueError(f"need at least {m} values, got {len(p)}")
+    coeffs = [Fraction(1)]
+    for k in range(1, m + 1):
+        acc = p[0] * coeffs[k - 1]
+        for i in range(1, k):
+            acc += p[i] * coeffs[k - 1 - i]
+        coeffs.append(acc / k)
+    return coeffs
 
 
 _pcounts = [1]  # p(0), extended on demand by the pentagonal recurrence

@@ -16,6 +16,8 @@ from .core import (
     SequenceSpec,
     SumProblem,
     brute_multiple_sum,
+    elementary_from_power_sums,
+    rational_power_sums,
     reduce_from_power_sums,
 )
 from .exact_arith import RationalLike
@@ -72,25 +74,16 @@ def poly_from_roots(roots: Iterable[RationalLike], leading: RationalLike = 1) ->
     return Polynomial(tuple(coeffs))
 
 
-def _root_power_sums(roots: Sequence[Fraction], m: int) -> list[Fraction]:
-    sums = []
-    powers = [Fraction(1)] * len(roots)
-    for _ in range(m):
-        powers = [p * r for p, r in zip(powers, roots)]
-        sums.append(sum(powers, Fraction(0)))
-    return sums
-
-
 def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     """a_{n-m} / a_n of the monic-or-not polynomial with these roots.
 
-    Computed without expanding the polynomial, as the signed partition
-    reduction of the root power sums; equals (-1)^m e_m(roots).
+    Computed without expanding the polynomial, as the signed reduction of
+    the root power sums; equals (-1)^m e_m(roots).
     """
     roots = [Fraction(r) for r in roots]
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
-    value = reduce_from_power_sums(_root_power_sums(roots, m), m)
+    value = reduce_from_power_sums(rational_power_sums(roots, m), m)
     return -value if m % 2 else value
 
 
@@ -118,16 +111,16 @@ def mean_root_ratio(poly: Polynomial) -> Fraction:
 def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[Fraction, Fraction]:
     """Both sides of the alternating expansion of a factored polynomial.
 
-    lhs = sum_{m=0}^{n} (-1)^m x^(n-m) e_m(roots), with e_m from the
-    partition reduction; rhs = (-1)^n prod (r - x). Equal for every x.
+    lhs = sum_{m=0}^{n} (-1)^m x^(n-m) e_m(roots), with e_0..e_n from one
+    reduction of the root power sums; rhs = (-1)^n prod (r - x). Equal for
+    every x.
     """
     roots = [Fraction(r) for r in roots]
     x = Fraction(x)
     n = len(roots)
-    sums = _root_power_sums(roots, n)
+    elementary = elementary_from_power_sums(rational_power_sums(roots, n), n)
     lhs = Fraction(0)
-    for m in range(n + 1):
-        e_m = reduce_from_power_sums(sums[:m], m)
+    for m, e_m in enumerate(elementary):
         term = x ** (n - m) * e_m
         lhs += -term if m % 2 else term
     rhs = Fraction(1)

@@ -1,9 +1,12 @@
 """Exact power-sum formulas and even-argument zeta machinery.
 
 Power sums of integers come from the Bernoulli closed form; multiple power
-sums reuse the partition reduction from :mod:`multisums.core`. Even zeta
-values are exact rational multiples of powers of pi (:class:`PiPolynomial`),
-so depth reductions of repeated even arguments stay exact end to end.
+sums reuse the reduction from :mod:`multisums.core`. Even zeta values are
+exact rational multiples of powers of pi (:class:`PiPolynomial`), so depth
+reductions of repeated even arguments stay exact end to end. The partition
+sums here (depth reductions, Bernoulli weights) are evaluated by Newton's
+recurrence, :func:`multisums.partitions.newton_coefficients`; the term-by-term
+partition formula is their oracle in the tests and the acceptance suite.
 The exponent-4 and exponent-6 closed forms are classical evaluations,
 implemented exactly and exercised against the partition route.
 
@@ -21,7 +24,7 @@ from typing import Sequence
 
 from .core import IndexPower, SumProblem, brute_multiple_sum, reduce_from_power_sums
 from .exact_arith import PiPolynomial, bernoulli, binomial, factorial
-from .partitions import enumerate_partitions
+from .partitions import newton_coefficients
 
 __all__ = [
     "faulhaber",
@@ -60,8 +63,8 @@ def faulhaber(n: int, p: int) -> Fraction:
 def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
     """The order-m multiple sum of N**p over [1, n], via the reduction.
 
-    S_i = faulhaber(n, i p) feeds the partition formula; no tuples are
-    enumerated. Requires 0 <= m <= n.
+    S_i = faulhaber(n, i p) feeds the reduction; no tuples are enumerated.
+    Requires 0 <= m <= n.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -104,23 +107,18 @@ def mzv_even_reduced(m: int, p: int) -> PiPolynomial:
     (-1)^m sum over partitions y of m of
       prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2 i p)^(y_i)
 
-    a single pi^(2pm) monomial once assembled.
+    Each zeta(2ip) is the single monomial z_i pi^(2ip), so the sum is
+    c pi^(2pm), with c from newton_coefficients fed (-1)^(i-1) z_i.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = PiPolynomial()
-    for part in enumerate_partitions(m):
-        term = PiPolynomial.from_rational(1)
-        for i, mult in enumerate(part.y, start=1):
-            if mult:
-                weight = Fraction(1, factorial(mult) * i ** mult)
-                if mult % 2:
-                    weight = -weight
-                term = term * (zeta_even(i * p) ** mult) * weight
-        total = total + term
-    return -total if m % 2 else total
+    signed = []
+    for i in range(1, m + 1):
+        z = zeta_even(i * p).coefficient(2 * i * p)
+        signed.append(-z if i % 2 == 0 else z)
+    return PiPolynomial({2 * p * m: newton_coefficients(signed, m)[m]})
 
 
 def mzv_closed_form(m: int, p: int) -> PiPolynomial:
@@ -144,7 +142,8 @@ def mzv_closed_form(m: int, p: int) -> PiPolynomial:
 def bernoulli_partition_sum(m: int, p: int) -> Fraction:
     """Partition-weighted Bernoulli products.
 
-    sum over partitions y of m of prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i).
+    sum over partitions y of m of prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i),
+    evaluated by newton_coefficients fed B_{2ip} / (2 (2ip)!) for i = 1..m.
     Collapses to 1/(2^(2m) (2m+1)!) at p=1, 2 (-1)^m / (2^(2m) (4m+2)!) at
     p=2, and 6/(6m+3)! at p=3; callers check those forms.
     """
@@ -152,15 +151,8 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = Fraction(0)
-    for part in enumerate_partitions(m):
-        term = Fraction(1)
-        for i, mult in enumerate(part.y, start=1):
-            if mult:
-                base = bernoulli(2 * i * p) / (2 * i * factorial(2 * i * p))
-                term *= base ** mult / factorial(mult)
-        total += term
-    return total
+    weights = [bernoulli(2 * i * p) / (2 * factorial(2 * i * p)) for i in range(1, m + 1)]
+    return newton_coefficients(weights, m)[m]
 
 
 def mzv_partial_identity(n: int, p: int) -> tuple[Fraction, Fraction]:

@@ -90,6 +90,26 @@ def test_multisum_brute_cap_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[1]",  # not an object
+        '{"kind":"index_power"}',  # no exponent
+        '{"kind":"explicit","base":1,"values":[0.1]}',  # JSON float
+        '{"kind":"explicit","base":1,"values":[true]}',  # JSON bool
+        '{"kind":"index_power","exponent":1.7}',  # non-integral exponent
+        '{"kind":"explicit","base":1.5,"values":["1/2"]}',  # non-integral base
+    ],
+    ids=["non_object", "missing_exponent", "float_value", "bool_value", "fractional_exponent", "fractional_base"],
+)
+def test_multisum_eval_malformed_spec_exits_2(capsys, spec):
+    argv = ["multisum", "eval", "--spec", spec, "--m", "1", "--q", "1", "--n", "1"]
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, out, _ = run_main(capsys, ["frobnicate"])
     assert code == 2

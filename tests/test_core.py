@@ -1,5 +1,7 @@
+import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -12,7 +14,9 @@ from multisums.core import (
     brute_multiple_sum,
     brute_recurrent_sum,
     eval_sequence,
+    elementary_from_power_sums,
     power_sums,
+    rational_power_sums,
     reduce_from_power_sums,
     reduce_multiple_sum,
     reduce_symmetrized,
@@ -23,6 +27,7 @@ from multisums.core import (
     variation_lemma,
     variation_recursive,
 )
+from multisums.partitions import partition_sum
 
 N = IndexPower(1)
 
@@ -189,3 +194,95 @@ def test_reduction_speed_large_window():
         for k in range(5, 0, -1):
             e[k] += a * e[k - 1]
     assert value == e[5]
+
+
+def _per_term_power_sums(spec, q, n, m):
+    sums = [Fraction(0)] * m
+    for N in range(q, n + 1):
+        value = eval_sequence(spec, N)
+        for i in range(m):
+            sums[i] += value ** (i + 1)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "spec,q,n,m",
+    [
+        (ExplicitSequence(["1/2", "-2/3", "5/7", "0", "9/4", "-1/6"], base=1), 1, 6, 7),  # mixed denominators
+        (IndexPower(-2), 1, 12, 5),
+        (IndexPower(-1), 1, 75, 4),  # several integer blocks, each with its own lcm
+        (ExplicitSequence([Fraction(k % 7 - 3, k % 5 + 1) for k in range(70)], base=0), 0, 69, 3),
+        (IndexPower(-1), 3, 9, 4),
+        (IndexPower(0), 0, 4, 3),  # q = 0, 0 ** 0 = 1
+        (IndexPower(3), 0, 6, 4),
+        (IndexPower(-1), 5, 4, 3),  # empty window: no index evaluated
+        (ExplicitSequence(["1/3"], base=2), 5, 1, 2),
+        (ExplicitSequence(["1/3", "4"], base=2), 2, 3, 0),  # m = 0
+    ],
+)
+def test_power_sums_match_per_term_sum(spec, q, n, m):
+    assert power_sums(spec, q, n, m) == _per_term_power_sums(spec, q, n, m)
+
+
+def test_power_sums_domain_errors_hold_at_every_order():
+    explicit = ExplicitSequence(["1/3", "4"], base=2)
+    for m in (0, 3):
+        with pytest.raises(ValueError):
+            power_sums(explicit, 2, 4, m)  # index 4 outside [2, 3]
+        with pytest.raises(ValueError):
+            power_sums(explicit, 1, 3, m)
+        with pytest.raises(ValueError):
+            power_sums(IndexPower(-1), 0, 3, m)  # index 0, negative exponent
+    with pytest.raises(ValueError):
+        power_sums(IndexPower(1), 1, 3, -1)
+    assert rational_power_sums([], 2) == [0, 0]
+    assert rational_power_sums([2, Fraction(1, 2)], 2) == [Fraction(5, 2), Fraction(17, 4)]
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_reduction_matches_partition_formula(m):
+    rng = random.Random(m)
+    sums = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+    value = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
+    assert reduce_from_power_sums(sums, m) == (-value if m % 2 else value)
+    assert elementary_from_power_sums(sums, m)[m] == reduce_from_power_sums(sums, m)
+
+
+def test_reduction_matches_sympy_at_order_30():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.Mul(*[x - sympy.Rational(v.numerator, v.denominator) for v in values]), x)
+    e_30 = poly.coeff_monomial(x**10)  # (-1)^30 e_30
+    expected = Fraction(int(e_30.p), int(e_30.q))
+    assert reduce_multiple_sum(ExplicitSequence(values, base=1), 30, 1, 40) == expected
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        "index_power",
+        {"kind": "index_power"},
+        {"kind": "index_power", "exponent": 1.7},
+        {"kind": "index_power", "exponent": 2.0},
+        {"kind": "index_power", "exponent": True},
+        {"kind": "index_power", "exponent": "2"},
+        {"kind": "explicit", "values": [0.1]},
+        {"kind": "explicit", "values": [True]},
+        {"kind": "explicit", "values": "1/2"},
+        {"kind": "explicit"},
+        {"kind": "explicit", "base": 1.5, "values": ["1/2"]},
+    ],
+)
+def test_sequence_spec_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        sequence_spec_from_json(data)
+
+
+def test_sequence_spec_from_json_accepts_integers_and_strings():
+    spec = sequence_spec_from_json({"kind": "explicit", "base": 0, "values": [3, "-1/2", " 4 "]})
+    assert spec == ExplicitSequence([3, Fraction(-1, 2), 4], base=0)
+    assert sequence_spec_from_json({"kind": "explicit", "values": []}) == ExplicitSequence([], base=1)
+    assert sequence_spec_from_json({"kind": "index_power", "exponent": -3}) == IndexPower(-3)

@@ -1,6 +1,10 @@
 from collections import Counter
+from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multisums.partitions import (
     PartitionMultiplicities,
@@ -8,7 +12,11 @@ from multisums.partitions import (
     count_set_partitions_of_type,
     enumerate_partitions,
     enumerate_set_partitions,
+    newton_coefficients,
+    parity_partition_sums,
     partition_count,
+    partition_sum,
+    partition_vectors,
     set_partition_type,
 )
 
@@ -83,3 +91,39 @@ def test_type_count_values():
     assert count_set_partitions_of_type(PartitionMultiplicities(3, (1, 1, 0))) == 3
     assert count_set_partitions_of_type(PartitionMultiplicities(4, (0, 2, 0, 0))) == 3
     assert count_set_partitions_of_type(PartitionMultiplicities(5, (5, 0, 0, 0, 0))) == 1
+
+
+def test_partition_vectors_shared_enumeration_fresh():
+    assert partition_vectors(4) == tuple(p.y for p in enumerate_partitions(4))
+    assert partition_vectors(7) is partition_vectors(7)
+    assert enumerate_partitions(7) is not enumerate_partitions(7)
+
+
+def test_partition_sum_counts_and_parity():
+    for m in range(12):
+        parities = Counter(p.parity for p in enumerate_partitions(m))
+        assert partition_sum(m, lambda i, k: 1) == partition_count(m)
+        assert parity_partition_sums(m, lambda i, k: 1) == (parities["even"], parities["odd"])
+        assert partition_sum(m, lambda i, k: 1, parity="odd") == parities["odd"]
+    # a zero-multiplicity factor of 0 removes every partition lacking that part
+    assert partition_sum(4, lambda i, k: 0 if (i, k) == (2, 0) else 1) == 2  # (2,1,1), (2,2)
+    with pytest.raises(ValueError):
+        partition_sum(3, lambda i, k: 1, parity="both")
+
+
+def test_newton_coefficients_edge_cases():
+    assert newton_coefficients([], 0) == [1]
+    assert newton_coefficients([Fraction(3)], 1) == [1, 3]
+    # all p_i = 1: exp(sum t^i / i) = 1 / (1 - t)
+    assert newton_coefficients([Fraction(1)] * 9, 9) == [1] * 10
+    with pytest.raises(ValueError):
+        newton_coefficients([Fraction(1)], 2)
+    with pytest.raises(ValueError):
+        newton_coefficients([], -1)
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=9, max_size=9))
+def test_newton_coefficients_match_partition_formula(p):
+    coeffs = newton_coefficients(p, 9)
+    for m in range(10):
+        assert coeffs[m] == partition_sum(m, lambda i, k: (p[i - 1] / i) ** k / factorial(k))

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from multisums.core import IndexPower, SumProblem, brute_multiple_sum
-from multisums.exact_arith import PiPolynomial, stirling_first_unsigned
+from multisums.exact_arith import PiPolynomial, bernoulli, stirling_first_unsigned
+from multisums.partitions import partition_sum
 from multisums.special_sums import (
     bernoulli_partition_sum,
     faulhaber,
@@ -130,3 +132,22 @@ def test_mzv_limit_trend():
         mzv_limit_trend([1], 100)
     with pytest.raises(ValueError):
         mzv_limit_trend([4], 0)
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_mzv_reduction_matches_partition_formula(m):
+    for p in (1, 2):
+        value = partition_sum(
+            m,
+            lambda i, k: zeta_even(i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
+            one=PiPolynomial.from_rational(1),
+        )
+        assert mzv_even_reduced(m, p) == (-value if m % 2 else value)
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_bernoulli_sum_matches_partition_formula(m):
+    for p in (1, 2, 4):
+        base = [bernoulli(2 * i * p) / (2 * i * factorial(2 * i * p)) for i in range(1, m + 1)]
+        value = partition_sum(m, lambda i, k: base[i - 1] ** k / factorial(k))
+        assert bernoulli_partition_sum(m, p) == value
