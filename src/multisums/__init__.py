@@ -2,131 +2,31 @@
 
 Everything numeric is a ``fractions.Fraction`` (or an integer polynomial in
 pi squared for the even zeta layer); floating point appears only in the
-display helpers and the tail-trend probe, never in an identity check.
+tail-trend probe and decimals only in the display helper, never in an
+identity check.
+
+The public API is the union of the compute modules' ``__all__``s; the
+``acceptance`` and ``cli`` modules are imported on demand.
 """
 
 from __future__ import annotations
 
-from .core import (
-    ExplicitSequence,
-    IndexPower,
-    SequenceSpec,
-    SumProblem,
-    brute_multiple_sum,
-    brute_recurrent_sum,
-    eval_sequence,
-    power_sums,
-    reduce_from_power_sums,
-    reduce_multiple_sum,
-    reduce_symmetrized,
-    sequence_spec_from_json,
-    sequence_spec_to_json,
-    symmetrized_multiple_sum,
-    variation_expand,
-    variation_lemma,
-    variation_recursive,
-)
-from .exact_arith import (
-    PiPolynomial,
-    Rational,
-    bernoulli,
-    binomial,
-    factorial,
-    pi_poly_numeric,
-    rational_from_str,
-    rational_to_str,
-    stirling_first_unsigned,
-)
-from .identities import IdentityId, VerificationReport, verify, verify_sweep
-from .partitions import (
-    PartitionMultiplicities,
-    SetPartition,
-    count_set_partitions_of_type,
-    enumerate_partitions,
-    enumerate_set_partitions,
-    partition_count,
-    set_partition_type,
-)
-from .polynomials import (
-    Polynomial,
-    coeff_ratio_from_roots,
-    eval_factored_sum,
-    generalized_binomial,
-    mean_root_ratio,
-    poly_derivative,
-    poly_from_roots,
-    sum_of_multiple_sums,
-)
-from .special_sums import (
-    bernoulli_partition_sum,
-    faulhaber,
-    load_zeta_golden_table,
-    multiple_power_sum,
-    mzv_closed_form,
-    mzv_even_reduced,
-    mzv_limit_trend,
-    mzv_partial_identity,
-    stirling_via_multiple_sum,
-    zeta_even,
-)
+from . import core, exact_arith, identities, partitions, polynomials, special_sums
+from .core import *
+from .exact_arith import *
+from .identities import *
+from .partitions import *
+from .polynomials import *
+from .special_sums import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ExplicitSequence",
-    "IndexPower",
-    "SequenceSpec",
-    "SumProblem",
-    "brute_multiple_sum",
-    "brute_recurrent_sum",
-    "eval_sequence",
-    "power_sums",
-    "reduce_from_power_sums",
-    "reduce_multiple_sum",
-    "reduce_symmetrized",
-    "sequence_spec_from_json",
-    "sequence_spec_to_json",
-    "symmetrized_multiple_sum",
-    "variation_expand",
-    "variation_lemma",
-    "variation_recursive",
-    "PiPolynomial",
-    "Rational",
-    "bernoulli",
-    "binomial",
-    "factorial",
-    "pi_poly_numeric",
-    "rational_from_str",
-    "rational_to_str",
-    "stirling_first_unsigned",
-    "IdentityId",
-    "VerificationReport",
-    "verify",
-    "verify_sweep",
-    "PartitionMultiplicities",
-    "SetPartition",
-    "count_set_partitions_of_type",
-    "enumerate_partitions",
-    "enumerate_set_partitions",
-    "partition_count",
-    "set_partition_type",
-    "Polynomial",
-    "coeff_ratio_from_roots",
-    "eval_factored_sum",
-    "generalized_binomial",
-    "mean_root_ratio",
-    "poly_derivative",
-    "poly_from_roots",
-    "sum_of_multiple_sums",
-    "bernoulli_partition_sum",
-    "faulhaber",
-    "load_zeta_golden_table",
-    "multiple_power_sum",
-    "mzv_closed_form",
-    "mzv_even_reduced",
-    "mzv_limit_trend",
-    "mzv_partial_identity",
-    "stirling_via_multiple_sum",
-    "zeta_even",
+    *core.__all__,
+    *exact_arith.__all__,
+    *identities.__all__,
+    *partitions.__all__,
+    *polynomials.__all__,
+    *special_sums.__all__,
 ]

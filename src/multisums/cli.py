@@ -6,7 +6,10 @@ identical argv produces byte-identical stdout. Exit codes: 0 pass, 1 an
 identity check failed, 2 usage or domain error.
 
 The environment variable MULTISUM_MAX_M (default 6) caps the order of
-brute-force enumeration reachable from the command line.
+brute-force enumeration reachable from the command line, swept orders
+included. `partitions list` stops at m = PARTITION_LIST_MAX_M, `--numeric`
+at NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points
+and as many reports after phi expansion.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .core import (
 )
 from .exact_arith import pi_poly_numeric, rational_from_str, rational_to_str
 from .identities import IdentityId, verify, verify_sweep
-from .partitions import enumerate_partitions, partition_count
+from .partitions import PARTITION_LIST_MAX_M, enumerate_partitions, partition_count
 from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
 from .special_sums import faulhaber, load_zeta_golden_table, mzv_closed_form, mzv_even_reduced, zeta_even
 
@@ -80,9 +83,9 @@ def _parse_phi(text: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in text.split(",") if p.strip())
 
 
-def _parse_sweep(text: str) -> dict[str, list[int]]:
-    """Parse "m=0..12,n=3" into {"m": [0..12], "n": [3]}."""
-    ranges: dict[str, list[int]] = {}
+def _parse_sweep(text: str) -> dict[str, range]:
+    """Parse "m=0..12,n=3" into {"m": range(0, 13), "n": range(3, 4)}."""
+    ranges: dict[str, range] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -91,14 +94,16 @@ def _parse_sweep(text: str) -> dict[str, list[int]]:
         name = name.strip()
         if not name or not spec:
             raise ValueError(f"bad sweep chunk {chunk!r}, expected name=a..b")
+        if name in ranges:
+            raise ValueError(f"sweep names {name!r} twice")
         if ".." in spec:
             lo_text, _, hi_text = spec.partition("..")
             lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty sweep range {chunk!r}")
-            ranges[name] = list(range(lo, hi + 1))
         else:
-            ranges[name] = [int(spec)]
+            lo = hi = int(spec)
+        if hi < lo:
+            raise ValueError(f"empty sweep range {chunk!r}")
+        ranges[name] = range(lo, hi + 1)
     if not ranges:
         raise ValueError("sweep string is empty")
     return ranges
@@ -167,6 +172,8 @@ def _cmd_partitions(args) -> CommandOutcome:
         raise ValueError("m must be >= 0")
     if args.action == "count":
         return _ok({"m": args.m, "count": partition_count(args.m)})
+    if args.m > PARTITION_LIST_MAX_M:
+        raise ValueError(f"m={args.m} exceeds the partitions list cap {PARTITION_LIST_MAX_M}")
     rows = [
         {"m": args.m, "y": list(part.y), "length": part.length, "parity": part.parity}
         for part in enumerate_partitions(args.m)
@@ -228,8 +235,6 @@ def _cmd_special(args) -> CommandOutcome:
             if not payload["equal"]:
                 return _fail(payload)
         if args.numeric is not None:
-            if args.numeric < 1:
-                raise ValueError("--numeric wants a positive digit count")
             payload["numeric"] = pi_poly_numeric(value, args.numeric)
         return _ok(payload)
     golden = load_zeta_golden_table()
@@ -268,12 +273,15 @@ def _cmd_verify(args) -> CommandOutcome:
         raise ValueError("--r without --phi has nothing to check")
     if args.spec is not None:
         params["spec"] = json.loads(args.spec)
-    if identity == IdentityId.RECURRENT_BRIDGE and "m" in params:
-        cap = _max_brute_order()
-        if int(params["m"]) > cap:  # type: ignore[arg-type]
-            raise ValueError(f"m={params['m']} exceeds brute-force cap {cap} (set MULTISUM_MAX_M to raise)")
-    if args.sweep:
-        swept = _parse_sweep(args.sweep)
+    swept = _parse_sweep(args.sweep) if args.sweep else None
+    if identity == IdentityId.RECURRENT_BRIDGE:
+        # a swept range ascends, so its last order is the largest
+        m = swept["m"][-1] if swept and "m" in swept else params.get("m")
+        if m is not None:
+            cap = _max_brute_order()
+            if m > cap:  # type: ignore[operator]
+                raise ValueError(f"m={m} exceeds brute-force cap {cap} (set MULTISUM_MAX_M to raise)")
+    if swept:
         reports = verify_sweep(identity, swept, base=params)
     else:
         reports = [verify(identity, params)]

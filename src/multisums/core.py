@@ -48,7 +48,6 @@ __all__ = [
     "reduce_multiple_sum",
     "reduce_from_power_sums",
     "elementary_from_power_sums",
-    "variation_lemma",
     "variation_expand",
     "variation_recursive",
     "symmetrized_multiple_sum",
@@ -296,23 +295,6 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     cases (empty window gives 0 for m >= 1, and m = 0 gives 1).
     """
     return reduce_from_power_sums(power_sums(spec, q, n, m), m)
-
-
-def variation_lemma(problem: SumProblem) -> tuple[Fraction, Fraction, Fraction]:
-    """(P_{m,q,n+1}, P_{m,q,n}, P_{m-1,q,n}), all brute forced.
-
-    The first equals the second plus a_{(m); n+1} times the third; callers
-    assert that. P_{m-1} drops the outermost spec.
-    """
-    if problem.m < 1:
-        raise ValueError("variation needs order >= 1")
-    extended = SumProblem(problem.specs, problem.q, problem.n + 1)
-    dropped = SumProblem(problem.specs[:-1], problem.q, problem.n)
-    return (
-        brute_multiple_sum(extended),
-        brute_multiple_sum(problem),
-        brute_multiple_sum(dropped),
-    )
 
 
 def _leading_product(specs: Sequence[SequenceSpec], m: int, n: int, k: int) -> Fraction:

@@ -2,23 +2,20 @@
 
 Every verdict-bearing value in this package is exact. Rationals are
 ``fractions.Fraction`` (arbitrary precision, canonical lowest terms with a
-positive denominator), re-exported here as ``Rational``. Floating point
-appears only inside :func:`pi_poly_numeric`, which renders a
-:class:`PiPolynomial` as a decimal string for display and trend checks,
-never for an equality verdict.
+positive denominator). Decimal arithmetic appears only inside
+:func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
+string for display and trend checks, never for an equality verdict.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-import mpmath
-
 __all__ = [
-    "Rational",
     "RationalLike",
     "rational_to_str",
     "rational_from_str",
@@ -28,9 +25,11 @@ __all__ = [
     "stirling_first_unsigned",
     "PiPolynomial",
     "pi_poly_numeric",
+    "NUMERIC_MAX_DIGITS",
 ]
 
-Rational = Fraction
+NUMERIC_MAX_DIGITS = 1000  # longest pi_poly_numeric rendering; pi is summed at digits + 25
+_GUARD_DIGITS = 25
 
 # Anything Fraction() accepts exactly (floats are deliberately excluded).
 RationalLike = Union[Fraction, int, str]
@@ -132,10 +131,6 @@ class PiPolynomial:
     def from_rational(cls, value: RationalLike) -> "PiPolynomial":
         return cls({0: Fraction(value)})
 
-    @classmethod
-    def monomial(cls, coeff: RationalLike, exponent: int) -> "PiPolynomial":
-        return cls({exponent: Fraction(coeff)})
-
     @property
     def terms(self) -> dict[int, Fraction]:
         """Exponent -> coefficient map (copy), ascending exponents."""
@@ -206,19 +201,37 @@ class PiPolynomial:
         return cls({int(k): rational_from_str(v) for k, v in data.items()})
 
 
+def _pi(ctx: Context) -> Decimal:
+    # The series recipe of the decimal module's documentation, two extra digits.
+    work = Context(prec=ctx.prec + 2)
+    lasts, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = work.divide(work.multiply(t, n), d)
+        s = work.add(s, t)
+    return ctx.plus(s)
+
+
 def pi_poly_numeric(value: PiPolynomial, digits: int) -> str:
     """Render a PiPolynomial as a decimal string to ``digits`` significant digits.
 
-    Fixed-point notation, correctly rounded; the working precision carries a
-    25-digit guard on top of the request. Display and trend checks only.
+    Fixed-point notation, trailing zeros stripped down to one fractional
+    digit; the zero polynomial reads ``"0"``. The terms are summed with a
+    25-digit guard on top of the request and rounded once, half to even.
+    Display and trend checks only; 1 <= digits <= NUMERIC_MAX_DIGITS.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    if not 1 <= digits <= NUMERIC_MAX_DIGITS:
+        raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {digits}")
     if value.is_zero():
         return "0"
-    with mpmath.workdps(digits + 25):
-        total = mpmath.mpf(0)
-        for exponent, coeff in value.terms.items():
-            term = mpmath.mpf(coeff.numerator) / coeff.denominator
-            total += term * mpmath.pi ** exponent
-        return mpmath.nstr(total, digits, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
+    ctx = Context(prec=digits + _GUARD_DIGITS, rounding=ROUND_HALF_EVEN)
+    pi = _pi(ctx)
+    total = Decimal(0)
+    for exponent, coeff in value.terms.items():
+        term = ctx.divide(coeff.numerator, coeff.denominator)
+        total = ctx.add(total, ctx.multiply(term, ctx.power(pi, exponent)))
+    text = format(Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(total), "f")
+    whole, _, fraction = text.partition(".")
+    return f"{whole}.{fraction.rstrip('0') or '0'}"

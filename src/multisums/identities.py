@@ -15,10 +15,11 @@ even/odd split), never by the recurrence that the reductions use.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .core import (
     SequenceSpec,
@@ -33,9 +34,11 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import PiPolynomial, binomial, factorial, rational_to_str, stirling_first_unsigned
-from .partitions import parity_partition_sums, partition_sum, partition_vectors
+from .partitions import parity_partition_sums, partition_count, partition_sum, partition_vectors
 
-__all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "identity_parameter_names"]
+__all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS"]
+
+SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
 
 
 class IdentityId(str, enum.Enum):
@@ -99,7 +102,9 @@ def _params_to_json(params: Mapping) -> dict:
 
 def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
     """Multiplicity vector for the sub-partition, padded with zeros to length m."""
-    phi = tuple(int(v) for v in phi)
+    phi = tuple(phi)
+    if not all(_is_int(v) for v in phi):
+        raise ValueError(f"phi multiplicities must be integers, got {list(phi)!r}")
     if any(v < 0 for v in phi):
         raise ValueError("phi multiplicities must be >= 0")
     if len(phi) > m:
@@ -114,10 +119,16 @@ def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
     return phi
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(params: Mapping, key: str, minimum: int) -> int:
     if key not in params:
         raise ValueError(f"missing parameter {key!r}")
-    value = int(params[key])
+    value = params[key]
+    if not _is_int(value):
+        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"parameter {key!r} must be >= {minimum}")
     return value
@@ -373,10 +384,6 @@ _PARAMETER_NAMES: dict[IdentityId, tuple[str, ...]] = {
 _PHI_IDENTITIES = {IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM}
 
 
-def identity_parameter_names(identity: IdentityId) -> tuple[str, ...]:
-    return _PARAMETER_NAMES[identity]
-
-
 def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     """Run one identity check with the given parameters."""
     identity = IdentityId(identity)
@@ -385,29 +392,47 @@ def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
 
 def verify_sweep(
     identity: IdentityId,
-    ranges: Mapping[str, Iterable[int]],
+    ranges: Mapping[str, Sequence[int]],
     base: Mapping | None = None,
 ) -> list[VerificationReport]:
     """Cartesian sweep over integer parameter ranges, deterministic order.
 
-    For the phi-bearing identities, when no explicit phi is supplied every
-    sub-partition phi of every r <= m is checked at each swept m.
+    Only the identity's integer parameters can be swept. For the phi-bearing
+    identities, when no explicit phi is supplied every sub-partition phi of
+    every r <= m is checked at each swept m, so one point at m stands for
+    sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
+    SWEEP_MAX_POINTS reports are allowed, both counted before any check
+    runs; pass ``range`` objects so a refused sweep costs nothing.
     """
     identity = IdentityId(identity)
+    swept = set(_PARAMETER_NAMES[identity]) - {"phi", "spec"}
+    unknown = sorted(set(ranges) - swept)
+    if unknown:
+        raise ValueError(f"{identity.value} sweeps only {sorted(swept)}, not {unknown}")
+    points = math.prod(len(values) for values in ranges.values())
+    if points > SWEEP_MAX_POINTS:
+        raise ValueError(f"sweep of {points} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})
     names = list(ranges.keys())
-    values = [list(ranges[name]) for name in names]
+    grid = [dict(base, **dict(zip(names, combo))) for combo in cartesian_product(*ranges.values())]
+    expand_phi = identity in _PHI_IDENTITIES and "phi" not in base
+    if expand_phi:
+        size = 0
+        for params in grid:
+            m = _require_int(params, "m", 0)
+            r = 0
+            while r <= m and size <= SWEEP_MAX_POINTS:
+                size += partition_count(r)
+                r += 1
+            if size > SWEEP_MAX_POINTS:
+                raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
     reports: list[VerificationReport] = []
-    for combo in cartesian_product(*values):
-        params = dict(base)
-        params.update(dict(zip(names, combo)))
-        if identity in _PHI_IDENTITIES and "phi" not in params:
-            m = int(params["m"])
+    for params in grid:
+        if expand_phi:
+            m = params["m"]
             for r in range(m + 1):
                 for sub in partition_vectors(r):
-                    phi = dict(params)
-                    phi["phi"] = sub + (0,) * (m - r)
-                    reports.append(verify(identity, phi))
+                    reports.append(verify(identity, dict(params, phi=sub + (0,) * (m - r))))
         else:
             reports.append(verify(identity, params))
     return reports

@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .exact_arith import factorial
-
 __all__ = [
     "PartitionMultiplicities",
     "enumerate_partitions",
@@ -35,12 +33,12 @@ __all__ = [
     "newton_coefficients",
     "SetPartition",
     "enumerate_set_partitions",
-    "set_partition_type",
-    "count_set_partitions_of_type",
     "SET_PARTITION_MAX_M",
+    "PARTITION_LIST_MAX_M",
 ]
 
 SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
+PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 rows; the largest `partitions list` emits
 
 Ring = TypeVar("Ring")  # Fraction, or PiPolynomial for the zeta layer
 
@@ -247,22 +245,3 @@ def enumerate_set_partitions(m: int) -> list[SetPartition]:
     out = [SetPartition(m, tuple(tuple(b) for b in blocks)) for blocks in partitions]
     out.sort(key=lambda sp: sp.blocks)
     return out
-
-
-def set_partition_type(sp: SetPartition) -> PartitionMultiplicities:
-    """The integer partition of m recording the block sizes of sp."""
-    return PartitionMultiplicities.from_parts(sp.m, (len(b) for b in sp.blocks))
-
-
-def count_set_partitions_of_type(pm: PartitionMultiplicities) -> int:
-    """How many set partitions of {1, ..., m} have the given block-size type.
-
-    m! / prod_i ( (i!)^(y_i) * y_i! ), always an exact integer.
-    """
-    denom = 1
-    for i, mult in enumerate(pm.y, start=1):
-        denom *= factorial(i) ** mult * factorial(mult)
-    count, rem = divmod(factorial(pm.m), denom)
-    if rem:
-        raise AssertionError("type count must divide m! exactly")
-    return count

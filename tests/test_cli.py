@@ -169,6 +169,47 @@ def test_verify_single_and_sweep(capsys):
     assert json.loads(out)["reports"] == 13
 
 
+@pytest.mark.parametrize(
+    ("identity", "sweep"),
+    [("LEMMA_3_1", "m=0..2,m=5"), ("LEMMA_3_1", "m=0..2,k=5"), ("LEMMA_3_2", "m=2,phi=1"),
+     ("LEMMA_3_1", "m=0..1000000000"), ("LEMMA_3_2", "m=40"), ("EVEN_ODD_BINOM", "m=1000000000")],
+    ids=["duplicate_key", "unknown_key", "phi_key", "too_many_points", "too_many_phi_reports",
+         "huge_phi_order"],
+)
+def test_verify_malformed_sweep_exits_2(capsys, identity, sweep):
+    code, out, err = run_main(capsys, ["verify", identity, "--sweep", sweep])
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+    assert "Traceback" not in err
+
+
+BRIDGE = ["verify", "RECURRENT_BRIDGE", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "8"]
+
+
+@pytest.mark.parametrize("order", [["--m", "7"], ["--sweep", "m=7"], ["--sweep", "m=0..7"]],
+                         ids=["m", "sweep_one", "sweep_range"])
+def test_verify_bridge_brute_cap_holds_on_sweeps(capsys, monkeypatch, order):
+    monkeypatch.delenv("MULTISUM_MAX_M", raising=False)
+    code, out, _ = run_main(capsys, BRIDGE + order)
+    assert code == 2
+    assert "brute-force cap 6" in json.loads(out)["error"]
+    monkeypatch.setenv("MULTISUM_MAX_M", "7")
+    code, out, _ = run_main(capsys, BRIDGE + order)
+    assert code == 0
+    assert json.loads(out)["all_equal"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["special", "mzv", "--m", "2", "--p", "1", "--numeric", "1001"], ["partitions", "list", "51"]],
+    ids=["numeric_digits", "partitions_list"],
+)
+def test_output_caps_exit_2(capsys, argv):
+    code, out, _ = run_main(capsys, argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_verify_json_reports(capsys):
     code, out, _ = run_main(capsys, ["verify", "EVEN_ODD_N", "--n", "3", "--m", "2", "--json"])
     assert code == 0

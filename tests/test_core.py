@@ -24,7 +24,6 @@ from multisums.core import (
     sequence_spec_to_json,
     symmetrized_multiple_sum,
     variation_expand,
-    variation_lemma,
     variation_recursive,
 )
 from multisums.partitions import partition_sum
@@ -98,7 +97,10 @@ def test_sequence_spec_json_round_trip():
 
 
 def test_variation_lemma_example():
-    new, old, lower = variation_lemma(SumProblem((N, N), 1, 3))
+    # P_{2,1,4} = P_{2,1,3} + a_4 P_{1,1,3}, all brute forced
+    new = brute_multiple_sum(SumProblem((N, N), 1, 4))
+    old = brute_multiple_sum(SumProblem((N, N), 1, 3))
+    lower = brute_multiple_sum(SumProblem((N,), 1, 3))
     assert (new, old, lower) == (35, 11, 6)
     assert new == old + eval_sequence(N, 4) * lower
 

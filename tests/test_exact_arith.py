@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multisums.exact_arith import (
+    NUMERIC_MAX_DIGITS,
     PiPolynomial,
     bernoulli,
     binomial,
@@ -16,6 +17,7 @@ from multisums.exact_arith import (
     stirling_first_unsigned,
 )
 from multisums.polynomials import poly_from_roots
+from multisums.special_sums import mzv_even_reduced
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -125,6 +127,44 @@ def test_pi_poly_numeric_display():
     assert pi_poly_numeric(PiPolynomial({2: Fraction(1, 6)}), 6) == "1.64493"
     # plain rational part renders without pi involvement
     assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(1, 4)), 3) == "0.25"
+    assert pi_poly_numeric(PiPolynomial.from_rational(1), 5) == "1.0"
+    assert pi_poly_numeric(PiPolynomial.from_rational(123456), 3) == "123000.0"
+    assert pi_poly_numeric(PiPolynomial({0: Fraction(-1, 3)}), 4) == "-0.3333"
+    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 10**7)}), 2) == "0.0000001"
+    # exact decimal ties round half to even
+    assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(3, 20)), 1) == "0.2"
+    assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(1, 8)), 2) == "0.12"
+    for digits in (0, NUMERIC_MAX_DIGITS + 1):
+        with pytest.raises(ValueError):
+            pi_poly_numeric(PiPolynomial.from_rational(1), digits)
+
+
+def _mpmath_numeric(value: PiPolynomial, digits: int) -> str:
+    # The renderer this package used to carry, kept as an independent oracle.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits + 25):
+        total = mpmath.mpf(0)
+        for exponent, coeff in value.terms.items():
+            total += mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** exponent
+        return mpmath.nstr(total, digits, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
+
+
+def test_pi_poly_numeric_matches_mpmath_on_zeta_values():
+    for m in range(9):
+        for p in (1, 2, 3):
+            value = mzv_even_reduced(m, p)
+            for digits in range(1, 41):
+                assert pi_poly_numeric(value, digits) == _mpmath_numeric(value, digits), (m, p, digits)
+
+
+@given(
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9).filter(bool),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+)
+def test_pi_poly_numeric_matches_mpmath_on_monomials(coeff, exponent, digits):
+    value = PiPolynomial({exponent: coeff})
+    assert pi_poly_numeric(value, digits) == _mpmath_numeric(value, digits)
 
 
 def test_pi_poly_json_round_trip():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from multisums.core import ExplicitSequence, IndexPower
+from multisums import identities
 from multisums.identities import IdentityId, verify, verify_sweep
 
 N = IndexPower(1)
@@ -129,6 +130,20 @@ def test_verify_rejects_missing_params():
         verify(IdentityId.PRODUCT_IDENTITY, {"q": 1, "n": 4})
 
 
+@pytest.mark.parametrize(
+    "identity, params",
+    [
+        (IdentityId.LEMMA_3_1, {"m": 2.7}),
+        (IdentityId.EVEN_ODD_N, {"n": True, "m": 2}),
+        (IdentityId.LEMMA_3_2, {"m": 3, "phi": (0, 1.5, 0)}),
+    ],
+    ids=["float", "bool", "fractional_phi"],
+)
+def test_verify_rejects_non_integer_params(identity, params):
+    with pytest.raises(ValueError, match="integer"):
+        verify(identity, params)
+
+
 def test_sweep_order_and_size():
     reports = verify_sweep(IdentityId.LEMMA_3_1, {"m": range(13)})
     assert len(reports) == 13
@@ -156,3 +171,21 @@ def test_sweep_cartesian_grid():
     reports = verify_sweep(IdentityId.BINOMIAL_PARTITION, {"n": range(3), "m": range(2)})
     grid = [(r.params["n"], r.params["m"]) for r in reports]
     assert grid == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def test_sweep_cap_counts_grid_points():
+    # each range alone is under the cap; their 40 000-point grid is not
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        verify_sweep(IdentityId.BINOMIAL_PARTITION, {"n": range(200), "m": range(200)})
+
+
+@pytest.mark.parametrize("identity", [IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM])
+def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
+    # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
+    # 11 732 at m = 26; the second grid has 3 points but 10 076 reports
+    monkeypatch.setattr(identities, "verify", lambda ident, params: params["phi"])
+    assert len(verify_sweep(identity, {"m": [25]})) == 9296
+    for ranges in ({"m": [26]}, {"m": [25, 12, 14]}, {"m": range(10**9, 10**9 + 1)}):
+        with pytest.raises(ValueError, match="phi expansion exceeds the cap"):
+            verify_sweep(identity, ranges)
+    assert len(verify_sweep(identity, {"m": [3]}, base={"phi": (1, 0, 0)})) == 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from multisums.partitions import (
     PartitionMultiplicities,
     SetPartition,
-    count_set_partitions_of_type,
     enumerate_partitions,
     enumerate_set_partitions,
     newton_coefficients,
@@ -17,8 +16,22 @@ from multisums.partitions import (
     partition_count,
     partition_sum,
     partition_vectors,
-    set_partition_type,
 )
+
+
+def _set_partition_type(sp: SetPartition) -> PartitionMultiplicities:
+    """The integer partition of m recording the block sizes of sp."""
+    return PartitionMultiplicities.from_parts(sp.m, (len(b) for b in sp.blocks))
+
+
+def _count_set_partitions_of_type(pm: PartitionMultiplicities) -> int:
+    """m! / prod_i ((i!)^(y_i) y_i!): set partitions of {1..m} with the given block sizes."""
+    denom = 1
+    for i, mult in enumerate(pm.y, start=1):
+        denom *= factorial(i) ** mult * factorial(mult)
+    count, rem = divmod(factorial(pm.m), denom)
+    assert rem == 0, "type count must divide m! exactly"
+    return count
 
 
 def test_enumeration_order_m4():
@@ -80,17 +93,17 @@ def test_set_partition_canonical_blocks():
 
 def test_type_counts_match_enumeration():
     for m in range(1, 9):
-        by_type = Counter(set_partition_type(sp).y for sp in enumerate_set_partitions(m))
+        by_type = Counter(_set_partition_type(sp).y for sp in enumerate_set_partitions(m))
         for part in enumerate_partitions(m):
-            assert by_type[part.y] == count_set_partitions_of_type(part)
+            assert by_type[part.y] == _count_set_partitions_of_type(part)
         assert sum(by_type.values()) == len(list(enumerate_set_partitions(m)))
 
 
 def test_type_count_values():
     # 3 ways to split {1,2,3} into a pair and a singleton
-    assert count_set_partitions_of_type(PartitionMultiplicities(3, (1, 1, 0))) == 3
-    assert count_set_partitions_of_type(PartitionMultiplicities(4, (0, 2, 0, 0))) == 3
-    assert count_set_partitions_of_type(PartitionMultiplicities(5, (5, 0, 0, 0, 0))) == 1
+    assert _count_set_partitions_of_type(PartitionMultiplicities(3, (1, 1, 0))) == 3
+    assert _count_set_partitions_of_type(PartitionMultiplicities(4, (0, 2, 0, 0))) == 3
+    assert _count_set_partitions_of_type(PartitionMultiplicities(5, (5, 0, 0, 0, 0))) == 1
 
 
 def test_partition_vectors_shared_enumeration_fresh():
