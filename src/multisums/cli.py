@@ -7,9 +7,11 @@ identity check failed, 2 usage or domain error.
 
 The environment variable MULTISUM_MAX_M (default 6) caps the order of
 brute-force enumeration reachable from the command line, swept orders
-included. `partitions list` stops at m = PARTITION_LIST_MAX_M, `--numeric`
-at NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points
-and as many reports after phi expansion.
+included, and BRUTE_MAX_TUPLES its tuples per call. Partition enumeration
+(`partitions list` and the partition sums of `verify`) stops at
+m = PARTITION_LIST_MAX_M, `--numeric` at NUMERIC_MAX_DIGITS digits and
+`--sweep` at SWEEP_MAX_POINTS grid points and as many reports after phi
+expansion.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
 )
 from .exact_arith import pi_poly_numeric, rational_from_str, rational_to_str
 from .identities import IdentityId, verify, verify_sweep
-from .partitions import PARTITION_LIST_MAX_M, enumerate_partitions, partition_count
+from .partitions import enumerate_partitions, partition_count
 from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
 from .special_sums import faulhaber, load_zeta_golden_table, mzv_closed_form, mzv_even_reduced, zeta_even
 
@@ -172,8 +174,6 @@ def _cmd_partitions(args) -> CommandOutcome:
         raise ValueError("m must be >= 0")
     if args.action == "count":
         return _ok({"m": args.m, "count": partition_count(args.m)})
-    if args.m > PARTITION_LIST_MAX_M:
-        raise ValueError(f"m={args.m} exceeds the partitions list cap {PARTITION_LIST_MAX_M}")
     rows = [
         {"m": args.m, "y": list(part.y), "length": part.length, "parity": part.parity}
         for part in enumerate_partitions(args.m)

@@ -20,6 +20,12 @@ Routes come in independent pairs so each can act as the other's oracle:
 
 Power sums are accumulated as integers over the lcm of the denominators of
 blocks of the window's values, and turned into m rationals at the end.
+
+The two brute routes enumerate every tuple, but multiply each tuple's
+numerators and denominators as plain ints and sum the numerators per
+denominator, turning them into ``Fraction``s only when a fixed number of
+distinct denominators has gathered. Both refuse, with ValueError and before
+enumerating, a window of more than ``BRUTE_MAX_TUPLES`` tuples.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
-from typing import Sequence, Union
+from math import comb, lcm
+from typing import Iterable, Sequence, Union
 
 from .exact_arith import factorial, rational_from_str, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
@@ -53,9 +59,12 @@ __all__ = [
     "symmetrized_multiple_sum",
     "reduce_symmetrized",
     "SYMMETRIZED_BRUTE_MAX_M",
+    "BRUTE_MAX_TUPLES",
 ]
 
 SYMMETRIZED_BRUTE_MAX_M = 6   # m! orderings, each brute forced
+BRUTE_MAX_TUPLES = 10**6      # tuples one brute-force call may enumerate
+_BRUTE_FOLD = 4096            # distinct denominators held before folding into the total
 _POWER_SUM_BLOCK = 32         # values per integer block in rational_power_sums
 
 
@@ -164,31 +173,67 @@ class SumProblem:
         return len(self.specs)
 
 
-def _value_tables(specs: Sequence[SequenceSpec], q: int, n: int) -> list[dict[int, Fraction]]:
-    # One pass per spec; every index in [q, n] is touched by some tuple, so
-    # building the full table does not introduce spurious range errors.
-    return [{N: eval_sequence(spec, N) for N in range(q, n + 1)} for spec in specs]
+def _value_tables(specs: Sequence[SequenceSpec], q: int, n: int) -> list[list[Fraction]]:
+    # One pass per spec, tables[j][k] = a_{(j+1); q+k}; every index in [q, n]
+    # is touched by some tuple, so building the full table does not
+    # introduce spurious range errors.
+    return [[eval_sequence(spec, N) for N in range(q, n + 1)] for spec in specs]
+
+
+def _check_tuple_count(width: int, m: int) -> None:
+    # comb(width, m) tuples, counted before anything is evaluated
+    if comb(width, m) > BRUTE_MAX_TUPLES:
+        raise ValueError(f"brute force over C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
+
+
+def _tuple_sum(combos: Iterable[tuple[int, ...]], tables: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
+
+    Each product is one int numerator over one int denominator; numerators
+    are summed per denominator in a dict, which is folded into the Fraction
+    total whenever it holds _BRUTE_FOLD denominators, so Fraction
+    arithmetic runs once per distinct denominator and fold, not once per
+    factor of every tuple.
+    """
+    nums = [[v.numerator for v in table] for table in tables]
+    dens = [[v.denominator for v in table] for table in tables]
+    total = Fraction(0)
+    pending: dict[int, int] = {}
+    for combo in combos:
+        num = den = 1
+        for row_nums, row_dens, i in zip(nums, dens, combo):
+            num *= row_nums[i]
+            den *= row_dens[i]
+        pending[den] = pending.get(den, 0) + num
+        if len(pending) >= _BRUTE_FOLD:
+            total += _fold(pending)
+            pending.clear()
+    return total + _fold(pending)
+
+
+def _fold(pending: dict[int, int]) -> Fraction:
+    return sum((Fraction(num, den) for den, num in pending.items()), Fraction(0))
 
 
 def brute_multiple_sum(problem: SumProblem) -> Fraction:
-    """Direct enumeration over strictly increasing index tuples. The oracle."""
+    """Direct enumeration over strictly increasing index tuples. The oracle.
+
+    Refuses windows of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)).
+    """
     m, q, n = problem.m, problem.q, problem.n
     if m == 0:
         return Fraction(1)
     if n - q + 1 < m:
         return Fraction(0)
-    tables = _value_tables(problem.specs, q, n)
-    total = Fraction(0)
-    for combo in combinations(range(q, n + 1), m):
-        term = Fraction(1)
-        for table, index in zip(tables, combo):
-            term *= table[index]
-        total += term
-    return total
+    _check_tuple_count(n - q + 1, m)
+    return _tuple_sum(combinations(range(n - q + 1), m), _value_tables(problem.specs, q, n))
 
 
 def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
-    """Weakly increasing counterpart: q <= N_1 <= ... <= N_m <= n, one sequence."""
+    """Weakly increasing counterpart: q <= N_1 <= ... <= N_m <= n, one sequence.
+
+    Refuses windows of more than BRUTE_MAX_TUPLES tuples (C(n-q+m, m)).
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     if q < 0:
@@ -197,14 +242,8 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
         return Fraction(1)
     if n < q:
         return Fraction(0)
-    table = {N: eval_sequence(spec, N) for N in range(q, n + 1)}
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(q, n + 1), m):
-        term = Fraction(1)
-        for index in combo:
-            term *= table[index]
-        total += term
-    return total
+    _check_tuple_count(n - q + m, m)
+    return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
 
 
 def rational_power_sums(values: Sequence[Fraction | int], m: int) -> list[Fraction]:
@@ -383,10 +422,10 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
         cached = block_sums.get(block)
         if cached is None:
             cached = Fraction(0)
-            for N in range(q, n + 1):
+            for k in range(n - q + 1):
                 product = Fraction(1)
                 for h in block:
-                    product *= tables[h - 1][N]
+                    product *= tables[h - 1][k]
                 cached += product
             block_sums[block] = cached
         return cached

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
-PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 rows; the largest `partitions list` emits
+PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order enumerate_partitions lists
 
 Ring = TypeVar("Ring")  # Fraction, or PiPolynomial for the zeta layer
 
@@ -108,10 +108,13 @@ def enumerate_partitions(m: int) -> list[PartitionMultiplicities]:
 
     The order is ascending lexicographic on the descending part tuples and
     is part of the contract (golden CLI output depends on it). m = 0 yields
-    the single empty partition.
+    the single empty partition. Orders above PARTITION_LIST_MAX_M are
+    refused with ValueError; partition_count counts without listing.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    if m > PARTITION_LIST_MAX_M:
+        raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
     return [PartitionMultiplicities.from_parts(m, parts) for parts in _descending_part_lists(m, m)]
 
 

@@ -14,9 +14,8 @@ from typing import Iterable, Sequence
 from .core import (
     ExplicitSequence,
     SequenceSpec,
-    SumProblem,
-    brute_multiple_sum,
     elementary_from_power_sums,
+    power_sums,
     rational_power_sums,
     reduce_from_power_sums,
 )
@@ -134,14 +133,13 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
 def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     """Sum of the order-m multiple sums over every order m = 0 .. n-q+1.
 
-    Telescopes to prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1 that is
-    (n+1)!. Callers check the product form.
+    The order-m sum is e_m of the window's values, so all of them come from
+    one Newton pass over the power sums S_1..S_top (O(top^2) exact steps, no
+    tuples). Telescopes to prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1
+    that is (n+1)!. Callers check the product form.
     """
     top = max(n - q + 1, 0)
-    total = Fraction(0)
-    for m in range(top + 1):
-        total += brute_multiple_sum(SumProblem((spec,) * m, q, n))
-    return total
+    return sum(elementary_from_power_sums(power_sums(spec, q, n, top), top), Fraction(0))
 
 
 def generalized_binomial(

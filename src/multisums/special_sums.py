@@ -22,9 +22,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .core import IndexPower, SumProblem, brute_multiple_sum, reduce_from_power_sums
+from .core import IndexPower, reduce_from_power_sums
 from .exact_arith import PiPolynomial, bernoulli, binomial, factorial
 from .partitions import newton_coefficients
+from .polynomials import sum_of_multiple_sums
 
 __all__ = [
     "faulhaber",
@@ -40,7 +41,7 @@ __all__ = [
     "MZV_PARTIAL_MAX_N",
 ]
 
-MZV_PARTIAL_MAX_N = 12  # exact brute side sums 2^n tuples
+MZV_PARTIAL_MAX_N = 60  # n^2 Newton steps on power sums of N^-p, rationals of thousands of bits
 
 
 def faulhaber(n: int, p: int) -> Fraction:
@@ -158,18 +159,17 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
 def mzv_partial_identity(n: int, p: int) -> tuple[Fraction, Fraction]:
     """Both sides of the finite product identity for partial zeta sums.
 
-    lhs = sum over m = 0..n of the order-m multiple sum of N**(-p) on [1, n]
-    (brute forced, hence the n <= 12 cap); rhs = prod_{N=1}^{n} (1 + N**(-p)).
-    Exact rationals; equality is the caller's check.
+    lhs = sum over m = 0..n of the order-m multiple sum of N**(-p) on [1, n],
+    all orders from one Newton pass over the power sums
+    (sum_of_multiple_sums, O(n^2) exact steps, no tuples); rhs =
+    prod_{N=1}^{n} (1 + N**(-p)), multiplied out directly. Exact rationals;
+    equality is the caller's check.
     """
     if not 1 <= n <= MZV_PARTIAL_MAX_N:
         raise ValueError(f"n must be in [1, {MZV_PARTIAL_MAX_N}]")
     if p < 1:
         raise ValueError("p must be >= 1")
-    spec = IndexPower(-p)
-    lhs = Fraction(0)
-    for m in range(n + 1):
-        lhs += brute_multiple_sum(SumProblem((spec,) * m, 1, n))
+    lhs = sum_of_multiple_sums(IndexPower(-p), 1, n)
     rhs = Fraction(1)
     for N in range(1, n + 1):
         rhs *= 1 + Fraction(1, N**p)

@@ -1,10 +1,15 @@
 """Acceptance gate: every published criterion, one pass/fail line each."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from multisums.acceptance import criterion_titles, run_all
 
 TITLES = criterion_titles()
+# `multisums selftest` stdout, byte for byte, as the contract fixes it
+GOLDEN_STDOUT = Path(__file__).parent / "data" / "selftest_stdout.json"
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +31,8 @@ def test_whole_suite_under_a_minute(all_results):
 def test_every_criterion_present(all_results):
     assert [r.number for r in all_results] == sorted(TITLES)
     assert len(TITLES) == 10
+
+
+def test_criteria_match_golden_stdout(all_results):
+    golden = json.loads(GOLDEN_STDOUT.read_text(encoding="utf-8"))
+    assert [r.to_json_dict() for r in all_results] == golden["criteria"]

@@ -210,6 +210,34 @@ def test_output_caps_exit_2(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C(300, 6), about 1.3e12 tuples, within the order cap of 6
+        ["multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}',
+         "--m", "6", "--q", "1", "--n", "300", "--method", "brute"],
+        # C(45, 6), about 8.1e6 weakly increasing tuples
+        BRIDGE[:-1] + ["40", "--m", "6"],
+    ],
+    ids=["multisum_eval", "recurrent_bridge"],
+)
+def test_brute_tuple_guard_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MULTISUM_MAX_M", raising=False)
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert "exceeds the cap of 1000000" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_verify_partition_order_cap(capsys):
+    code, out, _ = run_main(capsys, ["verify", "LEMMA_3_1", "--m", "60"])
+    assert code == 2
+    assert "partition enumeration cap 50" in json.loads(out)["error"]
+    code, out, _ = run_main(capsys, ["verify", "LEMMA_3_1", "--m", "20"])
+    assert code == 0
+    assert json.loads(out)["all_equal"] is True
+
+
 def test_verify_json_reports(capsys):
     code, out, _ = run_main(capsys, ["verify", "EVEN_ODD_N", "--n", "3", "--m", "2", "--json"])
     assert code == 0

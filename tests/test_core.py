@@ -1,12 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multisums import core
 from multisums.core import (
     ExplicitSequence,
     IndexPower,
@@ -39,6 +41,63 @@ def test_brute_frozen_values():
     assert brute_multiple_sum(SumProblem((), 1, 4)) == 1
     assert brute_multiple_sum(SumProblem((), 5, 2)) == 1
     assert brute_multiple_sum(SumProblem((N, N, N), 1, 2)) == 0
+
+
+def _fraction_reference(combos, specs) -> Fraction:
+    """Term by term in Fraction: one exact product per index tuple."""
+    total = Fraction(0)
+    for combo in combos:
+        term = Fraction(1)
+        for spec, index in zip(specs, combo):
+            term *= eval_sequence(spec, index)
+        total += term
+    return total
+
+
+# mixed signs, zeros and denominators 1..30
+brute_values = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-30, max_value=30, max_denominator=30))
+
+
+@given(st.data(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=4))
+def test_brute_routes_match_fraction_reference(data, q, width, m):
+    # width 0 is an empty window and width < m a short one; q = 0 is allowed
+    n = q + width - 1
+    window = st.lists(brute_values, min_size=width, max_size=width)
+    specs = tuple(ExplicitSequence(data.draw(window), base=q) for _ in range(m))
+    strict = combinations(range(q, n + 1), m)
+    assert brute_multiple_sum(SumProblem(specs, q, n)) == _fraction_reference(strict, specs)
+    spec = ExplicitSequence(data.draw(window), base=q)
+    weak = combinations_with_replacement(range(q, n + 1), m)
+    assert brute_recurrent_sum(spec, m, q, n) == _fraction_reference(weak, (spec,) * m)
+
+
+def test_brute_routes_fold_many_denominators():
+    # N_1 N_2 over [1, 200] takes more distinct values than one fold holds
+    assert len({a * b for a, b in combinations(range(1, 201), 2)}) > core._BRUTE_FOLD
+    inverse, inverse_square = IndexPower(-1), IndexPower(-2)
+    specs = (inverse, inverse_square)
+    assert brute_multiple_sum(SumProblem(specs, 1, 200)) == _fraction_reference(
+        combinations(range(1, 201), 2), specs)
+    assert brute_recurrent_sum(inverse, 2, 1, 200) == _fraction_reference(
+        combinations_with_replacement(range(1, 201), 2), (inverse, inverse))
+    assert brute_multiple_sum(SumProblem((inverse, inverse), 1, 200)) == reduce_multiple_sum(inverse, 2, 1, 200)
+
+
+def test_brute_tuple_guard(monkeypatch):
+    # refused before any tuple is enumerated: C(300, 6) is about 1.3e12
+    with pytest.raises(ValueError, match=r"C\(300, 6\) tuples"):
+        brute_multiple_sum(SumProblem((N,) * 6, 1, 300))
+    with pytest.raises(ValueError, match=r"C\(305, 6\) tuples"):
+        brute_recurrent_sum(N, 6, 1, 300)
+    # the cap is inclusive: C(5, 2) = 10 tuples pass at a cap of 10, C(6, 2) = 15 do not
+    monkeypatch.setattr(core, "BRUTE_MAX_TUPLES", 10)
+    assert brute_multiple_sum(SumProblem((N, N), 1, 5)) == 85
+    with pytest.raises(ValueError):
+        brute_multiple_sum(SumProblem((N, N), 1, 6))
+    assert brute_recurrent_sum(N, 3, 1, 3) == 90  # C(5, 3) = 10 weak tuples
+    with pytest.raises(ValueError):
+        brute_recurrent_sum(N, 2, 1, 5)  # C(6, 2) = 15
 
 
 def test_recurrent_frozen_values():

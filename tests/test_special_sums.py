@@ -6,7 +6,9 @@ import pytest
 from multisums.core import IndexPower, SumProblem, brute_multiple_sum
 from multisums.exact_arith import PiPolynomial, bernoulli, stirling_first_unsigned
 from multisums.partitions import partition_sum
+from multisums.polynomials import sum_of_multiple_sums
 from multisums.special_sums import (
+    MZV_PARTIAL_MAX_N,
     bernoulli_partition_sum,
     faulhaber,
     load_zeta_golden_table,
@@ -118,10 +120,24 @@ def test_mzv_partial_identity_values():
         for n in range(1, 13):
             lhs, rhs = mzv_partial_identity(n, p)
             assert lhs == rhs
+    # prod (1 + 1/N) telescopes to n + 1
+    assert mzv_partial_identity(MZV_PARTIAL_MAX_N, 1) == (MZV_PARTIAL_MAX_N + 1, MZV_PARTIAL_MAX_N + 1)
     with pytest.raises(ValueError):
-        mzv_partial_identity(13, 2)
+        mzv_partial_identity(MZV_PARTIAL_MAX_N + 1, 2)
     with pytest.raises(ValueError):
         mzv_partial_identity(0, 2)
+
+
+def test_all_orders_sums_match_brute():
+    # the Newton pass against the sum of brute-forced orders, 2^n tuples in all
+    for p in range(1, 5):
+        spec = IndexPower(-p)
+        for q in (1, 2):
+            for n in range(q - 1, 11):
+                brute = sum(brute_multiple_sum(SumProblem((spec,) * m, q, n)) for m in range(n - q + 2))
+                assert sum_of_multiple_sums(spec, q, n) == brute
+                if q == 1 and n >= 1:
+                    assert mzv_partial_identity(n, p)[0] == brute
 
 
 def test_mzv_limit_trend():
