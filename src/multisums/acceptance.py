@@ -37,7 +37,7 @@ from .exact_arith import (
     stirling_first_unsigned,
 )
 from .identities import IdentityId, verify, verify_sweep
-from .partitions import partition_sum, partition_vectors
+from .partitions import enumerate_partitions, partition_sum
 from .polynomials import (
     coeff_ratio_from_roots,
     eval_factored_sum,
@@ -144,7 +144,7 @@ def _criterion_2() -> tuple[bool, str]:
     """Regenerated order-1..4 coefficient tables match the golden ones."""
     for m, golden in _GOLDEN_COEFFS.items():
         regenerated = {}
-        for y in partition_vectors(m):
+        for y in enumerate_partitions(m):
             # Weight every other multiplicity pattern 0, so the partition
             # formula keeps the coefficient of prod_i S_i^(y_i) alone.
             def weight(i: int, k: int, y=y) -> Fraction:

@@ -170,13 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partitions(args) -> CommandOutcome:
-    if args.m < 0:
-        raise ValueError("m must be >= 0")
     if args.action == "count":
         return _ok({"m": args.m, "count": partition_count(args.m)})
     rows = [
-        {"m": args.m, "y": list(part.y), "length": part.length, "parity": part.parity}
-        for part in enumerate_partitions(args.m)
+        {"m": args.m, "y": list(y), "length": sum(y), "parity": "odd" if sum(y) % 2 else "even"}
+        for y in enumerate_partitions(args.m)
     ]
     return _ok(rows, jsonl=True)
 

@@ -431,11 +431,11 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
         return cached
 
     total = Fraction(0)
-    for sp in enumerate_set_partitions(m):
+    for blocks in enumerate_set_partitions(m):
         term = Fraction(1)
-        for block in sp.blocks:
+        for block in blocks:
             term *= factorial(len(block) - 1) * block_sum(block)
-        if (m - sp.block_count) % 2:
+        if (m - len(blocks)) % 2:
             term = -term
         total += term
     return total

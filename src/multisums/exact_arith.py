@@ -85,21 +85,31 @@ def bernoulli(j: int) -> Fraction:
     return -total / (j + 1)
 
 
-@lru_cache(maxsize=None)
+# The row [m, 0..m] built last, a tuple of length m + 1. A call for an order
+# at or above it continues from it, so an ascending sweep builds each row once.
+_stirling_row: tuple[int, ...] = (1,)
+
+
 def stirling_first_unsigned(m: int, r: int) -> int:
     """Unsigned Stirling number of the first kind [m, r].
 
     Counts permutations of m elements with r cycles. Triangular recurrence
-    [m, r] = (m-1) [m-1, r] + [m-1, r-1] with [0, 0] = 1; out-of-range r
+    [m, r] = (m-1) [m-1, r] + [m-1, r-1] with [0, 0] = 1, applied row by
+    row from the bottom up, so no recursion deepens with m; out-of-range r
     gives 0.
     """
+    global _stirling_row
     if m < 0:
         raise ValueError("stirling_first_unsigned requires m >= 0")
     if r < 0 or r > m:
         return 0
-    if m == 0:
-        return 1
-    return (m - 1) * stirling_first_unsigned(m - 1, r) + stirling_first_unsigned(m - 1, r - 1)
+    row = _stirling_row
+    if len(row) > m + 1:
+        row = (1,)
+    for k in range(len(row) - 1, m):
+        row = tuple([k * a + b for a, b in zip(row + (0,), (0,) + row)])
+    _stirling_row = row
+    return row[r]
 
 
 class PiPolynomial:

@@ -34,7 +34,7 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import PiPolynomial, binomial, factorial, rational_to_str, stirling_first_unsigned
-from .partitions import parity_partition_sums, partition_count, partition_sum, partition_vectors
+from .partitions import enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS"]
 
@@ -431,7 +431,7 @@ def verify_sweep(
         if expand_phi:
             m = params["m"]
             for r in range(m + 1):
-                for sub in partition_vectors(r):
+                for sub in enumerate_partitions(r):
                     reports.append(verify(identity, dict(params, phi=sub + (0,) * (m - r))))
         else:
             reports.append(verify(identity, params))

@@ -1,9 +1,12 @@
 """Integer partitions in multiplicity encoding, and set partitions.
 
-A partition of m is stored as the multiplicity vector y = (y_1, ..., y_m)
-where y_i counts the parts equal to i, so sum(i * y_i) == m and the vector
-always has length exactly m. That encoding lines up one slot per possible
-part size, which is what the partition-weighted product formulas consume.
+A partition of m is a plain tuple, the multiplicity vector
+y = (y_1, ..., y_m) where y_i counts the parts equal to i, so
+sum(i * y_i) == m and the vector always has length exactly m; its number
+of parts is sum(y), and its parity that of sum(y). That encoding lines up
+one slot per possible part size, which is what the partition-weighted
+product formulas consume. :func:`enumerate_partitions` is the one
+enumerator; it lists each order once and caches the result.
 
 Sums over all partitions of m of a product of per-part weights have two
 routes here. :func:`partition_sum` is the paper's formula written out term
@@ -11,27 +14,24 @@ by term; it is the readable oracle. :func:`newton_coefficients` gets every
 such sum up to m at once from Newton's recurrence in O(m^2) exact steps;
 the production reductions use it.
 
-Set partitions of {1, ..., m} are kept in a canonical form: each block
-ascending, blocks ordered by (size, smallest element).
+A set partition of {1, ..., m} is a tuple of block tuples in canonical
+form: each block ascending, blocks ordered by (size, smallest element).
+:func:`enumerate_set_partitions` lists them in ascending order of those
+tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 __all__ = [
-    "PartitionMultiplicities",
     "enumerate_partitions",
-    "partition_vectors",
     "partition_count",
-    "partition_parity",
     "partition_sum",
     "parity_partition_sums",
     "newton_coefficients",
-    "SetPartition",
     "enumerate_set_partitions",
     "SET_PARTITION_MAX_M",
     "PARTITION_LIST_MAX_M",
@@ -43,89 +43,38 @@ PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order enume
 Ring = TypeVar("Ring")  # Fraction, or PiPolynomial for the zeta layer
 
 
-def partition_parity(y: Iterable[int]) -> str:
-    """Parity of a partition given its multiplicities: sign of (-1)^(y_1+...+y_m)."""
-    return "even" if sum(y) % 2 == 0 else "odd"
-
-
-@dataclass(frozen=True)
-class PartitionMultiplicities:
-    """A partition of m as its multiplicity vector, length exactly m."""
-
-    m: int
-    y: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
-        if len(self.y) != self.m:
-            raise ValueError(f"multiplicity vector must have length {self.m}, got {len(self.y)}")
-        if any(v < 0 for v in self.y):
-            raise ValueError("multiplicities must be >= 0")
-        if sum(i * v for i, v in enumerate(self.y, start=1)) != self.m:
-            raise ValueError("multiplicities must weigh to m")
-
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return sum(self.y)
-
-    @property
-    def parity(self) -> str:
-        return partition_parity(self.y)
-
-    def parts(self) -> tuple[int, ...]:
-        """The parts in descending order."""
-        out: list[int] = []
-        for i in range(self.m, 0, -1):
-            out.extend([i] * self.y[i - 1])
-        return tuple(out)
-
-    @classmethod
-    def from_parts(cls, m: int, parts: Iterable[int]) -> "PartitionMultiplicities":
-        y = [0] * m
-        for part in parts:
-            if not 1 <= part <= m:
-                raise ValueError(f"part {part} out of range for m={m}")
-            y[part - 1] += 1
-        return cls(m, tuple(y))
-
-
-def _descending_part_lists(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # Largest part ascending, then recursively; yields descending part tuples
-    # in ascending lexicographic order: (1,1,1,1), (2,1,1), (2,2), (3,1), (4).
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, min(m, max_part) + 1):
-        for rest in _descending_part_lists(m - first, first):
-            yield (first,) + rest
-
-
-def enumerate_partitions(m: int) -> list[PartitionMultiplicities]:
-    """All partitions of m, all-ones first, single part m last.
+@lru_cache(maxsize=32)
+def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
+    """The multiplicity vectors of all partitions of m, all-ones first, single part m last.
 
     The order is ascending lexicographic on the descending part tuples and
     is part of the contract (golden CLI output depends on it). m = 0 yields
-    the single empty partition. Orders above PARTITION_LIST_MAX_M are
-    refused with ValueError; partition_count counts without listing.
+    the single empty vector. One shared immutable tuple per m; the 32 orders
+    most recently asked for are kept, so identity sweeps that revisit an
+    order enumerate it once. Orders above PARTITION_LIST_MAX_M are refused
+    with ValueError; partition_count counts without listing.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > PARTITION_LIST_MAX_M:
         raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
-    return [PartitionMultiplicities.from_parts(m, parts) for parts in _descending_part_lists(m, m)]
+    if m == 0:
+        return ((),)
+    y = [0] * m
+    out: list[tuple[int, ...]] = []
 
+    def fill(rest: int, largest: int) -> None:
+        # Completes y with parts <= largest weighing rest, largest part
+        # ascending: all ones first, then each larger part in turn.
+        y[0] = rest
+        out.append(tuple(y))
+        for part in range(2, min(rest, largest) + 1):
+            y[part - 1] += 1
+            fill(rest - part, part)
+            y[part - 1] -= 1
 
-@lru_cache(maxsize=32)
-def partition_vectors(m: int) -> tuple[tuple[int, ...], ...]:
-    """The multiplicity vectors of every partition of m, in enumeration order.
-
-    One shared immutable tuple per m; the 32 orders most recently asked for
-    are kept, so identity sweeps that revisit an order enumerate it once.
-    """
-    return tuple(part.y for part in enumerate_partitions(m))
+    fill(m, m)
+    return tuple(out)
 
 
 def parity_partition_sums(m: int, weight: Callable[[int, int], Ring],
@@ -141,7 +90,7 @@ def parity_partition_sums(m: int, weight: Callable[[int, int], Ring],
     table = [[weight(i, k) for k in range(m // i + 1)] for i in range(1, m + 1)]
     rows = [(row, row[0] != one) for row in table]  # True: the zero-multiplicity factor matters
     sums = [one - one, one - one]
-    for y in partition_vectors(m):
+    for y in enumerate_partitions(m):
         term = one
         for (row, dense), k in zip(rows, y):
             if k or dense:
@@ -154,8 +103,8 @@ def partition_sum(m: int, weight: Callable[[int, int], Ring], parity: str | None
                   one: Ring = Fraction(1)) -> Ring:
     """sum over partitions y of m of prod_{i=1}^{m} weight(i, y_i): the oracle.
 
-    ``parity`` "even" or "odd" keeps only partitions with that many parts
-    (see :func:`partition_parity`); see :func:`parity_partition_sums` for
+    ``parity`` "even" or "odd" keeps only partitions whose number of parts,
+    sum(y), has that parity; see :func:`parity_partition_sums` for
     the weight and ring conventions. Enumerates all p(m) partitions, so
     production code uses :func:`newton_coefficients` where it applies.
     """
@@ -214,27 +163,8 @@ def partition_count(m: int) -> int:
     return _pcounts[m]
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A set partition of {1, ..., m} in canonical block order."""
-
-    m: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted((tuple(sorted(block)) for block in self.blocks), key=lambda b: (len(b), b)))
-        object.__setattr__(self, "blocks", canon)
-        seen = [e for block in canon for e in block]
-        if sorted(seen) != list(range(1, self.m + 1)):
-            raise ValueError("blocks must partition {1, ..., m}")
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-
-def enumerate_set_partitions(m: int) -> list[SetPartition]:
-    """All Bell(m) set partitions of {1, ..., m}, 1 <= m <= 8, canonical order."""
+def enumerate_set_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All Bell(m) set partitions of {1, ..., m}, 1 <= m <= 8, as block tuples in canonical order."""
     if not 1 <= m <= SET_PARTITION_MAX_M:
         raise ValueError(f"m must be in [1, {SET_PARTITION_MAX_M}]")
     partitions: list[list[list[int]]] = [[[1]]]
@@ -245,6 +175,6 @@ def enumerate_set_partitions(m: int) -> list[SetPartition]:
                 grown.append([b + [element] if j == i else list(b) for j, b in enumerate(blocks)])
             grown.append([list(b) for b in blocks] + [[element]])
         partitions = grown
-    out = [SetPartition(m, tuple(tuple(b) for b in blocks)) for blocks in partitions]
-    out.sort(key=lambda sp: sp.blocks)
-    return out
+    # Elements are added in increasing order, so each block is already ascending.
+    canonical = (tuple(sorted(map(tuple, blocks), key=lambda b: (len(b), b))) for blocks in partitions)
+    return tuple(sorted(canonical))

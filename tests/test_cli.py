@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multisums
 from multisums.cli import CommandOutcome, main, run
 
 
@@ -28,6 +33,13 @@ def test_partitions_count(capsys):
     code, out, _ = run_main(capsys, ["partitions", "count", "10"])
     assert code == 0
     assert json.loads(out) == {"m": 10, "count": 42}
+
+
+@pytest.mark.parametrize("action", ["count", "list"])
+def test_partitions_negative_m_exits_2(capsys, action):
+    code, out, _ = run_main(capsys, ["partitions", action, "-3"])
+    assert code == 2
+    assert out == '{"error":"m must be >= 0"}\n'
 
 
 def test_multisum_eval_both(capsys):
@@ -236,6 +248,16 @@ def test_verify_partition_order_cap(capsys):
     code, out, _ = run_main(capsys, ["verify", "LEMMA_3_1", "--m", "20"])
     assert code == 0
     assert json.loads(out)["all_equal"] is True
+
+
+def test_verify_stirling_high_order_in_fresh_process():
+    # A fresh interpreter starts with an empty Stirling cache, so row 1200 is built from row 0.
+    env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}
+    argv = [sys.executable, "-m", "multisums", "verify", "STIRLING_ALTERNATING", "--m", "1200"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"identity": "STIRLING_ALTERNATING", "reports": 1, "passed": 1, "all_equal": True}
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_json_reports(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multisums import exact_arith
 from multisums.exact_arith import (
     NUMERIC_MAX_DIGITS,
     PiPolynomial,
@@ -71,6 +72,14 @@ def test_stirling_triangular_recurrence():
             lhs = stirling_first_unsigned(m + 1, r)
             rhs = m * stirling_first_unsigned(m, r) + stirling_first_unsigned(m, r - 1)
             assert lhs == rhs
+
+
+def test_stirling_high_row_from_cold_cache(monkeypatch):
+    # Row 1200 lies far past the interpreter's recursion limit; it is built bottom-up from row 0.
+    monkeypatch.setattr(exact_arith, "_stirling_row", (1,))
+    row = [stirling_first_unsigned(1200, r) for r in range(1201)]
+    assert sum(v if r % 2 == 0 else -v for r, v in enumerate(row)) == 0
+    assert sum(row) == factorial(1200)
 
 
 @given(rationals, rationals, rationals)

@@ -7,41 +7,53 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multisums.partitions import (
-    PartitionMultiplicities,
-    SetPartition,
     enumerate_partitions,
     enumerate_set_partitions,
     newton_coefficients,
     parity_partition_sums,
     partition_count,
     partition_sum,
-    partition_vectors,
 )
 
 
-def _set_partition_type(sp: SetPartition) -> PartitionMultiplicities:
-    """The integer partition of m recording the block sizes of sp."""
-    return PartitionMultiplicities.from_parts(sp.m, (len(b) for b in sp.blocks))
+def _set_partition_type(m: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The multiplicity vector of the integer partition of m recording the block sizes."""
+    y = [0] * m
+    for block in blocks:
+        y[len(block) - 1] += 1
+    return tuple(y)
 
 
-def _count_set_partitions_of_type(pm: PartitionMultiplicities) -> int:
+def _count_set_partitions_of_type(y: tuple[int, ...]) -> int:
     """m! / prod_i ((i!)^(y_i) y_i!): set partitions of {1..m} with the given block sizes."""
     denom = 1
-    for i, mult in enumerate(pm.y, start=1):
+    for i, mult in enumerate(y, start=1):
         denom *= factorial(i) ** mult * factorial(mult)
-    count, rem = divmod(factorial(pm.m), denom)
+    count, rem = divmod(factorial(len(y)), denom)
     assert rem == 0, "type count must divide m! exactly"
     return count
 
 
-def test_enumeration_order_m4():
-    got = [p.y for p in enumerate_partitions(4)]
-    assert got == [(4, 0, 0, 0), (2, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)]
+def _descending_parts(y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i in range(len(y), 0, -1) for _ in range(y[i - 1]))
+
+
+def test_enumeration_order():
+    assert enumerate_partitions(4) == ((4, 0, 0, 0), (2, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
+    # The partitions list contract, checked through the descending part
+    # tuples: strictly ascending lexicographic, each weighing m, p(m) of them.
+    for m in range(26):
+        vectors = enumerate_partitions(m)
+        parts = [_descending_parts(y) for y in vectors]
+        assert all(len(y) == m and min(y, default=0) >= 0 for y in vectors)
+        assert all(sum(p) == m for p in parts)
+        assert all(a < b for a, b in zip(parts, parts[1:]))
+        assert len(parts) == partition_count(m)
 
 
 def test_enumeration_edge_cases():
-    assert [p.y for p in enumerate_partitions(0)] == [()]
-    assert [p.y for p in enumerate_partitions(1)] == [(1,)]
+    assert enumerate_partitions(0) == ((),)
+    assert enumerate_partitions(1) == ((1,),)
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
 
@@ -53,22 +65,12 @@ def test_counts_match_pentagonal_recurrence():
     assert partition_count(25) == 1958
 
 
-def test_partition_fields():
-    part = PartitionMultiplicities.from_parts(4, (2, 1, 1))
-    assert part.y == (2, 1, 0, 0)
-    assert part.length == 3
-    assert part.parity == "odd"
-    assert part.parts() == (2, 1, 1)
-    with pytest.raises(ValueError):
-        PartitionMultiplicities(3, (1, 2, 0))  # sums to 5, not 3
-
-
 def test_partition_parity_split():
     # the two classes are nonempty from m = 2 on
     for m in range(2, 10):
-        parities = Counter(p.parity for p in enumerate_partitions(m))
-        assert parities["even"] >= 1 and parities["odd"] >= 1
-        assert parities["even"] + parities["odd"] == partition_count(m)
+        parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
+        assert parities[0] >= 1 and parities[1] >= 1
+        assert parities[0] + parities[1] == partition_count(m)
 
 
 def test_bell_counts():
@@ -82,42 +84,42 @@ def test_bell_counts():
 
 
 def test_set_partition_canonical_blocks():
-    sp = SetPartition(3, (frozenset({3}), frozenset({1, 2})))
-    # blocks ordered by (size, smallest element)
-    assert [sorted(b) for b in sp.blocks] == [[3], [1, 2]]
-    with pytest.raises(ValueError):
-        SetPartition(3, (frozenset({1, 2}),))  # does not cover {1,2,3}
-    with pytest.raises(ValueError):
-        SetPartition(2, (frozenset({1}), frozenset({1, 2})))  # overlap
+    # each block ascending, blocks ordered by (size, smallest element),
+    # set partitions ascending as tuples of blocks
+    assert enumerate_set_partitions(3) == (
+        ((1,), (2,), (3,)),
+        ((1,), (2, 3)),
+        ((1, 2, 3),),
+        ((2,), (1, 3)),
+        ((3,), (1, 2)),
+    )
 
 
 def test_type_counts_match_enumeration():
     for m in range(1, 9):
-        by_type = Counter(_set_partition_type(sp).y for sp in enumerate_set_partitions(m))
-        for part in enumerate_partitions(m):
-            assert by_type[part.y] == _count_set_partitions_of_type(part)
+        by_type = Counter(_set_partition_type(m, blocks) for blocks in enumerate_set_partitions(m))
+        for y in enumerate_partitions(m):
+            assert by_type[y] == _count_set_partitions_of_type(y)
         assert sum(by_type.values()) == len(list(enumerate_set_partitions(m)))
 
 
 def test_type_count_values():
     # 3 ways to split {1,2,3} into a pair and a singleton
-    assert _count_set_partitions_of_type(PartitionMultiplicities(3, (1, 1, 0))) == 3
-    assert _count_set_partitions_of_type(PartitionMultiplicities(4, (0, 2, 0, 0))) == 3
-    assert _count_set_partitions_of_type(PartitionMultiplicities(5, (5, 0, 0, 0, 0))) == 1
+    assert _count_set_partitions_of_type((1, 1, 0)) == 3
+    assert _count_set_partitions_of_type((0, 2, 0, 0)) == 3
+    assert _count_set_partitions_of_type((5, 0, 0, 0, 0)) == 1
 
 
-def test_partition_vectors_shared_enumeration_fresh():
-    assert partition_vectors(4) == tuple(p.y for p in enumerate_partitions(4))
-    assert partition_vectors(7) is partition_vectors(7)
-    assert enumerate_partitions(7) is not enumerate_partitions(7)
+def test_enumeration_shared():
+    assert enumerate_partitions(7) is enumerate_partitions(7)
 
 
 def test_partition_sum_counts_and_parity():
     for m in range(12):
-        parities = Counter(p.parity for p in enumerate_partitions(m))
+        parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
         assert partition_sum(m, lambda i, k: 1) == partition_count(m)
-        assert parity_partition_sums(m, lambda i, k: 1) == (parities["even"], parities["odd"])
-        assert partition_sum(m, lambda i, k: 1, parity="odd") == parities["odd"]
+        assert parity_partition_sums(m, lambda i, k: 1) == (parities[0], parities[1])
+        assert partition_sum(m, lambda i, k: 1, parity="odd") == parities[1]
     # a zero-multiplicity factor of 0 removes every partition lacking that part
     assert partition_sum(4, lambda i, k: 0 if (i, k) == (2, 0) else 1) == 2  # (2,1,1), (2,2)
     with pytest.raises(ValueError):
