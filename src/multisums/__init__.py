@@ -1,7 +1,7 @@
 """Exact evaluation and reduction of ordered multiple sums.
 
-Everything numeric is a ``fractions.Fraction`` (or an integer polynomial in
-pi squared for the even zeta layer); floating point appears only in the
+Everything numeric is a ``fractions.Fraction`` (or a rational multiple of a
+power of pi for the even zeta layer); floating point appears only in the
 tail-trend probe and decimals only in the display helper, never in an
 identity check.
 

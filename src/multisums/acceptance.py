@@ -70,16 +70,13 @@ class CriterionResult:
     detail: str
     seconds: float
 
-    def to_json_dict(self, with_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "criterion": self.number,
             "title": self.title,
             "passed": self.passed,
             "detail": self.detail,
         }
-        if with_timing:
-            out["seconds"] = round(self.seconds, 3)
-        return out
 
 
 def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -315,13 +312,16 @@ def _bernoulli_closed_form(m: int, p: int) -> Fraction:
 
 
 def _mzv_oracle(m: int, p: int) -> PiPolynomial:
-    """(-1)^m sum_y prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2ip)^(y_i), term by term."""
+    """(-1)^m sum_y prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2ip)^(y_i), term by term.
+
+    zeta(2ip)^(y_i) is z_i^(y_i) pi^(2ip y_i), so every term carries
+    pi^(2pm): the sum runs over the rational coefficients z_i alone.
+    """
     value = partition_sum(
         m,
-        lambda i, k: zeta_even(i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
-        one=PiPolynomial.from_rational(1),
+        lambda i, k: zeta_even(i * p).coefficient(2 * i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
     )
-    return -value if m % 2 else value
+    return PiPolynomial({2 * p * m: -value if m % 2 else value})
 
 
 def _bernoulli_oracle(m: int, p: int) -> Fraction:

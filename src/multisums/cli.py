@@ -11,7 +11,8 @@ included, and BRUTE_MAX_TUPLES its tuples per call. Partition enumeration
 (`partitions list` and the partition sums of `verify`) stops at
 m = PARTITION_LIST_MAX_M, `--numeric` at NUMERIC_MAX_DIGITS digits and
 `--sweep` at SWEEP_MAX_POINTS grid points and as many reports after phi
-expansion.
+expansion. Those input caps bound the output too: exact results print in
+full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -359,6 +360,8 @@ def _emit(outcome: CommandOutcome) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(0)  # no digit limit on printing exact results
     outcome = run(sys.argv[1:] if argv is None else argv)
     _emit(outcome)
     return outcome.exit_code

@@ -21,11 +21,14 @@ Routes come in independent pairs so each can act as the other's oracle:
 Power sums are accumulated as integers over the lcm of the denominators of
 blocks of the window's values, and turned into m rationals at the end.
 
-The two brute routes enumerate every tuple, but multiply each tuple's
-numerators and denominators as plain ints and sum the numerators per
-denominator, turning them into ``Fraction``s only when a fixed number of
-distinct denominators has gathered. Both refuse, with ValueError and before
-enumerating, a window of more than ``BRUTE_MAX_TUPLES`` tuples.
+The two brute routes enumerate every tuple and sum the products with the
+integer product-sum kernel of :mod:`multisums.exact_arith`: each tuple's
+numerators and denominators are multiplied as plain ints, and the
+numerators summed per denominator, turning into ``Fraction``s only when a
+fixed number of distinct denominators has gathered. The block sums of
+``reduce_symmetrized`` use the same kernel. Both brute routes refuse, with
+ValueError and before enumerating, a window of more than
+``BRUTE_MAX_TUPLES`` tuples.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .exact_arith import factorial, rational_from_str, rational_to_str
+from .exact_arith import _as_rational, _tuple_sum, factorial, rational_from_str, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
@@ -64,19 +67,21 @@ __all__ = [
 
 SYMMETRIZED_BRUTE_MAX_M = 6   # m! orderings, each brute forced
 BRUTE_MAX_TUPLES = 10**6      # tuples one brute-force call may enumerate
-_BRUTE_FOLD = 4096            # distinct denominators held before folding into the total
 _POWER_SUM_BLOCK = 32         # values per integer block in rational_power_sums
 
 
 @dataclass(frozen=True)
 class ExplicitSequence:
-    """A finite sequence of rationals; values[k] sits at index base + k."""
+    """A finite sequence of rationals; values[k] sits at index base + k.
+
+    Values are Fractions, ints or strings; floats and bools raise ValueError.
+    """
 
     values: tuple[Fraction, ...]
     base: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_as_rational(v) for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -184,35 +189,6 @@ def _check_tuple_count(width: int, m: int) -> None:
     # comb(width, m) tuples, counted before anything is evaluated
     if comb(width, m) > BRUTE_MAX_TUPLES:
         raise ValueError(f"brute force over C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
-
-
-def _tuple_sum(combos: Iterable[tuple[int, ...]], tables: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
-
-    Each product is one int numerator over one int denominator; numerators
-    are summed per denominator in a dict, which is folded into the Fraction
-    total whenever it holds _BRUTE_FOLD denominators, so Fraction
-    arithmetic runs once per distinct denominator and fold, not once per
-    factor of every tuple.
-    """
-    nums = [[v.numerator for v in table] for table in tables]
-    dens = [[v.denominator for v in table] for table in tables]
-    total = Fraction(0)
-    pending: dict[int, int] = {}
-    for combo in combos:
-        num = den = 1
-        for row_nums, row_dens, i in zip(nums, dens, combo):
-            num *= row_nums[i]
-            den *= row_dens[i]
-        pending[den] = pending.get(den, 0) + num
-        if len(pending) >= _BRUTE_FOLD:
-            total += _fold(pending)
-            pending.clear()
-    return total + _fold(pending)
-
-
-def _fold(pending: dict[int, int]) -> Fraction:
-    return sum((Fraction(num, den) for den, num in pending.items()), Fraction(0))
 
 
 def brute_multiple_sum(problem: SumProblem) -> Fraction:
@@ -419,15 +395,11 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
     block_sums: dict[tuple[int, ...], Fraction] = {}
 
     def block_sum(block: tuple[int, ...]) -> Fraction:
+        # sum over N of prod_{h in B} a_{(h); N}: every factor at the same index
         cached = block_sums.get(block)
         if cached is None:
-            cached = Fraction(0)
-            for k in range(n - q + 1):
-                product = Fraction(1)
-                for h in block:
-                    product *= tables[h - 1][k]
-                cached += product
-            block_sums[block] = cached
+            diagonal = ((k,) * len(block) for k in range(n - q + 1))
+            cached = block_sums[block] = _tuple_sum(diagonal, [tables[h - 1] for h in block])
         return cached
 
     total = Fraction(0)

@@ -1,10 +1,15 @@
-"""Exact scalar arithmetic: rationals, combinatorial tables, pi-polynomials.
+"""Exact scalar arithmetic: rationals, combinatorial tables, pi monomials.
 
 Every verdict-bearing value in this package is exact. Rationals are
 ``fractions.Fraction`` (arbitrary precision, canonical lowest terms with a
-positive denominator). Decimal arithmetic appears only inside
-:func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
-string for display and trend checks, never for an equality verdict.
+positive denominator), and inputs become rationals only from ``Fraction``,
+``int`` or string values: a float or a bool is refused with ValueError
+rather than read as the binary fraction it stores. Sums over index tuples
+of products of table entries (brute-force multiple sums, partition sums,
+set-partition blocks) share one integer kernel here. Decimal arithmetic
+appears only inside :func:`pi_poly_numeric`, which renders a
+:class:`PiPolynomial` as a decimal string for display and trend checks,
+never for an equality verdict.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "RationalLike",
@@ -30,9 +35,50 @@ __all__ = [
 
 NUMERIC_MAX_DIGITS = 1000  # longest pi_poly_numeric rendering; pi is summed at digits + 25
 _GUARD_DIGITS = 25
+_TUPLE_SUM_FOLD = 4096  # distinct denominators _tuple_sum holds before folding into the total
 
-# Anything Fraction() accepts exactly (floats are deliberately excluded).
+# What _as_rational takes exactly; floats and bools are refused.
 RationalLike = Union[Fraction, int, str]
+
+
+def _as_rational(value: RationalLike) -> Fraction:
+    """value as a Fraction. Only Fraction, int and str are taken.
+
+    A float is a binary approximation, and taking it exactly would invent a
+    rational; a bool is not a number here. Both raise ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
+        raise ValueError(f"expected a Fraction, int or string, got {value!r}")
+    return Fraction(value)
+
+
+def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
+
+    Each product is one int numerator over one int denominator; numerators
+    are summed per denominator in a dict, which is folded into the Fraction
+    total whenever it holds _TUPLE_SUM_FOLD denominators, so Fraction
+    arithmetic runs once per distinct denominator and fold, not once per
+    factor of every tuple. Entries may be Fractions or ints.
+    """
+    nums = [[v.numerator for v in table] for table in tables]
+    dens = [[v.denominator for v in table] for table in tables]
+    total = Fraction(0)
+    pending: dict[int, int] = {}
+    for combo in combos:
+        num = den = 1
+        for row_nums, row_dens, i in zip(nums, dens, combo):
+            num *= row_nums[i]
+            den *= row_dens[i]
+        pending[den] = pending.get(den, 0) + num
+        if len(pending) >= _TUPLE_SUM_FOLD:
+            total += _fold(pending)
+            pending.clear()
+    return total + _fold(pending)
+
+
+def _fold(pending: dict[int, int]) -> Fraction:
+    return sum((Fraction(num, den) for den, num in pending.items()), Fraction(0))
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -41,7 +87,7 @@ def rational_to_str(value: Fraction) -> str:
     The denominator is always written, so integers read ``"7/1"``; the sign
     sits on the numerator.
     """
-    value = Fraction(value)
+    value = _as_rational(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -113,37 +159,37 @@ def stirling_first_unsigned(m: int, r: int) -> int:
 
 
 class PiPolynomial:
-    """Exact finite sum  c_0 + c_1 pi + c_2 pi^2 + ...  with rational c_k.
+    """The exact single term c pi^e, rational c and integer e >= 0.
 
-    Closed under addition, subtraction, multiplication, and small integer
-    powers. Zero coefficients are never stored, so structural equality of
-    the term maps is exact value equality. JSON form maps the exponent
-    (as a decimal string) to the coefficient as ``"num/den"``.
+    Every even zeta value and every depth reduction of repeated even
+    arguments has this form. Built from a map {e: c} of at most one term;
+    a zero coefficient is not stored, so the empty map is zero and
+    structural equality is exact value equality. Rational scalars multiply
+    it. JSON form maps the exponent (as a decimal string) to the coefficient
+    as ``"num/den"``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
-        for exponent, coeff in items:
-            exponent = int(exponent)
-            if exponent < 0:
-                raise ValueError("pi exponent must be >= 0")
-            value = acc.get(exponent, Fraction(0)) + Fraction(coeff)
+    def __init__(self, terms: Mapping[int, RationalLike] | None = None):
+        terms = terms or {}
+        if len(terms) > 1:
+            raise ValueError(f"a PiPolynomial holds one term c pi^e, got {len(terms)}")
+        self._terms: dict[int, Fraction] = {}
+        for exponent, coeff in terms.items():
+            if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
+                raise ValueError(f"pi exponent must be an integer >= 0, got {exponent!r}")
+            value = _as_rational(coeff)
             if value:
-                acc[exponent] = value
-            else:
-                acc.pop(exponent, None)
-        self._terms = {k: acc[k] for k in sorted(acc)}
+                self._terms[exponent] = value
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "PiPolynomial":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        """Exponent -> coefficient map (copy), ascending exponents."""
+        """Exponent -> coefficient map (copy): one entry, or none for zero."""
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -160,42 +206,13 @@ class PiPolynomial:
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
 
-    def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        merged = dict(self._terms)
-        for k, c in other._terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + c
-        return PiPolynomial(merged)
-
-    def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other: Union["PiPolynomial", RationalLike]) -> "PiPolynomial":
+    def __mul__(self, other: RationalLike) -> "PiPolynomial":
         if isinstance(other, PiPolynomial):
-            acc: dict[int, Fraction] = {}
-            for ka, ca in self._terms.items():
-                for kb, cb in other._terms.items():
-                    k = ka + kb
-                    acc[k] = acc.get(k, Fraction(0)) + ca * cb
-            return PiPolynomial(acc)
-        scalar = Fraction(other)
+            return NotImplemented
+        scalar = _as_rational(other)
         return PiPolynomial({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PiPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("PiPolynomial powers must be nonnegative integers")
-        result = PiPolynomial.from_rational(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -205,10 +222,6 @@ class PiPolynomial:
 
     def to_json_dict(self) -> dict[str, str]:
         return {str(k): rational_to_str(c) for k, c in self._terms.items()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, str]) -> "PiPolynomial":
-        return cls({int(k): rational_from_str(v) for k, v in data.items()})
 
 
 def _pi(ctx: Context) -> Decimal:
@@ -225,23 +238,20 @@ def _pi(ctx: Context) -> Decimal:
 
 
 def pi_poly_numeric(value: PiPolynomial, digits: int) -> str:
-    """Render a PiPolynomial as a decimal string to ``digits`` significant digits.
+    """Render c pi^e as a decimal string to ``digits`` significant digits.
 
     Fixed-point notation, trailing zeros stripped down to one fractional
-    digit; the zero polynomial reads ``"0"``. The terms are summed with a
-    25-digit guard on top of the request and rounded once, half to even.
-    Display and trend checks only; 1 <= digits <= NUMERIC_MAX_DIGITS.
+    digit; zero reads ``"0"``. The term is computed with a 25-digit guard on
+    top of the request and rounded once, half to even. Display and trend
+    checks only; 1 <= digits <= NUMERIC_MAX_DIGITS.
     """
     if not 1 <= digits <= NUMERIC_MAX_DIGITS:
         raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {digits}")
     if value.is_zero():
         return "0"
+    ((exponent, coeff),) = value.terms.items()
     ctx = Context(prec=digits + _GUARD_DIGITS, rounding=ROUND_HALF_EVEN)
-    pi = _pi(ctx)
-    total = Decimal(0)
-    for exponent, coeff in value.terms.items():
-        term = ctx.divide(coeff.numerator, coeff.denominator)
-        total = ctx.add(total, ctx.multiply(term, ctx.power(pi, exponent)))
+    total = ctx.multiply(ctx.divide(coeff.numerator, coeff.denominator), ctx.power(_pi(ctx), exponent))
     text = format(Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(total), "f")
     whole, _, fraction = text.partition(".")
     return f"{whole}.{fraction.rstrip('0') or '0'}"

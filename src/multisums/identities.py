@@ -8,8 +8,8 @@ statement is a pair of equations carry both sides as ordered pairs, so
 Registry keys are opaque stable strings (the CLI wire format).
 
 Here the partition sum is the left side under test, so it is evaluated term
-by term with :func:`multisums.partitions.partition_sum` (or its one-pass
-even/odd split), never by the recurrence that the reductions use.
+by term with :func:`multisums.partitions.partition_sum` (or its even/odd
+split), never by the recurrence that the reductions use.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import PiPolynomial, binomial, factorial, rational_to_str, stirling_first_unsigned
+from .exact_arith import binomial, factorial, rational_to_str, stirling_first_unsigned
 from .partitions import enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS"]
@@ -55,7 +55,7 @@ class IdentityId(str, enum.Enum):
     EVEN_ODD_N = "EVEN_ODD_N"
 
 
-Side = Union[Fraction, tuple, PiPolynomial]
+Side = Union[Fraction, tuple]
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,6 @@ class VerificationReport:
 
 
 def _side_to_json(side: Side):
-    if isinstance(side, PiPolynomial):
-        return side.to_json_dict()
     if isinstance(side, tuple):
         return [_side_to_json(v) for v in side]
     return rational_to_str(side)

@@ -9,10 +9,13 @@ product formulas consume. :func:`enumerate_partitions` is the one
 enumerator; it lists each order once and caches the result.
 
 Sums over all partitions of m of a product of per-part weights have two
-routes here. :func:`partition_sum` is the paper's formula written out term
-by term; it is the readable oracle. :func:`newton_coefficients` gets every
-such sum up to m at once from Newton's recurrence in O(m^2) exact steps;
-the production reductions use it.
+routes here. :func:`partition_sum` (and its even/odd split
+:func:`parity_partition_sums`) is the paper's formula written out term by
+term over every partition, as one call of the integer product-sum kernel
+of :mod:`multisums.exact_arith`; it is the readable oracle, and its sums
+are rational. :func:`newton_coefficients` gets every such sum up to m at
+once from Newton's recurrence in O(m^2) exact steps; the production
+reductions use it.
 
 A set partition of {1, ..., m} is a tuple of block tuples in canonical
 form: each block ascending, blocks ordered by (size, smallest element).
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
+
+from .exact_arith import RationalLike, _tuple_sum
 
 __all__ = [
     "enumerate_partitions",
@@ -39,8 +44,6 @@ __all__ = [
 
 SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
 PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order enumerate_partitions lists
-
-Ring = TypeVar("Ring")  # Fraction, or PiPolynomial for the zeta layer
 
 
 @lru_cache(maxsize=32)
@@ -77,43 +80,39 @@ def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def parity_partition_sums(m: int, weight: Callable[[int, int], Ring],
-                          one: Ring = Fraction(1)) -> tuple[Ring, Ring]:
-    """The paper's partition formula, split by parity, in one pass.
-
-    Returns (even, odd): the sums over partitions y of m with an even (odd)
-    number of parts of prod_{i=1}^{m} weight(i, y_i). A zero multiplicity is
-    a factor too: weight(i, 0) is 1 for the usual weights and 0 where a
-    missing part must remove the term. Each weight(i, k) is evaluated once.
-    ``one`` is the unit of the weights' ring.
-    """
-    table = [[weight(i, k) for k in range(m // i + 1)] for i in range(1, m + 1)]
-    rows = [(row, row[0] != one) for row in table]  # True: the zero-multiplicity factor matters
-    sums = [one - one, one - one]
-    for y in enumerate_partitions(m):
-        term = one
-        for (row, dense), k in zip(rows, y):
-            if k or dense:
-                term = term * row[k]
-        sums[sum(y) % 2] += term
-    return sums[0], sums[1]
+Weight = Callable[[int, int], RationalLike]
 
 
-def partition_sum(m: int, weight: Callable[[int, int], Ring], parity: str | None = None,
-                  one: Ring = Fraction(1)) -> Ring:
+def _weight_table(m: int, weight: Weight) -> list[list[RationalLike]]:
+    # row i - 1 holds weight(i, k) for every multiplicity k <= m // i
+    return [[weight(i, k) for k in range(m // i + 1)] for i in range(1, m + 1)]
+
+
+def partition_sum(m: int, weight: Weight) -> Fraction:
     """sum over partitions y of m of prod_{i=1}^{m} weight(i, y_i): the oracle.
 
-    ``parity`` "even" or "odd" keeps only partitions whose number of parts,
-    sum(y), has that parity; see :func:`parity_partition_sums` for
-    the weight and ring conventions. Enumerates all p(m) partitions, so
-    production code uses :func:`newton_coefficients` where it applies.
+    A zero multiplicity is a factor too: weight(i, 0) is 1 for the usual
+    weights and 0 where a missing part must remove the term. Weights are
+    Fractions or ints, each weight(i, k) is evaluated once, and each
+    partition's product is taken in integers. Enumerates all p(m)
+    partitions, so production code uses :func:`newton_coefficients` where
+    it applies.
     """
-    if parity not in (None, "even", "odd"):
-        raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
-    even, odd = parity_partition_sums(m, weight, one)
-    if parity is None:
-        return even + odd
-    return even if parity == "even" else odd
+    return _tuple_sum(enumerate_partitions(m), _weight_table(m, weight))
+
+
+def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
+    """The paper's partition formula, split by parity.
+
+    Returns (even, odd): the sums over partitions y of m with an even (odd)
+    number of parts, sum(y), of prod_{i=1}^{m} weight(i, y_i); the weight
+    conventions are those of :func:`partition_sum`.
+    """
+    table = _weight_table(m, weight)
+    partitions = enumerate_partitions(m)
+    even = _tuple_sum((y for y in partitions if sum(y) % 2 == 0), table)
+    odd = _tuple_sum((y for y in partitions if sum(y) % 2), table)
+    return even, odd
 
 
 def newton_coefficients(p: Sequence[Fraction], m: int) -> list[Fraction]:

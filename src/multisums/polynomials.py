@@ -2,7 +2,9 @@
 
 Coefficients are stored ascending: coeffs[i] multiplies x**i. Trailing
 zeros are stripped, so the leading coefficient is nonzero; the zero
-polynomial keeps a single zero coefficient and has degree 0.
+polynomial keeps a single zero coefficient and has degree 0. Coefficients,
+roots and points are Fractions, ints or strings; floats and bools raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import (
     rational_power_sums,
     reduce_from_power_sums,
 )
-from .exact_arith import RationalLike
+from .exact_arith import RationalLike, _as_rational
 
 __all__ = [
     "Polynomial",
@@ -40,7 +42,7 @@ class Polynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coeffs]
+        coeffs = [_as_rational(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
@@ -57,14 +59,11 @@ class Polynomial:
         return Fraction(0)
 
 
-def poly_from_roots(roots: Iterable[RationalLike], leading: RationalLike = 1) -> Polynomial:
-    """leading * prod (x - r) expanded to dense coefficients."""
-    lead = Fraction(leading)
-    if lead == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    coeffs = [lead]
+def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
+    """prod (x - r) expanded to dense coefficients."""
+    coeffs = [Fraction(1)]
     for root in roots:
-        r = Fraction(root)
+        r = _as_rational(root)
         grown = [Fraction(0)] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             grown[i] -= r * c
@@ -79,7 +78,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     Computed without expanding the polynomial, as the signed reduction of
     the root power sums; equals (-1)^m e_m(roots).
     """
-    roots = [Fraction(r) for r in roots]
+    roots = [_as_rational(r) for r in roots]
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
     value = reduce_from_power_sums(rational_power_sums(roots, m), m)
@@ -114,8 +113,8 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     reduction of the root power sums; rhs = (-1)^n prod (r - x). Equal for
     every x.
     """
-    roots = [Fraction(r) for r in roots]
-    x = Fraction(x)
+    roots = [_as_rational(r) for r in roots]
+    x = _as_rational(x)
     n = len(roots)
     elementary = elementary_from_power_sums(rational_power_sums(roots, n), n)
     lhs = Fraction(0)
@@ -150,8 +149,8 @@ def generalized_binomial(
     Returns (direct product, prod(b) * sum over all orders of the multiple
     sums of the ratio sequence). The b values must be nonzero.
     """
-    a = [Fraction(v) for v in a_values]
-    b = [Fraction(v) for v in b_values]
+    a = [_as_rational(v) for v in a_values]
+    b = [_as_rational(v) for v in b_values]
     if len(a) != len(b):
         raise ValueError("a and b must have the same length")
     if any(v == 0 for v in b):

@@ -2,11 +2,13 @@
 
 Power sums of integers come from the Bernoulli closed form; multiple power
 sums reuse the reduction from :mod:`multisums.core`. Even zeta values are
-exact rational multiples of powers of pi (:class:`PiPolynomial`), so depth
-reductions of repeated even arguments stay exact end to end. The partition
-sums here (depth reductions, Bernoulli weights) are evaluated by Newton's
-recurrence, :func:`multisums.partitions.newton_coefficients`; the term-by-term
-partition formula is their oracle in the tests and the acceptance suite.
+exact single terms c pi^e (:class:`PiPolynomial`), and so is every depth
+reduction of repeated even arguments: each term of its partition sum carries
+the same power of pi, so the sum runs over rational coefficients alone. The
+partition sums here (depth reductions, Bernoulli weights) are evaluated by
+Newton's recurrence, :func:`multisums.partitions.newton_coefficients`; the
+term-by-term partition formula, a rational partition sum, is their oracle in
+the tests and the acceptance suite.
 The exponent-4 and exponent-6 closed forms are classical evaluations,
 implemented exactly and exercised against the partition route.
 

@@ -1,10 +1,14 @@
 """Acceptance gate: every published criterion, one pass/fail line each."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import multisums
 from multisums.acceptance import criterion_titles, run_all
 
 TITLES = criterion_titles()
@@ -36,3 +40,11 @@ def test_every_criterion_present(all_results):
 def test_criteria_match_golden_stdout(all_results):
     golden = json.loads(GOLDEN_STDOUT.read_text(encoding="utf-8"))
     assert [r.to_json_dict() for r in all_results] == golden["criteria"]
+
+
+def test_selftest_stdout_matches_golden_bytes_in_fresh_interpreter():
+    # the whole document: criteria, passed/total/all_passed and the JSON separators
+    env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "multisums", "selftest"], capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == GOLDEN_STDOUT.read_bytes()

@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import multisums
 from multisums.cli import CommandOutcome, main, run
+from multisums.exact_arith import rational_to_str
 
 
 def run_main(capsys, argv):
@@ -258,6 +261,19 @@ def test_verify_stirling_high_order_in_fresh_process():
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"identity": "STIRLING_ALTERNATING", "reports": 1, "passed": 1, "all_equal": True}
     assert "Traceback" not in done.stderr
+
+
+def test_exact_results_print_in_full(capsys):
+    # H_10000 has a denominator of about 4300 digits, past Python's default int-to-string limit
+    code, out, _ = run_main(capsys, [
+        "multisum", "eval", "--spec", '{"kind":"index_power","exponent":-1}',
+        "--m", "1", "--q", "1", "--n", "10000", "--method", "reduce",
+    ])
+    assert code == 0
+    common = math.lcm(*range(1, 10_001))
+    harmonic = Fraction(sum(common // k for k in range(1, 10_001)), common)
+    assert len(str(harmonic.denominator)) > 4300
+    assert json.loads(out) == {"reduced": rational_to_str(harmonic)}
 
 
 def test_verify_json_reports(capsys):

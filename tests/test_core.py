@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multisums import core
+from multisums import core, exact_arith
 from multisums.core import (
     ExplicitSequence,
     IndexPower,
@@ -74,7 +74,7 @@ def test_brute_routes_match_fraction_reference(data, q, width, m):
 
 def test_brute_routes_fold_many_denominators():
     # N_1 N_2 over [1, 200] takes more distinct values than one fold holds
-    assert len({a * b for a, b in combinations(range(1, 201), 2)}) > core._BRUTE_FOLD
+    assert len({a * b for a, b in combinations(range(1, 201), 2)}) > exact_arith._TUPLE_SUM_FOLD
     inverse, inverse_square = IndexPower(-1), IndexPower(-2)
     specs = (inverse, inverse_square)
     assert brute_multiple_sum(SumProblem(specs, 1, 200)) == _fraction_reference(
@@ -193,6 +193,14 @@ def test_symmetrized_example():
 def test_symmetrized_identical_specs_scale():
     assert symmetrized_multiple_sum((N, N), 1, 4) == 2 * brute_multiple_sum(SumProblem((N, N), 1, 4))
     assert symmetrized_multiple_sum((N, N, N), 1, 5) == 6 * reduce_multiple_sum(N, 3, 1, 5)
+
+
+def test_reduce_symmetrized_matches_brute_at_order_5():
+    # five distinct sequences on [1, 10]: 5! orderings of C(10, 5) tuples against 52 set partitions
+    rng = random.Random(7)
+    specs = tuple(ExplicitSequence([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)])
+                  for _ in range(5))
+    assert reduce_symmetrized(specs, 1, 10) == symmetrized_multiple_sum(specs, 1, 10)
 
 
 def test_symmetrized_caps():

@@ -17,7 +17,14 @@ from multisums.exact_arith import (
     rational_to_str,
     stirling_first_unsigned,
 )
-from multisums.polynomials import poly_from_roots
+from multisums.core import ExplicitSequence
+from multisums.polynomials import (
+    Polynomial,
+    coeff_ratio_from_roots,
+    eval_factored_sum,
+    generalized_binomial,
+    poly_from_roots,
+)
 from multisums.special_sums import mzv_even_reduced
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
@@ -106,29 +113,20 @@ def test_rational_string_round_trip(value):
 
 def test_pi_polynomial_basics():
     zero = PiPolynomial()
-    assert zero.is_zero
+    assert zero.is_zero()
+    assert PiPolynomial({4: 0}) == zero
     p = PiPolynomial({2: Fraction(1, 6)})
+    assert not p.is_zero()
     assert p.coefficient(2) == Fraction(1, 6)
     assert p.coefficient(4) == 0
-    assert p - p == zero
-    assert p * 6 == PiPolynomial({2: 1})
-    assert (p * p).terms == {4: Fraction(1, 36)}
-    assert p**0 == PiPolynomial.from_rational(1)
+    assert p.terms == {2: Fraction(1, 6)}
+    assert p * 6 == 6 * p == PiPolynomial({2: 1})
+    assert p * 0 == zero
     with pytest.raises(ValueError):
         PiPolynomial({-2: 1})
-
-
-small_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=6),
-    st.fractions(min_value=-50, max_value=50, max_denominator=20),
-    max_size=4,
-).map(PiPolynomial)
-
-
-@given(small_polys, small_polys, small_polys)
-def test_pi_polynomial_distributive(a, b, c):
-    assert (a + b) * c == a * c + b * c
-    assert a * b == b * a
+    # one term c pi^e, never a sum of powers of pi
+    with pytest.raises(ValueError):
+        PiPolynomial({0: 1, 2: Fraction(1, 6)})
 
 
 def test_pi_poly_numeric_display():
@@ -177,6 +175,28 @@ def test_pi_poly_numeric_matches_mpmath_on_monomials(coeff, exponent, digits):
 
 
 def test_pi_poly_json_round_trip():
-    p = PiPolynomial({0: Fraction(2), 8: Fraction(-3, 7)})
-    assert PiPolynomial.from_json_dict(p.to_json_dict()) == p
-    assert p.to_json_dict() == {"0": "2/1", "8": "-3/7"}
+    assert PiPolynomial({8: Fraction(-3, 7)}).to_json_dict() == {"8": "-3/7"}
+    assert PiPolynomial.from_rational(2).to_json_dict() == {"0": "2/1"}
+    assert PiPolynomial().to_json_dict() == {}
+
+
+@pytest.mark.parametrize("entry", [
+    lambda v: ExplicitSequence((v,)),
+    lambda v: PiPolynomial({2: v}),
+    lambda v: Polynomial((1, v)),
+    lambda v: poly_from_roots([v]),
+    lambda v: coeff_ratio_from_roots([v, 2], 1),
+    lambda v: generalized_binomial([Fraction(1, 2)], [v]),
+    lambda v: eval_factored_sum([v], 3),
+    lambda v: eval_factored_sum([1], v),
+    lambda v: rational_to_str(v),
+], ids=["ExplicitSequence", "PiPolynomial", "Polynomial", "poly_from_roots", "coeff_ratio_from_roots",
+        "generalized_binomial", "eval_factored_sum_roots", "eval_factored_sum_x", "rational_to_str"])
+def test_floats_and_bools_are_refused(entry):
+    # 0.1 would otherwise become 3602879701896397/36028797018963968, and True would read 1
+    for value in (0.1, 0.5, True):
+        with pytest.raises(ValueError):
+            entry(value)
+    entry(Fraction(1, 10))
+    entry(1)
+    entry("1/10")

@@ -1,11 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multisums import exact_arith
 from multisums.partitions import (
     enumerate_partitions,
     enumerate_set_partitions,
@@ -119,11 +120,68 @@ def test_partition_sum_counts_and_parity():
         parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
         assert partition_sum(m, lambda i, k: 1) == partition_count(m)
         assert parity_partition_sums(m, lambda i, k: 1) == (parities[0], parities[1])
-        assert partition_sum(m, lambda i, k: 1, parity="odd") == parities[1]
     # a zero-multiplicity factor of 0 removes every partition lacking that part
     assert partition_sum(4, lambda i, k: 0 if (i, k) == (2, 0) else 1) == 2  # (2,1,1), (2,2)
-    with pytest.raises(ValueError):
-        partition_sum(3, lambda i, k: 1, parity="both")
+    assert parity_partition_sums(4, lambda i, k: 0 if (i, k) == (2, 0) else 1) == (1, 1)
+
+
+def _fraction_partition_sums(m: int, weight) -> tuple[Fraction, Fraction]:
+    """(even, odd) term by term in Fraction, every factor weight(i, y_i) multiplied in."""
+    sums = [Fraction(0), Fraction(0)]
+    for y in enumerate_partitions(m):
+        term = Fraction(1)
+        for i, k in enumerate(y, start=1):
+            term *= weight(i, k)
+        sums[sum(y) % 2] += term
+    return sums[0], sums[1]
+
+
+# zeros, negative and positive ints, and rationals; weight(i, 0) is drawn like any other
+weight_values = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=12))
+def test_partition_sums_match_fraction_loop(data, m):
+    table = {(i, k): data.draw(weight_values) for i in range(1, m + 1) for k in range(m // i + 1)}
+
+    def weight(i: int, k: int):
+        return table[i, k]
+
+    even, odd = _fraction_partition_sums(m, weight)
+    assert parity_partition_sums(m, weight) == (even, odd)
+    assert partition_sum(m, weight) == even + odd
+
+
+def test_partition_sums_fold_many_denominators():
+    # weight(i, k) = 1 / prime_i^k gives each of the p(38) = 26015 partitions
+    # its own denominator, so each sum below folds more than twice
+    m = 38
+    primes = [n for n in range(2, 200) if all(n % d for d in range(2, n))][:m]
+
+    def weight(i: int, k: int) -> Fraction:
+        return Fraction(1, primes[i - 1] ** k)
+
+    denominators = {prod(primes[i] ** k for i, k in enumerate(y)) for y in enumerate_partitions(m)}
+    assert len(denominators) == partition_count(m) == 26015
+    parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
+    assert min(parities.values()) > 2 * exact_arith._TUPLE_SUM_FOLD
+
+    def generating(sign: int) -> Fraction:
+        # [t^m] prod_i 1 / (1 - sign t^i / prime_i): sign = -1 weighs each part by -1
+        coeffs = [Fraction(1)] + [Fraction(0)] * m
+        for i in range(1, m + 1):
+            x = Fraction(sign, primes[i - 1])
+            for n in range(i, m + 1):
+                coeffs[n] += x * coeffs[n - i]
+        return coeffs[m]
+
+    total, signed = generating(1), generating(-1)
+    assert partition_sum(m, weight) == total
+    assert parity_partition_sums(m, weight) == ((total + signed) / 2, (total - signed) / 2)
 
 
 def test_newton_coefficients_edge_cases():

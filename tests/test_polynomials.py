@@ -20,9 +20,8 @@ def test_poly_from_roots_expansion():
     poly = poly_from_roots([1, 2, 3])
     assert poly.coeffs == (Fraction(-6), Fraction(11), Fraction(-6), Fraction(1))
     assert poly.degree == 3
-    assert poly_from_roots([], leading=Fraction(5)).coeffs == (Fraction(5),)
-    with pytest.raises(ValueError):
-        poly_from_roots([1], leading=0)
+    assert poly_from_roots([]).coeffs == (Fraction(1),)
+    assert poly_from_roots(["1/2", Fraction(-1, 2)]).coeffs == (Fraction(-1, 4), Fraction(0), Fraction(1))
 
 
 def test_polynomial_trailing_zeros_and_degree():

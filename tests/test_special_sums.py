@@ -152,13 +152,13 @@ def test_mzv_limit_trend():
 
 @pytest.mark.parametrize("m", range(15))
 def test_mzv_reduction_matches_partition_formula(m):
+    # each zeta(2ip)^(y_i) is z_i^(y_i) pi^(2ip y_i), so every term carries pi^(2pm)
     for p in (1, 2):
         value = partition_sum(
             m,
-            lambda i, k: zeta_even(i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
-            one=PiPolynomial.from_rational(1),
+            lambda i, k: zeta_even(i * p).coefficient(2 * i * p) ** k * Fraction((-1) ** k, factorial(k) * i**k),
         )
-        assert mzv_even_reduced(m, p) == (-value if m % 2 else value)
+        assert mzv_even_reduced(m, p) == PiPolynomial({2 * p * m: -value if m % 2 else value})
 
 
 @pytest.mark.parametrize("m", range(15))
