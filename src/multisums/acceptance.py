@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -497,6 +496,8 @@ def run_all(numbers: Iterable[int] | None = None, jobs: int | None = None) -> li
         if number not in {num for num, _, _ in _CRITERIA}:
             raise ValueError(f"no criterion numbered {number}")
     if jobs and jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only --jobs pays for the import
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_criterion, wanted))
     return [run_criterion(number) for number in wanted]

@@ -5,27 +5,28 @@ lines, one object per partition); human diagnostics go to stderr only, so
 identical argv produces byte-identical stdout. Exit codes: 0 pass, 1 an
 identity check failed, 2 usage or domain error.
 
-The environment variable MULTISUM_MAX_M (default 6) caps the order of
-brute-force enumeration reachable from the command line, swept orders
-included, and BRUTE_MAX_TUPLES its tuples per call. Partition enumeration
-(`partitions list` and the partition sums of `verify`) stops at
-m = PARTITION_LIST_MAX_M, `--numeric` at NUMERIC_MAX_DIGITS digits and
-`--sweep` at SWEEP_MAX_POINTS grid points and as many reports after phi
-expansion. Those input caps bound the output too: exact results print in
-full, however many digits they have.
+Each input rule is checked once, by the library unless the command line
+builds the input itself; a refused input is exit 2 with the one-key JSON
+object {"error": message}. No environment variable is read. Brute force
+reachable from the command line (`multisum eval --method brute|both` and
+`verify RECURRENT_BRIDGE`, swept orders included) runs at orders up to
+BRUTE_MAX_M = 6 and at most core.BRUTE_MAX_TUPLES tuples per call.
+Partition enumeration (`partitions list` and the partition sums of
+`verify`) stops at m = PARTITION_LIST_MAX_M, `--numeric` at
+NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points and
+as many reports after phi expansion. Those input caps bound the output too:
+exact results print in full, however many digits they have.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .acceptance import criterion_titles, run_all
 from .core import (
     SumProblem,
     brute_multiple_sum,
@@ -40,39 +41,31 @@ from .special_sums import faulhaber, load_zeta_golden_table, mzv_closed_form, mz
 
 __all__ = ["CommandOutcome", "run", "main"]
 
-_STATUS_CODES = {"pass": 0, "fail": 1, "error": 2}
+BRUTE_MAX_M = 6  # largest brute-force order the command line runs
 
 
 @dataclass(frozen=True)
 class CommandOutcome:
-    status: str
+    exit_code: int  # 0 pass, 1 an identity check failed, 2 usage or domain error
     payload: object
-    exit_code: int
     jsonl: bool = False  # payload is a list to emit one JSON document per line
-
-    def __post_init__(self):
-        if _STATUS_CODES.get(self.status) != self.exit_code:
-            raise ValueError(f"status {self.status!r} must carry exit code {_STATUS_CODES.get(self.status)}")
 
 
 def _ok(payload, jsonl: bool = False) -> CommandOutcome:
-    return CommandOutcome("pass", payload, 0, jsonl)
+    return CommandOutcome(0, payload, jsonl)
 
 
 def _fail(payload) -> CommandOutcome:
-    return CommandOutcome("fail", payload, 1)
+    return CommandOutcome(1, payload)
 
 
 def _error(message: str) -> CommandOutcome:
-    return CommandOutcome("error", {"error": message}, 2)
+    return CommandOutcome(2, {"error": message})
 
 
-def _max_brute_order() -> int:
-    raw = os.environ.get("MULTISUM_MAX_M", "6")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MULTISUM_MAX_M must be an integer, got {raw!r}")
+def _check_brute_order(m: int) -> None:
+    if m > BRUTE_MAX_M:
+        raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
 def _parse_roots(text: str) -> list[Fraction]:
@@ -184,11 +177,9 @@ def _cmd_multisum(args) -> CommandOutcome:
     if args.m < 0:
         raise ValueError("m must be >= 0")
     spec = sequence_spec_from_json(json.loads(args.spec))
-    cap = _max_brute_order()
     payload: dict[str, object] = {}
     if args.method in ("brute", "both"):
-        if args.m > cap:
-            raise ValueError(f"m={args.m} exceeds brute-force cap {cap} (set MULTISUM_MAX_M to raise)")
+        _check_brute_order(args.m)
         brute = brute_multiple_sum(SumProblem((spec,) * args.m, args.q, args.n))
         payload["brute"] = rational_to_str(brute)
     if args.method in ("reduce", "both"):
@@ -206,15 +197,9 @@ def _cmd_poly(args) -> CommandOutcome:
     roots = _parse_roots(args.roots)
     poly = poly_from_roots(roots)
     if args.action == "vieta":
-        if not 0 <= args.m <= len(roots):
-            raise ValueError("m must be between 0 and the number of roots")
         lhs = coeff_ratio_from_roots(roots, args.m)
         rhs = poly.coeffs[len(roots) - args.m] / poly.coeffs[len(roots)]
     else:
-        if args.k < 0:
-            raise ValueError("k must be >= 0")
-        if len(roots) - args.k < 1:
-            raise ValueError("derivative order k leaves no degree-1 polynomial")
         lhs = mean_root_ratio(poly)
         rhs = mean_root_ratio(poly_derivative(poly, args.k))
     payload = {"lhs": rational_to_str(lhs), "rhs": rational_to_str(rhs), "equal": lhs == rhs}
@@ -277,9 +262,7 @@ def _cmd_verify(args) -> CommandOutcome:
         # a swept range ascends, so its last order is the largest
         m = swept["m"][-1] if swept and "m" in swept else params.get("m")
         if m is not None:
-            cap = _max_brute_order()
-            if m > cap:  # type: ignore[operator]
-                raise ValueError(f"m={m} exceeds brute-force cap {cap} (set MULTISUM_MAX_M to raise)")
+            _check_brute_order(m)  # type: ignore[arg-type]
     if swept:
         reports = verify_sweep(identity, swept, base=params)
     else:
@@ -294,17 +277,15 @@ def _cmd_verify(args) -> CommandOutcome:
             "passed": passed,
             "all_equal": passed == len(reports),
         }
-    return _ok(payload) if passed == len(reports) else CommandOutcome("fail", payload, 1)
+    return _ok(payload) if passed == len(reports) else _fail(payload)
 
 
 def _cmd_selftest(args) -> CommandOutcome:
-    numbers = None
-    if args.criterion is not None:
-        if args.criterion not in criterion_titles():
-            raise ValueError(f"no criterion numbered {args.criterion}")
-        numbers = [args.criterion]
+    from .acceptance import run_all  # only selftest loads the acceptance suite
+
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    numbers = None if args.criterion is None else [args.criterion]
     results = run_all(numbers, jobs=args.jobs)
     print(f"{'#':>2} {'criterion':<44} {'result':<6} {'time':>8}", file=sys.stderr)
     for r in results:
@@ -350,7 +331,7 @@ def run(argv: Sequence[str]) -> CommandOutcome:
 
 
 def _emit(outcome: CommandOutcome) -> None:
-    if outcome.status == "pass" and isinstance(outcome.payload, dict) and outcome.payload.get("help"):
+    if outcome.exit_code == 0 and isinstance(outcome.payload, dict) and outcome.payload.get("help"):
         return  # argparse already printed the help text
     if outcome.jsonl:
         for row in outcome.payload:  # type: ignore[union-attr]

@@ -39,7 +39,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm
 from typing import Sequence, Union
 
-from .exact_arith import _as_rational, _tuple_sum, factorial, rational_from_str, rational_to_str
+from .exact_arith import _as_rational, _is_int, _tuple_sum, factorial, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
@@ -74,7 +74,8 @@ _POWER_SUM_BLOCK = 32         # values per integer block in rational_power_sums
 class ExplicitSequence:
     """A finite sequence of rationals; values[k] sits at index base + k.
 
-    Values are Fractions, ints or strings; floats and bools raise ValueError.
+    Values are Fractions, ints or ``"num/den"`` / integer strings; floats,
+    bools and decimal strings raise ValueError.
     """
 
     values: tuple[Fraction, ...]
@@ -122,20 +123,9 @@ def sequence_spec_to_json(spec: SequenceSpec) -> dict:
 
 def _json_int(data: dict, key: str) -> int:
     value = data[key]
-    # bool is a subclass of int, and JSON true/false are not numbers here
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"sequence {key!r} must be an integer, got {value!r}")
     return value
-
-
-def _json_rational(value: object) -> Fraction:
-    # Integers and "num/den" strings only: a JSON float is a binary
-    # approximation, and taking it exactly would invent a rational.
-    if isinstance(value, str):
-        return rational_from_str(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"sequence values must be integers or \"num/den\" strings, got {value!r}")
 
 
 def sequence_spec_from_json(data: object) -> SequenceSpec:
@@ -152,7 +142,7 @@ def sequence_spec_from_json(data: object) -> SequenceSpec:
         if not isinstance(values, list):
             raise ValueError("explicit spec needs a 'values' list")
         base = _json_int(data, "base") if "base" in data else 1
-        return ExplicitSequence(tuple(_json_rational(v) for v in values), base)
+        return ExplicitSequence(tuple(values), base)
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 

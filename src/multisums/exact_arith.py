@@ -4,7 +4,9 @@ Every verdict-bearing value in this package is exact. Rationals are
 ``fractions.Fraction`` (arbitrary precision, canonical lowest terms with a
 positive denominator), and inputs become rationals only from ``Fraction``,
 ``int`` or string values: a float or a bool is refused with ValueError
-rather than read as the binary fraction it stores. Sums over index tuples
+rather than read as the binary fraction it stores. Strings have one grammar,
+that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
+decimal string such as ``"0.1"`` is refused too. Sums over index tuples
 of products of table entries (brute-force multiple sums, partition sums,
 set-partition blocks) share one integer kernel here. Decimal arithmetic
 appears only inside :func:`pi_poly_numeric`, which renders a
@@ -41,14 +43,22 @@ _TUPLE_SUM_FOLD = 4096  # distinct denominators _tuple_sum holds before folding 
 RationalLike = Union[Fraction, int, str]
 
 
+def _is_int(value: object) -> bool:
+    """An int and not a bool: True and False (JSON true/false) are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_rational(value: RationalLike) -> Fraction:
     """value as a Fraction. Only Fraction, int and str are taken.
 
-    A float is a binary approximation, and taking it exactly would invent a
-    rational; a bool is not a number here. Both raise ValueError.
+    A string is read by rational_from_str. A float is a binary
+    approximation, and taking it exactly would invent a rational; a bool is
+    not a number here. Both raise ValueError.
     """
-    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
-        raise ValueError(f"expected a Fraction, int or string, got {value!r}")
+    if isinstance(value, str):
+        return rational_from_str(value)
+    if not (isinstance(value, Fraction) or _is_int(value)):
+        raise ValueError(f'expected a Fraction, an int or a "num/den" string, got {value!r}')
     return Fraction(value)
 
 
@@ -92,12 +102,16 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse ``"num/den"`` or a bare integer string into a rational."""
-    body = text.strip()
-    if "/" in body:
-        num_text, den_text = body.split("/", 1)
-        return Fraction(int(num_text), int(den_text))
-    return Fraction(int(body))
+    """Parse ``"num/den"`` or a bare integer string into a rational.
+
+    The one string grammar of the package: decimals (``"0.1"``), exponents
+    (``"1e3"``), ``"nan"`` and a zero denominator raise ValueError.
+    """
+    num_text, slash, den_text = text.partition("/")
+    try:
+        return Fraction(int(num_text), int(den_text) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f'expected an integer or "num/den" with den != 0, got {text!r}') from None
 
 
 def factorial(n: int) -> int:
@@ -177,7 +191,7 @@ class PiPolynomial:
             raise ValueError(f"a PiPolynomial holds one term c pi^e, got {len(terms)}")
         self._terms: dict[int, Fraction] = {}
         for exponent, coeff in terms.items():
-            if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
+            if not _is_int(exponent) or exponent < 0:
                 raise ValueError(f"pi exponent must be an integer >= 0, got {exponent!r}")
             value = _as_rational(coeff)
             if value:

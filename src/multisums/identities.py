@@ -33,7 +33,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import binomial, factorial, rational_to_str, stirling_first_unsigned
+from .exact_arith import _is_int, binomial, factorial, rational_to_str, stirling_first_unsigned
 from .partitions import enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS"]
@@ -115,10 +115,6 @@ def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
     if r > m:
         raise ValueError("phi must be a partition of r <= m")
     return phi
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_int(params: Mapping, key: str, minimum: int) -> int:
@@ -383,8 +379,15 @@ _PHI_IDENTITIES = {IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM}
 
 
 def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
-    """Run one identity check with the given parameters."""
+    """Run one identity check with the given parameters.
+
+    A parameter the identity does not take raises ValueError rather than
+    being ignored.
+    """
     identity = IdentityId(identity)
+    unknown = sorted(set(params) - set(_PARAMETER_NAMES[identity]))
+    if unknown:
+        raise ValueError(f"{identity.value} takes only {sorted(_PARAMETER_NAMES[identity])}, not {unknown}")
     return _HANDLERS[identity](params)
 
 

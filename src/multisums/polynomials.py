@@ -90,7 +90,7 @@ def poly_derivative(poly: Polynomial, k: int = 1) -> Polynomial:
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     coeffs = poly.coeffs
-    for _ in range(k):
+    for _ in range(min(k, len(coeffs))):  # zero from derivative degree + 1 on
         coeffs = tuple((i + 1) * coeffs[i + 1] for i in range(len(coeffs) - 1))
     return Polynomial(coeffs)
 

@@ -9,8 +9,12 @@ from pathlib import Path
 import pytest
 
 import multisums
-from multisums.cli import CommandOutcome, main, run
+from multisums.acceptance import run_all
+from multisums.cli import BRUTE_MAX_M, CommandOutcome, main, run
+from multisums.core import ExplicitSequence, sequence_spec_from_json
 from multisums.exact_arith import rational_to_str
+from multisums.identities import IdentityId, verify
+from multisums.polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
 
 
 def run_main(capsys, argv):
@@ -90,19 +94,23 @@ def test_multisum_eval_negative_m_rejected(capsys):
 
 
 def test_multisum_brute_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("MULTISUM_MAX_M", "3")
-    argv = [
-        "multisum", "eval",
-        "--spec", '{"kind":"index_power","exponent":1}',
-        "--m", "4", "--q", "1", "--n", "6",
-        "--method", "brute",
-    ]
-    code, out, _ = run_main(capsys, argv)
-    assert code == 2
-    assert "cap 3" in json.loads(out)["error"]
-    # reduction path is not brute force and stays available
-    code, out, _ = run_main(capsys, argv[:-1] + ["reduce"])
-    assert code == 0
+    # The order cap is the constant BRUTE_MAX_M; the retired MULTISUM_MAX_M variable moves nothing.
+    assert BRUTE_MAX_M == 6
+    argv = ["multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "9"]
+    for env in (None, "3", "abc"):
+        if env is None:
+            monkeypatch.delenv("MULTISUM_MAX_M", raising=False)
+        else:
+            monkeypatch.setenv("MULTISUM_MAX_M", env)
+        code, out, _ = run_main(capsys, argv + ["--m", "7", "--method", "brute"])
+        assert code == 2
+        assert json.loads(out) == {"error": "m=7 exceeds brute-force cap 6"}
+        code, out, _ = run_main(capsys, argv + ["--m", "6", "--method", "both"])
+        assert code == 0
+        assert json.loads(out)["equal"] is True
+        # the reduction path is not brute force and stays available past the cap
+        code, out, _ = run_main(capsys, argv + ["--m", "7", "--method", "reduce"])
+        assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -203,15 +211,10 @@ BRIDGE = ["verify", "RECURRENT_BRIDGE", "--spec", '{"kind":"index_power","expone
 
 @pytest.mark.parametrize("order", [["--m", "7"], ["--sweep", "m=7"], ["--sweep", "m=0..7"]],
                          ids=["m", "sweep_one", "sweep_range"])
-def test_verify_bridge_brute_cap_holds_on_sweeps(capsys, monkeypatch, order):
-    monkeypatch.delenv("MULTISUM_MAX_M", raising=False)
+def test_verify_bridge_brute_cap_holds_on_sweeps(capsys, order):
     code, out, _ = run_main(capsys, BRIDGE + order)
     assert code == 2
     assert "brute-force cap 6" in json.loads(out)["error"]
-    monkeypatch.setenv("MULTISUM_MAX_M", "7")
-    code, out, _ = run_main(capsys, BRIDGE + order)
-    assert code == 0
-    assert json.loads(out)["all_equal"] is True
 
 
 @pytest.mark.parametrize(
@@ -236,8 +239,7 @@ def test_output_caps_exit_2(capsys, argv):
     ],
     ids=["multisum_eval", "recurrent_bridge"],
 )
-def test_brute_tuple_guard_exits_2(capsys, monkeypatch, argv):
-    monkeypatch.delenv("MULTISUM_MAX_M", raising=False)
+def test_brute_tuple_guard_exits_2(capsys, argv):
     code, out, err = run_main(capsys, argv)
     assert code == 2
     assert "exceeds the cap of 1000000" in json.loads(out)["error"]
@@ -338,6 +340,78 @@ def test_selftest_unknown_criterion(capsys):
 
 
 def test_outcome_invariant():
-    assert run(["partitions", "count", "3"]) == CommandOutcome("pass", {"m": 3, "count": 3}, 0)
+    assert run(["partitions", "count", "3"]) == CommandOutcome(0, {"m": 3, "count": 3})
+
+
+def _library_error(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    ("argv", "call"),
+    [
+        (["poly", "vieta", "--roots", "1,2,3", "--m", "4"], lambda: coeff_ratio_from_roots([1, 2, 3], 4)),
+        (["poly", "check-derivative-mean", "--roots", "1,2,3", "--k", "-1"],
+         lambda: poly_derivative(poly_from_roots([1, 2, 3]), -1)),
+        (["poly", "check-derivative-mean", "--roots", "1,2,3", "--k", "3"],
+         lambda: mean_root_ratio(poly_derivative(poly_from_roots([1, 2, 3]), 3))),
+        # a huge order stops at the zero polynomial instead of differentiating a billion times
+        (["poly", "check-derivative-mean", "--roots", "1,2,3", "--k", "1000000000"],
+         lambda: mean_root_ratio(poly_derivative(poly_from_roots([1, 2, 3]), 10**9))),
+        (["selftest", "--criterion", "11"], lambda: run_all([11])),
+        # a parameter the identity does not take is refused, not ignored
+        (["verify", "LEMMA_3_1", "--m", "3", "--n", "5"], lambda: verify(IdentityId.LEMMA_3_1, {"m": 3, "n": 5})),
+        (["verify", "LEMMA_3_1", "--m", "3", "--phi", "1"],
+         lambda: verify(IdentityId.LEMMA_3_1, {"m": 3, "phi": (1,)})),
+        (["verify", "EVEN_ODD_WEIGHTS", "--m", "4", "--spec", "{}"],
+         lambda: verify(IdentityId.EVEN_ODD_WEIGHTS, {"m": 4, "spec": {}})),
+    ],
+    ids=["vieta_m_range", "negative_k", "degree_left", "huge_k", "criterion_number", "verify_extra_n",
+         "verify_extra_phi", "verify_extra_spec"],
+)
+def test_library_rules_exit_2_with_library_text(capsys, argv, call):
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"error": _library_error(call)}
+    assert "Traceback" not in err
+
+
+def _explicit_spec(token: str) -> str:
+    return '{"kind":"explicit","base":1,"values":[' + token + "]}"
+
+
+@pytest.mark.parametrize(("text", "value"), [("3/4", Fraction(3, 4)), ("-2", Fraction(-2)), ("7", Fraction(7))])
+def test_rational_grammar_is_shared(capsys, text, value):
+    # ExplicitSequence, spec JSON and --roots read a string by one grammar
+    assert ExplicitSequence((text,)).values == (value,)
+    assert sequence_spec_from_json(json.loads(_explicit_spec(json.dumps(text)))).values == (value,)
+    argv = ["multisum", "eval", "--spec", _explicit_spec(json.dumps(text)), "--m", "1", "--q", "1", "--n", "1"]
+    code, out, _ = run_main(capsys, argv + ["--method", "reduce"])
+    assert code == 0
+    assert json.loads(out) == {"reduced": rational_to_str(value)}
+    # vieta at m = 1 is -e_1, the negated root
+    code, out, _ = run_main(capsys, ["poly", "vieta", f"--roots={text}", "--m", "1"])
+    assert code == 0
+    assert json.loads(out)["lhs"] == rational_to_str(-value)
+
+
+@pytest.mark.parametrize("token", ['"0.1"', '"1e3"', '"nan"', "0.1", "true"])
+def test_rational_grammar_refusals_agree(capsys, token):
+    # JSON tokens: three strings outside the grammar, a float and a bool
+    value = json.loads(token)
     with pytest.raises(ValueError):
-        CommandOutcome("pass", {}, 1)
+        ExplicitSequence((value,))
+    with pytest.raises(ValueError):
+        poly_from_roots([value])
+    roots = value if isinstance(value, str) else token
+    for argv in (
+        ["multisum", "eval", "--spec", _explicit_spec(token), "--m", "1", "--q", "1", "--n", "1"],
+        ["poly", "vieta", f"--roots={roots}", "--m", "1"],
+    ):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert set(json.loads(out)) == {"error"}
+        assert "Traceback" not in err
+

@@ -106,6 +106,12 @@ def test_rational_strings():
     assert rational_from_str("5") == 5
 
 
+@pytest.mark.parametrize("text", ["0.1", "1e3", "nan", "1/2/3", "", "3/", "1/0"])
+def test_rational_strings_outside_the_grammar_are_refused(text):
+    with pytest.raises(ValueError, match="num/den"):
+        rational_from_str(text)
+
+
 @given(rationals)
 def test_rational_string_round_trip(value):
     assert rational_from_str(rational_to_str(value)) == value

@@ -15,8 +15,19 @@ def test_package_api_is_the_union_of_module_apis():
     assert all(hasattr(multisums, name) for name in expected)
 
 
-def test_cli_import_loads_no_mpmath():
-    probe = "import sys, multisums.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+def _modules_after_cli_import() -> set[str]:
+    probe = "import sys, multisums.cli; print('\\n'.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_cli_import_loads_no_mpmath():
+    assert not {m for m in _modules_after_cli_import() if m.split(".")[0] == "mpmath"}
+
+
+def test_cli_import_is_lazy():
+    # only selftest needs the acceptance suite, and only --jobs a thread pool
+    loaded = _modules_after_cli_import()
+    assert "multisums.acceptance" not in loaded
+    assert "concurrent.futures" not in loaded
