@@ -13,8 +13,9 @@ reachable from the command line (`multisum eval --method brute|both` and
 BRUTE_MAX_M = 6 and at most core.BRUTE_MAX_TUPLES tuples per call.
 Partition enumeration (`partitions list` and the partition sums of
 `verify`) stops at m = PARTITION_LIST_MAX_M, `--numeric` at
-NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points and
-as many reports after phi expansion. Those input caps bound the output too:
+NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
+as many reports after phi expansion and SWEEP_MAX_PARTITIONS partitions
+summed over. Those input caps bound the output too:
 exact results print in full, however many digits they have.
 """
 

@@ -26,7 +26,8 @@ integer product-sum kernel of :mod:`multisums.exact_arith`: each tuple's
 numerators and denominators are multiplied as plain ints, and the
 numerators summed per denominator, turning into ``Fraction``s only when a
 fixed number of distinct denominators has gathered. The block sums of
-``reduce_symmetrized`` use the same kernel. Both brute routes refuse, with
+``reduce_symmetrized`` use the same kernel; the partition formula does not
+(it sums over one common denominator, see :mod:`multisums.partitions`). Both brute routes refuse, with
 ValueError and before enumerating, a window of more than
 ``BRUTE_MAX_TUPLES`` tuples.
 """

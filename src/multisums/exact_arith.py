@@ -7,8 +7,9 @@ positive denominator), and inputs become rationals only from ``Fraction``,
 rather than read as the binary fraction it stores. Strings have one grammar,
 that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
 decimal string such as ``"0.1"`` is refused too. Sums over index tuples
-of products of table entries (brute-force multiple sums, partition sums,
-set-partition blocks) share one integer kernel here. Decimal arithmetic
+of products of table entries (brute-force multiple sums and set-partition
+blocks) share one integer kernel here; partition sums have their own walk
+in :mod:`multisums.partitions`. Decimal arithmetic
 appears only inside :func:`pi_poly_numeric`, which renders a
 :class:`PiPolynomial` as a decimal string for display and trend checks,
 never for an equality verdict.

@@ -34,11 +34,13 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import _is_int, binomial, factorial, rational_to_str, stirling_first_unsigned
-from .partitions import enumerate_partitions, parity_partition_sums, partition_count, partition_sum
+from .partitions import _check_order, enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
-__all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS"]
+__all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS", "SWEEP_MAX_PARTITIONS"]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
+# p(m) summed over the reports of one verify_sweep, a report at order m summing over p(m) partitions
+SWEEP_MAX_PARTITIONS = 2_000_000
 
 
 class IdentityId(str, enum.Enum):
@@ -376,6 +378,13 @@ _PARAMETER_NAMES: dict[IdentityId, tuple[str, ...]] = {
 }
 
 _PHI_IDENTITIES = {IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM}
+# the identities whose left side is a partition sum over the partitions of m
+_PARTITION_SUM_IDENTITIES = _PHI_IDENTITIES | {
+    IdentityId.LEMMA_3_1,
+    IdentityId.RECURRENT_BRIDGE,
+    IdentityId.EVEN_ODD_WEIGHTS,
+    IdentityId.EVEN_ODD_N,
+}
 
 
 def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
@@ -402,7 +411,9 @@ def verify_sweep(
     identities, when no explicit phi is supplied every sub-partition phi of
     every r <= m is checked at each swept m, so one point at m stands for
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
-    SWEEP_MAX_POINTS reports are allowed, both counted before any check
+    SWEEP_MAX_POINTS reports are allowed, and for the identities whose left
+    side sums over the partitions of m, at most SWEEP_MAX_PARTITIONS
+    partitions: p(m) per report at order m. All are counted before any check
     runs; pass ``range`` objects so a refused sweep costs nothing.
     """
     identity = IdentityId(identity)
@@ -417,16 +428,22 @@ def verify_sweep(
     names = list(ranges.keys())
     grid = [dict(base, **dict(zip(names, combo))) for combo in cartesian_product(*ranges.values())]
     expand_phi = identity in _PHI_IDENTITIES and "phi" not in base
-    if expand_phi:
-        size = 0
-        for params in grid:
-            m = _require_int(params, "m", 0)
-            r = 0
-            while r <= m and size <= SWEEP_MAX_POINTS:
-                size += partition_count(r)
+    size = visited = 0
+    for params in grid if identity in _PARTITION_SUM_IDENTITIES else ():
+        m = _require_int(params, "m", 0)
+        at_m = 1
+        if expand_phi:
+            at_m = r = 0
+            while r <= m and size + at_m <= SWEEP_MAX_POINTS:
+                at_m += partition_count(r)
                 r += 1
-            if size > SWEEP_MAX_POINTS:
+            if size + at_m > SWEEP_MAX_POINTS:
                 raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
+        _check_order(m)
+        size += at_m
+        visited += at_m * partition_count(m)
+    if visited > SWEEP_MAX_PARTITIONS:
+        raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
     reports: list[VerificationReport] = []
     for params in grid:
         if expand_phi:

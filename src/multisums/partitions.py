@@ -11,11 +11,13 @@ enumerator; it lists each order once and caches the result.
 Sums over all partitions of m of a product of per-part weights have two
 routes here. :func:`partition_sum` (and its even/odd split
 :func:`parity_partition_sums`) is the paper's formula written out term by
-term over every partition, as one call of the integer product-sum kernel
-of :mod:`multisums.exact_arith`; it is the readable oracle, and its sums
-are rational. :func:`newton_coefficients` gets every such sum up to m at
-once from Newton's recurrence in O(m^2) exact steps; the production
-reductions use it.
+term over every partition; it is the readable oracle, and its sums are
+rational. It does not list the partitions: a depth-first walk over the
+multiplicities, largest part first, shares each prefix product among the
+partitions below it and sums integers over one common denominator per
+call. :func:`newton_coefficients` gets every such sum up to m at once from
+Newton's recurrence in O(m^2) exact steps; the production reductions use
+it.
 
 A set partition of {1, ..., m} is a tuple of block tuples in canonical
 form: each block ascending, blocks ordered by (size, smallest element).
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Sequence
 
-from .exact_arith import RationalLike, _tuple_sum
+from .exact_arith import RationalLike, _as_rational
 
 __all__ = [
     "enumerate_partitions",
@@ -43,7 +46,15 @@ __all__ = [
 ]
 
 SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
-PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order enumerate_partitions lists
+PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order listed or summed over
+
+
+def _check_order(m: int) -> None:
+    """Refuses an order no partition enumeration or walk takes."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m > PARTITION_LIST_MAX_M:
+        raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
 
 
 @lru_cache(maxsize=32)
@@ -57,10 +68,7 @@ def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
     order enumerate it once. Orders above PARTITION_LIST_MAX_M are refused
     with ValueError; partition_count counts without listing.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > PARTITION_LIST_MAX_M:
-        raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
+    _check_order(m)
     if m == 0:
         return ((),)
     y = [0] * m
@@ -83,22 +91,67 @@ def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
 Weight = Callable[[int, int], RationalLike]
 
 
-def _weight_table(m: int, weight: Weight) -> list[list[RationalLike]]:
-    # row i - 1 holds weight(i, k) for every multiplicity k <= m // i
-    return [[weight(i, k) for k in range(m // i + 1)] for i in range(1, m + 1)]
+def _parity_totals(m: int, weight: Weight) -> tuple[int, int, int]:
+    """(even, odd, den): the sums over partitions y of m with an even (odd)
+    number of parts of prod_{i=1}^{m} weight(i, y_i) are even / den and odd / den.
+
+    Each row weight(i, 0..m // i) is read once and put over its own common
+    denominator D_i, so every term is an int over den = prod_i D_i. A
+    depth-first walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1 the
+    rest, multiplying one row entry into a running product per step, so
+    partitions that share their larger parts share that prefix product.
+    Once the rest is smaller than the next part size, the rows in between
+    can only take y_i = 0, and their product comes from a table.
+    """
+    _check_order(m)
+    if m == 0:
+        return 1, 0, 1  # the empty partition: zero parts, the empty product
+    rows: list[list[int]] = [[]]  # rows[i][k] = D_i * weight(i, k)
+    den = 1
+    for i in range(1, m + 1):
+        row = [_as_rational(weight(i, k)) for k in range(m // i + 1)]
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        den *= scale
+    # zeros[j][r] = prod_{l=r+1}^{j} rows[l][0]: the factor of y_{r+1} = ... = y_j = 0
+    zeros = [[1]]
+    for j in range(1, m + 1):
+        zeros.append([z * rows[j][0] for z in zeros[-1]] + [1])
+    totals = [0, 0]
+
+    def walk(i: int, rest: int, product: int, parts: int) -> None:
+        # y_m .. y_{i+1} are fixed with `parts` parts, and 1 <= i <= rest
+        if i == 1:
+            totals[(parts + rest) & 1] += product * rows[1][rest]
+            return
+        row = rows[i]
+        for k in range(rest // i + 1):
+            left = rest - i * k
+            term = product * row[k]
+            if left >= i - 1:
+                walk(i - 1, left, term, parts + k)
+            elif left:
+                walk(left, left, term * zeros[i - 1][left], parts + k)
+            else:
+                totals[(parts + k) & 1] += term * zeros[i - 1][0]
+
+    walk(m, m, 1, 0)
+    return totals[0], totals[1], den
 
 
 def partition_sum(m: int, weight: Weight) -> Fraction:
     """sum over partitions y of m of prod_{i=1}^{m} weight(i, y_i): the oracle.
 
     A zero multiplicity is a factor too: weight(i, 0) is 1 for the usual
-    weights and 0 where a missing part must remove the term. Weights are
-    Fractions or ints, each weight(i, k) is evaluated once, and each
-    partition's product is taken in integers. Enumerates all p(m)
-    partitions, so production code uses :func:`newton_coefficients` where
-    it applies.
+    weights and 0 where a missing part must remove the term. Each weight(i, k),
+    k <= m // i, is evaluated once and read as a rational (a Fraction, an int
+    or a "num/den" string; a float or a bool raises ValueError). Every term
+    is formed and added one partition at a time, in integers over one common
+    denominator; production code uses :func:`newton_coefficients` where it
+    applies. Orders above PARTITION_LIST_MAX_M are refused with ValueError.
     """
-    return _tuple_sum(enumerate_partitions(m), _weight_table(m, weight))
+    even, odd, den = _parity_totals(m, weight)
+    return Fraction(even + odd, den)
 
 
 def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
@@ -108,11 +161,8 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     number of parts, sum(y), of prod_{i=1}^{m} weight(i, y_i); the weight
     conventions are those of :func:`partition_sum`.
     """
-    table = _weight_table(m, weight)
-    partitions = enumerate_partitions(m)
-    even = _tuple_sum((y for y in partitions if sum(y) % 2 == 0), table)
-    odd = _tuple_sum((y for y in partitions if sum(y) % 2), table)
-    return even, odd
+    even, odd, den = _parity_totals(m, weight)
+    return Fraction(even, den), Fraction(odd, den)
 
 
 def newton_coefficients(p: Sequence[Fraction], m: int) -> list[Fraction]:

@@ -265,6 +265,24 @@ def test_verify_stirling_high_order_in_fresh_process():
     assert "Traceback" not in done.stderr
 
 
+def test_verify_lemma_3_1_at_the_order_cap_in_fresh_process():
+    # p(50) = 204 226 partitions, the largest order a partition sum takes
+    env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}
+    argv = [sys.executable, "-m", "multisums", "verify", "LEMMA_3_1", "--m", "50"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"identity": "LEMMA_3_1", "reports": 1, "passed": 1, "all_equal": True}
+    assert "Traceback" not in done.stderr
+
+
+def test_verify_sweep_partition_budget_exits_2(capsys):
+    # m = 21 expands into 3506 reports of p(21) = 792 partitions: 2 776 752 > SWEEP_MAX_PARTITIONS
+    code, out, err = run_main(capsys, ["verify", "LEMMA_3_2", "--sweep", "m=21"])
+    assert code == 2
+    assert json.loads(out) == {"error": "sweep visits 2776752 partitions, more than the cap of 2000000"}
+    assert "Traceback" not in err
+
+
 def test_exact_results_print_in_full(capsys):
     # H_10000 has a denominator of about 4300 digits, past Python's default int-to-string limit
     code, out, _ = run_main(capsys, [

@@ -184,8 +184,51 @@ def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
     # 11 732 at m = 26; the second grid has 3 points but 10 076 reports
     monkeypatch.setattr(identities, "verify", lambda ident, params: params["phi"])
+    # 9296 reports of p(25) partitions each are over the partition budget, tested on its own below
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 9296 * 1958)
     assert len(verify_sweep(identity, {"m": [25]})) == 9296
     for ranges in ({"m": [26]}, {"m": [25, 12, 14]}, {"m": range(10**9, 10**9 + 1)}):
         with pytest.raises(ValueError, match="phi expansion exceeds the cap"):
             verify_sweep(identity, ranges)
     assert len(verify_sweep(identity, {"m": [3]}, base={"phi": (1, 0, 0)})) == 1
+
+
+def _refuse_checks(ident, params):
+    raise AssertionError("a check ran before the sweep's budget was counted")
+
+
+@pytest.mark.parametrize(
+    ("identity", "ranges", "visited"),
+    [
+        # p(0) + ... + p(12)
+        (IdentityId.LEMMA_3_1, {"m": range(13)}, 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42 + 56 + 77),
+        # 1 + 1 + 2 + 3 = 7 phi reports at m = 3, each over p(3) = 3 partitions
+        (IdentityId.LEMMA_3_2, {"m": [3]}, 21),
+        # two values of n at p(4) = 5 partitions each
+        (IdentityId.EVEN_ODD_N, {"n": range(2), "m": [4]}, 10),
+    ],
+    ids=["lemma_3_1", "lemma_3_2_phi", "even_odd_n"],
+)
+def test_sweep_partition_budget_is_inclusive(identity, ranges, visited, monkeypatch):
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited)
+    assert all(r.equal for r in verify_sweep(identity, ranges))
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited - 1)
+    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    with pytest.raises(ValueError, match=f"sweep visits {visited} partitions, more than the cap of {visited - 1}"):
+        verify_sweep(identity, ranges)
+
+
+def test_sweep_partition_budget_skips_identities_without_partition_sums(monkeypatch):
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 0)
+    assert len(verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": range(60)})) == 60
+    assert len(verify_sweep(IdentityId.BINOMIAL_PARTITION, {"n": [5], "m": range(60)})) == 60
+
+
+def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
+    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    # one report at m = 0, then 3506 phi reports at m = 21 of p(21) = 792 partitions each
+    with pytest.raises(ValueError, match="sweep visits 2776753 partitions"):
+        verify_sweep(IdentityId.LEMMA_3_2, {"m": [0, 21]})
+    # an order past the enumeration cap is refused up front, not after the orders below it
+    with pytest.raises(ValueError, match="partition enumeration cap 50"):
+        verify_sweep(IdentityId.LEMMA_3_1, {"m": range(52)})

@@ -125,6 +125,50 @@ def test_partition_sum_counts_and_parity():
     assert parity_partition_sums(4, lambda i, k: 0 if (i, k) == (2, 0) else 1) == (1, 1)
 
 
+def test_partition_sums_at_orders_0_and_1():
+    # m = 0: the empty partition, with zero parts and the empty product 1, whatever the weight
+    assert partition_sum(0, lambda i, k: Fraction(7, 3)) == 1
+    assert parity_partition_sums(0, lambda i, k: Fraction(7, 3)) == (1, 0)
+    # m = 1: the single partition y = (1,), one part, weighed by weight(1, 1) alone
+    assert partition_sum(1, lambda i, k: Fraction(5, 3) if k else Fraction(9)) == Fraction(5, 3)
+    assert parity_partition_sums(1, lambda i, k: Fraction(5, 3) if k else Fraction(9)) == (0, Fraction(5, 3))
+
+
+def test_partition_sums_zero_row_at_no_parts():
+    # weight(3, 0) = 0 keeps only the partitions of 7 with a part 3: (3,3,1), (3,2,2), (3,2,1,1),
+    # (3,1,1,1,1), (4,3); each other factor is 1/2 at y_i = 0 and 1/(i + 1) otherwise
+    def weight(i: int, k: int) -> Fraction:
+        if k == 0:
+            return Fraction(0) if i == 3 else Fraction(1, 2)
+        return Fraction(1, i + 1)
+
+    kept = [y for y in enumerate_partitions(7) if y[2]]
+    assert len(kept) == 5
+    terms = [prod(weight(i, k) for i, k in enumerate(y, start=1)) for y in kept]
+    even = sum(t for t, y in zip(terms, kept) if sum(y) % 2 == 0)
+    odd = sum(t for t, y in zip(terms, kept) if sum(y) % 2)
+    assert parity_partition_sums(7, weight) == (even, odd)
+    assert partition_sum(7, weight) == even + odd != 0
+
+
+def test_partition_sum_weights_follow_the_exactness_policy():
+    # a "num/den" string reads as its Fraction; a float or a bool is refused, never taken as a number
+    assert partition_sum(6, lambda i, k: "1/2") == partition_sum(6, lambda i, k: Fraction(1, 2))
+    assert parity_partition_sums(6, lambda i, k: f"{k}/{i}") == parity_partition_sums(6, lambda i, k: Fraction(k, i))
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            partition_sum(3, lambda i, k: bad)
+        with pytest.raises(ValueError):
+            parity_partition_sums(3, lambda i, k: bad)
+
+
+def test_partition_sums_refuse_orders_out_of_range():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        partition_sum(-1, lambda i, k: 1)
+    with pytest.raises(ValueError, match="enumeration cap 50"):
+        parity_partition_sums(51, lambda i, k: 1)
+
+
 def _fraction_partition_sums(m: int, weight) -> tuple[Fraction, Fraction]:
     """(even, odd) term by term in Fraction, every factor weight(i, y_i) multiplied in."""
     sums = [Fraction(0), Fraction(0)]
@@ -144,7 +188,7 @@ weight_values = st.one_of(
 )
 
 
-@given(st.data(), st.integers(min_value=0, max_value=12))
+@given(st.data(), st.integers(min_value=0, max_value=20))
 def test_partition_sums_match_fraction_loop(data, m):
     table = {(i, k): data.draw(weight_values) for i in range(1, m + 1) for k in range(m // i + 1)}
 
@@ -158,7 +202,9 @@ def test_partition_sums_match_fraction_loop(data, m):
 
 def test_partition_sums_fold_many_denominators():
     # weight(i, k) = 1 / prime_i^k gives each of the p(38) = 26015 partitions
-    # its own denominator, so each sum below folds more than twice
+    # its own denominator, more than twice the fold size of the brute-force
+    # kernel in each parity; the partition walk sums them over one common
+    # denominator, checked here against the generating function
     m = 38
     primes = [n for n in range(2, 200) if all(n % d for d in range(2, n))][:m]
 
