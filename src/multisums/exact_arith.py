@@ -52,13 +52,16 @@ def _is_int(value: object) -> bool:
 def _as_rational(value: RationalLike) -> Fraction:
     """value as a Fraction. Only Fraction, int and str are taken.
 
-    A string is read by rational_from_str. A float is a binary
-    approximation, and taking it exactly would invent a rational; a bool is
-    not a number here. Both raise ValueError.
+    A Fraction is returned as it is (Fractions are immutable). A string is
+    read by rational_from_str. A float is a binary approximation, and taking
+    it exactly would invent a rational; a bool is not a number here. Both
+    raise ValueError.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return rational_from_str(value)
-    if not (isinstance(value, Fraction) or _is_int(value)):
+    if not _is_int(value):
         raise ValueError(f'expected a Fraction, an int or a "num/den" string, got {value!r}')
     return Fraction(value)
 

@@ -5,7 +5,13 @@ routes and reports structural equality of exact values. Identities whose
 statement is a pair of equations carry both sides as ordered pairs, so
 ``equal`` is still literally ``lhs == rhs``.
 
-Registry keys are opaque stable strings (the CLI wire format).
+Registry keys are opaque stable strings (the CLI wire format). The registry
+is one table: per identity, a check returning (params, lhs, rhs, note), the
+parameter names it takes, and whether its left side sums over the partitions
+of m (which the sweep budget counts). The identities taking "phi" are those
+whose parameter names include it. Lemma 3.1 and EVEN_ODD_WEIGHTS are the
+phi = 0 cases of LEMMA_3_2 and EVEN_ODD_BINOM, so each pair shares one
+weight, (+-1)^k C(k, phi_i) / (i^k k!), and one closed form.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term with :func:`multisums.partitions.partition_sum` (or its even/odd
@@ -33,7 +39,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import _is_int, binomial, factorial, rational_to_str, stirling_first_unsigned
+from .exact_arith import _is_int, rational_to_str, stirling_first_unsigned
 from .partitions import _check_order, enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS", "SWEEP_MAX_PARTITIONS"]
@@ -58,6 +64,7 @@ class IdentityId(str, enum.Enum):
 
 
 Side = Union[Fraction, tuple]
+Checked = tuple[dict, Side, Side, str]  # what a check returns: (params as reported, lhs, rhs, note)
 
 
 @dataclass(frozen=True)
@@ -139,96 +146,93 @@ def _require_spec(params: Mapping) -> SequenceSpec:
     return spec
 
 
-def _signed_weight(i: int, mult: int) -> Fraction:
-    # (-1)^mult / (i^mult mult!)
-    value = Fraction(1, i**mult * factorial(mult))
-    return -value if mult % 2 else value
+def _weight(phi: tuple[int, ...], signed: bool) -> Callable[[int, int], Fraction]:
+    """(+-1)^k C(k, phi_i) / (i^k k!), the weight of y_i = k.
 
+    At phi = 0 it is Lemma 3.1's weight (signed) and EVEN_ODD_WEIGHTS'
+    (unsigned). At k = 0 it is 0 when phi_i > 0, which removes partitions
+    lacking a part that phi has.
+    """
 
-def _plain_weight(i: int, mult: int) -> Fraction:
-    # 1 / (i^mult mult!)
-    return Fraction(1, i**mult * factorial(mult))
-
-
-def _binom_weight(phi: tuple[int, ...], signed: bool) -> Callable[[int, int], Fraction]:
-    # (+-1)^mult C(mult, phi_i) / (i^mult mult!). At mult = 0 this is 0 when
-    # phi_i > 0 (C(0, phi_i) = 0), which removes partitions lacking a part
-    # that phi has.
-    def weight(i: int, mult: int) -> Fraction:
-        value = Fraction(binomial(mult, phi[i - 1]), i**mult * factorial(mult))
-        return -value if signed and mult % 2 else value
+    def weight(i: int, k: int) -> Fraction:
+        value = Fraction(math.comb(k, phi[i - 1]), i**k * math.factorial(k))
+        return -value if signed and k % 2 else value
 
     return weight
 
 
-def _phi_product(phi: tuple[int, ...], signed: bool) -> Fraction:
-    # prod_i (+-1)^(phi_i) / (i^(phi_i) phi_i!)
-    value = Fraction(1)
-    for i, mult in enumerate(phi, start=1):
-        if mult:
-            value /= Fraction(i**mult * factorial(mult))
-            if signed and mult % 2:
-                value = -value
-    return value
+def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], Callable, Fraction, int]:
+    """(m, phi, weight, base, d) of a binomial-filtered partition sum.
 
-
-def _verify_lemma_3_1(params: Mapping) -> VerificationReport:
-    """Alternating partition weights collapse: sum = (-1)^m for m <= 1, else 0."""
-    m = _require_int(params, "m", 0)
-    lhs = partition_sum(m, _signed_weight)
-    rhs = Fraction(-1 if m % 2 else 1) if m <= 1 else Fraction(0)
-    return VerificationReport(IdentityId.LEMMA_3_1, {"m": m}, lhs, rhs, lhs == rhs)
-
-
-def _verify_lemma_3_2(params: Mapping) -> VerificationReport:
-    """Binomial-filtered alternating weights; full and restricted sums agree."""
+    phi defaults to 0. base is the weight's product over phi's nonzero
+    entries, where C(phi_i, phi_i) = 1, and d = m - r with phi a partition of r.
+    """
     m = _require_int(params, "m", 0)
     phi = _normalize_phi(params.get("phi", ()), m)
-    full = partition_sum(m, _binom_weight(phi, signed=True))
-    r = sum(i * v for i, v in enumerate(phi, start=1))
-    d = m - r
+    weight = _weight(phi, signed)
+    base = math.prod((weight(i, k) for i, k in enumerate(phi, start=1) if k), start=Fraction(1))
+    return m, phi, weight, base, m - sum(i * k for i, k in enumerate(phi, start=1))
+
+
+def _alternating_closed(base: Fraction, d: int) -> Fraction:
+    """Lemma 3.2's closed form, base (-1)^d for d <= 1 and 0 above; Lemma 3.1's at phi = 0."""
+    if d > 1:
+        return Fraction(0)
+    return -base if d else base
+
+
+def _parity_closed(base: Fraction, d: int, parts: int) -> tuple[Fraction, Fraction]:
+    """EVEN_ODD_BINOM's three-case closed form (even, odd); EVEN_ODD_WEIGHTS' at phi = 0.
+
+    For d <= 1 all of base lands on the side of the parity of phi's part
+    count plus d; above, it splits in halves.
+    """
+    if d > 1:
+        return base / 2, base / 2
+    sides = [Fraction(0), Fraction(0)]
+    sides[(parts + d) % 2] = base
+    return sides[0], sides[1]
+
+
+_PARITY_NOTE = "lhs = (even-partition sum, odd-partition sum)"
+
+
+def _lemma_3_1(params: Mapping) -> Checked:
+    """Alternating partition weights collapse: sum = (-1)^m for m <= 1, else 0."""
+    m, _, weight, base, d = _filtered(params, signed=True)
+    return {"m": m}, partition_sum(m, weight), _alternating_closed(base, d), ""
+
+
+def _lemma_3_2(params: Mapping) -> Checked:
+    """Binomial-filtered alternating weights; full and restricted sums agree."""
+    m, phi, weight, base, d = _filtered(params, signed=True)
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
-    restricted = _phi_product(phi, signed=True) * partition_sum(d, _signed_weight)
-    if d <= 1:
-        closed = _phi_product(phi, signed=True)
-        if d % 2:
-            closed = -closed
-    else:
-        closed = Fraction(0)
-    lhs = (full, restricted)
-    rhs = (closed, closed)
-    return VerificationReport(
-        IdentityId.LEMMA_3_2,
-        {"m": m, "phi": phi},
-        lhs,
-        rhs,
-        lhs == rhs,
-        note="lhs = (full sum, sum restricted to y_i >= phi_i)",
-    )
+    restricted = base * partition_sum(d, _weight((0,) * d, signed=True))
+    closed = _alternating_closed(base, d)
+    note = "lhs = (full sum, sum restricted to y_i >= phi_i)"
+    return {"m": m, "phi": phi}, (partition_sum(m, weight), restricted), (closed, closed), note
 
 
-def _verify_stirling_alternating(params: Mapping) -> VerificationReport:
+def _stirling_alternating(params: Mapping) -> Checked:
     """Alternating row sums of the first-kind triangle vanish past m = 1."""
     m = _require_int(params, "m", 0)
     lhs = Fraction(0)
     for k in range(m + 1):
         term = Fraction(stirling_first_unsigned(m, k))
         lhs += -term if k % 2 else term
-    rhs = Fraction((-1 if m % 2 else 1) * factorial(m)) if m <= 1 else Fraction(0)
-    return VerificationReport(IdentityId.STIRLING_ALTERNATING, {"m": m}, lhs, rhs, lhs == rhs)
+    rhs = Fraction((-1 if m % 2 else 1) * math.factorial(m)) if m <= 1 else Fraction(0)
+    return {"m": m}, lhs, rhs, ""
 
 
-def _verify_binomial_partition(params: Mapping) -> VerificationReport:
+def _binomial_partition(params: Mapping) -> Checked:
     """Partition reduction with every power sum set to n equals C(n, m)."""
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
-    lhs = reduce_from_power_sums([Fraction(n)] * m, m)
-    rhs = Fraction(binomial(n, m))
-    return VerificationReport(IdentityId.BINOMIAL_PARTITION, {"n": n, "m": m}, lhs, rhs, lhs == rhs)
+    return {"n": n, "m": m}, reduce_from_power_sums([Fraction(n)] * m, m), Fraction(math.comb(n, m)), ""
 
 
-def _verify_product_identity(params: Mapping) -> VerificationReport:
+def _product_identity(params: Mapping) -> Checked:
     """Full-window reduction (m = n - q + 1) collapses to the plain product."""
     spec = _require_spec(params)
     q = _require_int(params, "q", 0)
@@ -236,20 +240,13 @@ def _verify_product_identity(params: Mapping) -> VerificationReport:
     if n < q:
         raise ValueError("need n >= q")
     m = n - q + 1
-    lhs = reduce_multiple_sum(spec, m, q, n)
     rhs = Fraction(1)
     for j in range(q, n + 1):
         rhs *= eval_sequence(spec, j)
-    return VerificationReport(
-        IdentityId.PRODUCT_IDENTITY,
-        {"spec": spec, "q": q, "n": n, "m": m},
-        lhs,
-        rhs,
-        lhs == rhs,
-    )
+    return {"spec": spec, "q": q, "n": n, "m": m}, reduce_multiple_sum(spec, m, q, n), rhs, ""
 
 
-def _verify_recurrent_bridge(params: Mapping) -> VerificationReport:
+def _recurrent_bridge(params: Mapping) -> Checked:
     """Recurrent and multiple sums meet the even/odd partition split.
 
     recurrent + (-1)^m multiple = 2 * even-partition sum
@@ -265,7 +262,7 @@ def _verify_recurrent_bridge(params: Mapping) -> VerificationReport:
     sums = power_sums(spec, q, n, m)
 
     def weight(i: int, mult: int) -> Fraction:
-        return (sums[i - 1] / i) ** mult / factorial(mult)
+        return (sums[i - 1] / i) ** mult / math.factorial(mult)
 
     even_sum, odd_sum = parity_partition_sums(m, weight)
     lhs = (recurrent + signed_multiple, recurrent - signed_multiple)
@@ -274,59 +271,22 @@ def _verify_recurrent_bridge(params: Mapping) -> VerificationReport:
         f"recurrent={rational_to_str(recurrent)} multiple={rational_to_str(multiple)} "
         f"even_sum={rational_to_str(even_sum)} odd_sum={rational_to_str(odd_sum)}"
     )
-    return VerificationReport(
-        IdentityId.RECURRENT_BRIDGE,
-        {"spec": spec, "m": m, "q": q, "n": n},
-        lhs,
-        rhs,
-        lhs == rhs,
-        note=note,
-    )
+    return {"spec": spec, "m": m, "q": q, "n": n}, lhs, rhs, note
 
 
-def _verify_even_odd_weights(params: Mapping) -> VerificationReport:
+def _even_odd_weights(params: Mapping) -> Checked:
     """Even and odd partition weight totals: (1,0), (0,1), then (1/2, 1/2)."""
-    m = _require_int(params, "m", 0)
-    lhs = parity_partition_sums(m, _plain_weight)
-    if m == 0:
-        rhs = (Fraction(1), Fraction(0))
-    elif m == 1:
-        rhs = (Fraction(0), Fraction(1))
-    else:
-        rhs = (Fraction(1, 2), Fraction(1, 2))
-    return VerificationReport(IdentityId.EVEN_ODD_WEIGHTS, {"m": m}, lhs, rhs, lhs == rhs,
-                              note="lhs = (even-partition sum, odd-partition sum)")
+    m, _, weight, base, d = _filtered(params, signed=False)
+    return {"m": m}, parity_partition_sums(m, weight), _parity_closed(base, d, 0), _PARITY_NOTE
 
 
-def _verify_even_odd_binom(params: Mapping) -> VerificationReport:
+def _even_odd_binom(params: Mapping) -> Checked:
     """Binomial-filtered even/odd weight totals against the three-case closed form."""
-    m = _require_int(params, "m", 0)
-    phi = _normalize_phi(params.get("phi", ()), m)
-    r = sum(i * v for i, v in enumerate(phi, start=1))
-    s = sum(phi)
-    base = _phi_product(phi, signed=False)
-    d = m - r
-    if d == 0:
-        even_closed = base if s % 2 == 0 else Fraction(0)
-        odd_closed = base if s % 2 else Fraction(0)
-    elif d == 1:
-        even_closed = base if s % 2 else Fraction(0)
-        odd_closed = base if s % 2 == 0 else Fraction(0)
-    else:
-        even_closed = odd_closed = base / 2
-    lhs = parity_partition_sums(m, _binom_weight(phi, signed=False))
-    rhs = (even_closed, odd_closed)
-    return VerificationReport(
-        IdentityId.EVEN_ODD_BINOM,
-        {"m": m, "phi": phi},
-        lhs,
-        rhs,
-        lhs == rhs,
-        note="lhs = (even-partition sum, odd-partition sum)",
-    )
+    m, phi, weight, base, d = _filtered(params, signed=False)
+    return {"m": m, "phi": phi}, parity_partition_sums(m, weight), _parity_closed(base, d, sum(phi)), _PARITY_NOTE
 
 
-def _verify_even_odd_n(params: Mapping) -> VerificationReport:
+def _even_odd_n(params: Mapping) -> Checked:
     """Even/odd split of the (n/i)-weighted partition sum, binomial closed form.
 
     Uses C(n+m-1, m) +/- (-1)^m C(n, m) over 2. A sometimes-printed variant
@@ -337,12 +297,12 @@ def _verify_even_odd_n(params: Mapping) -> VerificationReport:
     n = _require_int(params, "n", 0)
 
     def weight(i: int, mult: int) -> Fraction:
-        return Fraction(n, i) ** mult / factorial(mult)
+        return Fraction(n, i) ** mult / math.factorial(mult)
 
     lhs = parity_partition_sums(m, weight)
-    # n = m = 0 gives C(-1, 0) = 1 (empty choice); binomial() wants n >= 0
-    main = Fraction(1) if n + m - 1 < 0 else Fraction(binomial(n + m - 1, m))
-    correction = Fraction(binomial(n, m))
+    # n = m = 0 gives C(-1, 0) = 1 (empty choice); math.comb wants n >= 0
+    main = Fraction(1) if n + m - 1 < 0 else Fraction(math.comb(n + m - 1, m))
+    correction = Fraction(math.comb(n, m))
     if m % 2:
         correction = -correction
     rhs = ((main + correction) / 2, (main - correction) / 2)
@@ -350,40 +310,21 @@ def _verify_even_odd_n(params: Mapping) -> VerificationReport:
         "closed form uses C(n+m-1, m); the printed variant C(n-m+1, m) "
         "disagrees with direct evaluation and is corrected here"
     )
-    return VerificationReport(IdentityId.EVEN_ODD_N, {"n": n, "m": m}, lhs, rhs, lhs == rhs, note=note)
+    return {"n": n, "m": m}, lhs, rhs, note
 
 
-_HANDLERS: dict[IdentityId, Callable[[Mapping], VerificationReport]] = {
-    IdentityId.LEMMA_3_1: _verify_lemma_3_1,
-    IdentityId.LEMMA_3_2: _verify_lemma_3_2,
-    IdentityId.STIRLING_ALTERNATING: _verify_stirling_alternating,
-    IdentityId.BINOMIAL_PARTITION: _verify_binomial_partition,
-    IdentityId.PRODUCT_IDENTITY: _verify_product_identity,
-    IdentityId.RECURRENT_BRIDGE: _verify_recurrent_bridge,
-    IdentityId.EVEN_ODD_WEIGHTS: _verify_even_odd_weights,
-    IdentityId.EVEN_ODD_BINOM: _verify_even_odd_binom,
-    IdentityId.EVEN_ODD_N: _verify_even_odd_n,
-}
-
-_PARAMETER_NAMES: dict[IdentityId, tuple[str, ...]] = {
-    IdentityId.LEMMA_3_1: ("m",),
-    IdentityId.LEMMA_3_2: ("m", "phi"),
-    IdentityId.STIRLING_ALTERNATING: ("m",),
-    IdentityId.BINOMIAL_PARTITION: ("n", "m"),
-    IdentityId.PRODUCT_IDENTITY: ("spec", "q", "n"),
-    IdentityId.RECURRENT_BRIDGE: ("spec", "m", "q", "n"),
-    IdentityId.EVEN_ODD_WEIGHTS: ("m",),
-    IdentityId.EVEN_ODD_BINOM: ("m", "phi"),
-    IdentityId.EVEN_ODD_N: ("n", "m"),
-}
-
-_PHI_IDENTITIES = {IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM}
-# the identities whose left side is a partition sum over the partitions of m
-_PARTITION_SUM_IDENTITIES = _PHI_IDENTITIES | {
-    IdentityId.LEMMA_3_1,
-    IdentityId.RECURRENT_BRIDGE,
-    IdentityId.EVEN_ODD_WEIGHTS,
-    IdentityId.EVEN_ODD_N,
+# identity -> (check, parameter names, whether the left side sums over the
+# partitions of m); the identities taking "phi" expand it in verify_sweep
+_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], bool]] = {
+    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), True),
+    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), True),
+    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), False),
+    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), False),
+    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), False),
+    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), True),
+    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), True),
+    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), True),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), True),
 }
 
 
@@ -394,10 +335,12 @@ def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     being ignored.
     """
     identity = IdentityId(identity)
-    unknown = sorted(set(params) - set(_PARAMETER_NAMES[identity]))
+    check, parameters, _ = _REGISTRY[identity]
+    unknown = sorted(set(params) - set(parameters))
     if unknown:
-        raise ValueError(f"{identity.value} takes only {sorted(_PARAMETER_NAMES[identity])}, not {unknown}")
-    return _HANDLERS[identity](params)
+        raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
+    checked, lhs, rhs, note = check(params)
+    return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
 
 
 def verify_sweep(
@@ -417,7 +360,8 @@ def verify_sweep(
     runs; pass ``range`` objects so a refused sweep costs nothing.
     """
     identity = IdentityId(identity)
-    swept = set(_PARAMETER_NAMES[identity]) - {"phi", "spec"}
+    _, parameters, sums_partitions = _REGISTRY[identity]
+    swept = set(parameters) - {"phi", "spec"}
     unknown = sorted(set(ranges) - swept)
     if unknown:
         raise ValueError(f"{identity.value} sweeps only {sorted(swept)}, not {unknown}")
@@ -427,9 +371,9 @@ def verify_sweep(
     base = dict(base or {})
     names = list(ranges.keys())
     grid = [dict(base, **dict(zip(names, combo))) for combo in cartesian_product(*ranges.values())]
-    expand_phi = identity in _PHI_IDENTITIES and "phi" not in base
+    expand_phi = "phi" in parameters and "phi" not in base
     size = visited = 0
-    for params in grid if identity in _PARTITION_SUM_IDENTITIES else ():
+    for params in grid if sums_partitions else ():
         m = _require_int(params, "m", 0)
         at_m = 1
         if expand_phi:

@@ -6,7 +6,9 @@ sum(i * y_i) == m and the vector always has length exactly m; its number
 of parts is sum(y), and its parity that of sum(y). That encoding lines up
 one slot per possible part size, which is what the partition-weighted
 product formulas consume. :func:`enumerate_partitions` is the one
-enumerator; it lists each order once and caches the result.
+enumerator. It keeps no cache: the partition sums below do not list
+partitions, and its callers (``partitions list``, the phi expansion of
+identity sweeps, the coefficient tables of the acceptance suite) list few.
 
 Sums over all partitions of m of a product of per-part weights have two
 routes here. :func:`partition_sum` (and its even/odd split
@@ -28,7 +30,6 @@ tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -57,16 +58,14 @@ def _check_order(m: int) -> None:
         raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
 
 
-@lru_cache(maxsize=32)
 def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """The multiplicity vectors of all partitions of m, all-ones first, single part m last.
 
     The order is ascending lexicographic on the descending part tuples and
     is part of the contract (golden CLI output depends on it). m = 0 yields
-    the single empty vector. One shared immutable tuple per m; the 32 orders
-    most recently asked for are kept, so identity sweeps that revisit an
-    order enumerate it once. Orders above PARTITION_LIST_MAX_M are refused
-    with ValueError; partition_count counts without listing.
+    the single empty vector. Each call lists the order afresh. Orders above
+    PARTITION_LIST_MAX_M are refused with ValueError; partition_count counts
+    without listing.
     """
     _check_order(m)
     if m == 0:

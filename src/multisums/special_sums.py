@@ -4,11 +4,12 @@ Power sums of integers come from the Bernoulli closed form; multiple power
 sums reuse the reduction from :mod:`multisums.core`. Even zeta values are
 exact single terms c pi^e (:class:`PiPolynomial`), and so is every depth
 reduction of repeated even arguments: each term of its partition sum carries
-the same power of pi, so the sum runs over rational coefficients alone. The
-partition sums here (depth reductions, Bernoulli weights) are evaluated by
+the same power of pi, so the sum runs over rational coefficients alone. That
+rational sum is the Bernoulli weight sum :func:`bernoulli_partition_sum`
+scaled by ((-1)^(p+1) 4^p)^m, so both are one partition sum, evaluated by
 Newton's recurrence, :func:`multisums.partitions.newton_coefficients`; the
-term-by-term partition formula, a rational partition sum, is their oracle in
-the tests and the acceptance suite.
+term-by-term partition formula over zeta values is its oracle in the tests
+and the acceptance suite.
 The exponent-4 and exponent-6 closed forms are classical evaluations,
 implemented exactly and exercised against the partition route.
 
@@ -111,17 +112,14 @@ def mzv_even_reduced(m: int, p: int) -> PiPolynomial:
       prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2 i p)^(y_i)
 
     Each zeta(2ip) is the single monomial z_i pi^(2ip), so the sum is
-    c pi^(2pm), with c from newton_coefficients fed (-1)^(i-1) z_i.
+    c pi^(2pm) with c the order-m coefficient of exp(sum_i (-1)^(i-1) z_i t^i / i).
+    That input is lam^i B_{2ip} / (2 (2ip)!) with lam = (-1)^(p+1) 4^p, and
+    scaling the i-th input by lam^i scales the order-m coefficient by lam^m,
+    so c = lam^m bernoulli_partition_sum(m, p).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    signed = []
-    for i in range(1, m + 1):
-        z = zeta_even(i * p).coefficient(2 * i * p)
-        signed.append(-z if i % 2 == 0 else z)
-    return PiPolynomial({2 * p * m: newton_coefficients(signed, m)[m]})
+    c = bernoulli_partition_sum(m, p)  # refuses m < 0 and p < 1
+    lam = 4**p if p % 2 else -(4**p)
+    return PiPolynomial({2 * p * m: c * lam**m})
 
 
 def mzv_closed_form(m: int, p: int) -> PiPolynomial:

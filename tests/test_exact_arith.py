@@ -104,6 +104,8 @@ def test_rational_strings():
     assert rational_from_str("35/1") == 35
     assert rational_from_str("-3/4") == Fraction(-3, 4)
     assert rational_from_str("5") == 5
+    value = Fraction(-3, 4)
+    assert exact_arith._as_rational(value) is value  # taken as it is, not copied
 
 
 @pytest.mark.parametrize("text", ["0.1", "1e3", "nan", "1/2/3", "", "3/", "1/0"])

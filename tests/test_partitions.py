@@ -111,10 +111,6 @@ def test_type_count_values():
     assert _count_set_partitions_of_type((5, 0, 0, 0, 0)) == 1
 
 
-def test_enumeration_shared():
-    assert enumerate_partitions(7) is enumerate_partitions(7)
-
-
 def test_partition_sum_counts_and_parity():
     for m in range(12):
         parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
