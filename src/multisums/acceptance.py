@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -30,8 +31,6 @@ from .core import (
 from .exact_arith import (
     PiPolynomial,
     bernoulli,
-    binomial,
-    factorial,
     pi_poly_numeric,
     stirling_first_unsigned,
 )
@@ -366,7 +365,7 @@ def _criterion_8() -> tuple[bool, str]:
     # second route for depth 2: binomial-Bernoulli bracket, any p <= 4
     for p in range(1, 5):
         coeff = Fraction(2 ** (4 * p), 4 * factorial(4 * p)) * (
-            Fraction(binomial(4 * p, 2 * p)) * bernoulli(2 * p) ** 2 / 2 + bernoulli(4 * p)
+            Fraction(comb(4 * p, 2 * p)) * bernoulli(2 * p) ** 2 / 2 + bernoulli(4 * p)
         )
         if mzv_even_reduced(2, p) != PiPolynomial({4 * p: coeff}):
             return False, f"depth-2 bracket route p={p} disagrees"

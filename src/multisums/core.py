@@ -18,18 +18,14 @@ Routes come in independent pairs so each can act as the other's oracle:
 * ``reduce_symmetrized``        set-partition reduction of the same total
 * ``variation_*``               window-extension expansions of P `(m, q, n+1)`
 
-Power sums are accumulated as integers over the lcm of the denominators of
-blocks of the window's values, and turned into m rationals at the end.
-
-The two brute routes enumerate every tuple and sum the products with the
-integer product-sum kernel of :mod:`multisums.exact_arith`: each tuple's
-numerators and denominators are multiplied as plain ints, and the
-numerators summed per denominator, turning into ``Fraction``s only when a
-fixed number of distinct denominators has gathered. The block sums of
-``reduce_symmetrized`` use the same kernel; the partition formula does not
-(it sums over one common denominator, see :mod:`multisums.partitions`). Both brute routes refuse, with
-ValueError and before enumerating, a window of more than
-``BRUTE_MAX_TUPLES`` tuples.
+One block kernel of :mod:`multisums.exact_arith` sums the window's power
+sums, the brute routes' tuple products and the block sums of
+``reduce_symmetrized``: terms are int pairs, summed as integers over the lcm
+of each block's denominators, with m ``Fraction``s built at the end. The
+partition formula does not use it (it sums over one common denominator, see
+:mod:`multisums.partitions`). The brute routes refuse, with ValueError and
+before enumerating, more than ``BRUTE_MAX_TUPLES`` tuples; a symmetrized
+sum counts its m! orderings together.
 """
 
 from __future__ import annotations
@@ -37,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, lcm
-from typing import Sequence, Union
+from math import comb, factorial
+from typing import Iterable, Sequence, Union
 
-from .exact_arith import _as_rational, _is_int, _tuple_sum, factorial, rational_to_str
+from .exact_arith import _as_rational, _is_int, _pair_power_sums, _tuple_sum, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
@@ -68,7 +64,6 @@ __all__ = [
 
 SYMMETRIZED_BRUTE_MAX_M = 6   # m! orderings, each brute forced
 BRUTE_MAX_TUPLES = 10**6      # tuples one brute-force call may enumerate
-_POWER_SUM_BLOCK = 32         # values per integer block in rational_power_sums
 
 
 @dataclass(frozen=True)
@@ -176,10 +171,11 @@ def _value_tables(specs: Sequence[SequenceSpec], q: int, n: int) -> list[list[Fr
     return [[eval_sequence(spec, N) for N in range(q, n + 1)] for spec in specs]
 
 
-def _check_tuple_count(width: int, m: int) -> None:
-    # comb(width, m) tuples, counted before anything is evaluated
-    if comb(width, m) > BRUTE_MAX_TUPLES:
-        raise ValueError(f"brute force over C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
+def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
+    # orderings * comb(width, m) tuples, counted before anything is evaluated
+    if orderings * comb(width, m) > BRUTE_MAX_TUPLES:
+        times = f"{orderings} x " if orderings > 1 else ""
+        raise ValueError(f"brute force over {times}C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
 
 
 def brute_multiple_sum(problem: SumProblem) -> Fraction:
@@ -213,45 +209,15 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
 
 
-def rational_power_sums(values: Sequence[Fraction | int], m: int) -> list[Fraction]:
+def rational_power_sums(values: Iterable[Fraction | int], m: int) -> list[Fraction]:
     """S_i = sum of v ** i over the values (Fractions or ints), for i = 1..m.
 
-    The values are taken in blocks of 32. With L the lcm of a block's
-    denominators, each value is the integer v L over L, so the block's S_i
-    is an integer power sum over L ** i: the inner loop multiplies and adds
-    integers only. Each block is then folded into the running sums at the
-    lcm of the two scales, and m rationals are built at the end. Blocks keep
-    the integers at the size of a block's lcm: over a long window of
-    distinct denominators, such as N ** -2 on [1, 2000], the lcm of the
-    whole window would make every term thousands of bits long.
+    Summed exactly by the block kernel of exact_arith, which turns each
+    block of values into integers over the lcm of its denominators.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    sums, scale = [0] * m, 1
-    for start in range(0, len(values), _POWER_SUM_BLOCK):
-        block = values[start:start + _POWER_SUM_BLOCK]
-        block_scale = lcm(*(v.denominator for v in block))
-        block_sums = [0] * m
-        for v in block:
-            numerator = v.numerator * (block_scale // v.denominator)
-            power = 1
-            for i in range(m):
-                power *= numerator
-                block_sums[i] += power
-        merged = lcm(scale, block_scale)
-        up, block_up = merged // scale, merged // block_scale
-        factor = block_factor = 1
-        for i in range(m):
-            factor *= up
-            block_factor *= block_up
-            sums[i] = sums[i] * factor + block_sums[i] * block_factor
-        scale = merged
-    out = []
-    denominator = 1
-    for total in sums:
-        denominator *= scale
-        out.append(Fraction(total, denominator))
-    return out
+    return _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
@@ -265,7 +231,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
         raise ValueError("m must be >= 0")
     if q < 0:
         raise ValueError("q must be >= 0")
-    return rational_power_sums([eval_sequence(spec, N) for N in range(q, n + 1)], m)
+    return rational_power_sums((eval_sequence(spec, N) for N in range(q, n + 1)), m)
 
 
 def elementary_from_power_sums(sums: Sequence[Fraction], m: int) -> list[Fraction]:
@@ -353,13 +319,17 @@ def variation_recursive(problem: SumProblem, cutoff: int) -> Fraction:
 def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> Fraction:
     """Sum of the order-m multiple sum over all m! orderings of the specs.
 
-    Brute force, capped at m <= 6 (m! enumerations); permutations are taken
-    in lexicographic position order for reproducibility.
+    Brute force, capped at m <= 6 (m! enumerations) and at BRUTE_MAX_TUPLES
+    tuples over all orderings together (m! C(n-q+1, m)), counted before the
+    first one; permutations are taken in lexicographic position order for
+    reproducibility.
     """
     specs = tuple(specs)
     m = len(specs)
     if m > SYMMETRIZED_BRUTE_MAX_M:
         raise ValueError(f"symmetrized brute force capped at m = {SYMMETRIZED_BRUTE_MAX_M}")
+    if n - q + 1 >= m:
+        _check_tuple_count(n - q + 1, m, factorial(m))
     total = Fraction(0)
     for ordering in permutations(specs):
         total += brute_multiple_sum(SumProblem(ordering, q, n))

@@ -6,11 +6,11 @@ positive denominator), and inputs become rationals only from ``Fraction``,
 ``int`` or string values: a float or a bool is refused with ValueError
 rather than read as the binary fraction it stores. Strings have one grammar,
 that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
-decimal string such as ``"0.1"`` is refused too. Sums over index tuples
-of products of table entries (brute-force multiple sums and set-partition
-blocks) share one integer kernel here; partition sums have their own walk
-in :mod:`multisums.partitions`. Decimal arithmetic
-appears only inside :func:`pi_poly_numeric`, which renders a
+decimal string such as ``"0.1"`` is refused too. One block kernel here sums
+many rationals exactly: the power sums of a window, the tuple products of
+brute-force multiple sums and the set-partition block sums all run on it;
+partition sums have their own walk in :mod:`multisums.partitions`. Decimal
+arithmetic appears only inside :func:`pi_poly_numeric`, which renders a
 :class:`PiPolynomial` as a decimal string for display and trend checks,
 never for an equality verdict.
 """
@@ -21,14 +21,13 @@ import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "RationalLike",
     "rational_to_str",
     "rational_from_str",
-    "factorial",
-    "binomial",
     "bernoulli",
     "stirling_first_unsigned",
     "PiPolynomial",
@@ -38,7 +37,7 @@ __all__ = [
 
 NUMERIC_MAX_DIGITS = 1000  # longest pi_poly_numeric rendering; pi is summed at digits + 25
 _GUARD_DIGITS = 25
-_TUPLE_SUM_FOLD = 4096  # distinct denominators _tuple_sum holds before folding into the total
+_SUM_BLOCK = 32  # terms per integer block in _pair_power_sums
 
 # What _as_rational takes exactly; floats and bools are refused.
 RationalLike = Union[Fraction, int, str]
@@ -66,33 +65,65 @@ def _as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> list[Fraction]:
+    """S_i = sum of (num / den) ** i over (num, den) int pairs, den > 0, for i = 1..m.
+
+    The pairs are taken in blocks of _SUM_BLOCK. With L the lcm of a block's
+    denominators, each term is the integer num L / den over L, so the
+    block's S_i is an integer power sum over L ** i: the inner loop
+    multiplies and adds integers only. Each block is then merged into the
+    running sums at the lcm of the two scales, and m rationals are built at
+    the end. Blocks keep the integers at the size of a block's lcm: over a
+    long window of distinct denominators, such as N ** -2 on [1, 2000], the
+    lcm of the whole window would make every term thousands of bits long.
+    The whole stream is consumed, also when m = 0.
+    """
+    sums, scale = [0] * m, 1
+    pairs = iter(pairs)
+    while block := list(islice(pairs, _SUM_BLOCK)):
+        block_scale = math.lcm(*(den for _, den in block))
+        block_sums = [0] * m
+        for num, den in block:
+            numerator = num * (block_scale // den)
+            power = 1
+            for i in range(m):
+                power *= numerator
+                block_sums[i] += power
+        merged = math.lcm(scale, block_scale)
+        up, block_up = merged // scale, merged // block_scale
+        factor = block_factor = 1
+        for i in range(m):
+            factor *= up
+            block_factor *= block_up
+            sums[i] = sums[i] * factor + block_sums[i] * block_factor
+        scale = merged
+    out = []
+    denominator = 1
+    for total in sums:
+        denominator *= scale
+        out.append(Fraction(total, denominator))
+    return out
+
+
 def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
 
-    Each product is one int numerator over one int denominator; numerators
-    are summed per denominator in a dict, which is folded into the Fraction
-    total whenever it holds _TUPLE_SUM_FOLD denominators, so Fraction
-    arithmetic runs once per distinct denominator and fold, not once per
-    factor of every tuple. Entries may be Fractions or ints.
+    Each product is one int numerator over one int denominator, and the
+    pairs are summed by _pair_power_sums as their S_1, so no Fraction is
+    built per tuple. Entries may be Fractions or ints.
     """
     nums = [[v.numerator for v in table] for table in tables]
     dens = [[v.denominator for v in table] for table in tables]
-    total = Fraction(0)
-    pending: dict[int, int] = {}
-    for combo in combos:
-        num = den = 1
-        for row_nums, row_dens, i in zip(nums, dens, combo):
-            num *= row_nums[i]
-            den *= row_dens[i]
-        pending[den] = pending.get(den, 0) + num
-        if len(pending) >= _TUPLE_SUM_FOLD:
-            total += _fold(pending)
-            pending.clear()
-    return total + _fold(pending)
 
+    def products() -> Iterator[tuple[int, int]]:
+        for combo in combos:
+            num = den = 1
+            for row_nums, row_dens, i in zip(nums, dens, combo):
+                num *= row_nums[i]
+                den *= row_dens[i]
+            yield num, den
 
-def _fold(pending: dict[int, int]) -> Fraction:
-    return sum((Fraction(num, den) for den, num in pending.items()), Fraction(0))
+    return _pair_power_sums(products(), 1)[0]
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -118,20 +149,6 @@ def rational_from_str(text: str) -> Fraction:
         raise ValueError(f'expected an integer or "num/den" with den != 0, got {text!r}') from None
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, with C(n, k) = 0 whenever k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with the B_1 = -1/2 convention.
@@ -145,7 +162,7 @@ def bernoulli(j: int) -> Fraction:
         return Fraction(1)
     total = Fraction(0)
     for k in range(j):
-        total += binomial(j + 1, k) * bernoulli(k)
+        total += math.comb(j + 1, k) * bernoulli(k)
     return -total / (j + 1)
 
 

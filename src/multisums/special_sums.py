@@ -26,7 +26,7 @@ from importlib import resources
 from typing import Sequence
 
 from .core import IndexPower, reduce_from_power_sums
-from .exact_arith import PiPolynomial, bernoulli, binomial, factorial
+from .exact_arith import PiPolynomial, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
 
@@ -59,7 +59,7 @@ def faulhaber(n: int, p: int) -> Fraction:
     total = Fraction(0)
     big_n = Fraction(n)
     for j in range(p + 1):
-        term = binomial(p + 1, j) * bernoulli(j) * big_n ** (p + 1 - j)
+        term = math.comb(p + 1, j) * bernoulli(j) * big_n ** (p + 1 - j)
         total += -term if j % 2 else term
     return total / (p + 1)
 
@@ -99,7 +99,7 @@ def zeta_even(p: int) -> PiPolynomial:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    coeff = Fraction(2) ** (2 * p) * bernoulli(2 * p) / (2 * factorial(2 * p))
+    coeff = Fraction(2) ** (2 * p) * bernoulli(2 * p) / (2 * math.factorial(2 * p))
     if p % 2 == 0:
         coeff = -coeff
     return PiPolynomial({2 * p: coeff})
@@ -132,11 +132,11 @@ def mzv_closed_form(m: int, p: int) -> PiPolynomial:
     if m < 0:
         raise ValueError("m must be >= 0")
     if p == 1:
-        return PiPolynomial({2 * m: Fraction(1, factorial(2 * m + 1))})
+        return PiPolynomial({2 * m: Fraction(1, math.factorial(2 * m + 1))})
     if p == 2:
-        return PiPolynomial({4 * m: Fraction(2 * 2 ** (2 * m), factorial(4 * m + 2))})
+        return PiPolynomial({4 * m: Fraction(2 * 2 ** (2 * m), math.factorial(4 * m + 2))})
     if p == 3:
-        return PiPolynomial({6 * m: Fraction(6 * 2 ** (6 * m), factorial(6 * m + 3))})
+        return PiPolynomial({6 * m: Fraction(6 * 2 ** (6 * m), math.factorial(6 * m + 3))})
     raise ValueError("closed form available for p in {1, 2, 3} only")
 
 
@@ -152,7 +152,7 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    weights = [bernoulli(2 * i * p) / (2 * factorial(2 * i * p)) for i in range(1, m + 1)]
+    weights = [bernoulli(2 * i * p) / (2 * math.factorial(2 * i * p)) for i in range(1, m + 1)]
     return newton_coefficients(weights, m)[m]
 
 

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -73,8 +73,8 @@ def test_brute_routes_match_fraction_reference(data, q, width, m):
 
 
 def test_brute_routes_fold_many_denominators():
-    # N_1 N_2 over [1, 200] takes more distinct values than one fold holds
-    assert len({a * b for a, b in combinations(range(1, 201), 2)}) > exact_arith._TUPLE_SUM_FOLD
+    # the C(200, 2) tuples over [1, 200] span many blocks of the summing kernel
+    assert comb(200, 2) > 100 * exact_arith._SUM_BLOCK
     inverse, inverse_square = IndexPower(-1), IndexPower(-2)
     specs = (inverse, inverse_square)
     assert brute_multiple_sum(SumProblem(specs, 1, 200)) == _fraction_reference(
@@ -210,6 +210,24 @@ def test_symmetrized_caps():
         reduce_symmetrized((N,) * 9, 1, 10)
 
 
+def test_symmetrized_tuple_guard_counts_all_orderings(monkeypatch):
+    # 3! orderings of C(6, 3) = 20 tuples each: 120 in all, over a cap of 100
+    # that each ordering alone stays under, so none may be enumerated
+    monkeypatch.setattr(core, "BRUTE_MAX_TUPLES", 100)
+    specs = tuple(ExplicitSequence([Fraction(k * j - 4, j) for j in range(1, 7)]) for k in range(1, 4))
+    brute = core.brute_multiple_sum
+
+    def unreachable(problem):
+        raise AssertionError("an ordering was brute forced past the tuple cap")
+
+    monkeypatch.setattr(core, "brute_multiple_sum", unreachable)
+    with pytest.raises(ValueError, match=r"6 x C\(6, 3\) tuples"):
+        symmetrized_multiple_sum(specs, 1, 6)
+    monkeypatch.setattr(core, "brute_multiple_sum", brute)
+    # 3! orderings of C(5, 3) = 10 tuples each: 60 in all, under the cap
+    assert symmetrized_multiple_sum(specs, 1, 5) == reduce_symmetrized(specs, 1, 5)
+
+
 def test_three_sequence_set_partition_expansion():
     # order 3 mixed reduction, including the +2 coefficient on the triple term
     a = ExplicitSequence([1, 2, 1], base=1)
@@ -295,9 +313,12 @@ def test_power_sums_match_per_term_sum(spec, q, n, m):
 
 def test_power_sums_domain_errors_hold_at_every_order():
     explicit = ExplicitSequence(["1/3", "4"], base=2)
+    long = ExplicitSequence(list(range(1, 42)), base=1)
     for m in (0, 3):
         with pytest.raises(ValueError):
             power_sums(explicit, 2, 4, m)  # index 4 outside [2, 3]
+        with pytest.raises(ValueError):
+            power_sums(long, 1, 42, m)  # index 42 streams in after a whole block of valid values
         with pytest.raises(ValueError):
             power_sums(explicit, 1, 3, m)
         with pytest.raises(ValueError):
@@ -306,6 +327,26 @@ def test_power_sums_domain_errors_hold_at_every_order():
         power_sums(IndexPower(1), 1, 3, -1)
     assert rational_power_sums([], 2) == [0, 0]
     assert rational_power_sums([2, Fraction(1, 2)], 2) == [Fraction(5, 2), Fraction(17, 4)]
+
+
+BLOCK = exact_arith._SUM_BLOCK
+
+
+@pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+def test_summing_kernel_block_edges(length):
+    # streams that end short of, on and just past a block edge: ints and
+    # Fractions with negative and zero numerators, against a plain Fraction loop
+    values = [Fraction(k % 5 - 2, k % 7 + 1) if k % 3 else k % 4 - 1 for k in range(length)]
+    for m in (0, 1, 5):
+        expected = [sum((Fraction(v) ** i for v in values), Fraction(0)) for i in range(1, m + 1)]
+        assert rational_power_sums(values, m) == expected
+        stream = iter(values)
+        assert rational_power_sums(stream, m) == expected
+        assert next(stream, None) is None  # consumed to the end, also at m = 0
+    assert exact_arith._tuple_sum(((k,) for k in range(length)), [values]) == sum(values, Fraction(0))
+    pairs = ((k, length - 1 - k) for k in range(length))
+    assert exact_arith._tuple_sum(pairs, [values, values]) == sum(
+        (Fraction(a) * b for a, b in zip(values, reversed(values))), Fraction(0))
 
 
 @pytest.mark.parametrize("m", range(15))

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -10,8 +11,6 @@ from multisums.exact_arith import (
     NUMERIC_MAX_DIGITS,
     PiPolynomial,
     bernoulli,
-    binomial,
-    factorial,
     pi_poly_numeric,
     rational_from_str,
     rational_to_str,
@@ -28,16 +27,6 @@ from multisums.polynomials import (
 from multisums.special_sums import mzv_even_reduced
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
-
-
-def test_factorial_and_binomial_values():
-    assert factorial(0) == 1
-    assert factorial(10) == 3628800
-    assert binomial(10, 5) == 252
-    assert binomial(3, 5) == 0
-    assert binomial(7, 0) == 1
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_bernoulli_values():

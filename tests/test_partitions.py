@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multisums import exact_arith
 from multisums.partitions import (
     enumerate_partitions,
     enumerate_set_partitions,
@@ -198,9 +197,10 @@ def test_partition_sums_match_fraction_loop(data, m):
 
 def test_partition_sums_fold_many_denominators():
     # weight(i, k) = 1 / prime_i^k gives each of the p(38) = 26015 partitions
-    # its own denominator, more than twice the fold size of the brute-force
-    # kernel in each parity; the partition walk sums them over one common
-    # denominator, checked here against the generating function
+    # its own denominator, more than 8192 of them in each parity. Partition
+    # sums do not run on the brute-force summing kernel: the partition walk
+    # sums them over one common denominator, checked here against the
+    # generating function
     m = 38
     primes = [n for n in range(2, 200) if all(n % d for d in range(2, n))][:m]
 
@@ -210,7 +210,7 @@ def test_partition_sums_fold_many_denominators():
     denominators = {prod(primes[i] ** k for i, k in enumerate(y)) for y in enumerate_partitions(m)}
     assert len(denominators) == partition_count(m) == 26015
     parities = Counter(sum(y) % 2 for y in enumerate_partitions(m))
-    assert min(parities.values()) > 2 * exact_arith._TUPLE_SUM_FOLD
+    assert min(parities.values()) > 8192
 
     def generating(sign: int) -> Fraction:
         # [t^m] prod_i 1 / (1 - sign t^i / prime_i): sign = -1 weighs each part by -1
