@@ -21,8 +21,14 @@ Routes come in independent pairs so each can act as the other's oracle:
 One block kernel of :mod:`multisums.exact_arith` sums the window's power
 sums, the brute routes' tuple products and the block sums of
 ``reduce_symmetrized``: terms are int pairs, summed as integers over the lcm
-of each block's denominators, with m ``Fraction``s built at the end. The
-partition formula does not use it (it sums over one common denominator, see
+of each block's denominators, and the blocks merge into integer power sums
+T_1..T_m over one scale L, S_i = T_i / L^i. The window reductions
+(``reduce_multiple_sum`` here, and the root and all-order sums of
+:mod:`multisums.polynomials`) keep those integers: they are the power sums
+of the integers num L / den, so Newton's recurrence runs on integers alone
+and e_k of the window is one ``Fraction`` E_k / L^k. ``power_sums`` and
+``rational_power_sums`` return the m ``Fraction``s S_i. The partition
+formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
 before enumerating, more than ``BRUTE_MAX_TUPLES`` tuples; a symmetrized
 sum counts its m! orderings together.
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .exact_arith import _as_rational, _is_int, _pair_power_sums, _tuple_sum, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
@@ -209,15 +215,43 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
 
 
+def _integer_power_sums(values: Iterable[Fraction | int], m: int) -> tuple[list[int], int]:
+    """(T, L): S_i = T[i - 1] / L ** i for i = 1..m, by the block kernel of exact_arith."""
+    return _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
+
+
+def _window_values(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[Fraction]:
+    """The values a_q..a_n, evaluated as they are read, once the order and window are checked."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if q < 0:
+        raise ValueError("q must be >= 0")
+    return (eval_sequence(spec, N) for N in range(q, n + 1))
+
+
+def _elementary(sums: Sequence[int], m: int) -> list[Fraction | int]:
+    """E_0..E_m, the elementary symmetric functions of some integers, from
+    their power sums T_1..T_m.
+
+    The route of every window reduction: the power sums of values num / den
+    over the scale L are those of the integers num L / den, so Newton's
+    recurrence runs on integers alone (newton_coefficients on the signed
+    sums), and e_k of the values is E_k / L ** k, one Fraction per value the
+    caller reads.
+    """
+    return newton_coefficients([-t if i % 2 else t for i, t in enumerate(sums)], m)
+
+
 def rational_power_sums(values: Iterable[Fraction | int], m: int) -> list[Fraction]:
     """S_i = sum of v ** i over the values (Fractions or ints), for i = 1..m.
 
-    Summed exactly by the block kernel of exact_arith, which turns each
-    block of values into integers over the lcm of its denominators.
+    Summed exactly by the block kernel of exact_arith, which turns the
+    values into integers over the lcm of their denominators.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
+    sums, scale = _integer_power_sums(values, m)
+    return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
@@ -227,11 +261,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     an index outside the sequence's domain raises either way; an empty
     window gives zeros.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    return rational_power_sums((eval_sequence(spec, N) for N in range(q, n + 1)), m)
+    return rational_power_sums(_window_values(spec, q, n, m), m)
 
 
 def elementary_from_power_sums(sums: Sequence[Fraction], m: int) -> list[Fraction]:
@@ -262,11 +292,16 @@ def reduce_from_power_sums(sums: Sequence[Fraction], m: int) -> Fraction:
 def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     """Order-m multiple sum of one sequence via power sums, no enumeration.
 
-    O(n - q + 1) window terms and O(m^2) recurrence steps. Agrees with
-    brute_multiple_sum on identical specs, including the degenerate window
-    cases (empty window gives 0 for m >= 1, and m = 0 gives 1).
+    O(n - q + 1) window terms and O(m^2) recurrence steps, all on integers:
+    the window's power sums stay integers over one scale L, Newton's
+    recurrence gives e_m of the window as the integer E_m, and the one
+    Fraction built is E_m / L ** m. Agrees with brute_multiple_sum on
+    identical specs and with reduce_from_power_sums on power_sums, including
+    the degenerate window cases (empty window gives 0 for m >= 1, and m = 0
+    gives 1).
     """
-    return reduce_from_power_sums(power_sums(spec, q, n, m), m)
+    sums, scale = _integer_power_sums(_window_values(spec, q, n, m), m)
+    return Fraction(_elementary(sums, m)[m], scale**m)
 
 
 def _leading_product(specs: Sequence[SequenceSpec], m: int, n: int, k: int) -> Fraction:

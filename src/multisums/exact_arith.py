@@ -7,9 +7,12 @@ positive denominator), and inputs become rationals only from ``Fraction``,
 rather than read as the binary fraction it stores. Strings have one grammar,
 that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
 decimal string such as ``"0.1"`` is refused too. One block kernel here sums
-many rationals exactly: the power sums of a window, the tuple products of
+many rationals exactly, as integer power sums over one scale, with no
+Fraction built per term: the power sums of a window, the tuple products of
 brute-force multiple sums and the set-partition block sums all run on it;
-partition sums have their own walk in :mod:`multisums.partitions`. Decimal
+partition sums have their own walk in :mod:`multisums.partitions`.
+Bernoulli numbers come from a table of tangent numbers, integers built by
+additions only. Decimal
 arithmetic appears only inside :func:`pi_poly_numeric`, which renders a
 :class:`PiPolynomial` as a decimal string for display and trend checks,
 never for an equality verdict.
@@ -20,8 +23,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -65,44 +67,62 @@ def _as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> list[Fraction]:
-    """S_i = sum of (num / den) ** i over (num, den) int pairs, den > 0, for i = 1..m.
+def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:
+    """(T, L): the power sums S_i = sum of (num / den) ** i over (num, den) int
+    pairs, den > 0, are S_i = T[i - 1] / L ** i for i = 1..m, with L the lcm
+    of the denominators.
 
-    The pairs are taken in blocks of _SUM_BLOCK. With L the lcm of a block's
-    denominators, each term is the integer num L / den over L, so the
-    block's S_i is an integer power sum over L ** i: the inner loop
-    multiplies and adds integers only. Each block is then merged into the
-    running sums at the lcm of the two scales, and m rationals are built at
-    the end. Blocks keep the integers at the size of a block's lcm: over a
-    long window of distinct denominators, such as N ** -2 on [1, 2000], the
-    lcm of the whole window would make every term thousands of bits long.
-    The whole stream is consumed, also when m = 0.
+    Every term is the integer num L / den, so T_i is an integer power sum and
+    no Fraction is built. The pairs are taken in blocks of _SUM_BLOCK, each
+    summed over the lcm of its own denominators, and the blocks are merged
+    as a binary counter: at most one pending node per level, and two nodes
+    of equal level merge, at the lcm of their scales, into one of the next.
+    Every merge then joins sums of similar size, and the stream is consumed
+    once with O(log(blocks)) nodes live; folding each block into one running
+    sum would rescale that sum, whose lcm grows with every block over a
+    window of distinct denominators such as N ** -1 on [1, 50000], once per
+    block. The whole stream is consumed, also when m = 0.
     """
-    sums, scale = [0] * m, 1
+    levels: list[tuple[list[int], int] | None] = []  # levels[i]: the sums of 2 ** i blocks
     pairs = iter(pairs)
     while block := list(islice(pairs, _SUM_BLOCK)):
-        block_scale = math.lcm(*(den for _, den in block))
-        block_sums = [0] * m
+        scale = math.lcm(*(den for _, den in block))
+        sums = [0] * m
         for num, den in block:
-            numerator = num * (block_scale // den)
+            numerator = num * (scale // den)
             power = 1
             for i in range(m):
                 power *= numerator
-                block_sums[i] += power
-        merged = math.lcm(scale, block_scale)
-        up, block_up = merged // scale, merged // block_scale
-        factor = block_factor = 1
-        for i in range(m):
-            factor *= up
-            block_factor *= block_up
-            sums[i] = sums[i] * factor + block_sums[i] * block_factor
-        scale = merged
-    out = []
-    denominator = 1
-    for total in sums:
-        denominator *= scale
-        out.append(Fraction(total, denominator))
-    return out
+                sums[i] += power
+        node = (sums, scale)
+        level = 0
+        while level < len(levels) and levels[level] is not None:
+            node = _merge_scaled(levels[level], node)
+            levels[level] = None
+            level += 1
+        if level == len(levels):
+            levels.append(node)
+        else:
+            levels[level] = node
+    total = None
+    for node in levels:
+        if node is not None:
+            total = node if total is None else _merge_scaled(node, total)
+    return total or ([0] * m, 1)
+
+
+def _merge_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
+    """The sum of two (T, L) power-sum nodes, over the lcm of their scales."""
+    (sums_a, scale_a), (sums_b, scale_b) = a, b
+    scale = math.lcm(scale_a, scale_b)
+    up_a, up_b = scale // scale_a, scale // scale_b
+    factor_a = factor_b = 1
+    merged = []
+    for x, y in zip(sums_a, sums_b):
+        factor_a *= up_a
+        factor_b *= up_b
+        merged.append(x * factor_a + y * factor_b)
+    return merged, scale
 
 
 def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -123,7 +143,8 @@ def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[Fracti
                 den *= row_dens[i]
             yield num, den
 
-    return _pair_power_sums(products(), 1)[0]
+    (total,), scale = _pair_power_sums(products(), 1)
+    return Fraction(total, scale)
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -149,21 +170,44 @@ def rational_from_str(text: str) -> Fraction:
         raise ValueError(f'expected an integer or "num/den" with den != 0, got {text!r}') from None
 
 
-@lru_cache(maxsize=None)
+# (E_0..E_n, row n): the zigzag numbers found so far and the Seidel-Entringer
+# row of the last of them. A call past the table continues from that row, and
+# the pair is replaced as one object, so concurrent callers (selftest --jobs)
+# each read a table and a row that belong together.
+_zigzag: tuple[tuple[int, ...], list[int]] = ((1,), [1])
+
+
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with the B_1 = -1/2 convention.
 
-    Computed from the defining recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0,
-    memoized, so repeated identity sweeps pay the quadratic fill once.
+    B_0 = 1, B_1 = -1/2 and B_j = 0 at odd j >= 3. An even B_{2k} comes from
+    the tangent number T_k = E_{2k-1}, the zigzag number counting the
+    alternating permutations of 2k - 1 elements:
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (Brent and Harvey, "Fast
+    computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286).
+    The zigzag numbers are the last entries of the Seidel-Entringer rows,
+    row n being the running sums of row n - 1 read backwards after a leading
+    0. Those rows are integer additions only; they are built once, on
+    demand, and kept in a table.
     """
+    global _zigzag
     if j < 0:
         raise ValueError("bernoulli requires j >= 0")
-    if j == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for k in range(j):
-        total += math.comb(j + 1, k) * bernoulli(k)
-    return -total / (j + 1)
+    if j < 2:
+        return Fraction(1) if j == 0 else Fraction(-1, 2)
+    if j % 2:
+        return Fraction(0)
+    table, row = _zigzag
+    if len(table) < j:  # extend up to E_{j-1} = T_{j/2}
+        grown = list(table)
+        while len(grown) < j:
+            row = [0, *accumulate(reversed(row))]
+            grown.append(row[-1])
+        table = tuple(grown)
+        _zigzag = table, row
+    k = j // 2
+    numerator = j * table[j - 1]
+    return Fraction(numerator if k % 2 else -numerator, 4**k * (4**k - 1))
 
 
 # The row [m, 0..m] built last, a tuple of length m + 1. A call for an order

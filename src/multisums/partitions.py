@@ -19,7 +19,7 @@ multiplicities, largest part first, shares each prefix product among the
 partitions below it and sums integers over one common denominator per
 call. :func:`newton_coefficients` gets every such sum up to m at once from
 Newton's recurrence in O(m^2) exact steps; the production reductions use
-it.
+it, the window reductions of :mod:`multisums.core` on integers alone.
 
 A set partition of {1, ..., m} is a tuple of block tuples in canonical
 form: each block ascending, blocks ordered by (size, smallest element).
@@ -84,6 +84,7 @@ def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
             y[part - 1] -= 1
 
     fill(m, m)
+    del fill  # the closure refers to itself through its cell; emptying the cell frees it without gc
     return tuple(out)
 
 
@@ -135,6 +136,7 @@ def _parity_totals(m: int, weight: Weight) -> tuple[int, int, int]:
                 totals[(parts + k) & 1] += term * zeros[i - 1][0]
 
     walk(m, m, 1, 0)
+    del walk  # as in enumerate_partitions: no reference cycle is left for gc
     return totals[0], totals[1], den
 
 
@@ -164,7 +166,7 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     return Fraction(even, den), Fraction(odd, den)
 
 
-def newton_coefficients(p: Sequence[Fraction], m: int) -> list[Fraction]:
+def newton_coefficients(p: Sequence[Fraction | int], m: int) -> list[Fraction | int]:
     """c_0..c_m of exp(sum_i p_i t^i / i), by Newton's recurrence.
 
     c_0 = 1 and k c_k = sum_{i=1}^{k} p_i c_{k-i}: O(m^2) exact steps. c_k is
@@ -172,17 +174,24 @@ def newton_coefficients(p: Sequence[Fraction], m: int) -> list[Fraction]:
     weight :func:`partition_sum` evaluates term by term (Macdonald,
     Symmetric Functions and Hall Polynomials, ch. I, eqs. 2.11 and 2.14').
     Uses p_1..p_m; extra trailing values are ignored.
+
+    Fraction inputs give Fractions. Integer inputs stay integers and no
+    Fraction is built per step while k divides the dot product, as it does
+    at every step when the p_i are signed power sums (-1)^(i-1) T_i of some
+    integers: then c_k is their elementary symmetric function e_k, an
+    integer. A remainder is never truncated: that c_k becomes the exact
+    Fraction, and the steps after it run in Fractions.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if len(p) < m:
         raise ValueError(f"need at least {m} values, got {len(p)}")
-    coeffs = [Fraction(1)]
+    coeffs: list[Fraction | int] = [Fraction(1)]
     for k in range(1, m + 1):
-        acc = p[0] * coeffs[k - 1]
-        for i in range(1, k):
+        acc = p[k - 1]  # p_k c_0, so c_0 = Fraction(1) leaves integer inputs integers
+        for i in range(k - 1):
             acc += p[i] * coeffs[k - 1 - i]
-        coeffs.append(acc / k)
+        coeffs.append(acc // k if isinstance(acc, int) and not acc % k else Fraction(acc, k))
     return coeffs
 
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import (
-    ExplicitSequence,
-    SequenceSpec,
-    elementary_from_power_sums,
-    power_sums,
-    rational_power_sums,
-    reduce_from_power_sums,
-)
+from .core import ExplicitSequence, SequenceSpec, _elementary, _integer_power_sums, _window_values
 from .exact_arith import RationalLike, _as_rational
 
 __all__ = [
@@ -76,13 +69,15 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     """a_{n-m} / a_n of the monic-or-not polynomial with these roots.
 
     Computed without expanding the polynomial, as the signed reduction of
-    the root power sums; equals (-1)^m e_m(roots).
+    the root power sums, on integers over their scale L; equals
+    (-1)^m e_m(roots) = (-1)^m E_m / L^m.
     """
     roots = [_as_rational(r) for r in roots]
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
-    value = reduce_from_power_sums(rational_power_sums(roots, m), m)
-    return -value if m % 2 else value
+    sums, scale = _integer_power_sums(roots, m)
+    value = _elementary(sums, m)[m]
+    return Fraction(-value if m % 2 else value, scale**m)
 
 
 def poly_derivative(poly: Polynomial, k: int = 1) -> Polynomial:
@@ -116,10 +111,10 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     roots = [_as_rational(r) for r in roots]
     x = _as_rational(x)
     n = len(roots)
-    elementary = elementary_from_power_sums(rational_power_sums(roots, n), n)
+    sums, scale = _integer_power_sums(roots, n)
     lhs = Fraction(0)
-    for m, e_m in enumerate(elementary):
-        term = x ** (n - m) * e_m
+    for m, e_m in enumerate(_elementary(sums, n)):
+        term = x ** (n - m) * Fraction(e_m, scale**m)
         lhs += -term if m % 2 else term
     rhs = Fraction(1)
     for r in roots:
@@ -133,12 +128,18 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     """Sum of the order-m multiple sums over every order m = 0 .. n-q+1.
 
     The order-m sum is e_m of the window's values, so all of them come from
-    one Newton pass over the power sums S_1..S_top (O(top^2) exact steps, no
-    tuples). Telescopes to prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1
-    that is (n+1)!. Callers check the product form.
+    one Newton pass over the power sums S_1..S_top (O(top^2) integer steps,
+    no tuples): e_m = E_m / L^m over the window's scale L, and the total is
+    the one Fraction (sum_m E_m L^(top-m)) / L^top. Telescopes to
+    prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1 that is (n+1)!.
+    Callers check the product form.
     """
     top = max(n - q + 1, 0)
-    return sum(elementary_from_power_sums(power_sums(spec, q, n, top), top), Fraction(0))
+    sums, scale = _integer_power_sums(_window_values(spec, q, n, top), top)
+    total = 0
+    for e_m in _elementary(sums, top):  # Horner in the scale
+        total = total * scale + e_m
+    return Fraction(total, scale**top)
 
 
 def generalized_binomial(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .core import IndexPower, reduce_from_power_sums
+from .core import IndexPower, _elementary
 from .exact_arith import PiPolynomial, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
@@ -67,7 +67,8 @@ def faulhaber(n: int, p: int) -> Fraction:
 def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
     """The order-m multiple sum of N**p over [1, n], via the reduction.
 
-    S_i = faulhaber(n, i p) feeds the reduction; no tuples are enumerated.
+    S_i = faulhaber(n, i p), an integer, feeds the integer reduction at
+    scale 1 (e_m of the integers N^p); no tuples are enumerated.
     Requires 0 <= m <= n.
     """
     if m < 0:
@@ -76,7 +77,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
         raise ValueError("need n >= m")
     if p < 0:
         raise ValueError("p must be >= 0")
-    return reduce_from_power_sums([faulhaber(n, i * p) for i in range(1, m + 1)], m)
+    return Fraction(_elementary([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
 
 
 def stirling_via_multiple_sum(m: int, n: int) -> int:

@@ -28,7 +28,8 @@ from multisums.core import (
     variation_expand,
     variation_recursive,
 )
-from multisums.partitions import partition_sum
+from multisums.partitions import newton_coefficients, partition_sum
+from multisums.polynomials import coeff_ratio_from_roots, sum_of_multiple_sums
 
 N = IndexPower(1)
 
@@ -347,6 +348,47 @@ def test_summing_kernel_block_edges(length):
     pairs = ((k, length - 1 - k) for k in range(length))
     assert exact_arith._tuple_sum(pairs, [values, values]) == sum(
         (Fraction(a) * b for a, b in zip(values, reversed(values))), Fraction(0))
+
+
+def test_summing_kernel_merges_many_distinct_denominators():
+    # 1/N on [1, 4000]: 125 blocks, each with its own lcm, merged as a binary
+    # counter; the plain Fraction loop folds the same terms one at a time
+    n, m = 4000, 3
+    assert n // BLOCK > 100
+    expected = [Fraction(0)] * m
+    for N in range(1, n + 1):
+        term = Fraction(1, N)
+        for i in range(m):
+            expected[i] += term ** (i + 1)
+    assert power_sums(IndexPower(-1), 1, n, m) == expected
+    sums, scale = exact_arith._pair_power_sums(((1, N) for N in range(1, n + 1)), m)
+    assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
+
+
+# windows of 0 to 70 values: zeros, negatives and denominators 1..40
+window_values = st.lists(
+    st.one_of(st.just(Fraction(0)), st.integers(min_value=-20, max_value=20).map(Fraction),
+              st.fractions(min_value=-20, max_value=20, max_denominator=40)),
+    max_size=70,
+)
+
+
+@given(window_values, st.integers(min_value=0, max_value=8))
+def test_integer_window_route_matches_fraction_newton_and_partition_formula(values, m):
+    # The window reductions run Newton's recurrence on integer power sums over
+    # one scale; the oracles run it on the Fraction power sums, and the
+    # partition formula term by term
+    n = len(values)
+    spec = ExplicitSequence(values, base=1)
+    sums = rational_power_sums(values, n)
+    fraction_route = newton_coefficients([-s if i % 2 else s for i, s in enumerate(sums)], n)
+    m = min(m, n)
+    formula = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
+    e_m = -formula if m % 2 else formula
+    assert fraction_route[m] == e_m
+    assert reduce_multiple_sum(spec, m, 1, n) == e_m
+    assert coeff_ratio_from_roots(values, m) == (-e_m if m % 2 else e_m)
+    assert sum_of_multiple_sums(spec, 1, n) == sum(fraction_route, Fraction(0))
 
 
 @pytest.mark.parametrize("m", range(15))

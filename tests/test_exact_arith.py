@@ -1,4 +1,7 @@
+import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -38,10 +41,58 @@ def test_bernoulli_values():
         assert bernoulli(j) == 0
 
 
-def test_bernoulli_memoized_speed():
+def _fraction_bernoulli(top: int) -> list[Fraction]:
+    """B_0..B_top from sum_{k=0}^{j} C(j+1, k) B_k = 0, in Fractions: the recurrence
+    the package used before its tangent-number table, kept as an oracle."""
+    values = [Fraction(1)]
+    for j in range(1, top + 1):
+        total = sum((math.comb(j + 1, k) * b for k, b in enumerate(values)), Fraction(0))
+        values.append(-total / (j + 1))
+    return values
+
+
+def test_bernoulli_matches_fraction_recurrence(monkeypatch):
+    monkeypatch.setattr(exact_arith, "_zigzag", ((1,), [1]))  # built from a cold table
+    expected = _fraction_bernoulli(300)
+    assert [bernoulli(j) for j in range(301)] == expected
+    assert [bernoulli(j) for j in range(300, -1, -1)] == expected[::-1]  # read back from the table
+
+
+def test_bernoulli_matches_sympy_past_the_acceptance_ranges():
+    sympy = pytest.importorskip("sympy")
+    # sympy 1.14 reads B_1 = +1/2, so the comparison starts at j = 2
+    for j in (2, 51, 302, 601, 998, 1500, 2000):
+        expected = sympy.bernoulli(j)
+        assert bernoulli(j) == Fraction(int(expected.p), int(expected.q)), j
+
+
+def test_bernoulli_table_speed(monkeypatch):
+    # every even B_j up to B_800 from a cold table; the Fraction recurrence took seconds
+    monkeypatch.setattr(exact_arith, "_zigzag", ((1,), [1]))
     started = time.perf_counter()
-    bernoulli(48)
-    assert time.perf_counter() - started < 1.0
+    bernoulli(800)
+    assert time.perf_counter() - started < 2.0
+    assert len(exact_arith._zigzag[0]) == 800  # E_0..E_799: the tangent number T_400 is E_799
+
+
+def test_bernoulli_table_grows_consistently_under_threads(monkeypatch):
+    # selftest --jobs runs criteria in threads. Callers race to extend a cold
+    # table; each must read a table and a row that belong together, or the
+    # numbers it appends land at the wrong index
+    monkeypatch.setattr(exact_arith, "_zigzag", ((1,), [1]))
+    orders = [2 * k for k in range(150, 0, -7)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(bernoulli, j) for j in orders]
+            values = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = _fraction_bernoulli(300)
+    assert values == [expected[j] for j in orders]
+    table, row = exact_arith._zigzag
+    assert len(row) == len(table) and row[-1] == table[-1]
 
 
 def test_stirling_first_values():

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -235,6 +236,34 @@ def test_newton_coefficients_edge_cases():
         newton_coefficients([Fraction(1)], 2)
     with pytest.raises(ValueError):
         newton_coefficients([], -1)
+
+
+def test_newton_coefficients_on_integers():
+    # an integer input is never truncated: 2 c_2 = 1 gives the Fraction 1/2
+    assert newton_coefficients([1, 0], 2) == [1, 1, Fraction(1, 2)]
+    # signed power sums of the integers 1..6 give their elementary functions, as ints
+    values = range(1, 7)
+    signed = [(-1) ** i * sum(v ** (i + 1) for v in values) for i in range(6)]
+    coeffs = newton_coefficients(signed, 6)
+    assert coeffs == [1, 21, 175, 735, 1624, 1764, 720]
+    assert all(type(c) is int for c in coeffs[1:])
+    # Fraction inputs keep Fraction outputs
+    assert all(type(c) is Fraction for c in newton_coefficients([Fraction(2), Fraction(4)], 2))
+
+
+def test_partition_walks_leave_no_cyclic_garbage():
+    # the recursive walks are closures over their own cells; they are freed by
+    # reference counting alone, so nothing is left for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            partition_sum(10, lambda i, k: Fraction(1, i + k))
+            parity_partition_sums(9, lambda i, k: k + 1)
+            enumerate_partitions(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=9, max_size=9))

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from multisums.core import IndexPower, SumProblem, brute_multiple_sum
+from multisums.core import IndexPower, SumProblem, brute_multiple_sum, reduce_multiple_sum
 from multisums.exact_arith import PiPolynomial, bernoulli, stirling_first_unsigned
 from multisums.partitions import partition_sum
 from multisums.polynomials import sum_of_multiple_sums
@@ -43,6 +43,22 @@ def test_faulhaber_matches_direct_sums():
             assert faulhaber(n, p) == running
 
 
+def test_faulhaber_matches_sympy_past_the_acceptance_ranges():
+    sympy = pytest.importorskip("sympy")
+    k, n = sympy.symbols("k n", integer=True)
+    for p in (41, 60, 77):
+        closed = sympy.summation(k**p, (k, 1, n))  # sympy's own Bernoulli-polynomial form
+        for value in (0, 1, 2, 37, 1000):
+            expected = closed.subs(n, value)
+            assert faulhaber(value, p) == Fraction(int(expected.p), int(expected.q)), (p, value)
+
+
+def test_multiple_power_sum_matches_the_window_reduction():
+    # Faulhaber sums at scale 1 against the window's power sums, both reduced on integers
+    for m, n, p in ((12, 40, 3), (20, 25, 1), (7, 60, 5), (30, 30, 2)):
+        assert multiple_power_sum(m, n, p) == reduce_multiple_sum(IndexPower(p), m, 1, n)
+
+
 def test_multiple_power_sum_printed_values():
     assert multiple_power_sum(2, 4, 1) == 35
     assert multiple_power_sum(2, 3, 2) == 49
@@ -79,6 +95,14 @@ def test_zeta_even_values():
         zeta_even(0)
 
 
+def test_zeta_even_matches_sympy_past_the_golden_table():
+    sympy = pytest.importorskip("sympy")
+    for p in (9, 10, 17, 40, 63, 150, 300):
+        coeff, power = sympy.zeta(2 * p).as_coeff_Mul()
+        assert power == sympy.pi ** (2 * p)
+        assert zeta_even(p) == PiPolynomial({2 * p: Fraction(int(coeff.p), int(coeff.q))}), p
+
+
 def test_zeta_golden_table_matches():
     golden = load_zeta_golden_table()
     assert sorted(golden) == [2, 4, 6, 8, 10, 12, 14, 16]
@@ -96,6 +120,12 @@ def test_mzv_even_reduced_examples():
 def test_mzv_reduced_equals_closed_form(p, max_m):
     for m in range(max_m + 1):
         assert mzv_even_reduced(m, p) == mzv_closed_form(m, p)
+
+
+@pytest.mark.parametrize("m,p", [(150, 1), (100, 2), (60, 3)])
+def test_mzv_reduced_equals_closed_form_at_high_depth(m, p):
+    # Bernoulli numbers up to B_400 from the tangent-number table
+    assert mzv_even_reduced(m, p) == mzv_closed_form(m, p)
 
 
 def test_mzv_closed_form_domain():
