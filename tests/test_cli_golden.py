@@ -15,8 +15,15 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"
 RECORDS = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
 
 
+def _label(arg: str) -> str:
+    if not arg.startswith("{"):
+        return arg
+    spec = json.loads(arg)
+    return f"N^{spec['exponent']}" if spec["kind"] == "index_power" else f"explicit{spec['values'][:3]}"
+
+
 def _record_id(record: dict) -> str:
-    return " ".join(a for a in record["argv"] if not a.startswith("{") and not a.startswith("--"))
+    return " ".join(_label(a) for a in record["argv"] if not a.startswith("--"))
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
