@@ -69,6 +69,14 @@ def _check_brute_order(m: int) -> None:
         raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
+def _parse_spec(text: str) -> object:
+    """The JSON of a --spec option; nesting too deep to parse is refused like any malformed spec."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("--spec JSON is nested too deeply to parse") from None
+
+
 def _parse_roots(text: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -177,7 +185,7 @@ def _cmd_partitions(args) -> CommandOutcome:
 def _cmd_multisum(args) -> CommandOutcome:
     if args.m < 0:
         raise ValueError("m must be >= 0")
-    spec = sequence_spec_from_json(json.loads(args.spec))
+    spec = sequence_spec_from_json(_parse_spec(args.spec))
     payload: dict[str, object] = {}
     if args.method in ("brute", "both"):
         _check_brute_order(args.m)
@@ -257,7 +265,7 @@ def _cmd_verify(args) -> CommandOutcome:
     elif args.r is not None:
         raise ValueError("--r without --phi has nothing to check")
     if args.spec is not None:
-        params["spec"] = json.loads(args.spec)
+        params["spec"] = _parse_spec(args.spec)
     swept = _parse_sweep(args.sweep) if args.sweep else None
     if identity == IdentityId.RECURRENT_BRIDGE:
         # a swept range ascends, so its last order is the largest

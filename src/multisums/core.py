@@ -14,7 +14,7 @@ Routes come in independent pairs so each can act as the other's oracle:
                                 formula, ``partitions.partition_sum``, is its
                                 oracle in the tests and the acceptance suite
 * ``brute_recurrent_sum``       weakly increasing tuples, enumeration
-* ``symmetrized_multiple_sum``  all m! spec orderings, enumeration
+* ``symmetrized_multiple_sum``  all m! spec orderings, one enumeration
 * ``reduce_symmetrized``        set-partition reduction of the same total
 * ``variation_*``               window-extension expansions of P `(m, q, n+1)`
 
@@ -26,12 +26,13 @@ T_1..T_m over one scale L, S_i = T_i / L^i. The window reductions
 (``reduce_multiple_sum`` here, and the root and all-order sums of
 :mod:`multisums.polynomials`) keep those integers: they are the power sums
 of the integers num L / den, so Newton's recurrence runs on integers alone
-and e_k of the window is one ``Fraction`` E_k / L^k. ``power_sums`` and
+and e_k of the window is one ``Fraction`` E_k / L^k, by the one signed
+Newton wrapper, ``elementary_from_power_sums``. ``power_sums`` and
 ``rational_power_sums`` return the m ``Fraction``s S_i. The partition
 formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
-before enumerating, more than ``BRUTE_MAX_TUPLES`` tuples; a symmetrized
-sum counts its m! orderings together.
+before any value is evaluated, more than ``BRUTE_MAX_TUPLES`` tuples: for a
+symmetrized sum, m! C(n-q+1, m) tuples of distinct indices, so m <= 9.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_arith import _as_rational, _is_int, _pair_power_sums, _tuple_sum, rational_to_str
+from .exact_arith import RationalLike, _as_exact, _as_rational, _is_int, _pair_power_sums, _tuple_sum, rational_to_str
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
@@ -64,12 +65,10 @@ __all__ = [
     "variation_recursive",
     "symmetrized_multiple_sum",
     "reduce_symmetrized",
-    "SYMMETRIZED_BRUTE_MAX_M",
     "BRUTE_MAX_TUPLES",
 ]
 
-SYMMETRIZED_BRUTE_MAX_M = 6   # m! orderings, each brute forced
-BRUTE_MAX_TUPLES = 10**6      # tuples one brute-force call may enumerate
+BRUTE_MAX_TUPLES = 10**6  # tuples one brute-force call may enumerate
 
 
 @dataclass(frozen=True)
@@ -229,28 +228,15 @@ def _window_values(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[Fract
     return (eval_sequence(spec, N) for N in range(q, n + 1))
 
 
-def _elementary(sums: Sequence[int], m: int) -> list[Fraction | int]:
-    """E_0..E_m, the elementary symmetric functions of some integers, from
-    their power sums T_1..T_m.
+def rational_power_sums(values: Iterable[RationalLike], m: int) -> list[Fraction]:
+    """S_i = sum of v ** i over the values, for i = 1..m.
 
-    The route of every window reduction: the power sums of values num / den
-    over the scale L are those of the integers num L / den, so Newton's
-    recurrence runs on integers alone (newton_coefficients on the signed
-    sums), and e_k of the values is E_k / L ** k, one Fraction per value the
-    caller reads.
-    """
-    return newton_coefficients([-t if i % 2 else t for i, t in enumerate(sums)], m)
-
-
-def rational_power_sums(values: Iterable[Fraction | int], m: int) -> list[Fraction]:
-    """S_i = sum of v ** i over the values (Fractions or ints), for i = 1..m.
-
-    Summed exactly by the block kernel of exact_arith, which turns the
-    values into integers over the lcm of their denominators.
+    Values are read as rationals (a float or a bool raises ValueError) and
+    summed by the block kernel of exact_arith, as integers over their lcm.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    sums, scale = _integer_power_sums(values, m)
+    sums, scale = _integer_power_sums(map(_as_exact, values), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
@@ -264,21 +250,19 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     return rational_power_sums(_window_values(spec, q, n, m), m)
 
 
-def elementary_from_power_sums(sums: Sequence[Fraction], m: int) -> list[Fraction]:
+def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fraction | int]:
     """e_0..e_m of the underlying values from S_1..S_m, by Newton's identities.
 
-    k e_k = sum_{i=1}^{k} (-1)^(i-1) S_i e_{k-i}; O(m^2) exact steps. Extra
-    trailing sums beyond S_m are accepted and ignored.
+    k e_k = sum_{i=1}^{k} (-1)^(i-1) S_i e_{k-i}: newton_coefficients on the
+    signed sums, O(m^2) exact steps. Integer sums stay integers, the route of
+    the window reductions; other sums are read as rationals (a float or a
+    bool raises ValueError). Extra trailing sums beyond S_m are ignored.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if len(sums) < m:
-        raise ValueError(f"need at least {m} power sums, got {len(sums)}")
-    signed = [Fraction(-s if i % 2 else s) for i, s in enumerate(sums[:m])]
+    signed = [-s if i % 2 else s for i, s in enumerate(map(_as_exact, sums[:m]))]
     return newton_coefficients(signed, m)
 
 
-def reduce_from_power_sums(sums: Sequence[Fraction], m: int) -> Fraction:
+def reduce_from_power_sums(sums: Sequence[RationalLike], m: int) -> Fraction:
     """Partition-weighted reduction of an order-m sum from S_1..S_m.
 
     (-1)^m * sum over partitions y of m of prod_i [(-1)^(y_i) / y_i!] * (S_i / i)^(y_i),
@@ -286,7 +270,7 @@ def reduce_from_power_sums(sums: Sequence[Fraction], m: int) -> Fraction:
     evaluated by Newton's recurrence (elementary_from_power_sums), not term
     by term. Extra trailing sums beyond S_m are accepted and ignored.
     """
-    return elementary_from_power_sums(sums, m)[m]
+    return Fraction(elementary_from_power_sums(sums, m)[m])
 
 
 def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
@@ -301,7 +285,7 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     gives 1).
     """
     sums, scale = _integer_power_sums(_window_values(spec, q, n, m), m)
-    return Fraction(_elementary(sums, m)[m], scale**m)
+    return Fraction(elementary_from_power_sums(sums, m)[m], scale**m)
 
 
 def _leading_product(specs: Sequence[SequenceSpec], m: int, n: int, k: int) -> Fraction:
@@ -354,21 +338,21 @@ def variation_recursive(problem: SumProblem, cutoff: int) -> Fraction:
 def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> Fraction:
     """Sum of the order-m multiple sum over all m! orderings of the specs.
 
-    Brute force, capped at m <= 6 (m! enumerations) and at BRUTE_MAX_TUPLES
-    tuples over all orderings together (m! C(n-q+1, m)), counted before the
-    first one; permutations are taken in lexicographic position order for
-    reproducibility.
+    Brute force over the m! C(n-q+1, m) tuples of distinct indices, position
+    h reading spec h (an ordering on an increasing tuple), in one pass over
+    value tables built once. More than BRUTE_MAX_TUPLES are refused before
+    any value is evaluated, so m <= 9: 10! alone exceeds the cap.
     """
     specs = tuple(specs)
     m = len(specs)
-    if m > SYMMETRIZED_BRUTE_MAX_M:
-        raise ValueError(f"symmetrized brute force capped at m = {SYMMETRIZED_BRUTE_MAX_M}")
-    if n - q + 1 >= m:
-        _check_tuple_count(n - q + 1, m, factorial(m))
-    total = Fraction(0)
-    for ordering in permutations(specs):
-        total += brute_multiple_sum(SumProblem(ordering, q, n))
-    return total
+    if q < 0:
+        raise ValueError("q must be >= 0")
+    if m == 0:
+        return Fraction(1)
+    if n - q + 1 < m:
+        return Fraction(0)
+    _check_tuple_count(n - q + 1, m, factorial(m))
+    return _tuple_sum(permutations(range(n - q + 1), m), _value_tables(specs, q, n))
 
 
 def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fraction:

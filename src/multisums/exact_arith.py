@@ -67,6 +67,11 @@ def _as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _as_exact(value: RationalLike) -> Fraction | int:
+    """value as an exact number: an int stays an int, the rest is read by _as_rational."""
+    return value if _is_int(value) else _as_rational(value)
+
+
 def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:
     """(T, L): the power sums S_i = sum of (num / den) ** i over (num, den) int
     pairs, den > 0, are S_i = T[i - 1] / L ** i for i = 1..m, with L the lcm
@@ -261,10 +266,6 @@ class PiPolynomial:
             value = _as_rational(coeff)
             if value:
                 self._terms[exponent] = value
-
-    @classmethod
-    def from_rational(cls, value: RationalLike) -> "PiPolynomial":
-        return cls({0: value})
 
     @property
     def terms(self) -> dict[int, Fraction]:

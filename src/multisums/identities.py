@@ -141,9 +141,7 @@ def _require_spec(params: Mapping) -> SequenceSpec:
     spec = params.get("spec")
     if spec is None:
         raise ValueError("missing parameter 'spec'")
-    if isinstance(spec, dict):
-        return sequence_spec_from_json(spec)
-    return spec
+    return spec if isinstance(spec, SequenceSpec) else sequence_spec_from_json(spec)
 
 
 def _weight(phi: tuple[int, ...], signed: bool) -> Callable[[int, int], Fraction]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .exact_arith import RationalLike, _as_rational
+from .exact_arith import RationalLike, _as_exact, _as_rational
 
 __all__ = [
     "enumerate_partitions",
@@ -166,7 +166,7 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     return Fraction(even, den), Fraction(odd, den)
 
 
-def newton_coefficients(p: Sequence[Fraction | int], m: int) -> list[Fraction | int]:
+def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | int]:
     """c_0..c_m of exp(sum_i p_i t^i / i), by Newton's recurrence.
 
     c_0 = 1 and k c_k = sum_{i=1}^{k} p_i c_{k-i}: O(m^2) exact steps. c_k is
@@ -175,6 +175,7 @@ def newton_coefficients(p: Sequence[Fraction | int], m: int) -> list[Fraction | 
     Symmetric Functions and Hall Polynomials, ch. I, eqs. 2.11 and 2.14').
     Uses p_1..p_m; extra trailing values are ignored.
 
+    Inputs are read as rationals (a float or a bool raises ValueError), and
     Fraction inputs give Fractions. Integer inputs stay integers and no
     Fraction is built per step while k divides the dot product, as it does
     at every step when the p_i are signed power sums (-1)^(i-1) T_i of some
@@ -186,6 +187,7 @@ def newton_coefficients(p: Sequence[Fraction | int], m: int) -> list[Fraction | 
         raise ValueError("m must be >= 0")
     if len(p) < m:
         raise ValueError(f"need at least {m} values, got {len(p)}")
+    p = [_as_exact(v) for v in p[:m]]
     coeffs: list[Fraction | int] = [Fraction(1)]
     for k in range(1, m + 1):
         acc = p[k - 1]  # p_k c_0, so c_0 = Fraction(1) leaves integer inputs integers

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _elementary, _integer_power_sums, _window_values
+from .core import ExplicitSequence, SequenceSpec, _integer_power_sums, _window_values, elementary_from_power_sums
 from .exact_arith import RationalLike, _as_rational
 
 __all__ = [
@@ -76,7 +76,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
     sums, scale = _integer_power_sums(roots, m)
-    value = _elementary(sums, m)[m]
+    value = elementary_from_power_sums(sums, m)[m]
     return Fraction(-value if m % 2 else value, scale**m)
 
 
@@ -113,7 +113,7 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     n = len(roots)
     sums, scale = _integer_power_sums(roots, n)
     lhs = Fraction(0)
-    for m, e_m in enumerate(_elementary(sums, n)):
+    for m, e_m in enumerate(elementary_from_power_sums(sums, n)):
         term = x ** (n - m) * Fraction(e_m, scale**m)
         lhs += -term if m % 2 else term
     rhs = Fraction(1)
@@ -137,7 +137,7 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     top = max(n - q + 1, 0)
     sums, scale = _integer_power_sums(_window_values(spec, q, n, top), top)
     total = 0
-    for e_m in _elementary(sums, top):  # Horner in the scale
+    for e_m in elementary_from_power_sums(sums, top):  # Horner in the scale
         total = total * scale + e_m
     return Fraction(total, scale**top)
 

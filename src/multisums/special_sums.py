@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .core import IndexPower, _elementary
+from .core import IndexPower, elementary_from_power_sums
 from .exact_arith import PiPolynomial, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
@@ -77,7 +77,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
         raise ValueError("need n >= m")
     if p < 0:
         raise ValueError("p must be >= 0")
-    return Fraction(_elementary([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
+    return Fraction(elementary_from_power_sums([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
 
 
 def stirling_via_multiple_sum(m: int, n: int) -> int:

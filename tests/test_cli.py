@@ -1,19 +1,24 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multisums
 from multisums.acceptance import run_all
 from multisums.cli import BRUTE_MAX_M, CommandOutcome, main, run
 from multisums.core import ExplicitSequence, sequence_spec_from_json
 from multisums.exact_arith import rational_to_str
-from multisums.identities import IdentityId, verify
+from multisums.identities import _REGISTRY, IdentityId, verify
 from multisums.polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
 
 
@@ -385,9 +390,12 @@ def _library_error(call) -> str:
          lambda: verify(IdentityId.LEMMA_3_1, {"m": 3, "phi": (1,)})),
         (["verify", "EVEN_ODD_WEIGHTS", "--m", "4", "--spec", "{}"],
          lambda: verify(IdentityId.EVEN_ODD_WEIGHTS, {"m": 4, "spec": {}})),
+        # a spec that is JSON but not an object is refused by the spec parser
+        (["verify", "PRODUCT_IDENTITY", "--q", "1", "--n", "2", "--spec", "[1]"],
+         lambda: verify(IdentityId.PRODUCT_IDENTITY, {"q": 1, "n": 2, "spec": [1]})),
     ],
     ids=["vieta_m_range", "negative_k", "degree_left", "huge_k", "criterion_number", "verify_extra_n",
-         "verify_extra_phi", "verify_extra_spec"],
+         "verify_extra_phi", "verify_extra_spec", "verify_spec_not_an_object"],
 )
 def test_library_rules_exit_2_with_library_text(capsys, argv, call):
     code, out, err = run_main(capsys, argv)
@@ -433,3 +441,117 @@ def test_rational_grammar_refusals_agree(capsys, token):
         assert set(json.loads(out)) == {"error"}
         assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multisum", "eval", "--m", "1", "--q", "1", "--n", "2", "--spec"],
+        ["verify", "PRODUCT_IDENTITY", "--q", "1", "--n", "2", "--spec"],
+    ],
+    ids=["multisum_eval", "verify"],
+)
+def test_spec_nested_too_deeply_exits_2(capsys, argv):
+    code, out, err = run_main(capsys, argv + ["[" * 100_000])
+    assert code == 2
+    assert json.loads(out) == {"error": "--spec JSON is nested too deeply to parse"}
+    assert "Traceback" not in err
+
+
+# Every subcommand but selftest, on small integers and on well-formed and
+# malformed spec, roots, phi and sweep strings. Orders, windows and powers
+# stay small: the reduce routes, PRODUCT_IDENTITY and faulhaber have no cap
+# on them yet (ROADMAP, "Caps"), so a large one is slow, not refused.
+@st.composite
+def _mostly(draw, good, bad, tenths=8):
+    """A draw from good `tenths` times in ten, else from bad."""
+    return draw(good if draw(st.integers(1, 10)) <= tenths else bad)
+
+
+@st.composite
+def _option(draw, name, values, tenths=9):
+    """[name, value] `tenths` times in ten, else no option."""
+    return [name, draw(values)] if draw(st.integers(1, 10)) <= tenths else []
+
+
+def _csv(tokens) -> st.SearchStrategy:
+    return st.lists(tokens, min_size=1, max_size=5).map(",".join)
+
+
+_ints = _mostly(st.integers(0, 8), st.integers(-2, -1)).map(str)
+_value_tokens = _mostly(st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4"])),
+                        st.sampled_from(["0.1", "1/0", "x", 0.5, True, None]), tenths=9)
+_specs = _mostly(
+    st.one_of(
+        st.builds(lambda e: json.dumps({"kind": "index_power", "exponent": e}), st.integers(-2, 3)),
+        st.builds(lambda base, values: json.dumps({"kind": "explicit", "base": base, "values": values}),
+                  st.integers(-1, 2), st.lists(_value_tokens, max_size=10)),
+    ),
+    st.one_of(
+        st.sampled_from(["[1]", "5", "null", "{}", "{", '"x"', '{"kind":"index_power"}', '{"kind":"other"}',
+                         '{"kind":"index_power","exponent":1.5}', "[" * 5000]),
+        st.text(max_size=6),
+    ),
+)
+_roots = _csv(_mostly(st.sampled_from(["1", "-2", "3/4", "0", " 5 "]), st.sampled_from(["0.1", "1/0", "x", ""])))
+_phis = _csv(_mostly(st.sampled_from(["0", "1", "2"]), st.sampled_from(["-1", "a", ""])))
+_sweeps = _mostly(
+    _csv(st.builds(lambda name, lo, hi: f"{name}={lo}..{hi}", st.sampled_from(["m", "n", "q"]),
+                   st.integers(-1, 3), st.integers(-1, 6))),
+    st.sampled_from(["m=", "=3", "m=3..1", "m=a", "m=0..4,m=1", "m=2,phi=1", ",", "m=1..2..3", "x=1"]),
+)
+_VERIFY_OPTIONS = {"--m": _ints, "--n": _ints, "--q": _ints, "--r": _ints, "--phi": _phis, "--spec": _specs}
+
+
+@st.composite
+def _verify_argv(draw):
+    identity = draw(st.sampled_from([i.value for i in IdentityId] + ["NOT_AN_IDENTITY"]))
+    taken = {f"--{p}" for p in _REGISTRY[identity][1]} if identity in _REGISTRY else set()
+    argv = ["verify", identity]
+    for name, values in _VERIFY_OPTIONS.items():
+        argv += draw(_option(name, values, 8 if name in taken else 1))
+    return argv + draw(_option("--sweep", _sweeps, 3)) + draw(st.sampled_from([[], ["--json"]]))
+
+
+def _argv(*parts) -> st.SearchStrategy:
+    return st.tuples(*(st.just([p]) if isinstance(p, str) else p for p in parts)).map(lambda ps: sum(ps, []))
+
+
+_COMMANDS = {
+    "partitions": _argv("partitions", st.sampled_from([["list"], ["count"]]), _ints.map(lambda v: [v])),
+    "multisum": _argv("multisum", "eval", _option("--spec", _specs), _option("--m", _ints), _option("--q", _ints),
+                      _option("--n", _ints), _option("--method", st.sampled_from(["brute", "reduce", "both", "x"]))),
+    "poly": st.one_of(
+        _argv("poly", "vieta", _option("--roots", _roots), _option("--m", _ints)),
+        _argv("poly", "check-derivative-mean", _option("--roots", _roots), _option("--k", _ints)),
+    ),
+    "special": st.one_of(
+        _argv("special", "faulhaber", _option("--n", st.integers(-2, 10**6).map(str)), _option("--p", _ints)),
+        _argv("special", "mzv", _option("--m", _ints), _option("--p", st.integers(-1, 4).map(str)),
+              _option("--numeric", st.integers(-1, 40).map(str), 3)),
+        st.just(["special", "zeta-table"]),
+    ),
+    "verify": _verify_argv(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_outcome_is_an_exit_code_with_json_on_stdout(command):
+    @settings(deadline=timedelta(seconds=5))
+    @given(_COMMANDS[command])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        lines = out.getvalue().splitlines()
+        if argv[:2] == ["partitions", "list"] and code == 0:
+            assert all(json.loads(line)["m"] == int(argv[2]) for line in lines)
+        else:
+            assert len(lines) == 1
+            payload = json.loads(lines[0])
+            if code == 2:
+                assert list(payload) == ["error"] and isinstance(payload["error"], str)
+
+    check()

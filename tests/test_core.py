@@ -205,26 +205,34 @@ def test_reduce_symmetrized_matches_brute_at_order_5():
 
 
 def test_symmetrized_caps():
-    with pytest.raises(ValueError):
-        symmetrized_multiple_sum((N,) * 7, 1, 8)
+    # the tuple cap alone bounds the order: m! C(m, m) = m! tuples on an m-wide window
+    rng = random.Random(9)
+    for m, n in ((7, 8), (8, 8)):
+        specs = tuple(ExplicitSequence([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+                      for _ in range(m))
+        assert symmetrized_multiple_sum(specs, 1, n) == reduce_symmetrized(specs, 1, n)
+    same = ExplicitSequence([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)])
+    assert symmetrized_multiple_sum((same,) * 9, 1, 9) == factorial(9) * reduce_multiple_sum(same, 9, 1, 9)
+    with pytest.raises(ValueError, match=r"3628800 x C\(10, 10\) tuples"):
+        symmetrized_multiple_sum((N,) * 10, 1, 10)
     with pytest.raises(ValueError):
         reduce_symmetrized((N,) * 9, 1, 10)
 
 
 def test_symmetrized_tuple_guard_counts_all_orderings(monkeypatch):
     # 3! orderings of C(6, 3) = 20 tuples each: 120 in all, over a cap of 100
-    # that each ordering alone stays under, so none may be enumerated
+    # that each ordering alone stays under, refused before any value is evaluated
     monkeypatch.setattr(core, "BRUTE_MAX_TUPLES", 100)
     specs = tuple(ExplicitSequence([Fraction(k * j - 4, j) for j in range(1, 7)]) for k in range(1, 4))
-    brute = core.brute_multiple_sum
+    evaluate = core.eval_sequence
 
-    def unreachable(problem):
-        raise AssertionError("an ordering was brute forced past the tuple cap")
+    def unreachable(spec, index):
+        raise AssertionError("a value was evaluated past the tuple cap")
 
-    monkeypatch.setattr(core, "brute_multiple_sum", unreachable)
+    monkeypatch.setattr(core, "eval_sequence", unreachable)
     with pytest.raises(ValueError, match=r"6 x C\(6, 3\) tuples"):
         symmetrized_multiple_sum(specs, 1, 6)
-    monkeypatch.setattr(core, "brute_multiple_sum", brute)
+    monkeypatch.setattr(core, "eval_sequence", evaluate)
     # 3! orderings of C(5, 3) = 10 tuples each: 60 in all, under the cap
     assert symmetrized_multiple_sum(specs, 1, 5) == reduce_symmetrized(specs, 1, 5)
 
@@ -328,6 +336,31 @@ def test_power_sums_domain_errors_hold_at_every_order():
         power_sums(IndexPower(1), 1, 3, -1)
     assert rational_power_sums([], 2) == [0, 0]
     assert rational_power_sums([2, Fraction(1, 2)], 2) == [Fraction(5, 2), Fraction(17, 4)]
+
+
+def test_rational_power_sums_follow_the_exactness_policy():
+    assert rational_power_sums(["1/2", "-3", 2], 2) == [Fraction(-1, 2), Fraction(53, 4)]
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            rational_power_sums([1, bad], 1)
+
+
+def test_elementary_from_power_sums_follows_the_exactness_policy():
+    # integer sums stay integers: the power sums 6, 14 of 1, 2, 3 give e_1 = 6, e_2 = 11
+    assert elementary_from_power_sums([6, 14], 2) == [1, 6, 11]
+    assert all(type(e) is int for e in elementary_from_power_sums([6, 14], 2)[1:])
+    assert elementary_from_power_sums(["3/2", "5/4"], 2) == [1, Fraction(3, 2), Fraction(1, 2)]
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            elementary_from_power_sums([1, bad], 2)
+
+
+def test_reduce_from_power_sums_follows_the_exactness_policy():
+    assert reduce_from_power_sums(["3/2", "5/4"], 2) == Fraction(1, 2)
+    assert type(reduce_from_power_sums([6, 14], 2)) is Fraction
+    for bad in (0.1, True):
+        with pytest.raises(ValueError):
+            reduce_from_power_sums([bad], 1)
 
 
 BLOCK = exact_arith._SUM_BLOCK

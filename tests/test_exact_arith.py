@@ -121,6 +121,14 @@ def test_stirling_triangular_recurrence():
             assert lhs == rhs
 
 
+def test_stirling_matches_sympy_past_the_acceptance_ranges():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    # every row up to m = 60, read from the top down, so each row below the first is rebuilt from row 0
+    for m in range(60, -1, -1):
+        row = [stirling_first_unsigned(m, r) for r in range(m + 1)]
+        assert row == [numbers.stirling(m, r, kind=1, signed=False) for r in range(m + 1)], m
+
+
 def test_stirling_high_row_from_cold_cache(monkeypatch):
     # Row 1200 lies far past the interpreter's recursion limit; it is built bottom-up from row 0.
     monkeypatch.setattr(exact_arith, "_stirling_row", (1,))
@@ -181,17 +189,17 @@ def test_pi_poly_numeric_display():
     assert pi_poly_numeric(PiPolynomial(), 5) == "0"
     assert pi_poly_numeric(PiPolynomial({2: Fraction(1, 6)}), 6) == "1.64493"
     # plain rational part renders without pi involvement
-    assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(1, 4)), 3) == "0.25"
-    assert pi_poly_numeric(PiPolynomial.from_rational(1), 5) == "1.0"
-    assert pi_poly_numeric(PiPolynomial.from_rational(123456), 3) == "123000.0"
+    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 4)}), 3) == "0.25"
+    assert pi_poly_numeric(PiPolynomial({0: 1}), 5) == "1.0"
+    assert pi_poly_numeric(PiPolynomial({0: 123456}), 3) == "123000.0"
     assert pi_poly_numeric(PiPolynomial({0: Fraction(-1, 3)}), 4) == "-0.3333"
     assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 10**7)}), 2) == "0.0000001"
     # exact decimal ties round half to even
-    assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(3, 20)), 1) == "0.2"
-    assert pi_poly_numeric(PiPolynomial.from_rational(Fraction(1, 8)), 2) == "0.12"
+    assert pi_poly_numeric(PiPolynomial({0: Fraction(3, 20)}), 1) == "0.2"
+    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 8)}), 2) == "0.12"
     for digits in (0, NUMERIC_MAX_DIGITS + 1):
         with pytest.raises(ValueError):
-            pi_poly_numeric(PiPolynomial.from_rational(1), digits)
+            pi_poly_numeric(PiPolynomial({0: 1}), digits)
 
 
 def _mpmath_numeric(value: PiPolynomial, digits: int) -> str:
@@ -224,7 +232,7 @@ def test_pi_poly_numeric_matches_mpmath_on_monomials(coeff, exponent, digits):
 
 def test_pi_poly_json_round_trip():
     assert PiPolynomial({8: Fraction(-3, 7)}).to_json_dict() == {"8": "-3/7"}
-    assert PiPolynomial.from_rational(2).to_json_dict() == {"0": "2/1"}
+    assert PiPolynomial({0: 2}).to_json_dict() == {"0": "2/1"}
     assert PiPolynomial().to_json_dict() == {}
 
 

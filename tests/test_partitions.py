@@ -251,6 +251,14 @@ def test_newton_coefficients_on_integers():
     assert all(type(c) is Fraction for c in newton_coefficients([Fraction(2), Fraction(4)], 2))
 
 
+def test_newton_coefficients_follow_the_exactness_policy():
+    # a "num/den" string reads as its Fraction; a float or a bool is refused, never taken as a number
+    assert newton_coefficients(["1/2", "-1/4"], 2) == [1, Fraction(1, 2), 0]
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            newton_coefficients([bad], 1)
+
+
 def test_partition_walks_leave_no_cyclic_garbage():
     # the recursive walks are closures over their own cells; they are freed by
     # reference counting alone, so nothing is left for the cycle collector

@@ -111,7 +111,7 @@ def test_zeta_golden_table_matches():
 
 
 def test_mzv_even_reduced_examples():
-    assert mzv_even_reduced(0, 1) == PiPolynomial.from_rational(1)
+    assert mzv_even_reduced(0, 1) == PiPolynomial({0: 1})
     assert mzv_even_reduced(1, 1) == zeta_even(1)
     assert mzv_even_reduced(2, 1) == PiPolynomial({4: Fraction(1, 120)})
 
@@ -129,7 +129,7 @@ def test_mzv_reduced_equals_closed_form_at_high_depth(m, p):
 
 
 def test_mzv_closed_form_domain():
-    assert mzv_closed_form(0, 2) == PiPolynomial.from_rational(1)
+    assert mzv_closed_form(0, 2) == PiPolynomial({0: 1})
     with pytest.raises(ValueError):
         mzv_closed_form(2, 4)
 
