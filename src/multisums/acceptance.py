@@ -57,7 +57,7 @@ from .special_sums import (
     zeta_even,
 )
 
-__all__ = ["CriterionResult", "criterion_titles", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "run_criterion", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -470,10 +470,6 @@ _CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (9, "partial products and tail trend", _criterion_9),
     (10, "identity registry sweeps", _criterion_10),
 ]
-
-
-def criterion_titles() -> dict[int, str]:
-    return {number: title for number, title, _ in _CRITERIA}
 
 
 def run_criterion(number: int) -> CriterionResult:

@@ -26,9 +26,10 @@ T_1..T_m over one scale L, S_i = T_i / L^i. The window reductions
 (``reduce_multiple_sum`` here, and the root and all-order sums of
 :mod:`multisums.polynomials`) keep those integers: they are the power sums
 of the integers num L / den, so Newton's recurrence runs on integers alone
-and e_k of the window is one ``Fraction`` E_k / L^k, by the one signed
-Newton wrapper, ``elementary_from_power_sums``. ``power_sums`` and
-``rational_power_sums`` return the m ``Fraction``s S_i. The partition
+and e_k of the window is E_k / L^k, one ``Fraction`` per value read. One
+private helper, ``_scaled_elementary``, runs the kernel and the one signed
+Newton wrapper, ``elementary_from_power_sums``, for all of them.
+``power_sums`` returns the m ``Fraction``s S_i. The partition
 formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
 before any value is evaluated, more than ``BRUTE_MAX_TUPLES`` tuples: for a
@@ -55,11 +56,9 @@ __all__ = [
     "sequence_spec_to_json",
     "sequence_spec_from_json",
     "power_sums",
-    "rational_power_sums",
     "brute_multiple_sum",
     "brute_recurrent_sum",
     "reduce_multiple_sum",
-    "reduce_from_power_sums",
     "elementary_from_power_sums",
     "variation_expand",
     "variation_recursive",
@@ -214,11 +213,6 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
 
 
-def _integer_power_sums(values: Iterable[Fraction | int], m: int) -> tuple[list[int], int]:
-    """(T, L): S_i = T[i - 1] / L ** i for i = 1..m, by the block kernel of exact_arith."""
-    return _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
-
-
 def _window_values(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[Fraction]:
     """The values a_q..a_n, evaluated as they are read, once the order and window are checked."""
     if m < 0:
@@ -228,18 +222,6 @@ def _window_values(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[Fract
     return (eval_sequence(spec, N) for N in range(q, n + 1))
 
 
-def rational_power_sums(values: Iterable[RationalLike], m: int) -> list[Fraction]:
-    """S_i = sum of v ** i over the values, for i = 1..m.
-
-    Values are read as rationals (a float or a bool raises ValueError) and
-    summed by the block kernel of exact_arith, as integers over their lcm.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    sums, scale = _integer_power_sums(map(_as_exact, values), m)
-    return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
-
-
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     """S_i = sum_{N=q}^{n} a_N ** i for i = 1..m.
 
@@ -247,7 +229,8 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     an index outside the sequence's domain raises either way; an empty
     window gives zeros.
     """
-    return rational_power_sums(_window_values(spec, q, n, m), m)
+    sums, scale = _pair_power_sums(((v.numerator, v.denominator) for v in _window_values(spec, q, n, m)), m)
+    return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
 def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fraction | int]:
@@ -262,15 +245,14 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     return newton_coefficients(signed, m)
 
 
-def reduce_from_power_sums(sums: Sequence[RationalLike], m: int) -> Fraction:
-    """Partition-weighted reduction of an order-m sum from S_1..S_m.
+def _scaled_elementary(values: Iterable[Fraction | int], m: int) -> tuple[list[int], int]:
+    """(E, L): e_k of the values is E[k] / L ** k for k = 0..m.
 
-    (-1)^m * sum over partitions y of m of prod_i [(-1)^(y_i) / y_i!] * (S_i / i)^(y_i),
-    which is the elementary symmetric function e_m of the underlying values;
-    evaluated by Newton's recurrence (elementary_from_power_sums), not term
-    by term. Extra trailing sums beyond S_m are accepted and ignored.
+    The block kernel of exact_arith gives the power sums as integers over one
+    scale L, and Newton's recurrence runs on those integers alone.
     """
-    return Fraction(elementary_from_power_sums(sums, m)[m])
+    sums, scale = _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
+    return elementary_from_power_sums(sums, m), scale
 
 
 def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
@@ -280,12 +262,12 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     the window's power sums stay integers over one scale L, Newton's
     recurrence gives e_m of the window as the integer E_m, and the one
     Fraction built is E_m / L ** m. Agrees with brute_multiple_sum on
-    identical specs and with reduce_from_power_sums on power_sums, including
-    the degenerate window cases (empty window gives 0 for m >= 1, and m = 0
-    gives 1).
+    identical specs and with elementary_from_power_sums on power_sums,
+    including the degenerate window cases (empty window gives 0 for m >= 1,
+    and m = 0 gives 1).
     """
-    sums, scale = _integer_power_sums(_window_values(spec, q, n, m), m)
-    return Fraction(elementary_from_power_sums(sums, m)[m], scale**m)
+    elementary, scale = _scaled_elementary(_window_values(spec, q, n, m), m)
+    return Fraction(elementary[m], scale**m)
 
 
 def _leading_product(specs: Sequence[SequenceSpec], m: int, n: int, k: int) -> Fraction:

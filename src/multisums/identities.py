@@ -32,9 +32,9 @@ from .core import (
     SumProblem,
     brute_multiple_sum,
     brute_recurrent_sum,
+    elementary_from_power_sums,
     eval_sequence,
     power_sums,
-    reduce_from_power_sums,
     reduce_multiple_sum,
     sequence_spec_from_json,
     sequence_spec_to_json,
@@ -227,7 +227,7 @@ def _binomial_partition(params: Mapping) -> Checked:
     """Partition reduction with every power sum set to n equals C(n, m)."""
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
-    return {"n": n, "m": m}, reduce_from_power_sums([Fraction(n)] * m, m), Fraction(math.comb(n, m)), ""
+    return {"n": n, "m": m}, Fraction(elementary_from_power_sums([n] * m, m)[m]), Fraction(math.comb(n, m)), ""
 
 
 def _product_identity(params: Mapping) -> Checked:

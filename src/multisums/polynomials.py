@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _integer_power_sums, _window_values, elementary_from_power_sums
+from .core import ExplicitSequence, SequenceSpec, _scaled_elementary, _window_values
 from .exact_arith import RationalLike, _as_rational
 
 __all__ = [
@@ -46,11 +46,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
 
 def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
     """prod (x - r) expanded to dense coefficients."""
@@ -75,9 +70,8 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     roots = [_as_rational(r) for r in roots]
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
-    sums, scale = _integer_power_sums(roots, m)
-    value = elementary_from_power_sums(sums, m)[m]
-    return Fraction(-value if m % 2 else value, scale**m)
+    elementary, scale = _scaled_elementary(roots, m)
+    return Fraction(-elementary[m] if m % 2 else elementary[m], scale**m)
 
 
 def poly_derivative(poly: Polynomial, k: int = 1) -> Polynomial:
@@ -111,9 +105,9 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     roots = [_as_rational(r) for r in roots]
     x = _as_rational(x)
     n = len(roots)
-    sums, scale = _integer_power_sums(roots, n)
+    elementary, scale = _scaled_elementary(roots, n)
     lhs = Fraction(0)
-    for m, e_m in enumerate(elementary_from_power_sums(sums, n)):
+    for m, e_m in enumerate(elementary):
         term = x ** (n - m) * Fraction(e_m, scale**m)
         lhs += -term if m % 2 else term
     rhs = Fraction(1)
@@ -135,9 +129,9 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     Callers check the product form.
     """
     top = max(n - q + 1, 0)
-    sums, scale = _integer_power_sums(_window_values(spec, q, n, top), top)
+    elementary, scale = _scaled_elementary(_window_values(spec, q, n, top), top)
     total = 0
-    for e_m in elementary_from_power_sums(sums, top):  # Horner in the scale
+    for e_m in elementary:  # Horner in the scale
         total = total * scale + e_m
     return Fraction(total, scale**top)
 

@@ -2,14 +2,16 @@
 
 Each record holds the argv after the program name, the exit code and the
 stdout of one call of `multisum eval`, `special faulhaber`, `special mzv`,
-`special zeta-table`, `poly vieta` or `poly check-derivative-mean`. The
-lines cover the reduction on index-power and explicit specs (mixed
-denominators, zeros, negatives, a window of several hundred distinct
-denominators, empty windows), Faulhaber sums up to p = 40, the repeated
-even zeta values for p = 1..4 with and without `--numeric`, the shipped
-zeta table and the root identities. Run it from the repository root with
-the command that starts the CLI, to rewrite the records or to check an
-installed console script:
+`special zeta-table`, `poly vieta`, `poly check-derivative-mean` or
+`verify --json`. The lines cover the reduction on index-power and explicit
+specs (mixed denominators, zeros, negatives, a window of several hundred
+distinct denominators, empty windows), Faulhaber sums up to p = 40, the
+repeated even zeta values for p = 1..4 with and without `--numeric`, the
+shipped zeta table, the root identities, and all nine identities at the
+acceptance suite's sweep ranges (criterion 10), with fixed explicit specs
+for the sequence-bearing identities and one explicit phi per phi-taking
+identity. Run it from the repository root with the command that starts
+the CLI, to rewrite the records or to check an installed console script:
 
     PYTHONPATH=src python tests/cli_golden.py python -m multisums > tests/data/cli_golden.jsonl
     python tests/cli_golden.py multisums | cmp - tests/data/cli_golden.jsonl
@@ -35,6 +37,8 @@ def _power(exponent: int) -> str:
 MIXED = _spec({"kind": "explicit", "values": [1, "-1/2", 0, "2/5", -2, "7/3", "1/4", "-5/6", 3, "11/12"]})
 BASED = _spec({"kind": "explicit", "base": 0, "values": [2, "-1/3", 3, "5/7", -2, "1/2", 4, "-3/5", 5]})
 ZEROS = _spec({"kind": "explicit", "values": [0, 0, "1/3", 0, "-2/9", 0]})
+BRIDGE_SPEC = json.dumps({"kind": "explicit", "values": [1, "-1/2", 3, "2/5", -2, "7/3", "1/4"]})
+PRODUCT_SPEC = json.dumps({"kind": "explicit", "base": 0, "values": [2, "-1/3", 3, "5/7", -2, "1/2", 4, "-3/5", 5]})
 
 
 def _eval(spec: str, m: int, q: int, n: int, method: str) -> list[str]:
@@ -84,6 +88,17 @@ LINES = [
     *(["poly", "check-derivative-mean", "--roots", roots, "--k", str(k)] for roots, k in [
         ("1,2,3", 1), ("1,2,3", 2), ("1/2,-3,0,5/7,2", 3), ("5,-1/3,-1/3,4/9,7,-2/11", 4), ("2,5", 1),
     ]),
+    ["verify", "LEMMA_3_1", "--sweep", "m=0..12", "--json"],
+    ["verify", "STIRLING_ALTERNATING", "--sweep", "m=0..12", "--json"],
+    ["verify", "LEMMA_3_2", "--sweep", "m=0..6", "--json"],
+    ["verify", "LEMMA_3_2", "--m", "7", "--phi", "1,0,2", "--r", "7", "--json"],
+    ["verify", "EVEN_ODD_BINOM", "--sweep", "m=0..6", "--json"],
+    ["verify", "EVEN_ODD_BINOM", "--m", "9", "--phi", "0,1,1", "--r", "5", "--json"],
+    ["verify", "EVEN_ODD_WEIGHTS", "--sweep", "m=0..12", "--json"],
+    ["verify", "RECURRENT_BRIDGE", "--spec", BRIDGE_SPEC, "--q", "1", "--sweep", "m=0..4,n=1..7", "--json"],
+    ["verify", "BINOMIAL_PARTITION", "--sweep", "n=0..12,m=0..12", "--json"],
+    ["verify", "PRODUCT_IDENTITY", "--spec", PRODUCT_SPEC, "--sweep", "q=0..2,n=2..8", "--json"],
+    ["verify", "EVEN_ODD_N", "--sweep", "n=0..10,m=0..10", "--json"],
 ]
 
 

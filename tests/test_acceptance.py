@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import multisums
-from multisums.acceptance import criterion_titles, run_all
+from multisums.acceptance import run_all
 
-TITLES = criterion_titles()
+NUMBERS = list(range(1, 11))
 # `multisums selftest` stdout, byte for byte, as the contract fixes it
 GOLDEN_STDOUT = Path(__file__).parent / "data" / "selftest_stdout.json"
 
@@ -21,7 +21,7 @@ def all_results():
     return run_all()
 
 
-@pytest.mark.parametrize("number", sorted(TITLES))
+@pytest.mark.parametrize("number", NUMBERS)
 def test_criterion(all_results, number):
     result = next(r for r in all_results if r.number == number)
     assert result.passed, f"criterion {number} ({result.title}): {result.detail}"
@@ -33,8 +33,7 @@ def test_whole_suite_under_a_minute(all_results):
 
 
 def test_every_criterion_present(all_results):
-    assert [r.number for r in all_results] == sorted(TITLES)
-    assert len(TITLES) == 10
+    assert [r.number for r in all_results] == NUMBERS
 
 
 def test_criteria_match_golden_stdout(all_results):

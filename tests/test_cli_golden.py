@@ -1,4 +1,4 @@
-"""Stdout and exit code of the computing subcommands, against the golden records.
+"""Stdout and exit code of the computing subcommands and `verify --json`, against the golden records.
 
 The records come from `tests/cli_golden.py`; see its docstring to
 regenerate them or to replay them through an installed console script.

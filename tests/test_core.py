@@ -18,8 +18,6 @@ from multisums.core import (
     eval_sequence,
     elementary_from_power_sums,
     power_sums,
-    rational_power_sums,
-    reduce_from_power_sums,
     reduce_multiple_sum,
     reduce_symmetrized,
     sequence_spec_from_json,
@@ -109,12 +107,12 @@ def test_recurrent_frozen_values():
 
 def test_reduce_from_power_sums_examples():
     sums = [Fraction(6), Fraction(14), Fraction(36)]
-    assert reduce_from_power_sums(sums, 2) == 11
-    assert reduce_from_power_sums(sums, 3) == 6
-    assert reduce_from_power_sums(sums, 0) == 1
+    assert elementary_from_power_sums(sums, 2)[2] == 11
+    assert elementary_from_power_sums(sums, 3)[3] == 6
+    assert elementary_from_power_sums(sums, 0)[0] == 1
     # extra trailing sums are allowed, short lists are not
     with pytest.raises(ValueError):
-        reduce_from_power_sums(sums[:1], 2)
+        elementary_from_power_sums(sums[:1], 2)
 
 
 def test_reduce_matches_brute_frozen():
@@ -334,15 +332,8 @@ def test_power_sums_domain_errors_hold_at_every_order():
             power_sums(IndexPower(-1), 0, 3, m)  # index 0, negative exponent
     with pytest.raises(ValueError):
         power_sums(IndexPower(1), 1, 3, -1)
-    assert rational_power_sums([], 2) == [0, 0]
-    assert rational_power_sums([2, Fraction(1, 2)], 2) == [Fraction(5, 2), Fraction(17, 4)]
-
-
-def test_rational_power_sums_follow_the_exactness_policy():
-    assert rational_power_sums(["1/2", "-3", 2], 2) == [Fraction(-1, 2), Fraction(53, 4)]
-    for bad in (0.5, True):
-        with pytest.raises(ValueError):
-            rational_power_sums([1, bad], 1)
+    assert power_sums(ExplicitSequence([]), 1, 0, 2) == [0, 0]
+    assert power_sums(ExplicitSequence([2, Fraction(1, 2)]), 1, 2, 2) == [Fraction(5, 2), Fraction(17, 4)]
 
 
 def test_elementary_from_power_sums_follows_the_exactness_policy():
@@ -355,14 +346,6 @@ def test_elementary_from_power_sums_follows_the_exactness_policy():
             elementary_from_power_sums([1, bad], 2)
 
 
-def test_reduce_from_power_sums_follows_the_exactness_policy():
-    assert reduce_from_power_sums(["3/2", "5/4"], 2) == Fraction(1, 2)
-    assert type(reduce_from_power_sums([6, 14], 2)) is Fraction
-    for bad in (0.1, True):
-        with pytest.raises(ValueError):
-            reduce_from_power_sums([bad], 1)
-
-
 BLOCK = exact_arith._SUM_BLOCK
 
 
@@ -373,9 +356,10 @@ def test_summing_kernel_block_edges(length):
     values = [Fraction(k % 5 - 2, k % 7 + 1) if k % 3 else k % 4 - 1 for k in range(length)]
     for m in (0, 1, 5):
         expected = [sum((Fraction(v) ** i for v in values), Fraction(0)) for i in range(1, m + 1)]
-        assert rational_power_sums(values, m) == expected
+        assert power_sums(ExplicitSequence(values), 1, len(values), m) == expected
         stream = iter(values)
-        assert rational_power_sums(stream, m) == expected
+        sums, scale = exact_arith._pair_power_sums(((v.numerator, v.denominator) for v in stream), m)
+        assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
         assert next(stream, None) is None  # consumed to the end, also at m = 0
     assert exact_arith._tuple_sum(((k,) for k in range(length)), [values]) == sum(values, Fraction(0))
     pairs = ((k, length - 1 - k) for k in range(length))
@@ -413,7 +397,7 @@ def test_integer_window_route_matches_fraction_newton_and_partition_formula(valu
     # partition formula term by term
     n = len(values)
     spec = ExplicitSequence(values, base=1)
-    sums = rational_power_sums(values, n)
+    sums = power_sums(spec, 1, n, n)
     fraction_route = newton_coefficients([-s if i % 2 else s for i, s in enumerate(sums)], n)
     m = min(m, n)
     formula = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
@@ -429,8 +413,7 @@ def test_reduction_matches_partition_formula(m):
     rng = random.Random(m)
     sums = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
     value = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
-    assert reduce_from_power_sums(sums, m) == (-value if m % 2 else value)
-    assert elementary_from_power_sums(sums, m)[m] == reduce_from_power_sums(sums, m)
+    assert elementary_from_power_sums(sums, m)[m] == (-value if m % 2 else value)
 
 
 def test_reduction_matches_sympy_at_order_30():

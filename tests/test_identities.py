@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,15 @@ def test_binomial_partition():
         assert verify(IdentityId.BINOMIAL_PARTITION, {"n": 1, "m": m}).equal
         assert verify(IdentityId.BINOMIAL_PARTITION, {"n": 2, "m": m}).equal
         assert verify(IdentityId.BINOMIAL_PARTITION, {"n": m, "m": m}).lhs == 1
+
+
+@pytest.mark.parametrize("n, m", [(7, 300), (300, 150), (0, 200)])
+def test_binomial_partition_beyond_the_acceptance_orders(n, m):
+    # Newton's recurrence on the integer sums [n] * m, far past the sweep's m <= 12
+    report = verify(IdentityId.BINOMIAL_PARTITION, {"n": n, "m": m})
+    assert report.equal
+    assert report.lhs == math.comb(n, m)
+    assert type(report.lhs) is Fraction
 
 
 def test_product_identity():

