@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
@@ -30,6 +29,8 @@ from .core import (
 )
 from .exact_arith import (
     PiPolynomial,
+    _Record,
+    _set,
     bernoulli,
     pi_poly_numeric,
     stirling_first_unsigned,
@@ -60,13 +61,17 @@ from .special_sums import (
 __all__ = ["CriterionResult", "run_criterion", "run_all"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(_Record):
+    """One acceptance criterion's verdict, its detail line and its run time."""
+
+    __slots__ = ("number", "title", "passed", "detail", "seconds")
+
+    def __init__(self, number: int, title: str, passed: bool, detail: str, seconds: float) -> None:
+        _set(self, "number", number)
+        _set(self, "title", title)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "seconds", seconds)
 
     def to_json_dict(self) -> dict:
         return {

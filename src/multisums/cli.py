@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from .core import (
     reduce_multiple_sum,
     sequence_spec_from_json,
 )
-from .exact_arith import pi_poly_numeric, rational_from_str, rational_to_str
+from .exact_arith import _Record, _set, pi_poly_numeric, rational_from_str, rational_to_str
 from .identities import IdentityId, verify, verify_sweep
 from .partitions import enumerate_partitions, partition_count
 from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
@@ -45,11 +44,20 @@ __all__ = ["CommandOutcome", "run", "main"]
 BRUTE_MAX_M = 6  # largest brute-force order the command line runs
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int  # 0 pass, 1 an identity check failed, 2 usage or domain error
-    payload: object
-    jsonl: bool = False  # payload is a list to emit one JSON document per line
+class CommandOutcome(_Record):
+    """What one command line gives: its exit code and the payload to print.
+
+    exit_code is 0 on a pass, 1 when an identity check failed and 2 on a
+    usage or domain error; with jsonl the payload is a list to emit as one
+    JSON document per line.
+    """
+
+    __slots__ = ("exit_code", "payload", "jsonl")
+
+    def __init__(self, exit_code: int, payload: object, jsonl: bool = False) -> None:
+        _set(self, "exit_code", exit_code)
+        _set(self, "payload", payload)
+        _set(self, "jsonl", jsonl)
 
 
 def _ok(payload, jsonl: bool = False) -> CommandOutcome:

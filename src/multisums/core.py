@@ -38,13 +38,22 @@ symmetrized sum, m! C(n-q+1, m) tuples of distinct indices, so m <= 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_arith import RationalLike, _as_exact, _as_rational, _is_int, _pair_power_sums, _tuple_sum, rational_to_str
+from .exact_arith import (
+    RationalLike,
+    _as_exact,
+    _as_rational,
+    _is_int,
+    _pair_power_sums,
+    _Record,
+    _set,
+    _tuple_sum,
+    rational_to_str,
+)
 from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
 
 __all__ = [
@@ -70,26 +79,28 @@ __all__ = [
 BRUTE_MAX_TUPLES = 10**6  # tuples one brute-force call may enumerate
 
 
-@dataclass(frozen=True)
-class ExplicitSequence:
+class ExplicitSequence(_Record):
     """A finite sequence of rationals; values[k] sits at index base + k.
 
-    Values are Fractions, ints or ``"num/den"`` / integer strings; floats,
-    bools and decimal strings raise ValueError.
+    ``values`` is stored as a tuple of Fractions. Values are Fractions, ints
+    or ``"num/den"`` / integer strings; floats, bools and decimal strings
+    raise ValueError.
     """
 
-    values: tuple[Fraction, ...]
-    base: int = 1
+    __slots__ = ("values", "base")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_as_rational(v) for v in self.values))
+    def __init__(self, values: Iterable[RationalLike], base: int = 1) -> None:
+        _set(self, "values", tuple([_as_rational(v) for v in values]))
+        _set(self, "base", base)
 
 
-@dataclass(frozen=True)
-class IndexPower:
+class IndexPower(_Record):
     """The sequence a_N = N ** exponent; exponent may be negative."""
 
-    exponent: int
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: int) -> None:
+        _set(self, "exponent", exponent)
 
 
 SequenceSpec = Union[ExplicitSequence, IndexPower]
@@ -146,21 +157,20 @@ def sequence_spec_from_json(data: object) -> SequenceSpec:
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class SumProblem:
+class SumProblem(_Record):
     """An order-m multiple sum: one spec per position, window [q, n].
 
-    The order m is len(specs). q must be >= 0; a negative q is rejected
-    outright rather than silently summed over.
+    The order m is len(specs); ``specs`` is stored as a tuple. q must be
+    >= 0; a negative q is rejected outright rather than silently summed over.
     """
 
-    specs: tuple[SequenceSpec, ...]
-    q: int
-    n: int
+    __slots__ = ("specs", "q", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-        if self.q < 0:
+    def __init__(self, specs: Iterable[SequenceSpec], q: int, n: int) -> None:
+        _set(self, "specs", tuple(specs))
+        _set(self, "q", q)
+        _set(self, "n", n)
+        if q < 0:
             raise ValueError("q must be >= 0")
 
     @property
@@ -213,13 +223,26 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
 
 
-def _window_values(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[Fraction]:
-    """The values a_q..a_n, evaluated as they are read, once the order and window are checked."""
+def _window_pairs(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The values a_q..a_n as the kernel reads them, (numerator, denominator)
+    int pairs evaluated as they are read, once the order and window are checked.
+
+    N ** e is the pair (N ** e, 1), or (1, N ** -e) for e < 0, with no
+    Fraction built; index 0 is refused for e < 0 as eval_sequence refuses it.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     if q < 0:
         raise ValueError("q must be >= 0")
-    return (eval_sequence(spec, N) for N in range(q, n + 1))
+    if isinstance(spec, IndexPower):
+        e = spec.exponent
+        if e >= 0:
+            return ((N**e, 1) for N in range(q, n + 1))
+        if q == 0 <= n:
+            eval_sequence(spec, 0)  # raises: 0 has no negative power
+        return ((1, N**-e) for N in range(q, n + 1))
+    values = (eval_sequence(spec, N) for N in range(q, n + 1))
+    return ((v.numerator, v.denominator) for v in values)
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
@@ -229,7 +252,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     an index outside the sequence's domain raises either way; an empty
     window gives zeros.
     """
-    sums, scale = _pair_power_sums(((v.numerator, v.denominator) for v in _window_values(spec, q, n, m)), m)
+    sums, scale = _pair_power_sums(_window_pairs(spec, q, n, m), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
@@ -245,13 +268,13 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     return newton_coefficients(signed, m)
 
 
-def _scaled_elementary(values: Iterable[Fraction | int], m: int) -> tuple[list[int], int]:
-    """(E, L): e_k of the values is E[k] / L ** k for k = 0..m.
+def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:
+    """(E, L): e_k of the values num / den of the int pairs is E[k] / L ** k for k = 0..m.
 
     The block kernel of exact_arith gives the power sums as integers over one
     scale L, and Newton's recurrence runs on those integers alone.
     """
-    sums, scale = _pair_power_sums(((v.numerator, v.denominator) for v in values), m)
+    sums, scale = _pair_power_sums(pairs, m)
     return elementary_from_power_sums(sums, m), scale
 
 
@@ -266,7 +289,7 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     including the degenerate window cases (empty window gives 0 for m >= 1,
     and m = 0 gives 1).
     """
-    elementary, scale = _scaled_elementary(_window_values(spec, q, n, m), m)
+    elementary, scale = _scaled_elementary(_window_pairs(spec, q, n, m), m)
     return Fraction(elementary[m], scale**m)
 
 

@@ -15,7 +15,8 @@ Bernoulli numbers come from a table of tangent numbers, integers built by
 additions only. Decimal
 arithmetic appears only inside :func:`pi_poly_numeric`, which renders a
 :class:`PiPolynomial` as a decimal string for display and trend checks,
-never for an equality verdict.
+never for an equality verdict. The private ``_Record`` gives the package's
+value records their equality, hash, immutability and repr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,49 @@ _SUM_BLOCK = 32  # terms per integer block in _pair_power_sums
 
 # What _as_rational takes exactly; floats and bools are refused.
 RationalLike = Union[Fraction, int, str]
+
+# How a record's __init__ sets its fields past _Record's refusal to assign.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    sets them in its ``__init__`` through ``_set``. Two records are then
+    equal when they are of the same class with equal fields, the hash is the
+    field tuple's, assigning or deleting a field raises AttributeError, and
+    the repr reads ``Name(field=value, ...)``. Written once here instead of
+    ``@dataclass(frozen=True)``, whose module loads ``inspect`` on import and
+    whose decorator compiles every class's methods, at each process start.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a record through its __init__, not by assignment
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
 
 
 def _is_int(value: object) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from typing import Callable, Mapping, Sequence, Union
@@ -39,7 +38,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import _is_int, rational_to_str, stirling_first_unsigned
+from .exact_arith import _is_int, _Record, _set, rational_to_str, stirling_first_unsigned
 from .partitions import _check_order, enumerate_partitions, parity_partition_sums, partition_count, partition_sum
 
 __all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS", "SWEEP_MAX_PARTITIONS"]
@@ -67,16 +66,18 @@ Side = Union[Fraction, tuple]
 Checked = tuple[dict, Side, Side, str]  # what a check returns: (params as reported, lhs, rhs, note)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """One identity check: both sides exactly, and whether they agree."""
 
-    identity: IdentityId
-    params: dict
-    lhs: Side
-    rhs: Side
-    equal: bool
-    note: str = ""
+    __slots__ = ("identity", "params", "lhs", "rhs", "equal", "note")
+
+    def __init__(self, identity: IdentityId, params: dict, lhs: Side, rhs: Side, equal: bool, note: str = "") -> None:
+        _set(self, "identity", identity)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "equal", equal)
+        _set(self, "note", note)
 
     def to_json_dict(self) -> dict:
         return {

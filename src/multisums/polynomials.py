@@ -9,12 +9,11 @@ ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _scaled_elementary, _window_values
-from .exact_arith import RationalLike, _as_rational
+from .core import ExplicitSequence, SequenceSpec, _scaled_elementary, _window_pairs
+from .exact_arith import RationalLike, _as_rational, _Record, _set
 
 __all__ = [
     "Polynomial",
@@ -28,19 +27,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """coeffs[i] is the coefficient of x**i; the zero polynomial is (0,)."""
+class Polynomial(_Record):
+    """coeffs[i] is the coefficient of x**i; the zero polynomial is (0,).
 
-    coeffs: tuple[Fraction, ...]
+    ``coeffs`` is stored as a tuple of Fractions, trailing zeros dropped.
+    """
 
-    def __post_init__(self) -> None:
-        coeffs = [_as_rational(c) for c in self.coeffs]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RationalLike]) -> None:
+        coeffs = [_as_rational(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
             coeffs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _set(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -70,7 +71,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     roots = [_as_rational(r) for r in roots]
     if not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
-    elementary, scale = _scaled_elementary(roots, m)
+    elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), m)
     return Fraction(-elementary[m] if m % 2 else elementary[m], scale**m)
 
 
@@ -105,7 +106,7 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     roots = [_as_rational(r) for r in roots]
     x = _as_rational(x)
     n = len(roots)
-    elementary, scale = _scaled_elementary(roots, n)
+    elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), n)
     lhs = Fraction(0)
     for m, e_m in enumerate(elementary):
         term = x ** (n - m) * Fraction(e_m, scale**m)
@@ -129,7 +130,7 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     Callers check the product form.
     """
     top = max(n - q + 1, 0)
-    elementary, scale = _scaled_elementary(_window_values(spec, q, n, top), top)
+    elementary, scale = _scaled_elementary(_window_pairs(spec, q, n, top), top)
     total = 0
     for e_m in elementary:  # Horner in the scale
         total = total * scale + e_m

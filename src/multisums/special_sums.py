@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence
 
 from .core import IndexPower, elementary_from_power_sums
@@ -204,6 +203,8 @@ def load_zeta_golden_table() -> dict[int, Fraction]:
     Read from the packaged data file, independent of zeta_even's formula,
     so the two can check each other.
     """
+    from importlib import resources  # here, not at the top: it loads pathlib, zipfile and tempfile
+
     text = resources.files("multisums").joinpath("data/zeta_even.json").read_text(encoding="utf-8")
     raw = json.loads(text)
     return {int(arg): Fraction(coeff) for arg, coeff in raw.items()}

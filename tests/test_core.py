@@ -336,6 +336,26 @@ def test_power_sums_domain_errors_hold_at_every_order():
     assert power_sums(ExplicitSequence([2, Fraction(1, 2)]), 1, 2, 2) == [Fraction(5, 2), Fraction(17, 4)]
 
 
+@given(st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=4))
+def test_index_power_windows_match_brute(exponent, q, width, m):
+    # IndexPower windows reach the kernel as the int pairs (N^e, 1) or (1, N^-e)
+    spec = IndexPower(exponent)
+    n = q + width - 1
+    if exponent < 0 and q == 0 <= n:
+        with pytest.raises(ValueError):
+            reduce_multiple_sum(spec, m, q, n)
+        with pytest.raises(ValueError):
+            sum_of_multiple_sums(spec, q, n)
+        return
+    assert reduce_multiple_sum(spec, m, q, n) == brute_multiple_sum(SumProblem((spec,) * m, q, n))
+    assert power_sums(spec, q, n, m) == _per_term_power_sums(spec, q, n, m)
+    product = Fraction(1)
+    for N in range(q, n + 1):
+        product *= eval_sequence(spec, N) + 1
+    assert sum_of_multiple_sums(spec, q, n) == product
+
+
 def test_elementary_from_power_sums_follows_the_exactness_policy():
     # integer sums stay integers: the power sums 6, 14 of 1, 2, 3 give e_1 = 6, e_2 = 11
     assert elementary_from_power_sums([6, 14], 2) == [1, 6, 11]
