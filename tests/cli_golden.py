@@ -99,6 +99,9 @@ LINES = [
     ["verify", "BINOMIAL_PARTITION", "--sweep", "n=0..12,m=0..12", "--json"],
     ["verify", "PRODUCT_IDENTITY", "--spec", PRODUCT_SPEC, "--sweep", "q=0..2,n=2..8", "--json"],
     ["verify", "EVEN_ODD_N", "--sweep", "n=0..10,m=0..10", "--json"],
+    ["verify", "EVEN_ODD_BINOM", "--sweep", "m=9", "--json"],
+    ["verify", "LEMMA_3_2", "--sweep", "m=9", "--json"],
+    ["verify", "EVEN_ODD_N", "--sweep", "n=12,m=0..20", "--json"],
 ]
 
 
