@@ -15,7 +15,11 @@ Partition enumeration (`partitions list` and the partition sums of
 `verify`) stops at m = PARTITION_LIST_MAX_M, `--numeric` at
 NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
 as many reports after phi expansion and SWEEP_MAX_PARTITIONS partitions
-summed over. Those input caps bound the output too:
+summed over. `special faulhaber` and `special mzv` need Bernoulli numbers
+up to special_sums.BERNOULLI_MAX_INDEX; `verify BINOMIAL_PARTITION` takes
+n and m up to identities.BINOMIAL_MAX and `verify PRODUCT_IDENTITY`
+windows of up to identities.PRODUCT_MAX_WINDOW terms. Those input caps
+bound the output too:
 exact results print in full, however many digits they have.
 """
 

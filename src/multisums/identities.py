@@ -8,14 +8,19 @@ statement is a pair of equations carry both sides as ordered pairs, so
 Registry keys are opaque stable strings (the CLI wire format). The registry
 is one table: per identity, a check returning (params, lhs, rhs, note), the
 parameter names it takes, and whether its left side sums over the partitions
-of m (which the sweep budget counts). The identities taking "phi" are those
-whose parameter names include it. Lemma 3.1 and EVEN_ODD_WEIGHTS are the
-phi = 0 cases of LEMMA_3_2 and EVEN_ODD_BINOM, so each pair shares one
-weight, (+-1)^k C(k, phi_i) / (i^k k!), and one closed form.
+of m (which the sweep budget counts, with Lemma 3.2's restricted side).
+The identities taking "phi" are those whose parameter names include it.
+Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
+EVEN_ODD_BINOM, so each pair shares one closed form, and all five
+partition-weighted identities but RECURRENT_BRIDGE share one weight,
+(+-1)^k C(k, phi_i) n^k / (i^k k!) with n = 1 except for EVEN_ODD_N. That
+weight is written once, as integer rows over D_i = i^K K! (K = m // i),
+built by running products with no Fraction per entry.
 
 Here the partition sum is the left side under test, so it is evaluated term
-by term with :func:`multisums.partitions.partition_sum` (or its even/odd
-split), never by the recurrence that the reductions use.
+by term by the walk of :mod:`multisums.partitions` (over those rows, or
+through :func:`multisums.partitions.parity_partition_sums` for the bridge's
+rational weights), never by the recurrence that the reductions use.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 from itertools import product as cartesian_product
+from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 from .core import (
@@ -39,13 +46,28 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import _is_int, _Record, _set, rational_to_str, stirling_first_unsigned
-from .partitions import _check_order, enumerate_partitions, parity_partition_sums, partition_count, partition_sum
+from .partitions import _check_order, _walk_rows, enumerate_partitions, parity_partition_sums, partition_count
 
-__all__ = ["IdentityId", "VerificationReport", "verify", "verify_sweep", "SWEEP_MAX_POINTS", "SWEEP_MAX_PARTITIONS"]
+__all__ = [
+    "IdentityId",
+    "VerificationReport",
+    "verify",
+    "verify_sweep",
+    "SWEEP_MAX_POINTS",
+    "SWEEP_MAX_PARTITIONS",
+    "BINOMIAL_MAX",
+    "PRODUCT_MAX_WINDOW",
+]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
 # p(m) summed over the reports of one verify_sweep, a report at order m summing over p(m) partitions
 SWEEP_MAX_PARTITIONS = 2_000_000
+# n and m of BINOMIAL_PARTITION: O(m^2) Newton steps on integers growing with
+# n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6, m = 2000 (2-vCPU VM)
+BINOMIAL_MAX = 2000
+# terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full: N^-6 on
+# [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
+PRODUCT_MAX_WINDOW = 100
 
 
 class IdentityId(str, enum.Enum):
@@ -145,32 +167,63 @@ def _require_spec(params: Mapping) -> SequenceSpec:
     return spec if isinstance(spec, SequenceSpec) else sequence_spec_from_json(spec)
 
 
-def _weight(phi: tuple[int, ...], signed: bool) -> Callable[[int, int], Fraction]:
-    """(+-1)^k C(k, phi_i) / (i^k k!), the weight of y_i = k.
+def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[list[list[int]], list[int]]:
+    """(rows, dens) of the weight (+-1)^k C(k, phi_i) n^k / (i^k k!) of y_i = k.
 
-    At phi = 0 it is Lemma 3.1's weight (signed) and EVEN_ODD_WEIGHTS'
-    (unsigned). At k = 0 it is 0 when phi_i > 0, which removes partitions
-    lacking a part that phi has.
+    Row i over D_i = dens[i] = i^K K!, K = m // i, has the integer entries
+    rows[i][k] = (+-1)^k C(k, phi_i) n^k i^(K-k) K!/k!, built by running
+    products, the form :func:`multisums.partitions._walk_rows` reads;
+    rows[0] is empty and dens[0] = 1. Entries of phi past its end are 0.
+    At phi = 0 and n = 1 it is Lemma 3.1's
+    weight (signed) and EVEN_ODD_WEIGHTS' (unsigned). At k < phi_i it is 0,
+    which removes partitions lacking a part that phi has. Orders above the
+    partition enumeration cap are refused before any row is built.
     """
+    _check_order(m)
+    power_base = -n if signed else n
+    rows: list[list[int]] = [[]]
+    dens = [1]
+    for i in range(1, m + 1):
+        top = m // i
+        # i^(top-k) top!/k! for k = top, top - 1, ..., 0
+        row = list(accumulate(range(i * top, 0, -i), mul, initial=1))
+        row.reverse()
+        dens.append(row[0])
+        if power_base != 1:
+            row = list(map(mul, row, accumulate(repeat(power_base, top), mul, initial=1)))
+        least = phi[i - 1] if i <= len(phi) else 0
+        if least:
+            row = [0] * least + [math.comb(k, least) * row[k] for k in range(least, top + 1)]
+        rows.append(row)
+    return rows, dens
 
-    def weight(i: int, k: int) -> Fraction:
-        value = Fraction(math.comb(k, phi[i - 1]), i**k * math.factorial(k))
-        return -value if signed and k % 2 else value
 
-    return weight
+def _full_sum(rows: list[list[int]], dens: list[int]) -> Fraction:
+    """The partition sum of integer rows over their denominators."""
+    even, odd = _walk_rows(rows)
+    return Fraction(even + odd, math.prod(dens))
 
 
-def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], Callable, Fraction, int]:
-    """(m, phi, weight, base, d) of a binomial-filtered partition sum.
+def _parity_sums(rows: list[list[int]], dens: list[int]) -> tuple[Fraction, Fraction]:
+    """The (even, odd) partition sums of integer rows over their denominators."""
+    even, odd = _walk_rows(rows)
+    den = math.prod(dens)
+    return Fraction(even, den), Fraction(odd, den)
+
+
+def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, Fraction, int]:
+    """(m, phi, (rows, dens), base, d) of a binomial-filtered partition sum.
 
     phi defaults to 0. base is the weight's product over phi's nonzero
-    entries, where C(phi_i, phi_i) = 1, and d = m - r with phi a partition of r.
+    entries, where C(phi_i, phi_i) = 1, read from the rows, and d = m - r
+    with phi a partition of r.
     """
     m = _require_int(params, "m", 0)
+    _check_order(m)  # before phi is padded to length m
     phi = _normalize_phi(params.get("phi", ()), m)
-    weight = _weight(phi, signed)
-    base = math.prod((weight(i, k) for i, k in enumerate(phi, start=1) if k), start=Fraction(1))
-    return m, phi, weight, base, m - sum(i * k for i, k in enumerate(phi, start=1))
+    rows, dens = _weight_rows(m, phi, signed)
+    base = math.prod((Fraction(rows[i][k], dens[i]) for i, k in enumerate(phi, start=1) if k), start=Fraction(1))
+    return m, phi, (rows, dens), base, m - sum(i * k for i, k in enumerate(phi, start=1))
 
 
 def _alternating_closed(base: Fraction, d: int) -> Fraction:
@@ -198,19 +251,19 @@ _PARITY_NOTE = "lhs = (even-partition sum, odd-partition sum)"
 
 def _lemma_3_1(params: Mapping) -> Checked:
     """Alternating partition weights collapse: sum = (-1)^m for m <= 1, else 0."""
-    m, _, weight, base, d = _filtered(params, signed=True)
-    return {"m": m}, partition_sum(m, weight), _alternating_closed(base, d), ""
+    m, _, rows, base, d = _filtered(params, signed=True)
+    return {"m": m}, _full_sum(*rows), _alternating_closed(base, d), ""
 
 
 def _lemma_3_2(params: Mapping) -> Checked:
     """Binomial-filtered alternating weights; full and restricted sums agree."""
-    m, phi, weight, base, d = _filtered(params, signed=True)
+    m, phi, rows, base, d = _filtered(params, signed=True)
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
-    restricted = base * partition_sum(d, _weight((0,) * d, signed=True))
+    restricted = base * _full_sum(*_weight_rows(d, (), signed=True))
     closed = _alternating_closed(base, d)
     note = "lhs = (full sum, sum restricted to y_i >= phi_i)"
-    return {"m": m, "phi": phi}, (partition_sum(m, weight), restricted), (closed, closed), note
+    return {"m": m, "phi": phi}, (_full_sum(*rows), restricted), (closed, closed), note
 
 
 def _stirling_alternating(params: Mapping) -> Checked:
@@ -228,6 +281,8 @@ def _binomial_partition(params: Mapping) -> Checked:
     """Partition reduction with every power sum set to n equals C(n, m)."""
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
+    if max(n, m) > BINOMIAL_MAX:
+        raise ValueError(f"n={n}, m={m}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
     return {"n": n, "m": m}, Fraction(elementary_from_power_sums([n] * m, m)[m]), Fraction(math.comb(n, m)), ""
 
 
@@ -239,6 +294,8 @@ def _product_identity(params: Mapping) -> Checked:
     if n < q:
         raise ValueError("need n >= q")
     m = n - q + 1
+    if m > PRODUCT_MAX_WINDOW:
+        raise ValueError(f"window of {m} terms exceeds the PRODUCT_IDENTITY cap {PRODUCT_MAX_WINDOW}")
     rhs = Fraction(1)
     for j in range(q, n + 1):
         rhs *= eval_sequence(spec, j)
@@ -275,14 +332,14 @@ def _recurrent_bridge(params: Mapping) -> Checked:
 
 def _even_odd_weights(params: Mapping) -> Checked:
     """Even and odd partition weight totals: (1,0), (0,1), then (1/2, 1/2)."""
-    m, _, weight, base, d = _filtered(params, signed=False)
-    return {"m": m}, parity_partition_sums(m, weight), _parity_closed(base, d, 0), _PARITY_NOTE
+    m, _, rows, base, d = _filtered(params, signed=False)
+    return {"m": m}, _parity_sums(*rows), _parity_closed(base, d, 0), _PARITY_NOTE
 
 
 def _even_odd_binom(params: Mapping) -> Checked:
     """Binomial-filtered even/odd weight totals against the three-case closed form."""
-    m, phi, weight, base, d = _filtered(params, signed=False)
-    return {"m": m, "phi": phi}, parity_partition_sums(m, weight), _parity_closed(base, d, sum(phi)), _PARITY_NOTE
+    m, phi, rows, base, d = _filtered(params, signed=False)
+    return {"m": m, "phi": phi}, _parity_sums(*rows), _parity_closed(base, d, sum(phi)), _PARITY_NOTE
 
 
 def _even_odd_n(params: Mapping) -> Checked:
@@ -294,11 +351,7 @@ def _even_odd_n(params: Mapping) -> Checked:
     """
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
-
-    def weight(i: int, mult: int) -> Fraction:
-        return Fraction(n, i) ** mult / math.factorial(mult)
-
-    lhs = parity_partition_sums(m, weight)
+    lhs = _parity_sums(*_weight_rows(m, (), signed=False, n=n))
     # n = m = 0 gives C(-1, 0) = 1 (empty choice); math.comb wants n >= 0
     main = Fraction(1) if n + m - 1 < 0 else Fraction(math.comb(n + m - 1, m))
     correction = Fraction(math.comb(n, m))
@@ -312,18 +365,29 @@ def _even_odd_n(params: Mapping) -> Checked:
     return {"n": n, "m": m}, lhs, rhs, note
 
 
-# identity -> (check, parameter names, whether the left side sums over the
-# partitions of m); the identities taking "phi" expand it in verify_sweep
-_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], bool]] = {
-    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), True),
-    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), True),
-    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), False),
-    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), False),
-    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), False),
-    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), True),
-    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), True),
-    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), True),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), True),
+def _full_partitions(m: int, r: int) -> int:
+    """Partitions a report at order m walks: p(m), the full side."""
+    return partition_count(m)
+
+
+def _full_and_restricted_partitions(m: int, r: int) -> int:
+    """Partitions a LEMMA_3_2 report walks: p(m) on the full side, p(m - r) on the restricted one."""
+    return partition_count(m) + partition_count(m - r)
+
+
+# identity -> (check, parameter names, the partitions one report at order m
+# and phi of r walks, or None where no side sums over partitions); the
+# identities taking "phi" expand it in verify_sweep
+_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[int, int], int] | None]] = {
+    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _full_partitions),
+    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _full_and_restricted_partitions),
+    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), None),
+    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), None),
+    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), None),
+    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _full_partitions),
+    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _full_partitions),
+    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _full_partitions),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), _full_partitions),
 }
 
 
@@ -355,11 +419,13 @@ def verify_sweep(
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
     SWEEP_MAX_POINTS reports are allowed, and for the identities whose left
     side sums over the partitions of m, at most SWEEP_MAX_PARTITIONS
-    partitions: p(m) per report at order m. All are counted before any check
-    runs; pass ``range`` objects so a refused sweep costs nothing.
+    partitions: p(m) per report at order m, and for LEMMA_3_2 p(m - r) more
+    on its restricted side, phi being a partition of r. All are counted
+    before any check runs; pass ``range`` objects so a refused sweep costs
+    nothing.
     """
     identity = IdentityId(identity)
-    _, parameters, sums_partitions = _REGISTRY[identity]
+    _, parameters, walked = _REGISTRY[identity]
     swept = set(parameters) - {"phi", "spec"}
     unknown = sorted(set(ranges) - swept)
     if unknown:
@@ -372,9 +438,8 @@ def verify_sweep(
     grid = [dict(base, **dict(zip(names, combo))) for combo in cartesian_product(*ranges.values())]
     expand_phi = "phi" in parameters and "phi" not in base
     size = visited = 0
-    for params in grid if sums_partitions else ():
+    for params in grid if walked else ():
         m = _require_int(params, "m", 0)
-        at_m = 1
         if expand_phi:
             at_m = r = 0
             while r <= m and size + at_m <= SWEEP_MAX_POINTS:
@@ -382,9 +447,14 @@ def verify_sweep(
                 r += 1
             if size + at_m > SWEEP_MAX_POINTS:
                 raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
-        _check_order(m)
+            _check_order(m)
+            visited += sum(partition_count(r) * walked(m, r) for r in range(m + 1))
+        else:
+            at_m = 1
+            _check_order(m)
+            phi = _normalize_phi(params["phi"], m) if "phi" in params else ()
+            visited += walked(m, sum(i * k for i, k in enumerate(phi, start=1)))
         size += at_m
-        visited += at_m * partition_count(m)
     if visited > SWEEP_MAX_PARTITIONS:
         raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
     reports: list[VerificationReport] = []

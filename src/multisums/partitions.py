@@ -16,8 +16,12 @@ routes here. :func:`partition_sum` (and its even/odd split
 term over every partition; it is the readable oracle, and its sums are
 rational. It does not list the partitions: a depth-first walk over the
 multiplicities, largest part first, shares each prefix product among the
-partitions below it and sums integers over one common denominator per
-call. :func:`newton_coefficients` gets every such sum up to m at once from
+partitions below it. The walk reads integer rows, R_i[k] = D_i w(i, k)
+with one denominator D_i per part size i, and sums integers over
+den = prod_i D_i. The public functions read each per-entry weight w(i, k)
+as a rational and put its row over the lcm of the row's denominators;
+:mod:`multisums.identities` writes its closed-form weights as integer rows
+and hands them to the walk directly. :func:`newton_coefficients` gets every such sum up to m at once from
 Newton's recurrence in O(m^2) exact steps; the production reductions use
 it, the window reductions of :mod:`multisums.core` on integers alone.
 
@@ -91,28 +95,39 @@ def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
 Weight = Callable[[int, int], RationalLike]
 
 
-def _parity_totals(m: int, weight: Weight) -> tuple[int, int, int]:
-    """(even, odd, den): the sums over partitions y of m with an even (odd)
-    number of parts of prod_{i=1}^{m} weight(i, y_i) are even / den and odd / den.
+def _read_rows(m: int, weight: Weight) -> tuple[list[list[int]], int]:
+    """(rows, den): rows[i][k] = D_i * weight(i, k) for k <= m // i, as ints, and den = prod_i D_i.
 
-    Each row weight(i, 0..m // i) is read once and put over its own common
-    denominator D_i, so every term is an int over den = prod_i D_i. A
-    depth-first walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1 the
-    rest, multiplying one row entry into a running product per step, so
-    partitions that share their larger parts share that prefix product.
-    Once the rest is smaller than the next part size, the rows in between
-    can only take y_i = 0, and their product comes from a table.
+    Each row weight(i, 0..m // i) is read once as rationals and put over its
+    own common denominator D_i, the lcm of its entries' denominators.
+    rows[0] is empty. Orders above PARTITION_LIST_MAX_M are refused before
+    any weight is read.
     """
     _check_order(m)
-    if m == 0:
-        return 1, 0, 1  # the empty partition: zero parts, the empty product
-    rows: list[list[int]] = [[]]  # rows[i][k] = D_i * weight(i, k)
+    rows: list[list[int]] = [[]]
     den = 1
     for i in range(1, m + 1):
         row = [_as_rational(weight(i, k)) for k in range(m // i + 1)]
         scale = lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (scale // v.denominator) for v in row])
         den *= scale
+    return rows, den
+
+
+def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(even, odd): the sums over partitions y of m = len(rows) - 1 with an
+    even (odd) number of parts of prod_{i=1}^{m} rows[i][y_i].
+
+    rows[i] holds the integer entries for y_i = 0..m // i. A depth-first
+    walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1 the rest,
+    multiplying one row entry into a running product per step, so
+    partitions that share their larger parts share that prefix product.
+    Once the rest is smaller than the next part size, the rows in between
+    can only take y_i = 0, and their product comes from a table.
+    """
+    m = len(rows) - 1
+    if m == 0:
+        return 1, 0  # the empty partition: zero parts, the empty product
     # zeros[j][r] = prod_{l=r+1}^{j} rows[l][0]: the factor of y_{r+1} = ... = y_j = 0
     zeros = [[1]]
     for j in range(1, m + 1):
@@ -137,7 +152,7 @@ def _parity_totals(m: int, weight: Weight) -> tuple[int, int, int]:
 
     walk(m, m, 1, 0)
     del walk  # as in enumerate_partitions: no reference cycle is left for gc
-    return totals[0], totals[1], den
+    return totals[0], totals[1]
 
 
 def partition_sum(m: int, weight: Weight) -> Fraction:
@@ -151,7 +166,8 @@ def partition_sum(m: int, weight: Weight) -> Fraction:
     denominator; production code uses :func:`newton_coefficients` where it
     applies. Orders above PARTITION_LIST_MAX_M are refused with ValueError.
     """
-    even, odd, den = _parity_totals(m, weight)
+    rows, den = _read_rows(m, weight)
+    even, odd = _walk_rows(rows)
     return Fraction(even + odd, den)
 
 
@@ -162,7 +178,8 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     number of parts, sum(y), of prod_{i=1}^{m} weight(i, y_i); the weight
     conventions are those of :func:`partition_sum`.
     """
-    even, odd, den = _parity_totals(m, weight)
+    rows, den = _read_rows(m, weight)
+    even, odd = _walk_rows(rows)
     return Fraction(even, den), Fraction(odd, den)
 
 

@@ -41,20 +41,35 @@ __all__ = [
     "mzv_limit_trend",
     "load_zeta_golden_table",
     "MZV_PARTIAL_MAX_N",
+    "BERNOULLI_MAX_INDEX",
 ]
 
 MZV_PARTIAL_MAX_N = 60  # n^2 Newton steps on power sums of N^-p, rationals of thousands of bits
+# Largest index j of the B_j one call here requests: p for faulhaber, mp for
+# multiple_power_sum, 2mp for bernoulli_partition_sum and mzv_even_reduced.
+# The dearest call it admits, mzv_even_reduced(256, 1), takes about 2 s on a
+# 2-vCPU VM, nearly all in Newton's recurrence on rationals of many
+# thousand bits; faulhaber(10, 512) takes 0.03 s.
+BERNOULLI_MAX_INDEX = 512
+
+
+def _check_bernoulli_index(j: int, what: str) -> None:
+    """Refuses a call that needs B_j past BERNOULLI_MAX_INDEX, before the tangent table grows."""
+    if j > BERNOULLI_MAX_INDEX:
+        raise ValueError(f"{what} needs B_{j}, past the Bernoulli index cap {BERNOULLI_MAX_INDEX}")
 
 
 def faulhaber(n: int, p: int) -> Fraction:
     """sum_{N=1}^{n} N**p, closed form with Bernoulli numbers (B_1 = -1/2).
 
-    (1/(p+1)) sum_{j=0}^{p} (-1)^j C(p+1, j) B_j n^(p+1-j).
+    (1/(p+1)) sum_{j=0}^{p} (-1)^j C(p+1, j) B_j n^(p+1-j). p above
+    BERNOULLI_MAX_INDEX is refused with ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if p < 0:
         raise ValueError("p must be >= 0")
+    _check_bernoulli_index(p, f"p={p}")
     total = Fraction(0)
     big_n = Fraction(n)
     for j in range(p + 1):
@@ -68,7 +83,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
 
     S_i = faulhaber(n, i p), an integer, feeds the integer reduction at
     scale 1 (e_m of the integers N^p); no tuples are enumerated.
-    Requires 0 <= m <= n.
+    Requires 0 <= m <= n and m p <= BERNOULLI_MAX_INDEX.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -76,6 +91,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
         raise ValueError("need n >= m")
     if p < 0:
         raise ValueError("p must be >= 0")
+    _check_bernoulli_index(m * p, f"m={m}, p={p}")
     return Fraction(elementary_from_power_sums([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
 
 
@@ -117,7 +133,7 @@ def mzv_even_reduced(m: int, p: int) -> PiPolynomial:
     scaling the i-th input by lam^i scales the order-m coefficient by lam^m,
     so c = lam^m bernoulli_partition_sum(m, p).
     """
-    c = bernoulli_partition_sum(m, p)  # refuses m < 0 and p < 1
+    c = bernoulli_partition_sum(m, p)  # refuses m < 0, p < 1 and 2mp > BERNOULLI_MAX_INDEX
     lam = 4**p if p % 2 else -(4**p)
     return PiPolynomial({2 * p * m: c * lam**m})
 
@@ -146,12 +162,14 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
     sum over partitions y of m of prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i),
     evaluated by newton_coefficients fed B_{2ip} / (2 (2ip)!) for i = 1..m.
     Collapses to 1/(2^(2m) (2m+1)!) at p=1, 2 (-1)^m / (2^(2m) (4m+2)!) at
-    p=2, and 6/(6m+3)! at p=3; callers check those forms.
+    p=2, and 6/(6m+3)! at p=3; callers check those forms. 2mp above
+    BERNOULLI_MAX_INDEX is refused with ValueError.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
+    _check_bernoulli_index(2 * m * p, f"m={m}, p={p}")
     weights = [bernoulli(2 * i * p) / (2 * math.factorial(2 * i * p)) for i in range(1, m + 1)]
     return newton_coefficients(weights, m)[m]
 

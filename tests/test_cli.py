@@ -281,11 +281,36 @@ def test_verify_lemma_3_1_at_the_order_cap_in_fresh_process():
 
 
 def test_verify_sweep_partition_budget_exits_2(capsys):
-    # m = 21 expands into 3506 reports of p(21) = 792 partitions: 2 776 752 > SWEEP_MAX_PARTITIONS
+    # m = 21 expands into 3506 reports of p(21) = 792 partitions on the full side and
+    # 35 002 on the restricted sides: 2 811 754 > SWEEP_MAX_PARTITIONS
     code, out, err = run_main(capsys, ["verify", "LEMMA_3_2", "--sweep", "m=21"])
     assert code == 2
-    assert json.loads(out) == {"error": "sweep visits 2776752 partitions, more than the cap of 2000000"}
+    assert json.loads(out) == {"error": "sweep visits 2811754 partitions, more than the cap of 2000000"}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        (["special", "faulhaber", "--n", "10", "--p", "513"], "p=513 needs B_513, past the Bernoulli index cap 512"),
+        (["special", "mzv", "--m", "257", "--p", "1"], "m=257, p=1 needs B_514, past the Bernoulli index cap 512"),
+        (["special", "mzv", "--m", "200", "--p", "3", "--numeric", "10"],
+         "m=200, p=3 needs B_1200, past the Bernoulli index cap 512"),
+        (["verify", "BINOMIAL_PARTITION", "--n", "5", "--m", "4000"],
+         "n=5, m=4000: BINOMIAL_PARTITION takes n and m up to 2000"),
+        (["verify", "PRODUCT_IDENTITY", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "1000"],
+         "window of 1000 terms exceeds the PRODUCT_IDENTITY cap 100"),
+    ],
+    ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity"],
+)
+def test_capped_calls_exit_2_before_any_work(capsys, monkeypatch, argv, error):
+    cold = ((1,), [1])
+    monkeypatch.setattr(multisums.exact_arith, "_zigzag", cold)
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"error": error}
+    assert "Traceback" not in err
+    assert multisums.exact_arith._zigzag is cold
 
 
 def test_exact_results_print_in_full(capsys):
@@ -460,8 +485,9 @@ def test_spec_nested_too_deeply_exits_2(capsys, argv):
 
 # Every subcommand but selftest, on small integers and on well-formed and
 # malformed spec, roots, phi and sweep strings. Orders, windows and powers
-# stay small: the reduce routes, PRODUCT_IDENTITY and faulhaber have no cap
-# on them yet (ROADMAP, "Caps"), so a large one is slow, not refused.
+# stay small: the reduce routes have no cap on them yet (ROADMAP, "Caps"),
+# so a large one is slow, not refused, and the caps of PRODUCT_IDENTITY's
+# window and of faulhaber's p still admit calls of a few seconds.
 @st.composite
 def _mostly(draw, good, bad, tenths=8):
     """A draw from good `tenths` times in ten, else from bad."""

@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multisums.core import ExplicitSequence, IndexPower
 from multisums import identities
 from multisums.identities import IdentityId, verify, verify_sweep
+from multisums.partitions import _walk_rows, enumerate_partitions, parity_partition_sums, partition_sum
 
 N = IndexPower(1)
 
@@ -61,6 +64,24 @@ def test_binomial_partition_beyond_the_acceptance_orders(n, m):
     assert report.equal
     assert report.lhs == math.comb(n, m)
     assert type(report.lhs) is Fraction
+
+
+def test_binomial_partition_cap():
+    cap = identities.BINOMIAL_MAX
+    assert verify(IdentityId.BINOMIAL_PARTITION, {"n": cap, "m": 3}).equal
+    assert verify(IdentityId.BINOMIAL_PARTITION, {"n": 5, "m": cap}).equal
+    for n, m in ((cap + 1, 3), (5, cap + 1), (10**100, 2)):
+        with pytest.raises(ValueError, match=f"BINOMIAL_PARTITION takes n and m up to {cap}"):
+            verify(IdentityId.BINOMIAL_PARTITION, {"n": n, "m": m})
+
+
+def test_product_identity_window_cap():
+    cap = identities.PRODUCT_MAX_WINDOW
+    assert verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": 1, "n": cap}).equal
+    assert verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": 7, "n": cap + 6}).equal
+    for q, n in ((1, cap + 1), (7, cap + 7), (0, 10**12)):
+        with pytest.raises(ValueError, match=f"window of {n - q + 1} terms exceeds the PRODUCT_IDENTITY cap {cap}"):
+            verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": q, "n": n})
 
 
 def test_product_identity():
@@ -194,8 +215,9 @@ def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
     # 11 732 at m = 26; the second grid has 3 points but 10 076 reports
     monkeypatch.setattr(identities, "verify", lambda ident, params: params["phi"])
-    # 9296 reports of p(25) partitions each are over the partition budget, tested on its own below
-    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 9296 * 1958)
+    # 9296 reports of p(25) partitions each are over the partition budget, tested on its own below;
+    # LEMMA_3_2's restricted sides add fewer again
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 2 * 9296 * 1958)
     assert len(verify_sweep(identity, {"m": [25]})) == 9296
     for ranges in ({"m": [26]}, {"m": [25, 12, 14]}, {"m": range(10**9, 10**9 + 1)}):
         with pytest.raises(ValueError, match="phi expansion exceeds the cap"):
@@ -212,8 +234,9 @@ def _refuse_checks(ident, params):
     [
         # p(0) + ... + p(12)
         (IdentityId.LEMMA_3_1, {"m": range(13)}, 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42 + 56 + 77),
-        # 1 + 1 + 2 + 3 = 7 phi reports at m = 3, each over p(3) = 3 partitions
-        (IdentityId.LEMMA_3_2, {"m": [3]}, 21),
+        # 1 + 1 + 2 + 3 = 7 phi reports at m = 3, each over p(3) = 3 partitions on the full
+        # side, and over p(3 - r) on the restricted side: 1 * 3 + 1 * 2 + 2 * 1 + 3 * 1 = 10
+        (IdentityId.LEMMA_3_2, {"m": [3]}, 31),
         # two values of n at p(4) = 5 partitions each
         (IdentityId.EVEN_ODD_N, {"n": range(2), "m": [4]}, 10),
     ],
@@ -228,6 +251,22 @@ def test_sweep_partition_budget_is_inclusive(identity, ranges, visited, monkeypa
         verify_sweep(identity, ranges)
 
 
+def test_sweep_partition_budget_counts_the_restricted_side(monkeypatch):
+    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    # the 7 phi reports at m = 3 walk 7 * p(3) = 21 partitions on their full sides, which
+    # fit the cap, and 10 more on their restricted sides, which do not
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 21)
+    with pytest.raises(ValueError, match="sweep visits 31 partitions, more than the cap of 21"):
+        verify_sweep(IdentityId.LEMMA_3_2, {"m": [3]})
+    # an explicit phi of r = 2 at m = 4 and 5: p(4) + p(2) = 7 and p(5) + p(3) = 10 partitions
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 16)
+    with pytest.raises(ValueError, match="sweep visits 17 partitions, more than the cap of 16"):
+        verify_sweep(IdentityId.LEMMA_3_2, {"m": [4, 5]}, base={"phi": (0, 1)})
+    monkeypatch.undo()  # let the checks run
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 17)
+    assert all(r.equal for r in verify_sweep(IdentityId.LEMMA_3_2, {"m": [4, 5]}, base={"phi": (0, 1)}))
+
+
 def test_sweep_partition_budget_skips_identities_without_partition_sums(monkeypatch):
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 0)
     assert len(verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": range(60)})) == 60
@@ -236,9 +275,49 @@ def test_sweep_partition_budget_skips_identities_without_partition_sums(monkeypa
 
 def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
     monkeypatch.setattr(identities, "verify", _refuse_checks)
-    # one report at m = 0, then 3506 phi reports at m = 21 of p(21) = 792 partitions each
-    with pytest.raises(ValueError, match="sweep visits 2776753 partitions"):
+    # one report at m = 0 over p(0) = 1 partition on each side, then 3506 phi reports at
+    # m = 21 of p(21) = 792 partitions each on the full side and 35 002 on the restricted sides
+    with pytest.raises(ValueError, match="sweep visits 2811756 partitions"):
         verify_sweep(IdentityId.LEMMA_3_2, {"m": [0, 21]})
     # an order past the enumeration cap is refused up front, not after the orders below it
     with pytest.raises(ValueError, match="partition enumeration cap 50"):
         verify_sweep(IdentityId.LEMMA_3_1, {"m": range(52)})
+
+
+@pytest.mark.parametrize(
+    ("identity", "params"),
+    [
+        (IdentityId.LEMMA_3_1, {"m": 10**12}),
+        (IdentityId.LEMMA_3_2, {"m": 10**12, "phi": (1,)}),
+        (IdentityId.EVEN_ODD_BINOM, {"m": 10**12}),
+        (IdentityId.EVEN_ODD_N, {"n": 3, "m": 10**12}),
+    ],
+    ids=["lemma_3_1", "lemma_3_2", "even_odd_binom", "even_odd_n"],
+)
+def test_order_cap_comes_before_any_row_or_phi_padding(identity, params):
+    # phi is padded to length m and each row has m // i + 1 entries: at m = 10**12 either
+    # would exhaust memory, so the order is refused first
+    with pytest.raises(ValueError, match="exceeds the partition enumeration cap 50"):
+        verify(identity, params)
+
+
+@given(st.data(), st.integers(0, 16), st.booleans(), st.integers(0, 30))
+def test_weight_rows_match_the_fraction_weight(data, m, signed, n):
+    # the identities' integer rows against their weight written out in Fractions,
+    # (+-1)^k C(k, phi_i) n^k / (i^k k!), entry by entry and through the public sums
+    sub = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, m)))))
+    phi = identities._normalize_phi(sub + (0,) * data.draw(st.integers(0, 3)), m)
+
+    def weight(i, k):
+        value = Fraction(math.comb(k, phi[i - 1]) * n**k, i**k * math.factorial(k))
+        return -value if signed and k % 2 else value
+
+    rows, dens = identities._weight_rows(m, phi, signed, n)
+    assert rows[0] == [] and dens[0] == 1 and len(rows) == len(dens) == m + 1
+    for i in range(1, m + 1):
+        assert len(rows[i]) == m // i + 1
+        assert [Fraction(entry, dens[i]) for entry in rows[i]] == [weight(i, k) for k in range(m // i + 1)]
+    even, odd = _walk_rows(rows)
+    den = math.prod(dens)
+    assert (Fraction(even, den), Fraction(odd, den)) == parity_partition_sums(m, weight)
+    assert Fraction(even + odd, den) == partition_sum(m, weight)

@@ -7,7 +7,9 @@ from multisums.core import IndexPower, SumProblem, brute_multiple_sum, reduce_mu
 from multisums.exact_arith import PiPolynomial, bernoulli, stirling_first_unsigned
 from multisums.partitions import partition_sum
 from multisums.polynomials import sum_of_multiple_sums
+from multisums import exact_arith
 from multisums.special_sums import (
+    BERNOULLI_MAX_INDEX,
     MZV_PARTIAL_MAX_N,
     bernoulli_partition_sum,
     faulhaber,
@@ -198,3 +200,31 @@ def test_bernoulli_sum_matches_partition_formula(m):
         base = [bernoulli(2 * i * p) / (2 * i * factorial(2 * i * p)) for i in range(1, m + 1)]
         value = partition_sum(m, lambda i, k: base[i - 1] ** k / factorial(k))
         assert bernoulli_partition_sum(m, p) == value
+
+
+@pytest.mark.parametrize(
+    ("call", "index"),
+    [
+        (lambda: faulhaber(10, BERNOULLI_MAX_INDEX + 1), BERNOULLI_MAX_INDEX + 1),
+        (lambda: faulhaber(10, 10**9), 10**9),
+        (lambda: multiple_power_sum(3, 10, BERNOULLI_MAX_INDEX // 3 + 1), 3 * (BERNOULLI_MAX_INDEX // 3 + 1)),
+        (lambda: bernoulli_partition_sum(BERNOULLI_MAX_INDEX // 2 + 1, 1), BERNOULLI_MAX_INDEX + 2),
+        (lambda: mzv_even_reduced(1, BERNOULLI_MAX_INDEX // 2 + 1), BERNOULLI_MAX_INDEX + 2),
+        (lambda: mzv_even_reduced(10**6, 3), 6 * 10**6),
+    ],
+    ids=["faulhaber", "faulhaber_huge", "multiple_power_sum", "bernoulli_partition_sum", "mzv_p", "mzv_m"],
+)
+def test_bernoulli_index_cap_refuses_before_the_table_grows(monkeypatch, call, index):
+    cold = ((1,), [1])
+    monkeypatch.setattr(exact_arith, "_zigzag", cold)
+    with pytest.raises(ValueError, match=f"needs B_{index}, past the Bernoulli index cap {BERNOULLI_MAX_INDEX}"):
+        call()
+    assert exact_arith._zigzag is cold
+
+
+def test_bernoulli_index_cap_admits_its_edge():
+    # faulhaber's whole table up to B_cap against the direct sum; bernoulli_partition_sum at
+    # 2mp = cap reads B_cap once, at m = 1
+    assert faulhaber(3, BERNOULLI_MAX_INDEX) == 1 + 2**BERNOULLI_MAX_INDEX + 3**BERNOULLI_MAX_INDEX
+    cap = BERNOULLI_MAX_INDEX
+    assert bernoulli_partition_sum(1, cap // 2) == bernoulli(cap) / (2 * factorial(cap))
