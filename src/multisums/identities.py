@@ -174,10 +174,10 @@ def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[
     rows[i][k] = (+-1)^k C(k, phi_i) n^k i^(K-k) K!/k!, built by running
     products, the form :func:`multisums.partitions._walk_rows` reads;
     rows[0] is empty and dens[0] = 1. Entries of phi past its end are 0.
-    At phi = 0 and n = 1 it is Lemma 3.1's
-    weight (signed) and EVEN_ODD_WEIGHTS' (unsigned). At k < phi_i it is 0,
-    which removes partitions lacking a part that phi has. Orders above the
-    partition enumeration cap are refused before any row is built.
+    At phi = 0 and n = 1 it is Lemma 3.1's weight (signed) and
+    EVEN_ODD_WEIGHTS' (unsigned). At k < phi_i it is 0, which removes
+    partitions lacking a part that phi has. Orders above the partition
+    enumeration cap are refused before any row is built.
     """
     _check_order(m)
     power_base = -n if signed else n

@@ -21,9 +21,10 @@ with one denominator D_i per part size i, and sums integers over
 den = prod_i D_i. The public functions read each per-entry weight w(i, k)
 as a rational and put its row over the lcm of the row's denominators;
 :mod:`multisums.identities` writes its closed-form weights as integer rows
-and hands them to the walk directly. :func:`newton_coefficients` gets every such sum up to m at once from
-Newton's recurrence in O(m^2) exact steps; the production reductions use
-it, the window reductions of :mod:`multisums.core` on integers alone.
+and hands them to the walk directly. :func:`newton_coefficients` gets
+every such sum up to m at once from Newton's recurrence in O(m^2) exact
+steps; the production reductions use it, the window reductions of
+:mod:`multisums.core` on integers alone.
 
 A set partition of {1, ..., m} is a tuple of block tuples in canonical
 form: each block ascending, blocks ordered by (size, smallest element).
