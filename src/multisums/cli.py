@@ -12,7 +12,8 @@ reachable from the command line (`multisum eval --method brute|both` and
 `verify RECURRENT_BRIDGE`, swept orders included) runs at orders up to
 BRUTE_MAX_M = 6 and at most core.BRUTE_MAX_TUPLES tuples per call.
 Partition enumeration (`partitions list` and the partition sums of
-`verify`) stops at m = PARTITION_LIST_MAX_M, `--numeric` at
+`verify`) stops at m = PARTITION_LIST_MAX_M, `partitions count` at
+m = partitions.PARTITION_COUNT_MAX_M, `--numeric` at
 NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
 as many reports after phi expansion and SWEEP_MAX_PARTITIONS partitions
 summed over. `special faulhaber` and `special mzv` need Bernoulli numbers

@@ -229,6 +229,9 @@ def _window_pairs(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[tuple[
 
     N ** e is the pair (N ** e, 1), or (1, N ** -e) for e < 0, with no
     Fraction built; index 0 is refused for e < 0 as eval_sequence refuses it.
+    An explicit window is bounds-checked once and read as one slice of its
+    values; a window reaching outside them raises eval_sequence's ValueError
+    for the first index outside.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -241,8 +244,12 @@ def _window_pairs(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[tuple[
         if q == 0 <= n:
             eval_sequence(spec, 0)  # raises: 0 has no negative power
         return ((1, N**-e) for N in range(q, n + 1))
-    values = (eval_sequence(spec, N) for N in range(q, n + 1))
-    return ((v.numerator, v.denominator) for v in values)
+    start, stop, count = q - spec.base, n - spec.base + 1, len(spec.values)
+    if start >= stop:
+        return iter(())
+    if start < 0 or stop > count:
+        eval_sequence(spec, q if not 0 <= start < count else spec.base + count)  # raises at the first index outside
+    return ((v.numerator, v.denominator) for v in spec.values[start:stop])
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:

@@ -15,17 +15,24 @@ EVEN_ODD_BINOM, so each pair shares one closed form, and all five
 partition-weighted identities but RECURRENT_BRIDGE share one weight,
 (+-1)^k C(k, phi_i) n^k / (i^k k!) with n = 1 except for EVEN_ODD_N. That
 weight is written once, as integer rows over D_i = i^K K! (K = m // i),
-built by running products with no Fraction per entry.
+built by running products with no Fraction per entry. The phi = 0, n = 1
+rows of an order are built once, as tuples, and kept; each phi or n
+derives its own rows from them, new only where phi_i > 0 or n != 1, and
+shares the denominators and their product.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term by the walk of :mod:`multisums.partitions` (over those rows, or
 through :func:`multisums.partitions.parity_partition_sums` for the bridge's
-rational weights), never by the recurrence that the reductions use.
+rational weights), never by the recurrence that the reductions use. The
+walk skips the terms that C(y_i, phi_i) = 0 removes, those with some
+y_i < phi_i, so a report at order m with phi a partition of r forms
+p(m - r) terms, one partition at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -60,7 +67,9 @@ __all__ = [
 ]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
-# p(m) summed over the reports of one verify_sweep, a report at order m summing over p(m) partitions
+# p(m) summed over the reports of one verify_sweep, a report at order m summing over p(m) partitions;
+# an upper bound on the terms walked, as a report with phi a partition of r walks only the p(m - r)
+# terms of its full side that C(y_i, phi_i) leaves nonzero
 SWEEP_MAX_PARTITIONS = 2_000_000
 # n and m of BINOMIAL_PARTITION: O(m^2) Newton steps on integers growing with
 # n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6, m = 2000 (2-vCPU VM)
@@ -167,21 +176,20 @@ def _require_spec(params: Mapping) -> SequenceSpec:
     return spec if isinstance(spec, SequenceSpec) else sequence_spec_from_json(spec)
 
 
-def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[list[list[int]], list[int]]:
-    """(rows, dens) of the weight (+-1)^k C(k, phi_i) n^k / (i^k k!) of y_i = k.
+@functools.cache
+def _unit_rows(m: int, signed: bool, /) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """(rows, dens, den) of the weight (+-1)^k / (i^k k!) of y_i = k, built once per order.
 
     Row i over D_i = dens[i] = i^K K!, K = m // i, has the integer entries
-    rows[i][k] = (+-1)^k C(k, phi_i) n^k i^(K-k) K!/k!, built by running
-    products, the form :func:`multisums.partitions._walk_rows` reads;
-    rows[0] is empty and dens[0] = 1. Entries of phi past its end are 0.
-    At phi = 0 and n = 1 it is Lemma 3.1's weight (signed) and
-    EVEN_ODD_WEIGHTS' (unsigned). At k < phi_i it is 0, which removes
-    partitions lacking a part that phi has. Orders above the partition
-    enumeration cap are refused before any row is built.
+    rows[i][k] = (+-1)^k i^(K-k) K!/k!, built by running products, and
+    den = prod_i D_i; rows[0] is empty and dens[0] = 1. Everything is a
+    tuple, so the cached rows are shared safely, also across the threads of
+    ``selftest --jobs``. Orders above the partition enumeration cap are
+    refused before any row is built and are not cached, so the cache holds
+    at most 2 (PARTITION_LIST_MAX_M + 1) entries.
     """
     _check_order(m)
-    power_base = -n if signed else n
-    rows: list[list[int]] = [[]]
+    rows: list[tuple[int, ...]] = [()]
     dens = [1]
     for i in range(1, m + 1):
         top = m // i
@@ -189,41 +197,61 @@ def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[
         row = list(accumulate(range(i * top, 0, -i), mul, initial=1))
         row.reverse()
         dens.append(row[0])
-        if power_base != 1:
-            row = list(map(mul, row, accumulate(repeat(power_base, top), mul, initial=1)))
-        least = phi[i - 1] if i <= len(phi) else 0
+        if signed:
+            row[1::2] = [-entry for entry in row[1::2]]
+        rows.append(tuple(row))
+    return tuple(rows), tuple(dens), math.prod(dens)
+
+
+def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[list[Sequence[int]], tuple[int, ...]]:
+    """(rows, dens) of the weight (+-1)^k C(k, phi_i) n^k / (i^k k!) of y_i = k.
+
+    The rows of :func:`_unit_rows` at this order, with rows[i][k] multiplied
+    by n^k where n != 1 (EVEN_ODD_N) and by C(k, phi_i) where phi_i > 0, the
+    form :func:`multisums.partitions._walk_rows` reads. Only those rows are
+    new lists: the others and dens are the shared tuples, and rows[0] is
+    empty. Entries of phi past its end are 0. At phi = 0 and n = 1 it is
+    Lemma 3.1's weight (signed) and EVEN_ODD_WEIGHTS' (unsigned). At
+    k < phi_i it is 0, which removes partitions lacking a part that phi
+    has; the walk skips those terms.
+    """
+    unit, dens, _ = _unit_rows(m, signed)
+    rows: list[Sequence[int]] = [[], *unit[1:]]
+    if n != 1:
+        rows[1:] = [list(map(mul, row, accumulate(repeat(n, len(row) - 1), mul, initial=1))) for row in unit[1:]]
+    for i, least in enumerate(phi[:m], start=1):
         if least:
-            row = [0] * least + [math.comb(k, least) * row[k] for k in range(least, top + 1)]
-        rows.append(row)
+            row = rows[i]
+            rows[i] = [0] * least + [math.comb(k, least) * row[k] for k in range(least, len(row))]
     return rows, dens
 
 
-def _full_sum(rows: list[list[int]], dens: list[int]) -> Fraction:
-    """The partition sum of integer rows over their denominators."""
+def _full_sum(rows: Sequence[Sequence[int]], den: int) -> Fraction:
+    """The partition sum of integer rows over their common denominator."""
     even, odd = _walk_rows(rows)
-    return Fraction(even + odd, math.prod(dens))
+    return Fraction(even + odd, den)
 
 
-def _parity_sums(rows: list[list[int]], dens: list[int]) -> tuple[Fraction, Fraction]:
-    """The (even, odd) partition sums of integer rows over their denominators."""
+def _parity_sums(rows: Sequence[Sequence[int]], den: int) -> tuple[Fraction, Fraction]:
+    """The (even, odd) partition sums of integer rows over their common denominator."""
     even, odd = _walk_rows(rows)
-    den = math.prod(dens)
     return Fraction(even, den), Fraction(odd, den)
 
 
 def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, Fraction, int]:
-    """(m, phi, (rows, dens), base, d) of a binomial-filtered partition sum.
+    """(m, phi, (rows, den), base, d) of a binomial-filtered partition sum.
 
     phi defaults to 0. base is the weight's product over phi's nonzero
-    entries, where C(phi_i, phi_i) = 1, read from the rows, and d = m - r
-    with phi a partition of r.
+    entries, where C(phi_i, phi_i) = 1, read from the rows as one integer
+    product over one denominator, and d = m - r with phi a partition of r.
     """
     m = _require_int(params, "m", 0)
     _check_order(m)  # before phi is padded to length m
     phi = _normalize_phi(params.get("phi", ()), m)
     rows, dens = _weight_rows(m, phi, signed)
-    base = math.prod((Fraction(rows[i][k], dens[i]) for i, k in enumerate(phi, start=1) if k), start=Fraction(1))
-    return m, phi, (rows, dens), base, m - sum(i * k for i, k in enumerate(phi, start=1))
+    parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
+    base = Fraction(math.prod(rows[i][k] for i, k in parts), math.prod(dens[i] for i, _ in parts))
+    return m, phi, (rows, _unit_rows(m, signed)[2]), base, m - sum(i * k for i, k in parts)
 
 
 def _alternating_closed(base: Fraction, d: int) -> Fraction:
@@ -260,7 +288,8 @@ def _lemma_3_2(params: Mapping) -> Checked:
     m, phi, rows, base, d = _filtered(params, signed=True)
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
-    restricted = base * _full_sum(*_weight_rows(d, (), signed=True))
+    unit, _, den = _unit_rows(d, True)
+    restricted = base * _full_sum(unit, den)
     closed = _alternating_closed(base, d)
     note = "lhs = (full sum, sum restricted to y_i >= phi_i)"
     return {"m": m, "phi": phi}, (_full_sum(*rows), restricted), (closed, closed), note
@@ -351,7 +380,8 @@ def _even_odd_n(params: Mapping) -> Checked:
     """
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
-    lhs = _parity_sums(*_weight_rows(m, (), signed=False, n=n))
+    rows, _ = _weight_rows(m, (), signed=False, n=n)
+    lhs = _parity_sums(rows, _unit_rows(m, False)[2])
     # n = m = 0 gives C(-1, 0) = 1 (empty choice); math.comb wants n >= 0
     main = Fraction(1) if n + m - 1 < 0 else Fraction(math.comb(n + m - 1, m))
     correction = Fraction(math.comb(n, m))
@@ -422,7 +452,10 @@ def verify_sweep(
     partitions: p(m) per report at order m, and for LEMMA_3_2 p(m - r) more
     on its restricted side, phi being a partition of r. All are counted
     before any check runs; pass ``range`` objects so a refused sweep costs
-    nothing.
+    nothing. The full side of a report with phi walks only the p(m - r)
+    terms that C(y_i, phi_i) leaves nonzero, so the count is an upper bound
+    on the terms walked; it stays p(m), and so does the set of refused
+    sweeps.
     """
     identity = IdentityId(identity)
     _, parameters, walked = _REGISTRY[identity]

@@ -18,13 +18,17 @@ rational. It does not list the partitions: a depth-first walk over the
 multiplicities, largest part first, shares each prefix product among the
 partitions below it. The walk reads integer rows, R_i[k] = D_i w(i, k)
 with one denominator D_i per part size i, and sums integers over
-den = prod_i D_i. The public functions read each per-entry weight w(i, k)
-as a rational and put its row over the lcm of the row's denominators;
-:mod:`multisums.identities` writes its closed-form weights as integer rows
-and hands them to the walk directly. :func:`newton_coefficients` gets
-every such sum up to m at once from Newton's recurrence in O(m^2) exact
-steps; the production reductions use it, the window reductions of
-:mod:`multisums.core` on integers alone.
+den = prod_i D_i. It skips the terms with a zero factor in a row's
+leading zeros: each y_i starts at its row's first nonzero entry, so a
+weight that vanishes for y_i < phi_i, phi a partition of r, costs
+p(m - r) terms rather than p(m). Every term it walks is still formed one
+partition at a time. The public functions read each per-entry weight
+w(i, k) as a rational and put its row over the lcm of the row's
+denominators; :mod:`multisums.identities` writes its closed-form weights
+as integer rows and hands them to the walk directly.
+:func:`newton_coefficients` gets every such sum up to m at once from
+Newton's recurrence in O(m^2) exact steps; the production reductions use
+it, the window reductions of :mod:`multisums.core` on integers alone.
 
 A set partition of {1, ..., m} is a tuple of block tuples in canonical
 form: each block ascending, blocks ordered by (size, smallest element).
@@ -35,7 +39,7 @@ tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .exact_arith import RationalLike, _as_exact, _as_rational
@@ -49,10 +53,15 @@ __all__ = [
     "enumerate_set_partitions",
     "SET_PARTITION_MAX_M",
     "PARTITION_LIST_MAX_M",
+    "PARTITION_COUNT_MAX_M",
 ]
 
 SET_PARTITION_MAX_M = 8  # Bell(8) = 4140 set partitions; enumeration stays cheap
 PARTITION_LIST_MAX_M = 50  # p(50) = 204 226 partitions; the largest order listed or summed over
+# the largest m whose p(m) partition_count computes: the pentagonal recurrence
+# takes O(m^1.5) big-integer steps, 0.3 s at 10^4, 1.2 s at 2 * 10^4 and about
+# 16 s at 10^5 (2-vCPU VM)
+PARTITION_COUNT_MAX_M = 10_000
 
 
 def _check_order(m: int) -> None:
@@ -119,28 +128,53 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(even, odd): the sums over partitions y of m = len(rows) - 1 with an
     even (odd) number of parts of prod_{i=1}^{m} rows[i][y_i].
 
-    rows[i] holds the integer entries for y_i = 0..m // i. A depth-first
-    walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1 the rest,
-    multiplying one row entry into a running product per step, so
-    partitions that share their larger parts share that prefix product.
-    Once the rest is smaller than the next part size, the rows in between
-    can only take y_i = 0, and their product comes from a table.
+    rows[i] holds the integer entries for y_i = 0..m // i. Only terms whose
+    y_i are all at or past their row's first nonzero entry f_i are walked;
+    the others have a zero factor. Those terms are y = f + z with z a
+    partition of the rest d = m - sum_i i f_i, so each y_i starts at f_i,
+    stops where the rest no longer covers the weight the smaller parts
+    must carry, and a row that vanishes below phi_i, as C(y_i, phi_i) does,
+    costs p(m - r) terms instead of p(m), phi being a partition of r. An
+    all-zero row, or d < 0, costs none. A zero entry past f_i is multiplied
+    in like any other.
+
+    A depth-first walk fixes z_d, z_{d-1}, ..., z_2 in turn and gives z_1
+    the rest, multiplying one row entry into a running product per step, so
+    terms that share their larger parts share that prefix product. Once the
+    rest is smaller than the next part size, the rows in between can only
+    take z_i = 0, and their product comes from a table; so do the rows
+    above d.
     """
     m = len(rows) - 1
-    if m == 0:
-        return 1, 0  # the empty partition: zero parts, the empty product
-    # zeros[j][r] = prod_{l=r+1}^{j} rows[l][0]: the factor of y_{r+1} = ... = y_j = 0
+    # shifted[i][j] = rows[i][f_i + j], and d counts down to the weight z carries
+    shifted: list[Sequence[int]] = [()]
+    d = m
+    first_parts = 0
+    for i in range(1, m + 1):
+        row = rows[i]
+        first = 0 if row[0] else next((k for k, entry in enumerate(row) if entry), None)
+        if first is None:
+            return 0, 0  # every term has a zero factor
+        shifted.append(row[first:] if first else row)
+        d -= i * first
+        first_parts += first
+    if d < 0:
+        return 0, 0  # no partition of m reaches every first nonzero entry
+    lead = prod(shifted[i][0] for i in range(d + 1, m + 1))  # z_i = 0 above d
+    if d == 0:
+        return (0, lead) if first_parts & 1 else (lead, 0)
+    # zeros[j][r] = prod_{l=r+1}^{j} shifted[l][0]: the factor of z_{r+1} = ... = z_j = 0
     zeros = [[1]]
-    for j in range(1, m + 1):
-        zeros.append([z * rows[j][0] for z in zeros[-1]] + [1])
+    for j in range(1, d + 1):
+        zeros.append([z * shifted[j][0] for z in zeros[-1]] + [1])
     totals = [0, 0]
 
     def walk(i: int, rest: int, product: int, parts: int) -> None:
-        # y_m .. y_{i+1} are fixed with `parts` parts, and 1 <= i <= rest
+        # z_d .. z_{i+1} are fixed, y having `parts` parts so far, and 1 <= i <= rest
         if i == 1:
-            totals[(parts + rest) & 1] += product * rows[1][rest]
+            totals[(parts + rest) & 1] += product * shifted[1][rest]
             return
-        row = rows[i]
+        row = shifted[i]
         for k in range(rest // i + 1):
             left = rest - i * k
             term = product * row[k]
@@ -151,7 +185,7 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
             else:
                 totals[(parts + k) & 1] += term * zeros[i - 1][0]
 
-    walk(m, m, 1, 0)
+    walk(d, d, lead, first_parts)
     del walk  # as in enumerate_partitions: no reference cycle is left for gc
     return totals[0], totals[1]
 
@@ -219,9 +253,15 @@ _pcounts = [1]  # p(0), extended on demand by the pentagonal recurrence
 
 
 def partition_count(m: int) -> int:
-    """p(m) via Euler's pentagonal-number recurrence (no enumeration)."""
+    """p(m) via Euler's pentagonal-number recurrence (no enumeration).
+
+    The values p(0..m) are kept for later calls. Orders above
+    PARTITION_COUNT_MAX_M are refused with ValueError before any is computed.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
+    if m > PARTITION_COUNT_MAX_M:
+        raise ValueError(f"m={m} exceeds the partition count cap {PARTITION_COUNT_MAX_M}")
     while len(_pcounts) <= m:
         n = len(_pcounts)
         total = 0

@@ -300,8 +300,9 @@ def test_verify_sweep_partition_budget_exits_2(capsys):
          "n=5, m=4000: BINOMIAL_PARTITION takes n and m up to 2000"),
         (["verify", "PRODUCT_IDENTITY", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "1000"],
          "window of 1000 terms exceeds the PRODUCT_IDENTITY cap 100"),
+        (["partitions", "count", "10001"], "m=10001 exceeds the partition count cap 10000"),
     ],
-    ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity"],
+    ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity", "partitions_count"],
 )
 def test_capped_calls_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     cold = ((1,), [1])

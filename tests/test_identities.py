@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,53 @@ def test_vanishing_binomial_sum_holds_through_m7():
     # partition phi of every r <= m, up to m = 7
     reports = verify_sweep(IdentityId.LEMMA_3_2, {"m": range(8)})
     assert len(reports) == 120
+    assert all(r.equal for r in reports)
+
+
+@pytest.mark.parametrize(
+    "identity", [IdentityId.EVEN_ODD_BINOM, IdentityId.LEMMA_3_2], ids=["even_odd_binom", "lemma_3_2"]
+)
+@pytest.mark.parametrize("alone_first", [True, False], ids=["alone_first", "sweep_first"])
+def test_swept_phi_reports_equal_lone_calls(identity, alone_first):
+    # the phis of one order share its cached rows, and LEMMA_3_2's restricted sides
+    # read those of lower orders: no phi's rows may leak into another report
+    m = 8
+    phis = [sub + (0,) * (m - r) for r in range(m + 1) for sub in enumerate_partitions(r)]
+    identities._unit_rows.cache_clear()
+    assert all(r.equal for r in verify_sweep(identity, {"m": [m - 2]}))  # another order first
+
+    def lone():
+        return [verify(identity, {"m": m, "phi": phi}) for phi in reversed(phis)][::-1]
+
+    if alone_first:
+        alone = lone()
+        swept = verify_sweep(identity, {"m": [m]})
+    else:
+        swept = verify_sweep(identity, {"m": [m]})
+        alone = lone()
+    assert [r.params["phi"] for r in swept] == phis
+    assert swept == alone
+    assert all(r.equal for r in swept)
+
+
+def test_shared_rows_under_threads():
+    # selftest --jobs runs criteria in threads; from a cold cache they race to build
+    # and read the rows of each order, and every report must equal its lone call
+    calls = [(IdentityId.EVEN_ODD_N, {"n": n, "m": m}) for n in range(4) for m in range(5, 9)]
+    for identity in (IdentityId.EVEN_ODD_BINOM, IdentityId.LEMMA_3_2):
+        calls += [(identity, {"m": m, "phi": sub}) for m in range(5, 9) for sub in enumerate_partitions(4)]
+    identities._unit_rows.cache_clear()
+    expected = [verify(identity, params) for identity, params in calls]
+    identities._unit_rows.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(verify, identity, params) for identity, params in calls * 3]
+            reports = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == expected * 3
     assert all(r.equal for r in reports)
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multisums import partitions
 from multisums.partitions import (
+    PARTITION_COUNT_MAX_M,
+    _walk_rows,
     enumerate_partitions,
     enumerate_set_partitions,
     newton_coefficients,
@@ -64,6 +67,20 @@ def test_counts_match_pentagonal_recurrence():
         assert len(list(enumerate_partitions(m))) == partition_count(m)
     assert partition_count(10) == 42
     assert partition_count(25) == 1958
+
+
+def test_partition_count_at_its_cap():
+    sympy = pytest.importorskip("sympy")
+    assert PARTITION_COUNT_MAX_M == 10_000
+    assert partition_count(PARTITION_COUNT_MAX_M) == sympy.partition(PARTITION_COUNT_MAX_M)
+
+
+def test_partition_count_past_its_cap_refuses_before_any_work(monkeypatch):
+    cold = [1]
+    monkeypatch.setattr(partitions, "_pcounts", cold)
+    with pytest.raises(ValueError, match="m=10001 exceeds the partition count cap 10000"):
+        partition_count(PARTITION_COUNT_MAX_M + 1)
+    assert cold == [1]
 
 
 def test_partition_parity_split():
@@ -194,6 +211,24 @@ def test_partition_sums_match_fraction_loop(data, m):
     even, odd = _fraction_partition_sums(m, weight)
     assert parity_partition_sums(m, weight) == (even, odd)
     assert partition_sum(m, weight) == even + odd
+
+
+@given(st.data(), st.integers(min_value=0, max_value=12))
+def test_walk_rows_match_the_term_by_term_sum(data, m):
+    # integer rows with leading zeros (the walk starts each y_i past them), interior
+    # zeros and, when drawn, one all-zero row, against every term written out
+    rows = [[]]
+    for i in range(1, m + 1):
+        size = m // i + 1
+        lead = data.draw(st.one_of(st.just(0), st.integers(0, size - 1)))
+        rows.append([0] * lead + data.draw(st.lists(st.integers(-9, 9), min_size=size - lead, max_size=size - lead)))
+    if m and data.draw(st.booleans()):
+        zero = data.draw(st.integers(1, m))
+        rows[zero] = [0] * len(rows[zero])
+    totals = [0, 0]
+    for y in enumerate_partitions(m):
+        totals[sum(y) % 2] += prod(rows[i][k] for i, k in enumerate(y, start=1))
+    assert _walk_rows(rows) == tuple(totals)
 
 
 def test_partition_sums_fold_many_denominators():
