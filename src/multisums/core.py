@@ -54,7 +54,7 @@ from .exact_arith import (
     _tuple_sum,
     rational_to_str,
 )
-from .partitions import SET_PARTITION_MAX_M, enumerate_set_partitions, newton_coefficients
+from .partitions import SET_PARTITION_MAX_M, _check_newton, _newton, enumerate_set_partitions
 
 __all__ = [
     "ExplicitSequence",
@@ -267,12 +267,13 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     """e_0..e_m of the underlying values from S_1..S_m, by Newton's identities.
 
     k e_k = sum_{i=1}^{k} (-1)^(i-1) S_i e_{k-i}: newton_coefficients on the
-    signed sums, O(m^2) exact steps. Integer sums stay integers, the route of
-    the window reductions; other sums are read as rationals (a float or a
-    bool raises ValueError). Extra trailing sums beyond S_m are ignored.
+    signed sums, O(m^2) exact steps, each sum read once. Integer sums stay
+    integers, the route of the window reductions; other sums are read as
+    rationals (a float or a bool raises ValueError). Extra trailing sums
+    beyond S_m are ignored.
     """
-    signed = [-s if i % 2 else s for i, s in enumerate(map(_as_exact, sums[:m]))]
-    return newton_coefficients(signed, m)
+    _check_newton(m, len(sums))
+    return _newton([-s if i % 2 else s for i, s in enumerate(map(_as_exact, sums[:m]))])
 
 
 def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:

@@ -238,40 +238,44 @@ def _parity_sums(rows: Sequence[Sequence[int]], den: int) -> tuple[Fraction, Fra
     return Fraction(even, den), Fraction(odd, den)
 
 
-def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, Fraction, int]:
-    """(m, phi, (rows, den), base, d) of a binomial-filtered partition sum.
+def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
+    """(m, phi, (rows, den), (top, bottom), d) of a binomial-filtered partition sum.
 
-    phi defaults to 0. base is the weight's product over phi's nonzero
-    entries, where C(phi_i, phi_i) = 1, read from the rows as one integer
-    product over one denominator, and d = m - r with phi a partition of r.
+    phi, if given, is a vector of length m that :func:`verify` or
+    :func:`verify_sweep` has checked; it defaults to 0. The weight's
+    product over phi's nonzero entries, where C(phi_i, phi_i) = 1, is
+    top / bottom, read from the rows as one integer product over one
+    denominator, and d = m - r with phi a partition of r.
     """
     m = _require_int(params, "m", 0)
-    _check_order(m)  # before phi is padded to length m
-    phi = _normalize_phi(params.get("phi", ()), m)
+    _check_order(m)
+    phi = params.get("phi", ())
     rows, dens = _weight_rows(m, phi, signed)
     parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
-    base = Fraction(math.prod(rows[i][k] for i, k in parts), math.prod(dens[i] for i, _ in parts))
+    base = math.prod(rows[i][k] for i, k in parts), math.prod(dens[i] for i, _ in parts)
     return m, phi, (rows, _unit_rows(m, signed)[2]), base, m - sum(i * k for i, k in parts)
 
 
-def _alternating_closed(base: Fraction, d: int) -> Fraction:
+def _alternating_closed(base: tuple[int, int], d: int) -> Fraction:
     """Lemma 3.2's closed form, base (-1)^d for d <= 1 and 0 above; Lemma 3.1's at phi = 0."""
     if d > 1:
         return Fraction(0)
-    return -base if d else base
+    top, bottom = base
+    return Fraction(-top if d else top, bottom)
 
 
-def _parity_closed(base: Fraction, d: int, parts: int) -> tuple[Fraction, Fraction]:
+def _parity_closed(base: tuple[int, int], d: int, parts: int) -> tuple[Fraction, Fraction]:
     """EVEN_ODD_BINOM's three-case closed form (even, odd); EVEN_ODD_WEIGHTS' at phi = 0.
 
     For d <= 1 all of base lands on the side of the parity of phi's part
     count plus d; above, it splits in halves.
     """
+    top, bottom = base
     if d > 1:
-        return base / 2, base / 2
-    sides = [Fraction(0), Fraction(0)]
-    sides[(parts + d) % 2] = base
-    return sides[0], sides[1]
+        half = Fraction(top, 2 * bottom)
+        return half, half
+    zero = Fraction(0)
+    return (zero, Fraction(top, bottom)) if (parts + d) % 2 else (Fraction(top, bottom), zero)
 
 
 _PARITY_NOTE = "lhs = (even-partition sum, odd-partition sum)"
@@ -289,7 +293,8 @@ def _lemma_3_2(params: Mapping) -> Checked:
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
     unit, _, den = _unit_rows(d, True)
-    restricted = base * _full_sum(unit, den)
+    even, odd = _walk_rows(unit)
+    restricted = Fraction(base[0] * (even + odd), base[1] * den)
     closed = _alternating_closed(base, d)
     note = "lhs = (full sum, sum restricted to y_i >= phi_i)"
     return {"m": m, "phi": phi}, (_full_sum(*rows), restricted), (closed, closed), note
@@ -428,11 +433,25 @@ def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     being ignored.
     """
     identity = IdentityId(identity)
-    check, parameters, _ = _REGISTRY[identity]
+    _check_names(identity, params)
+    if "phi" in _REGISTRY[identity][1]:
+        m = _require_int(params, "m", 0)
+        _check_order(m)  # before phi is padded to length m
+        params = dict(params, phi=_normalize_phi(params.get("phi", ()), m))
+    return _report(identity, params)
+
+
+def _check_names(identity: IdentityId, params: Mapping) -> None:
+    """Refuses a parameter the identity does not take."""
+    parameters = _REGISTRY[identity][1]
     unknown = sorted(set(params) - set(parameters))
     if unknown:
         raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
-    checked, lhs, rhs, note = check(params)
+
+
+def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
+    """The identity's check on parameters already checked, and its verdict."""
+    checked, lhs, rhs, note = _REGISTRY[identity][0](params)
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
 
 
@@ -455,7 +474,8 @@ def verify_sweep(
     nothing. The full side of a report with phi walks only the p(m - r)
     terms that C(y_i, phi_i) leaves nonzero, so the count is an upper bound
     on the terms walked; it stays p(m), and so does the set of refused
-    sweeps.
+    sweeps. An expanded sweep checks its parameter names once, and each phi
+    it builds goes to the check as built, not through verify.
     """
     identity = IdentityId(identity)
     _, parameters, walked = _REGISTRY[identity]
@@ -490,13 +510,15 @@ def verify_sweep(
         size += at_m
     if visited > SWEEP_MAX_PARTITIONS:
         raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
+    if not expand_phi:
+        return [verify(identity, params) for params in grid]
+    if grid:
+        _check_names(identity, grid[0])  # every point has the same names
     reports: list[VerificationReport] = []
     for params in grid:
-        if expand_phi:
-            m = params["m"]
-            for r in range(m + 1):
-                for sub in enumerate_partitions(r):
-                    reports.append(verify(identity, dict(params, phi=sub + (0,) * (m - r))))
-        else:
-            reports.append(verify(identity, params))
+        # each phi is a partition of r <= m padded to length m, as verify would make it
+        m = params["m"]
+        for r in range(m + 1):
+            for sub in enumerate_partitions(r):
+                reports.append(_report(identity, dict(params, phi=sub + (0,) * (m - r))))
     return reports

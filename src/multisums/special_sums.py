@@ -47,9 +47,10 @@ __all__ = [
 MZV_PARTIAL_MAX_N = 60  # n^2 Newton steps on power sums of N^-p, rationals of thousands of bits
 # Largest index j of the B_j one call here requests: p for faulhaber, mp for
 # multiple_power_sum, 2mp for bernoulli_partition_sum and mzv_even_reduced.
-# The dearest call it admits, mzv_even_reduced(256, 1), takes about 2 s on a
-# 2-vCPU VM, nearly all in Newton's recurrence on rationals of many
-# thousand bits; faulhaber(10, 512) takes 0.03 s.
+# The dearest call it admits, mzv_even_reduced(256, 1), takes about 0.6 s in
+# process and 0.8 s as `special mzv --m 256 --p 1` on a 2-vCPU VM, nearly all
+# in Newton's recurrence on rationals of many thousand bits; faulhaber(10, 512)
+# takes 0.03 s.
 BERNOULLI_MAX_INDEX = 512
 
 

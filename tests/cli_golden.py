@@ -6,7 +6,8 @@ stdout of one call of `multisum eval`, `special faulhaber`, `special mzv`,
 `verify --json`. The lines cover the reduction on index-power and explicit
 specs (mixed denominators, zeros, negatives, a window of several hundred
 distinct denominators, empty windows), Faulhaber sums up to p = 40, the
-repeated even zeta values for p = 1..4 with and without `--numeric`, the
+repeated even zeta values for p = 1..4 with and without `--numeric` (up to
+depth 128 and the Bernoulli index cap at (128, 2)), the
 shipped zeta table, the root identities, and all nine identities at the
 acceptance suite's sweep ranges (criterion 10), with fixed explicit specs
 for the sequence-bearing identities and one explicit phi per phi-taking
@@ -75,6 +76,7 @@ LINES = [
     ["special", "faulhaber", "--n", "5", "--p", "-1"],
     *(["special", "mzv", "--m", str(m), "--p", str(p)] for m, p in [
         (0, 1), (1, 1), (5, 1), (12, 1), (1, 2), (4, 2), (9, 2), (1, 3), (3, 3), (8, 3), (1, 4), (3, 4), (6, 4),
+        (64, 1), (128, 2), (30, 3), (32, 4),
     ]),
     *(["special", "mzv", "--m", str(m), "--p", str(p), "--numeric", str(digits)] for m, p, digits in [
         (1, 1, 12), (3, 1, 40), (2, 2, 25), (5, 2, 60), (2, 3, 30), (4, 3, 8), (1, 4, 50), (4, 4, 20),

@@ -263,7 +263,7 @@ def test_sweep_cap_counts_grid_points():
 def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
     # 11 732 at m = 26; the second grid has 3 points but 10 076 reports
-    monkeypatch.setattr(identities, "verify", lambda ident, params: params["phi"])
+    monkeypatch.setattr(identities, "_report", lambda ident, params: params["phi"])
     # 9296 reports of p(25) partitions each are over the partition budget, tested on its own below;
     # LEMMA_3_2's restricted sides add fewer again
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 2 * 9296 * 1958)
@@ -295,13 +295,13 @@ def test_sweep_partition_budget_is_inclusive(identity, ranges, visited, monkeypa
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited)
     assert all(r.equal for r in verify_sweep(identity, ranges))
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited - 1)
-    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    monkeypatch.setattr(identities, "_report", _refuse_checks)
     with pytest.raises(ValueError, match=f"sweep visits {visited} partitions, more than the cap of {visited - 1}"):
         verify_sweep(identity, ranges)
 
 
 def test_sweep_partition_budget_counts_the_restricted_side(monkeypatch):
-    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    monkeypatch.setattr(identities, "_report", _refuse_checks)
     # the 7 phi reports at m = 3 walk 7 * p(3) = 21 partitions on their full sides, which
     # fit the cap, and 10 more on their restricted sides, which do not
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 21)
@@ -323,7 +323,7 @@ def test_sweep_partition_budget_skips_identities_without_partition_sums(monkeypa
 
 
 def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
-    monkeypatch.setattr(identities, "verify", _refuse_checks)
+    monkeypatch.setattr(identities, "_report", _refuse_checks)
     # one report at m = 0 over p(0) = 1 partition on each side, then 3506 phi reports at
     # m = 21 of p(21) = 792 partitions each on the full side and 35 002 on the restricted sides
     with pytest.raises(ValueError, match="sweep visits 2811756 partitions"):

@@ -309,6 +309,59 @@ def test_partition_walks_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def _newton_by_operation(p, m):
+    """Newton's recurrence with one exact operation at a time, the reference for its rational steps.
+
+    Integer inputs stay integers while k divides the dot product; the first
+    remainder gives the exact Fraction, and every later step runs in Fractions.
+    """
+    p = [v if type(v) is int else Fraction(v) for v in p[:m]]
+    coeffs = [Fraction(1)]
+    for k in range(1, m + 1):
+        acc = p[k - 1]
+        for i in range(k - 1):
+            acc += p[i] * coeffs[k - 1 - i]
+        coeffs.append(acc // k if isinstance(acc, int) and not acc % k else Fraction(acc, k))
+    return coeffs
+
+
+_BIG_FRACTIONS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+_RATIONAL_STRINGS = st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _newton_inputs(draw):
+    """(p, m, kind): m <= 12 inputs, all ints, all Fractions or mixed with "num/den" strings."""
+    m = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["int", "power_sums", "fraction", "mixed"]))
+    if kind == "int":
+        p = draw(st.lists(st.integers(-50, 50), min_size=m, max_size=m))
+    elif kind == "power_sums":
+        # signed power sums of integers, where every step divides, then one entry
+        # moved by less than its index: the first remainder comes at step j
+        values = draw(st.lists(st.integers(-6, 6), max_size=8))
+        p = [(-1) ** i * sum(v ** (i + 1) for v in values) for i in range(m)]
+        if m >= 2:
+            j = draw(st.integers(2, m))
+            p[j - 1] += draw(st.integers(1, j - 1))
+    elif kind == "fraction":
+        p = draw(st.lists(st.one_of(_BIG_FRACTIONS, st.just(Fraction(0))), min_size=m, max_size=m))
+    else:
+        entry = st.one_of(st.integers(-(10**6), 10**6), _BIG_FRACTIONS, _RATIONAL_STRINGS, st.just(0))
+        p = draw(st.lists(entry, min_size=m, max_size=m))
+    return p, m, kind
+
+
+@given(_newton_inputs())
+def test_newton_coefficients_equal_the_operation_by_operation_loop(case):
+    p, m, kind = case
+    expected = _newton_by_operation(p, m)
+    coeffs = newton_coefficients(p, m)
+    assert coeffs == expected
+    if kind != "mixed":
+        assert [type(c) for c in coeffs] == [type(c) for c in expected]
+
+
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=9, max_size=9))
 def test_newton_coefficients_match_partition_formula(p):
     coeffs = newton_coefficients(p, 9)

@@ -124,9 +124,9 @@ def test_mzv_reduced_equals_closed_form(p, max_m):
         assert mzv_even_reduced(m, p) == mzv_closed_form(m, p)
 
 
-@pytest.mark.parametrize("m,p", [(150, 1), (100, 2), (60, 3)])
+@pytest.mark.parametrize("m,p", [(150, 1), (100, 2), (60, 3), (256, 1)])
 def test_mzv_reduced_equals_closed_form_at_high_depth(m, p):
-    # Bernoulli numbers up to B_400 from the tangent-number table
+    # Bernoulli numbers up to B_512, the cap, from the tangent-number table
     assert mzv_even_reduced(m, p) == mzv_closed_form(m, p)
 
 
