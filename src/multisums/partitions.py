@@ -242,8 +242,7 @@ def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | in
     terms and forms k c_k as the integer sum of a_i u_{k-i} L / (b_i v_{k-i})
     over the lcm L of the b_i v_{k-i}: one lcm and one gcd, in the one
     Fraction it builds for c_k, against a gcd per multiply and add of a
-    Fraction dot product. mzv_even_reduced(256, 1), the dearest call on
-    these steps, takes 0.6 s rather than 1.9 s in process (2-vCPU VM).
+    Fraction dot product.
     """
     _check_newton(m, len(p))
     return _newton([_as_exact(v) for v in p[:m]])
@@ -261,7 +260,7 @@ def _newton(p: list[Fraction | int]) -> list[Fraction | int]:
     """newton_coefficients on m = len(p) values already read, each an int or a Fraction."""
     m = len(p)
     coeffs: list[Fraction | int] = [Fraction(1)]
-    for k in range(1, m + 1):
+    for k in range(1, m + 1):  # integer steps, up to the first Fraction input or remainder
         acc = p[k - 1]  # p_k c_0, so c_0 = Fraction(1) leaves integer inputs integers
         for i in range(k - 1):
             acc += p[i] * coeffs[k - 1 - i]
@@ -272,7 +271,7 @@ def _newton(p: list[Fraction | int]) -> list[Fraction | int]:
             break
     if len(coeffs) > m:
         return coeffs
-    # rational steps: k c_k = sum_i a_i u_{k-i} L / (b_i v_{k-i}) over L, the lcm of the b_i v_{k-i}
+    # rational steps, each over the lcm of its term denominators
     nums = [v.numerator for v in p]
     dens = [v.denominator for v in p]
     cnums = [c.numerator for c in coeffs]
