@@ -35,7 +35,7 @@ from .exact_arith import (
     pi_poly_numeric,
     stirling_first_unsigned,
 )
-from .identities import IdentityId, verify, verify_sweep
+from .identities import IdentityId, verify_sweep
 from .partitions import enumerate_partitions, partition_sum
 from .polynomials import (
     coeff_ratio_from_roots,
@@ -407,54 +407,41 @@ def _criterion_9() -> tuple[bool, str]:
 
 def _criterion_10() -> tuple[bool, str]:
     """Registry sweeps across every identity at contract ranges."""
-    counts = {}
-    reports = verify_sweep(IdentityId.LEMMA_3_1, {"m": range(13)})
-    counts["LEMMA_3_1"] = len(reports)
-    bad = [r for r in reports if not r.equal]
-    reports = verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": range(13)})
-    counts["STIRLING_ALTERNATING"] = len(reports)
-    bad += [r for r in reports if not r.equal]
-    reports = verify_sweep(IdentityId.LEMMA_3_2, {"m": range(7)})
-    counts["LEMMA_3_2"] = len(reports)
-    bad += [r for r in reports if not r.equal]
-    reports = verify_sweep(IdentityId.EVEN_ODD_BINOM, {"m": range(7)})
-    counts["EVEN_ODD_BINOM"] = len(reports)
-    bad += [r for r in reports if not r.equal]
-    reports = verify_sweep(IdentityId.EVEN_ODD_WEIGHTS, {"m": range(13)})
-    counts["EVEN_ODD_WEIGHTS"] = len(reports)
-    bad += [r for r in reports if not r.equal]
-
-    rng = random.Random(1006)
-    bridge = []
-    for m in range(5):
-        for n in range(1, 8):
-            spec = _random_explicit(rng, 1, 7)
-            bridge.append(verify(IdentityId.RECURRENT_BRIDGE, {"spec": spec, "m": m, "q": 1, "n": n}))
-    counts["RECURRENT_BRIDGE"] = len(bridge)
-    bad += [r for r in bridge if not r.equal]
-
-    reports = verify_sweep(IdentityId.BINOMIAL_PARTITION, {"n": range(13), "m": range(13)})
-    counts["BINOMIAL_PARTITION"] = len(reports)
-    bad += [r for r in reports if not r.equal]
-
-    product = []
-    for q in (0, 1, 2):
-        for width in range(7):
-            spec = _random_explicit(rng, q, q + width, nonzero=True)
-            product.append(verify(IdentityId.PRODUCT_IDENTITY, {"spec": spec, "q": q, "n": q + width}))
-    counts["PRODUCT_IDENTITY"] = len(product)
-    bad += [r for r in product if not r.equal]
-
-    flagged = []
-    for n in range(11):
-        for m in range(n + 1):
-            report = verify(IdentityId.EVEN_ODD_N, {"n": n, "m": m})
-            flagged.append(report)
-            if "C(n-m+1, m)" not in report.note:
-                return False, f"EVEN_ODD_N n={n} m={m} report does not flag the printed variant"
-    counts["EVEN_ODD_N"] = len(flagged)
-    bad += [r for r in flagged if not r.equal]
-
+    rng = random.Random(1006)  # read in table order: 35 bridge specs, then 21 product specs
+    # (identity, swept ranges, fixed parameters); no ranges is the one point of the fixed ones
+    sweeps = [
+        (IdentityId.LEMMA_3_1, {"m": range(13)}, {}),
+        (IdentityId.STIRLING_ALTERNATING, {"m": range(13)}, {}),
+        (IdentityId.LEMMA_3_2, {"m": range(7)}, {}),
+        (IdentityId.EVEN_ODD_BINOM, {"m": range(7)}, {}),
+        (IdentityId.EVEN_ODD_WEIGHTS, {"m": range(13)}, {}),
+        *(
+            (IdentityId.RECURRENT_BRIDGE, {}, {"spec": _random_explicit(rng, 1, 7), "m": m, "q": 1, "n": n})
+            for m in range(5)
+            for n in range(1, 8)
+        ),
+        (IdentityId.BINOMIAL_PARTITION, {"n": range(13), "m": range(13)}, {}),
+        *(
+            (
+                IdentityId.PRODUCT_IDENTITY,
+                {},
+                {"spec": _random_explicit(rng, q, q + width, nonzero=True), "q": q, "n": q + width},
+            )
+            for q in (0, 1, 2)
+            for width in range(7)
+        ),
+        *((IdentityId.EVEN_ODD_N, {"m": range(n + 1)}, {"n": n}) for n in range(11)),
+    ]
+    counts: dict[str, int] = {}
+    bad = []
+    for identity, ranges, base in sweeps:
+        reports = verify_sweep(identity, ranges, base)
+        counts[identity.value] = counts.get(identity.value, 0) + len(reports)
+        bad += [r for r in reports if not r.equal]
+        unflagged = [r for r in reports if identity is IdentityId.EVEN_ODD_N and "C(n-m+1, m)" not in r.note]
+        if unflagged:
+            n, m = unflagged[0].params["n"], unflagged[0].params["m"]
+            return False, f"EVEN_ODD_N n={n} m={m} report does not flag the printed variant"
     if bad:
         worst = bad[0]
         return False, f"{len(bad)} failing reports, first {worst.identity.value} {worst.params}"

@@ -347,7 +347,7 @@ def run(argv: Sequence[str]) -> CommandOutcome:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_selftest(args)
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _error(str(exc))
 

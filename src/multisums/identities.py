@@ -7,9 +7,13 @@ statement is a pair of equations carry both sides as ordered pairs, so
 
 Registry keys are opaque stable strings (the CLI wire format). The registry
 is one table: per identity, a check returning (params, lhs, rhs, note), the
-parameter names it takes, and whether its left side sums over the partitions
-of m (which the sweep budget counts, with Lemma 3.2's restricted side).
-The identities taking "phi" are those whose parameter names include it.
+parameter names it takes, and its admission. The admission reads and checks
+every parameter that bounds the check's work, refusing one past a cap with
+ValueError, and returns the number of partitions the report's sides sum
+over, which the sweep budget counts. :func:`verify` and
+:func:`verify_sweep` admit every report before any check runs, so a check
+reads its parameters as admitted. The identities taking "phi" are those
+whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
 partition-weighted identities but RECURRENT_BRIDGE share one weight,
@@ -43,6 +47,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .core import (
     SequenceSpec,
     SumProblem,
+    _check_tuple_count,
     brute_multiple_sum,
     brute_recurrent_sum,
     elementary_from_power_sums,
@@ -67,15 +72,17 @@ __all__ = [
 ]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
-# p(m) summed over the reports of one verify_sweep, a report at order m summing over p(m) partitions;
+# partitions summed over by the reports of one verify_sweep, as their admissions count them before
+# any report runs: p(m) per report at order m, and p(m - r) more on LEMMA_3_2's restricted side;
 # an upper bound on the terms walked, as a report with phi a partition of r walks only the p(m - r)
 # terms of its full side that C(y_i, phi_i) leaves nonzero
 SWEEP_MAX_PARTITIONS = 2_000_000
-# n and m of BINOMIAL_PARTITION: O(m^2) Newton steps on integers growing with
-# n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6, m = 2000 (2-vCPU VM)
+# n and m of BINOMIAL_PARTITION, admitted before any report of a sweep runs: O(m^2) Newton
+# steps on integers growing with n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6,
+# m = 2000 (2-vCPU VM)
 BINOMIAL_MAX = 2000
-# terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full: N^-6 on
-# [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
+# terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full and admitted before any report
+# of a sweep runs: N^-6 on [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
 PRODUCT_MAX_WINDOW = 100
 
 
@@ -241,14 +248,13 @@ def _parity_sums(rows: Sequence[Sequence[int]], den: int) -> tuple[Fraction, Fra
 def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
     """(m, phi, (rows, den), (top, bottom), d) of a binomial-filtered partition sum.
 
-    phi, if given, is a vector of length m that :func:`verify` or
-    :func:`verify_sweep` has checked; it defaults to 0. The weight's
-    product over phi's nonzero entries, where C(phi_i, phi_i) = 1, is
-    top / bottom, read from the rows as one integer product over one
-    denominator, and d = m - r with phi a partition of r.
+    m is admitted, and phi, if given, is a vector of length m that
+    :func:`verify` or :func:`verify_sweep` has checked; it defaults to 0.
+    The weight's product over phi's nonzero entries, where C(phi_i, phi_i)
+    = 1, is top / bottom, read from the rows as one integer product over
+    one denominator, and d = m - r with phi a partition of r.
     """
-    m = _require_int(params, "m", 0)
-    _check_order(m)
+    m = params["m"]
     phi = params.get("phi", ())
     rows, dens = _weight_rows(m, phi, signed)
     parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
@@ -302,7 +308,7 @@ def _lemma_3_2(params: Mapping) -> Checked:
 
 def _stirling_alternating(params: Mapping) -> Checked:
     """Alternating row sums of the first-kind triangle vanish past m = 1."""
-    m = _require_int(params, "m", 0)
+    m = params["m"]
     lhs = Fraction(0)
     for k in range(m + 1):
         term = Fraction(stirling_first_unsigned(m, k))
@@ -313,23 +319,15 @@ def _stirling_alternating(params: Mapping) -> Checked:
 
 def _binomial_partition(params: Mapping) -> Checked:
     """Partition reduction with every power sum set to n equals C(n, m)."""
-    m = _require_int(params, "m", 0)
-    n = _require_int(params, "n", 0)
-    if max(n, m) > BINOMIAL_MAX:
-        raise ValueError(f"n={n}, m={m}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
+    n, m = params["n"], params["m"]
     return {"n": n, "m": m}, Fraction(elementary_from_power_sums([n] * m, m)[m]), Fraction(math.comb(n, m)), ""
 
 
 def _product_identity(params: Mapping) -> Checked:
     """Full-window reduction (m = n - q + 1) collapses to the plain product."""
     spec = _require_spec(params)
-    q = _require_int(params, "q", 0)
-    n = _require_int(params, "n", 0)
-    if n < q:
-        raise ValueError("need n >= q")
+    q, n = params["q"], params["n"]
     m = n - q + 1
-    if m > PRODUCT_MAX_WINDOW:
-        raise ValueError(f"window of {m} terms exceeds the PRODUCT_IDENTITY cap {PRODUCT_MAX_WINDOW}")
     rhs = Fraction(1)
     for j in range(q, n + 1):
         rhs *= eval_sequence(spec, j)
@@ -343,9 +341,7 @@ def _recurrent_bridge(params: Mapping) -> Checked:
     recurrent - (-1)^m multiple = 2 * odd-partition sum
     """
     spec = _require_spec(params)
-    m = _require_int(params, "m", 0)
-    q = _require_int(params, "q", 0)
-    n = _require_int(params, "n", 0)
+    m, q, n = params["m"], params["q"], params["n"]
     recurrent = brute_recurrent_sum(spec, m, q, n)
     multiple = brute_multiple_sum(SumProblem((spec,) * m, q, n))
     signed_multiple = -multiple if m % 2 else multiple
@@ -383,8 +379,7 @@ def _even_odd_n(params: Mapping) -> Checked:
     with C(n-m+1, m) in the first slot fails direct evaluation (already at
     n=3, m=2) and is deliberately not implemented; the note records that.
     """
-    m = _require_int(params, "m", 0)
-    n = _require_int(params, "n", 0)
+    m, n = params["m"], params["n"]
     rows, _ = _weight_rows(m, (), signed=False, n=n)
     lhs = _parity_sums(rows, _unit_rows(m, False)[2])
     # n = m = 0 gives C(-1, 0) = 1 (empty choice); math.comb wants n >= 0
@@ -400,44 +395,87 @@ def _even_odd_n(params: Mapping) -> Checked:
     return {"n": n, "m": m}, lhs, rhs, note
 
 
-def _full_partitions(m: int, r: int) -> int:
-    """Partitions a report at order m walks: p(m), the full side."""
+def _admit_order(params: Mapping) -> int:
+    """p(m), the partitions of m that a report's full side sums over; m within the order cap."""
+    m = _require_int(params, "m", 0)
+    _check_order(m)
     return partition_count(m)
 
 
-def _full_and_restricted_partitions(m: int, r: int) -> int:
-    """Partitions a LEMMA_3_2 report walks: p(m) on the full side, p(m - r) on the restricted one."""
-    return partition_count(m) + partition_count(m - r)
+def _admit_lemma_3_2(params: Mapping) -> int:
+    """p(m) on the full side and p(m - r) on the restricted one, phi padded and a partition of r."""
+    r = sum(i * k for i, k in enumerate(params["phi"], start=1))
+    return _admit_order(params) + partition_count(params["m"] - r)
 
 
-# identity -> (check, parameter names, the partitions one report at order m
-# and phi of r walks, or None where no side sums over partitions); the
-# identities taking "phi" expand it in verify_sweep
-_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[int, int], int] | None]] = {
-    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _full_partitions),
-    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _full_and_restricted_partitions),
-    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), None),
-    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), None),
-    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), None),
-    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _full_partitions),
-    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _full_partitions),
-    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _full_partitions),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), _full_partitions),
+def _admit_stirling(params: Mapping) -> int:
+    _require_int(params, "m", 0)
+    return 0
+
+
+def _admit_binomial(params: Mapping) -> int:
+    m = _require_int(params, "m", 0)
+    n = _require_int(params, "n", 0)
+    if max(n, m) > BINOMIAL_MAX:
+        raise ValueError(f"n={n}, m={m}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
+    return 0
+
+
+def _admit_product(params: Mapping) -> int:
+    q = _require_int(params, "q", 0)
+    n = _require_int(params, "n", 0)
+    if n < q:
+        raise ValueError("need n >= q")
+    if n - q + 1 > PRODUCT_MAX_WINDOW:
+        raise ValueError(f"window of {n - q + 1} terms exceeds the PRODUCT_IDENTITY cap {PRODUCT_MAX_WINDOW}")
+    return 0
+
+
+def _admit_bridge(params: Mapping) -> int:
+    """The brute-force tuples, then p(m) as for the full sides.
+
+    The recurrent side's C(n - q + m, m) tuples are never fewer than the
+    multiple side's C(n - q + 1, m), and none are counted at m = 0 or
+    n < q, so this refuses what the first brute-force sum would.
+    """
+    m = _require_int(params, "m", 0)
+    q = _require_int(params, "q", 0)
+    n = _require_int(params, "n", 0)
+    _check_tuple_count(max(n - q + m, 0), m)
+    return _admit_order(params)
+
+
+def _admit_even_odd_n(params: Mapping) -> int:
+    _require_int(params, "m", 0)
+    _require_int(params, "n", 0)
+    return _admit_order(params)
+
+
+# identity -> (check, parameter names, admission); the identities taking
+# "phi" expand it in verify_sweep
+_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
+    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_order),
+    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_lemma_3_2),
+    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling),
+    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), _admit_binomial),
+    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), _admit_product),
+    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge),
+    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_order),
+    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_order),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), _admit_even_odd_n),
 }
 
 
 def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     """Run one identity check with the given parameters.
 
-    A parameter the identity does not take raises ValueError rather than
-    being ignored.
+    A parameter the identity does not take, or one past the identity's caps,
+    raises ValueError before the check runs rather than being ignored.
     """
     identity = IdentityId(identity)
     _check_names(identity, params)
-    if "phi" in _REGISTRY[identity][1]:
-        m = _require_int(params, "m", 0)
-        _check_order(m)  # before phi is padded to length m
-        params = dict(params, phi=_normalize_phi(params.get("phi", ()), m))
+    params = _with_phi(identity, params)
+    _REGISTRY[identity][2](params)
     return _report(identity, params)
 
 
@@ -449,8 +487,17 @@ def _check_names(identity: IdentityId, params: Mapping) -> None:
         raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
 
 
+def _with_phi(identity: IdentityId, params: Mapping) -> Mapping:
+    """params with phi checked and padded to length m, for the identities taking phi."""
+    if "phi" not in _REGISTRY[identity][1]:
+        return params
+    m = _require_int(params, "m", 0)
+    _check_order(m)  # before phi is padded to length m
+    return dict(params, phi=_normalize_phi(params.get("phi", ()), m))
+
+
 def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
-    """The identity's check on parameters already checked, and its verdict."""
+    """The identity's check on parameters already admitted, and its verdict."""
     checked, lhs, rhs, note = _REGISTRY[identity][0](params)
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
 
@@ -466,19 +513,20 @@ def verify_sweep(
     identities, when no explicit phi is supplied every sub-partition phi of
     every r <= m is checked at each swept m, so one point at m stands for
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
-    SWEEP_MAX_POINTS reports are allowed, and for the identities whose left
-    side sums over the partitions of m, at most SWEEP_MAX_PARTITIONS
-    partitions: p(m) per report at order m, and for LEMMA_3_2 p(m - r) more
-    on its restricted side, phi being a partition of r. All are counted
-    before any check runs; pass ``range`` objects so a refused sweep costs
-    nothing. The full side of a report with phi walks only the p(m - r)
-    terms that C(y_i, phi_i) leaves nonzero, so the count is an upper bound
-    on the terms walked; it stays p(m), and so does the set of refused
-    sweeps. An expanded sweep checks its parameter names once, and each phi
-    it builds goes to the check as built, not through verify.
+    SWEEP_MAX_POINTS reports are allowed. The parameters of every report are
+    built and admitted before any check runs, so a parameter past a cap at
+    the last point is refused, with the message :func:`verify` gives, at
+    no cost; pass ``range`` objects so a refused grid costs nothing either.
+    The admissions' partitions may sum to at most SWEEP_MAX_PARTITIONS:
+    p(m) per report at order m, and for LEMMA_3_2 p(m - r) more on its
+    restricted side, phi being a partition of r. The full side of a report
+    with phi walks only the p(m - r) terms that C(y_i, phi_i) leaves
+    nonzero, so the count is an upper bound on the terms walked; it stays
+    p(m), and so does the set of refused sweeps. Every report then runs
+    through the one check path of :func:`verify`.
     """
     identity = IdentityId(identity)
-    _, parameters, walked = _REGISTRY[identity]
+    _, parameters, admit = _REGISTRY[identity]
     swept = set(parameters) - {"phi", "spec"}
     unknown = sorted(set(ranges) - swept)
     if unknown:
@@ -487,38 +535,22 @@ def verify_sweep(
     if points > SWEEP_MAX_POINTS:
         raise ValueError(f"sweep of {points} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})
-    names = list(ranges.keys())
-    grid = [dict(base, **dict(zip(names, combo))) for combo in cartesian_product(*ranges.values())]
-    expand_phi = "phi" in parameters and "phi" not in base
-    size = visited = 0
-    for params in grid if walked else ():
-        m = _require_int(params, "m", 0)
-        if expand_phi:
-            at_m = r = 0
-            while r <= m and size + at_m <= SWEEP_MAX_POINTS:
-                at_m += partition_count(r)
-                r += 1
-            if size + at_m > SWEEP_MAX_POINTS:
-                raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
-            _check_order(m)
-            visited += sum(partition_count(r) * walked(m, r) for r in range(m + 1))
-        else:
-            at_m = 1
-            _check_order(m)
-            phi = _normalize_phi(params["phi"], m) if "phi" in params else ()
-            visited += walked(m, sum(i * k for i, k in enumerate(phi, start=1)))
-        size += at_m
-    if visited > SWEEP_MAX_PARTITIONS:
-        raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
-    if not expand_phi:
-        return [verify(identity, params) for params in grid]
+    grid = [dict(base, **dict(zip(ranges, combo))) for combo in cartesian_product(*ranges.values())]
     if grid:
         _check_names(identity, grid[0])  # every point has the same names
-    reports: list[VerificationReport] = []
-    for params in grid:
-        # each phi is a partition of r <= m padded to length m, as verify would make it
-        m = params["m"]
-        for r in range(m + 1):
-            for sub in enumerate_partitions(r):
-                reports.append(_report(identity, dict(params, phi=sub + (0,) * (m - r))))
-    return reports
+    if "phi" in parameters and "phi" not in base:
+        reports = []
+        for params in grid:
+            # each phi is a partition of r <= m padded to length m, as verify pads it; they are
+            # counted first, as the count stops at the cap long before a large m is padded
+            m = _require_int(params, "m", 0)
+            sizes = accumulate(map(partition_count, range(m + 1)), initial=len(reports))
+            if any(size > SWEEP_MAX_POINTS for size in sizes):
+                raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
+            reports += [dict(params, phi=sub + (0,) * (m - r)) for r in range(m + 1) for sub in enumerate_partitions(r)]
+    else:
+        reports = [_with_phi(identity, params) for params in grid]
+    visited = sum(map(admit, reports))
+    if visited > SWEEP_MAX_PARTITIONS:
+        raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
+    return [_report(identity, params) for params in reports]

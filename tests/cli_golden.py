@@ -11,7 +11,9 @@ depth 128 and the Bernoulli index cap at (128, 2)), the
 shipped zeta table, the root identities, and all nine identities at the
 acceptance suite's sweep ranges (criterion 10), with fixed explicit specs
 for the sequence-bearing identities and one explicit phi per phi-taking
-identity. Run it from the repository root with the command that starts
+identity, and three sweeps whose last point breaks a cap (the binomial
+bound, the product window, the bridge's tuple count), each refused with
+exit 2. Run it from the repository root with the command that starts
 the CLI, to rewrite the records or to check an installed console script:
 
     PYTHONPATH=src python tests/cli_golden.py python -m multisums > tests/data/cli_golden.jsonl
@@ -104,6 +106,10 @@ LINES = [
     ["verify", "EVEN_ODD_BINOM", "--sweep", "m=9", "--json"],
     ["verify", "LEMMA_3_2", "--sweep", "m=9", "--json"],
     ["verify", "EVEN_ODD_N", "--sweep", "n=12,m=0..20", "--json"],
+    # sweeps whose last point breaks a cap: the refusal and its exit 2
+    ["verify", "BINOMIAL_PARTITION", "--sweep", "n=1999..2001,m=2000", "--json"],
+    ["verify", "PRODUCT_IDENTITY", "--spec", _power(-1), "--q", "1", "--sweep", "n=98..101", "--json"],
+    ["verify", "RECURRENT_BRIDGE", "--spec", _power(1), "--m", "6", "--q", "1", "--sweep", "n=26..28", "--json"],
 ]
 
 

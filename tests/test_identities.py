@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -331,6 +332,50 @@ def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
     # an order past the enumeration cap is refused up front, not after the orders below it
     with pytest.raises(ValueError, match="partition enumeration cap 50"):
         verify_sweep(IdentityId.LEMMA_3_1, {"m": range(52)})
+
+
+@pytest.mark.parametrize(
+    ("identity", "ranges", "base", "message"),
+    [
+        (IdentityId.BINOMIAL_PARTITION, {"n": range(1999, 2002), "m": [2000]}, {}, "n=2001, m=2000: BINOMIAL"),
+        (IdentityId.PRODUCT_IDENTITY, {"n": range(98, 102)}, {"spec": IndexPower(-1), "q": 1}, "window of 101 terms"),
+        (IdentityId.RECURRENT_BRIDGE, {"n": range(26, 29)}, {"spec": N, "m": 6, "q": 1}, r"C\(33, 6\) tuples"),
+    ],
+    ids=["binomial_max", "product_window", "bridge_tuples"],
+)
+def test_sweep_refuses_its_last_point_before_any_check(identity, ranges, base, message, monkeypatch):
+    # every earlier point is admitted, and would run for seconds if its check ran first
+    monkeypatch.setattr(identities, "_report", _refuse_checks)
+    with pytest.raises(ValueError, match=message):
+        verify_sweep(identity, ranges, base=base)
+
+
+BRIDGE = ExplicitSequence([1, Fraction(-1, 2), 3, Fraction(2, 5), -2, Fraction(7, 3)])
+PRODUCT = ExplicitSequence([2, Fraction(-1, 3), 3, Fraction(5, 7), -2, Fraction(1, 2)], base=0)
+
+
+@pytest.mark.parametrize(
+    ("identity", "ranges", "base"),
+    [
+        (IdentityId.LEMMA_3_1, {"m": range(8)}, {}),
+        (IdentityId.LEMMA_3_2, {"m": range(3, 8)}, {"phi": (1, 1)}),
+        (IdentityId.STIRLING_ALTERNATING, {"m": range(8)}, {}),
+        (IdentityId.BINOMIAL_PARTITION, {"n": range(4), "m": range(5)}, {}),
+        (IdentityId.PRODUCT_IDENTITY, {"q": range(3), "n": range(2, 6)}, {"spec": PRODUCT}),
+        (IdentityId.RECURRENT_BRIDGE, {"m": range(4), "n": range(1, 6)}, {"spec": BRIDGE, "q": 1}),
+        (IdentityId.EVEN_ODD_WEIGHTS, {"m": range(8)}, {}),
+        (IdentityId.EVEN_ODD_BINOM, {"m": range(2, 8)}, {"phi": (0, 1, 0, 0, 0, 0, 0, 0, 0)}),
+        (IdentityId.EVEN_ODD_N, {"n": range(4), "m": range(6)}, {}),
+    ],
+    ids=lambda value: value.value.lower() if isinstance(value, IdentityId) else None,
+)
+def test_sweep_reports_equal_lone_calls(identity, ranges, base):
+    # a sweep that expands no phi runs, point by point, what verify runs on that point alone
+    names = list(ranges)
+    points = [dict(base, **dict(zip(names, combo))) for combo in itertools.product(*ranges.values())]
+    swept = verify_sweep(identity, ranges, base=base)
+    assert swept == [verify(identity, params) for params in points]
+    assert all(r.equal for r in swept)
 
 
 @pytest.mark.parametrize(
