@@ -409,11 +409,13 @@ def _admit_lemma_3_2(params: Mapping) -> int:
 
 
 def _admit_stirling(params: Mapping) -> int:
+    """m; no side sums over partitions."""
     _require_int(params, "m", 0)
     return 0
 
 
 def _admit_binomial(params: Mapping) -> int:
+    """m and n up to BINOMIAL_MAX; no side sums over partitions."""
     m = _require_int(params, "m", 0)
     n = _require_int(params, "n", 0)
     if max(n, m) > BINOMIAL_MAX:
@@ -422,6 +424,7 @@ def _admit_binomial(params: Mapping) -> int:
 
 
 def _admit_product(params: Mapping) -> int:
+    """q <= n and a window of at most PRODUCT_MAX_WINDOW terms; no side sums over partitions."""
     q = _require_int(params, "q", 0)
     n = _require_int(params, "n", 0)
     if n < q:
@@ -446,6 +449,7 @@ def _admit_bridge(params: Mapping) -> int:
 
 
 def _admit_even_odd_n(params: Mapping) -> int:
+    """m and n, read in the order the check reads them, then p(m) as for the full sides."""
     _require_int(params, "m", 0)
     _require_int(params, "n", 0)
     return _admit_order(params)
@@ -515,8 +519,9 @@ def verify_sweep(
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
     SWEEP_MAX_POINTS reports are allowed. The parameters of every report are
     built and admitted before any check runs, so a parameter past a cap at
-    the last point is refused, with the message :func:`verify` gives, at
-    no cost; pass ``range`` objects so a refused grid costs nothing either.
+    the last point is refused, with the message :func:`verify` gives,
+    before any report runs; pass ``range`` objects so a refused grid costs
+    nothing either.
     The admissions' partitions may sum to at most SWEEP_MAX_PARTITIONS:
     p(m) per report at order m, and for LEMMA_3_2 p(m - r) more on its
     restricted side, phi being a partition of r. The full side of a report
