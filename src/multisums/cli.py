@@ -38,7 +38,7 @@ from .core import (
     reduce_multiple_sum,
     sequence_spec_from_json,
 )
-from .exact_arith import _Record, _set, pi_poly_numeric, rational_from_str, rational_to_str
+from .exact_arith import PiPolynomial, _Record, _set, pi_poly_numeric, rational_from_str, rational_to_str
 from .identities import IdentityId, verify, verify_sweep
 from .partitions import enumerate_partitions, partition_count
 from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
@@ -249,7 +249,7 @@ def _cmd_special(args) -> CommandOutcome:
     for argument in sorted(golden):
         computed = zeta_even(argument // 2)
         expected = golden[argument]
-        match = computed.terms == {argument: expected}
+        match = computed == PiPolynomial(argument, expected)
         all_match &= match
         entries.append(
             {

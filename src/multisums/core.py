@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Iterator, Sequence, Union
 
 from .exact_arith import (
@@ -186,8 +186,17 @@ def _value_tables(specs: Sequence[SequenceSpec], q: int, n: int) -> list[list[Fr
 
 
 def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
-    # orderings * comb(width, m) tuples, counted before anything is evaluated
-    if orderings * comb(width, m) > BRUTE_MAX_TUPLES:
+    # orderings * comb(width, m) tuples, counted before anything is evaluated as
+    # the running product orderings * C(width - m + i, i), i = 0..m. It never
+    # decreases, so the count stops at the first partial product past the cap.
+    if width < m:
+        return  # comb(width, m) = 0
+    count = orderings
+    for i in range(1, m + 1):
+        if count > BRUTE_MAX_TUPLES:
+            break
+        count = count * (width - m + i) // i
+    if count > BRUTE_MAX_TUPLES:
         times = f"{orderings} x " if orderings > 1 else ""
         raise ValueError(f"brute force over {times}C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
 

@@ -12,11 +12,12 @@ Fraction built per term: the power sums of a window, the tuple products of
 brute-force multiple sums and the set-partition block sums all run on it;
 partition sums have their own walk in :mod:`multisums.partitions`.
 Bernoulli numbers come from a table of tangent numbers, integers built by
-additions only. Decimal
-arithmetic appears only inside :func:`pi_poly_numeric`, which renders a
-:class:`PiPolynomial` as a decimal string for display and trend checks,
-never for an equality verdict. The private ``_Record`` gives the package's
-value records their equality, hash, immutability and repr.
+additions only. A :class:`PiPolynomial` is the record of one term c pi^e,
+and zero is 0 pi^0. Decimal arithmetic appears only inside
+:func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
+string for display and trend checks, never for an equality verdict. The
+private ``_Record`` gives the package's value records, ``PiPolynomial``
+among them, their equality, hash, immutability and repr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "RationalLike",
@@ -286,66 +287,42 @@ def stirling_first_unsigned(m: int, r: int) -> int:
     return row[r]
 
 
-class PiPolynomial:
+class PiPolynomial(_Record):
     """The exact single term c pi^e, rational c and integer e >= 0.
 
     Every even zeta value and every depth reduction of repeated even
-    arguments has this form. Built from a map {e: c} of at most one term;
-    a zero coefficient is not stored, so the empty map is zero and
-    structural equality is exact value equality. Rational scalars multiply
-    it. JSON form maps the exponent (as a decimal string) to the coefficient
-    as ``"num/den"``.
+    arguments has this form. The coefficient is read like any rational
+    input, and a zero coefficient sets the exponent to 0, so zero is
+    0 pi^0 and field equality is exact value equality. Rational scalars
+    multiply it. JSON form maps the exponent (as a decimal string) to the
+    coefficient as ``"num/den"``, and zero to ``{}``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("exponent", "coefficient")  # perfbench's tracer finds the class by coefficient and terms
 
-    def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        terms = terms or {}
-        if len(terms) > 1:
-            raise ValueError(f"a PiPolynomial holds one term c pi^e, got {len(terms)}")
-        self._terms: dict[int, Fraction] = {}
-        for exponent, coeff in terms.items():
-            if not _is_int(exponent) or exponent < 0:
-                raise ValueError(f"pi exponent must be an integer >= 0, got {exponent!r}")
-            value = _as_rational(coeff)
-            if value:
-                self._terms[exponent] = value
+    def __init__(self, exponent: int = 0, coefficient: RationalLike = 0):
+        if not _is_int(exponent) or exponent < 0:
+            raise ValueError(f"pi exponent must be an integer >= 0, got {exponent!r}")
+        coefficient = _as_rational(coefficient)
+        _set(self, "exponent", exponent if coefficient else 0)
+        _set(self, "coefficient", coefficient)
 
+    # Kept for perfbench's tracer, whose bit_length reads the coefficients here.
     @property
     def terms(self) -> dict[int, Fraction]:
-        """Exponent -> coefficient map (copy): one entry, or none for zero."""
-        return dict(self._terms)
+        """{exponent: coefficient}, or {} for zero."""
+        return {self.exponent: self.coefficient} if self.coefficient else {}
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PiPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
-
+    # Kept for perfbench's tracer, which wraps __mul__ and __rmul__ by name to count pi_poly_muls.
     def __mul__(self, other: RationalLike) -> "PiPolynomial":
         if isinstance(other, PiPolynomial):
             return NotImplemented
-        scalar = _as_rational(other)
-        return PiPolynomial({k: c * scalar for k, c in self._terms.items()})
+        return PiPolynomial(self.exponent, self.coefficient * _as_rational(other))
 
     __rmul__ = __mul__
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "PiPolynomial()"
-        body = ", ".join(f"{k}: {rational_to_str(c)!r}" for k, c in self._terms.items())
-        return f"PiPolynomial({{{body}}})"
-
     def to_json_dict(self) -> dict[str, str]:
-        return {str(k): rational_to_str(c) for k, c in self._terms.items()}
+        return {str(self.exponent): rational_to_str(self.coefficient)} if self.coefficient else {}
 
 
 def _pi(ctx: Context) -> Decimal:
@@ -371,9 +348,9 @@ def pi_poly_numeric(value: PiPolynomial, digits: int) -> str:
     """
     if not 1 <= digits <= NUMERIC_MAX_DIGITS:
         raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {digits}")
-    if value.is_zero():
+    exponent, coeff = value.exponent, value.coefficient
+    if not coeff:
         return "0"
-    ((exponent, coeff),) = value.terms.items()
     ctx = Context(prec=digits + _GUARD_DIGITS, rounding=ROUND_HALF_EVEN)
     total = ctx.multiply(ctx.divide(coeff.numerator, coeff.denominator), ctx.power(_pi(ctx), exponent))
     text = format(Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(total), "f")

@@ -2,9 +2,10 @@
 
 Power sums of integers come from the Bernoulli closed form; multiple power
 sums reuse the reduction from :mod:`multisums.core`. Even zeta values are
-exact single terms c pi^e (:class:`PiPolynomial`), and so is every depth
-reduction of repeated even arguments: each term of its partition sum carries
-the same power of pi, so the sum runs over rational coefficients alone. That
+exact single terms c pi^e (:class:`PiPolynomial`, the record of e and c),
+and so is every depth reduction of repeated even arguments: each term of its
+partition sum carries the same power of pi, so the sum runs over rational
+coefficients alone. That
 rational sum is the Bernoulli weight sum :func:`bernoulli_partition_sum`
 scaled by ((-1)^(p+1) 4^p)^m, so both are one partition sum, evaluated by
 Newton's recurrence, :func:`multisums.partitions.newton_coefficients`; the
@@ -119,7 +120,7 @@ def zeta_even(p: int) -> PiPolynomial:
     coeff = Fraction(2) ** (2 * p) * bernoulli(2 * p) / (2 * math.factorial(2 * p))
     if p % 2 == 0:
         coeff = -coeff
-    return PiPolynomial({2 * p: coeff})
+    return PiPolynomial(2 * p, coeff)
 
 
 def mzv_even_reduced(m: int, p: int) -> PiPolynomial:
@@ -136,7 +137,7 @@ def mzv_even_reduced(m: int, p: int) -> PiPolynomial:
     """
     c = bernoulli_partition_sum(m, p)  # refuses m < 0, p < 1 and 2mp > BERNOULLI_MAX_INDEX
     lam = 4**p if p % 2 else -(4**p)
-    return PiPolynomial({2 * p * m: c * lam**m})
+    return PiPolynomial(2 * p * m, c * lam**m)
 
 
 def mzv_closed_form(m: int, p: int) -> PiPolynomial:
@@ -149,11 +150,11 @@ def mzv_closed_form(m: int, p: int) -> PiPolynomial:
     if m < 0:
         raise ValueError("m must be >= 0")
     if p == 1:
-        return PiPolynomial({2 * m: Fraction(1, math.factorial(2 * m + 1))})
+        return PiPolynomial(2 * m, Fraction(1, math.factorial(2 * m + 1)))
     if p == 2:
-        return PiPolynomial({4 * m: Fraction(2 * 2 ** (2 * m), math.factorial(4 * m + 2))})
+        return PiPolynomial(4 * m, Fraction(2 * 2 ** (2 * m), math.factorial(4 * m + 2)))
     if p == 3:
-        return PiPolynomial({6 * m: Fraction(6 * 2 ** (6 * m), math.factorial(6 * m + 3))})
+        return PiPolynomial(6 * m, Fraction(6 * 2 ** (6 * m), math.factorial(6 * m + 3)))
     raise ValueError("closed form available for p in {1, 2, 3} only")
 
 

@@ -26,6 +26,7 @@ from multisums.core import (
     variation_expand,
     variation_recursive,
 )
+from multisums.identities import IdentityId, verify
 from multisums.partitions import newton_coefficients, partition_sum
 from multisums.polynomials import coeff_ratio_from_roots, sum_of_multiple_sums
 
@@ -97,6 +98,17 @@ def test_brute_tuple_guard(monkeypatch):
     assert brute_recurrent_sum(N, 3, 1, 3) == 90  # C(5, 3) = 10 weak tuples
     with pytest.raises(ValueError):
         brute_recurrent_sum(N, 2, 1, 5)  # C(6, 2) = 15
+
+
+def test_brute_tuple_guard_stops_counting_at_the_cap():
+    # C(1999999, 1000000) has about 600 000 digits; the count stops at the
+    # first partial product past the cap instead of forming it
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"C\(1999999, 1000000\) tuples exceeds the cap"):
+        brute_recurrent_sum(N, 10**6, 1, 10**6)
+    with pytest.raises(ValueError, match=r"C\(1999999, 1000000\) tuples exceeds the cap"):
+        verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 10**6, "q": 1, "n": 10**6})
+    assert time.perf_counter() - started < 1.0
 
 
 def test_recurrent_frozen_values():

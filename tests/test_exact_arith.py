@@ -169,46 +169,46 @@ def test_rational_string_round_trip(value):
 
 def test_pi_polynomial_basics():
     zero = PiPolynomial()
-    assert zero.is_zero()
-    assert PiPolynomial({4: 0}) == zero
-    p = PiPolynomial({2: Fraction(1, 6)})
-    assert not p.is_zero()
-    assert p.coefficient(2) == Fraction(1, 6)
-    assert p.coefficient(4) == 0
+    assert not zero.coefficient
+    assert PiPolynomial(4, 0) == zero  # a zero coefficient sets the exponent to 0
+    assert PiPolynomial(4, 0).exponent == 0
+    p = PiPolynomial(2, Fraction(1, 6))
+    assert p.exponent == 2 and p.coefficient == Fraction(1, 6)
+    assert PiPolynomial(2, "1/6") == p
     assert p.terms == {2: Fraction(1, 6)}
-    assert p * 6 == 6 * p == PiPolynomial({2: 1})
+    assert zero.terms == {}
+    assert p * 6 == 6 * p == PiPolynomial(2, 1)
     assert p * 0 == zero
     with pytest.raises(ValueError):
-        PiPolynomial({-2: 1})
-    # one term c pi^e, never a sum of powers of pi
-    with pytest.raises(ValueError):
-        PiPolynomial({0: 1, 2: Fraction(1, 6)})
+        PiPolynomial(-2, 1)
+    for exponent in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="pi exponent"):
+            PiPolynomial(exponent, 1)
 
 
 def test_pi_poly_numeric_display():
     assert pi_poly_numeric(PiPolynomial(), 5) == "0"
-    assert pi_poly_numeric(PiPolynomial({2: Fraction(1, 6)}), 6) == "1.64493"
+    assert pi_poly_numeric(PiPolynomial(2, Fraction(1, 6)), 6) == "1.64493"
     # plain rational part renders without pi involvement
-    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 4)}), 3) == "0.25"
-    assert pi_poly_numeric(PiPolynomial({0: 1}), 5) == "1.0"
-    assert pi_poly_numeric(PiPolynomial({0: 123456}), 3) == "123000.0"
-    assert pi_poly_numeric(PiPolynomial({0: Fraction(-1, 3)}), 4) == "-0.3333"
-    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 10**7)}), 2) == "0.0000001"
+    assert pi_poly_numeric(PiPolynomial(0, Fraction(1, 4)), 3) == "0.25"
+    assert pi_poly_numeric(PiPolynomial(0, 1), 5) == "1.0"
+    assert pi_poly_numeric(PiPolynomial(0, 123456), 3) == "123000.0"
+    assert pi_poly_numeric(PiPolynomial(0, Fraction(-1, 3)), 4) == "-0.3333"
+    assert pi_poly_numeric(PiPolynomial(0, Fraction(1, 10**7)), 2) == "0.0000001"
     # exact decimal ties round half to even
-    assert pi_poly_numeric(PiPolynomial({0: Fraction(3, 20)}), 1) == "0.2"
-    assert pi_poly_numeric(PiPolynomial({0: Fraction(1, 8)}), 2) == "0.12"
+    assert pi_poly_numeric(PiPolynomial(0, Fraction(3, 20)), 1) == "0.2"
+    assert pi_poly_numeric(PiPolynomial(0, Fraction(1, 8)), 2) == "0.12"
     for digits in (0, NUMERIC_MAX_DIGITS + 1):
         with pytest.raises(ValueError):
-            pi_poly_numeric(PiPolynomial({0: 1}), digits)
+            pi_poly_numeric(PiPolynomial(0, 1), digits)
 
 
 def _mpmath_numeric(value: PiPolynomial, digits: int) -> str:
     # The renderer this package used to carry, kept as an independent oracle.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits + 25):
-        total = mpmath.mpf(0)
-        for exponent, coeff in value.terms.items():
-            total += mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** exponent
+        coeff = value.coefficient
+        total = mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** value.exponent
         return mpmath.nstr(total, digits, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
 
 
@@ -226,19 +226,19 @@ def test_pi_poly_numeric_matches_mpmath_on_zeta_values():
     st.integers(min_value=1, max_value=60),
 )
 def test_pi_poly_numeric_matches_mpmath_on_monomials(coeff, exponent, digits):
-    value = PiPolynomial({exponent: coeff})
+    value = PiPolynomial(exponent, coeff)
     assert pi_poly_numeric(value, digits) == _mpmath_numeric(value, digits)
 
 
 def test_pi_poly_json_round_trip():
-    assert PiPolynomial({8: Fraction(-3, 7)}).to_json_dict() == {"8": "-3/7"}
-    assert PiPolynomial({0: 2}).to_json_dict() == {"0": "2/1"}
+    assert PiPolynomial(8, Fraction(-3, 7)).to_json_dict() == {"8": "-3/7"}
+    assert PiPolynomial(0, 2).to_json_dict() == {"0": "2/1"}
     assert PiPolynomial().to_json_dict() == {}
 
 
 @pytest.mark.parametrize("entry", [
     lambda v: ExplicitSequence((v,)),
-    lambda v: PiPolynomial({2: v}),
+    lambda v: PiPolynomial(2, v),
     lambda v: Polynomial((1, v)),
     lambda v: poly_from_roots([v]),
     lambda v: coeff_ratio_from_roots([v, 2], 1),

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from multisums.core import ExplicitSequence, IndexPower, SumProblem
+from multisums.exact_arith import PiPolynomial
 from multisums.identities import IdentityId, VerificationReport
 from multisums.polynomials import Polynomial
 
@@ -33,8 +34,10 @@ CASES = [
     (Polynomial(coeffs=[-1, 1, 0]), Polynomial((Fraction(-1), Fraction(1))), Polynomial([1, 1]),
      ((Fraction(-1), Fraction(1)),)),
     (_report(), _report(note=""), _report(equal=False), None),
+    (PiPolynomial(exponent=2, coefficient="1/6"), PiPolynomial(2, Fraction(1, 6)), PiPolynomial(4, Fraction(1, 6)),
+     (2, Fraction(1, 6))),
 ]
-IDS = ["ExplicitSequence", "IndexPower", "SumProblem", "Polynomial", "VerificationReport"]
+IDS = ["ExplicitSequence", "IndexPower", "SumProblem", "Polynomial", "VerificationReport", "PiPolynomial"]
 
 
 @pytest.mark.parametrize("record,same,other,fields", CASES, ids=IDS)
@@ -48,6 +51,7 @@ def test_records_compare_by_value_within_their_class(record, same, other, fields
 
 def test_records_hash_by_their_field_tuple():
     assert hash(IndexPower(2)) == hash((2,))
+    assert hash(PiPolynomial(2, 3)) == hash((2, Fraction(3)))
     assert {IndexPower(2), IndexPower(2), IndexPower(3)} == {IndexPower(2), IndexPower(3)}
     with pytest.raises(TypeError):
         hash(_report())  # params is a dict, so a report is unhashable
@@ -59,6 +63,7 @@ def test_records_hash_by_their_field_tuple():
     (SumProblem((IndexPower(1),), 1, 2), "q"),
     (Polynomial([1]), "coeffs"),
     (_report(), "equal"),
+    (PiPolynomial(2, 1), "coefficient"),
 ], ids=IDS)
 def test_records_refuse_assignment(record, field):
     before = getattr(record, field)
@@ -81,6 +86,8 @@ def test_records_take_keywords_and_defaults():
     report = _report()
     assert report.note == ""
     assert VerificationReport(IdentityId.LEMMA_3_1, {}, 1, 1, True, "n").note == "n"
+    assert PiPolynomial(4, 0) == PiPolynomial()
+    assert PiPolynomial().to_json_dict() == {}
     with pytest.raises(TypeError):
         IndexPower()
     with pytest.raises(TypeError):
@@ -96,6 +103,8 @@ def test_records_repr():
     assert repr(_report(note="ok")) == (
         "VerificationReport(identity=<IdentityId.LEMMA_3_1: 'LEMMA_3_1'>, params={'m': 2}, "
         "lhs=Fraction(1, 2), rhs=Fraction(1, 2), equal=True, note='ok')")
+    assert repr(PiPolynomial(2, "1/6")) == "PiPolynomial(exponent=2, coefficient=Fraction(1, 6))"
+    assert repr(PiPolynomial()) == "PiPolynomial(exponent=0, coefficient=Fraction(0, 1))"
 
 
 @pytest.mark.parametrize("record", [case[0] for case in CASES], ids=IDS)
