@@ -171,7 +171,6 @@ def test_pi_polynomial_basics():
     zero = PiPolynomial()
     assert not zero.coefficient
     assert PiPolynomial(4, 0) == zero  # a zero coefficient sets the exponent to 0
-    assert PiPolynomial(4, 0).exponent == 0
     p = PiPolynomial(2, Fraction(1, 6))
     assert p.exponent == 2 and p.coefficient == Fraction(1, 6)
     assert PiPolynomial(2, "1/6") == p
