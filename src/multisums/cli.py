@@ -7,10 +7,12 @@ identity check failed, 2 usage or domain error.
 
 Each input rule is checked once, by the library unless the command line
 builds the input itself; a refused input is exit 2 with the one-key JSON
-object {"error": message}. No environment variable is read. Brute force
+object {"error": message}. Every rule on an identity's parameters, caps
+included, is checked by the registry of multisums.identities; this module
+adds none of its own. No environment variable is read. Brute force
 reachable from the command line (`multisum eval --method brute|both` and
 `verify RECURRENT_BRIDGE`, swept orders included) runs at orders up to
-BRUTE_MAX_M = 6 and at most core.BRUTE_MAX_TUPLES tuples per call.
+core.BRUTE_MAX_M = 6 and at most core.BRUTE_MAX_TUPLES tuples per call.
 Partition enumeration (`partitions list` and the partition sums of
 `verify`) stops at m = PARTITION_LIST_MAX_M, `partitions count` at
 m = partitions.PARTITION_COUNT_MAX_M, `--numeric` at
@@ -18,10 +20,11 @@ NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
 as many reports after phi expansion and SWEEP_MAX_PARTITIONS partitions
 summed over. `special faulhaber` and `special mzv` need Bernoulli numbers
 up to special_sums.BERNOULLI_MAX_INDEX; `verify BINOMIAL_PARTITION` takes
-n and m up to identities.BINOMIAL_MAX and `verify PRODUCT_IDENTITY`
-windows of up to identities.PRODUCT_MAX_WINDOW terms. Those input caps
-bound the output too:
-exact results print in full, however many digits they have.
+n and m up to identities.BINOMIAL_MAX, `verify PRODUCT_IDENTITY`
+windows of up to identities.PRODUCT_MAX_WINDOW terms and `verify
+STIRLING_ALTERNATING` m up to identities.STIRLING_MAX_M. Those input caps
+bound the output too: exact results print in full, however many digits
+they have.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Sequence
 
 from .core import (
     SumProblem,
+    _check_brute_order,
     brute_multiple_sum,
     reduce_multiple_sum,
     sequence_spec_from_json,
@@ -45,9 +49,6 @@ from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivativ
 from .special_sums import faulhaber, load_zeta_golden_table, mzv_closed_form, mzv_even_reduced, zeta_even
 
 __all__ = ["CommandOutcome", "run", "main"]
-
-BRUTE_MAX_M = 6  # largest brute-force order the command line runs
-
 
 class CommandOutcome(_Record):
     """What one command line gives: its exit code and the payload to print.
@@ -75,11 +76,6 @@ def _fail(payload) -> CommandOutcome:
 
 def _error(message: str) -> CommandOutcome:
     return CommandOutcome(2, {"error": message})
-
-
-def _check_brute_order(m: int) -> None:
-    if m > BRUTE_MAX_M:
-        raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
 def _parse_spec(text: str) -> object:
@@ -279,14 +275,8 @@ def _cmd_verify(args) -> CommandOutcome:
         raise ValueError("--r without --phi has nothing to check")
     if args.spec is not None:
         params["spec"] = _parse_spec(args.spec)
-    swept = _parse_sweep(args.sweep) if args.sweep else None
-    if identity == IdentityId.RECURRENT_BRIDGE:
-        # a swept range ascends, so its last order is the largest
-        m = swept["m"][-1] if swept and "m" in swept else params.get("m")
-        if m is not None:
-            _check_brute_order(m)  # type: ignore[arg-type]
-    if swept:
-        reports = verify_sweep(identity, swept, base=params)
+    if args.sweep:
+        reports = verify_sweep(identity, _parse_sweep(args.sweep), base=params)
     else:
         reports = [verify(identity, params)]
     passed = sum(1 for r in reports if r.equal)

@@ -34,6 +34,9 @@ formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
 before any value is evaluated, more than ``BRUTE_MAX_TUPLES`` tuples: for a
 symmetrized sum, m! C(n-q+1, m) tuples of distinct indices, so m <= 9.
+Where outside input sets the order of a brute-force sum (``multisum eval
+--method brute|both`` and the admission of ``RECURRENT_BRIDGE``), it is
+also capped at ``BRUTE_MAX_M``.
 """
 
 from __future__ import annotations
@@ -74,9 +77,14 @@ __all__ = [
     "symmetrized_multiple_sum",
     "reduce_symmetrized",
     "BRUTE_MAX_TUPLES",
+    "BRUTE_MAX_M",
 ]
 
 BRUTE_MAX_TUPLES = 10**6  # tuples one brute-force call may enumerate
+# largest order brute force runs at where outside input sets the order: `multisum eval --method
+# brute|both` and RECURRENT_BRIDGE's admission; the tuple cap alone admits high orders on windows
+# little wider than m, slow per tuple and, for the bridge, on its partition side
+BRUTE_MAX_M = 6
 
 
 class ExplicitSequence(_Record):
@@ -197,8 +205,16 @@ def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
             break
         count = count * (width - m + i) // i
     if count > BRUTE_MAX_TUPLES:
-        times = f"{orderings} x " if orderings > 1 else ""
+        # orderings is m! for a symmetrized sum; past 20! it reads {m}!, as its digits
+        # soon pass the default limit on printing an int
+        factor = orderings if m <= 20 else f"{m}!"
+        times = f"{factor} x " if orderings > 1 else ""
         raise ValueError(f"brute force over {times}C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
+
+
+def _check_brute_order(m: int) -> None:
+    if m > BRUTE_MAX_M:
+        raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
 def brute_multiple_sum(problem: SumProblem) -> Fraction:

@@ -7,12 +7,16 @@ statement is a pair of equations carry both sides as ordered pairs, so
 
 Registry keys are opaque stable strings (the CLI wire format). The registry
 is one table: per identity, a check returning (params, lhs, rhs, note), the
-parameter names it takes, and its admission. The admission reads and checks
-every parameter that bounds the check's work, refusing one past a cap with
-ValueError, and returns the number of partitions the report's sides sum
-over, which the sweep budget counts. :func:`verify` and
-:func:`verify_sweep` admit every report before any check runs, so a check
-reads its parameters as admitted. The identities taking "phi" are those
+parameter names it takes, and its admission. Every rule on an identity's
+parameters lives here, the caps included, so the CLI applies none of its
+own. One reader, ``_admit``, checks that each integer parameter (every name
+but "spec" and "phi") is an integer >= 0, in the order the names are
+listed, and then runs the admission. The admission checks every parameter
+that bounds the check's work, refusing one past a cap with ValueError, and
+returns the number of partitions the report's sides sum over, which the
+sweep budget counts. :func:`verify` and :func:`verify_sweep` admit every
+report before any check runs, so a check reads its parameters as
+admitted. The identities taking "phi" are those
 whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
@@ -47,6 +51,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .core import (
     SequenceSpec,
     SumProblem,
+    _check_brute_order,
     _check_tuple_count,
     brute_multiple_sum,
     brute_recurrent_sum,
@@ -69,6 +74,7 @@ __all__ = [
     "SWEEP_MAX_PARTITIONS",
     "BINOMIAL_MAX",
     "PRODUCT_MAX_WINDOW",
+    "STIRLING_MAX_M",
 ]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
@@ -84,6 +90,10 @@ BINOMIAL_MAX = 2000
 # terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full and admitted before any report
 # of a sweep runs: N^-6 on [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
 PRODUCT_MAX_WINDOW = 100
+# m of STIRLING_ALTERNATING, admitted before any report of a sweep runs: row m of the Stirling
+# triangle is built from the rows below it, 2.1 to 2.35 s at m = 2000 and 6.4 to 7.5 s at m = 3000
+# as a command (2-vCPU VM)
+STIRLING_MAX_M = 2000
 
 
 class IdentityId(str, enum.Enum):
@@ -165,14 +175,14 @@ def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
     return phi
 
 
-def _require_int(params: Mapping, key: str, minimum: int) -> int:
+def _require_int(params: Mapping, key: str) -> int:
     if key not in params:
         raise ValueError(f"missing parameter {key!r}")
     value = params[key]
     if not _is_int(value):
         raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"parameter {key!r} must be >= {minimum}")
+    if value < 0:
+        raise ValueError(f"parameter {key!r} must be >= 0")
     return value
 
 
@@ -397,7 +407,7 @@ def _even_odd_n(params: Mapping) -> Checked:
 
 def _admit_order(params: Mapping) -> int:
     """p(m), the partitions of m that a report's full side sums over; m within the order cap."""
-    m = _require_int(params, "m", 0)
+    m = params["m"]
     _check_order(m)
     return partition_count(m)
 
@@ -409,15 +419,16 @@ def _admit_lemma_3_2(params: Mapping) -> int:
 
 
 def _admit_stirling(params: Mapping) -> int:
-    """m; no side sums over partitions."""
-    _require_int(params, "m", 0)
+    """m up to STIRLING_MAX_M; no side sums over partitions."""
+    m = params["m"]
+    if m > STIRLING_MAX_M:
+        raise ValueError(f"m={m} exceeds the STIRLING_ALTERNATING cap {STIRLING_MAX_M}")
     return 0
 
 
 def _admit_binomial(params: Mapping) -> int:
     """m and n up to BINOMIAL_MAX; no side sums over partitions."""
-    m = _require_int(params, "m", 0)
-    n = _require_int(params, "n", 0)
+    m, n = params["m"], params["n"]
     if max(n, m) > BINOMIAL_MAX:
         raise ValueError(f"n={n}, m={m}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
     return 0
@@ -425,8 +436,7 @@ def _admit_binomial(params: Mapping) -> int:
 
 def _admit_product(params: Mapping) -> int:
     """q <= n and a window of at most PRODUCT_MAX_WINDOW terms; no side sums over partitions."""
-    q = _require_int(params, "q", 0)
-    n = _require_int(params, "n", 0)
+    q, n = params["q"], params["n"]
     if n < q:
         raise ValueError("need n >= q")
     if n - q + 1 > PRODUCT_MAX_WINDOW:
@@ -435,38 +445,33 @@ def _admit_product(params: Mapping) -> int:
 
 
 def _admit_bridge(params: Mapping) -> int:
-    """The brute-force tuples, then p(m) as for the full sides.
+    """The brute-force tuples and order, then p(m) as for the full sides.
 
     The recurrent side's C(n - q + m, m) tuples are never fewer than the
     multiple side's C(n - q + 1, m), and none are counted at m = 0 or
-    n < q, so this refuses what the first brute-force sum would.
+    n < q, so this refuses what the first brute-force sum would. The order
+    is then capped at core.BRUTE_MAX_M, which bounds the brute sides at
+    high orders on few tuples and the partition side over rational weights.
     """
-    m = _require_int(params, "m", 0)
-    q = _require_int(params, "q", 0)
-    n = _require_int(params, "n", 0)
+    m, q, n = params["m"], params["q"], params["n"]
     _check_tuple_count(max(n - q + m, 0), m)
+    _check_brute_order(m)
     return _admit_order(params)
 
 
-def _admit_even_odd_n(params: Mapping) -> int:
-    """m and n, read in the order the check reads them, then p(m) as for the full sides."""
-    _require_int(params, "m", 0)
-    _require_int(params, "n", 0)
-    return _admit_order(params)
-
-
-# identity -> (check, parameter names, admission); the identities taking
-# "phi" expand it in verify_sweep
+# identity -> (check, parameter names, admission); _admit reads the integer
+# names, all but "spec" and "phi", in this order before the admission runs,
+# and the identities taking "phi" expand it in verify_sweep
 _REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
     IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_order),
     IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_lemma_3_2),
     IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling),
-    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("n", "m"), _admit_binomial),
+    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("m", "n"), _admit_binomial),
     IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), _admit_product),
     IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge),
     IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_order),
     IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_order),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("n", "m"), _admit_even_odd_n),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_order),
 }
 
 
@@ -479,7 +484,7 @@ def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     identity = IdentityId(identity)
     _check_names(identity, params)
     params = _with_phi(identity, params)
-    _REGISTRY[identity][2](params)
+    _admit(identity, params)
     return _report(identity, params)
 
 
@@ -495,9 +500,18 @@ def _with_phi(identity: IdentityId, params: Mapping) -> Mapping:
     """params with phi checked and padded to length m, for the identities taking phi."""
     if "phi" not in _REGISTRY[identity][1]:
         return params
-    m = _require_int(params, "m", 0)
+    m = _require_int(params, "m")
     _check_order(m)  # before phi is padded to length m
     return dict(params, phi=_normalize_phi(params.get("phi", ()), m))
+
+
+def _admit(identity: IdentityId, params: Mapping) -> int:
+    """The identity's admission, once each integer parameter is read as an integer >= 0."""
+    _, parameters, admit = _REGISTRY[identity]
+    for name in parameters:
+        if name not in ("spec", "phi"):
+            _require_int(params, name)
+    return admit(params)
 
 
 def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
@@ -531,7 +545,7 @@ def verify_sweep(
     through the one check path of :func:`verify`.
     """
     identity = IdentityId(identity)
-    _, parameters, admit = _REGISTRY[identity]
+    parameters = _REGISTRY[identity][1]
     swept = set(parameters) - {"phi", "spec"}
     unknown = sorted(set(ranges) - swept)
     if unknown:
@@ -548,14 +562,14 @@ def verify_sweep(
         for params in grid:
             # each phi is a partition of r <= m padded to length m, as verify pads it; they are
             # counted first, as the count stops at the cap long before a large m is padded
-            m = _require_int(params, "m", 0)
+            m = _require_int(params, "m")
             sizes = accumulate(map(partition_count, range(m + 1)), initial=len(reports))
             if any(size > SWEEP_MAX_POINTS for size in sizes):
                 raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
             reports += [dict(params, phi=sub + (0,) * (m - r)) for r in range(m + 1) for sub in enumerate_partitions(r)]
     else:
         reports = [_with_phi(identity, params) for params in grid]
-    visited = sum(map(admit, reports))
+    visited = sum(_admit(identity, params) for params in reports)
     if visited > SWEEP_MAX_PARTITIONS:
         raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
     return [_report(identity, params) for params in reports]

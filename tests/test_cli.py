@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import multisums
 from multisums.acceptance import run_all
-from multisums.cli import BRUTE_MAX_M, CommandOutcome, main, run
-from multisums.core import ExplicitSequence, sequence_spec_from_json
+from multisums.cli import CommandOutcome, main, run
+from multisums.core import BRUTE_MAX_M, ExplicitSequence, sequence_spec_from_json
 from multisums.exact_arith import rational_to_str
 from multisums.identities import _REGISTRY, IdentityId, verify
 from multisums.polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
@@ -301,8 +301,10 @@ def test_verify_sweep_partition_budget_exits_2(capsys):
         (["verify", "PRODUCT_IDENTITY", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "1000"],
          "window of 1000 terms exceeds the PRODUCT_IDENTITY cap 100"),
         (["partitions", "count", "10001"], "m=10001 exceeds the partition count cap 10000"),
+        (["verify", "STIRLING_ALTERNATING", "--m", "2001"], "m=2001 exceeds the STIRLING_ALTERNATING cap 2000"),
     ],
-    ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity", "partitions_count"],
+    ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity", "partitions_count",
+         "stirling_alternating"],
 )
 def test_capped_calls_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     cold = ((1,), [1])
@@ -312,6 +314,14 @@ def test_capped_calls_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     assert json.loads(out) == {"error": error}
     assert "Traceback" not in err
     assert multisums.exact_arith._zigzag is cold
+
+
+def test_help_prints_usage_and_no_json(capsys):
+    code, out, _ = run_main(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: multisums")
+    assert "selftest" in out
+    assert not any(line.startswith("{") for line in out.splitlines())
 
 
 def test_exact_results_print_in_full(capsys):

@@ -229,6 +229,12 @@ def test_symmetrized_caps():
         reduce_symmetrized((N,) * 9, 1, 10)
 
 
+def test_symmetrized_tuple_guard_names_a_large_factorial():
+    # 2000! has 5736 digits, past the default limit on printing an int; the message writes it 2000!
+    with pytest.raises(ValueError, match=r"^brute force over 2000! x C\(2000, 2000\) tuples exceeds the cap"):
+        symmetrized_multiple_sum((N,) * 2000, 1, 2000)
+
+
 def test_symmetrized_tuple_guard_counts_all_orderings(monkeypatch):
     # 3! orderings of C(6, 3) = 20 tuples each: 120 in all, over a cap of 100
     # that each ordering alone stays under, refused before any value is evaluated

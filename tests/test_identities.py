@@ -97,6 +97,24 @@ def test_product_identity():
         verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": 3, "n": 2})
 
 
+def test_recurrent_bridge_order_cap():
+    # few tuples at a high order are still slow on both brute sides and on the partition side
+    # over rational weights, so the order is capped where the tuple count is not
+    with pytest.raises(ValueError, match="^m=7 exceeds brute-force cap 6$"):
+        verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 7, "q": 1, "n": 7})
+    spec = ExplicitSequence(["-997/991", "983/977", "-971/967", "1/2"])
+    with pytest.raises(ValueError, match="^m=50 exceeds brute-force cap 6$"):
+        verify(IdentityId.RECURRENT_BRIDGE, {"spec": spec, "m": 50, "q": 1, "n": 3})
+    assert verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 6, "q": 1, "n": 7}).equal
+
+
+def test_recurrent_bridge_empty_window():
+    # n < q: no tuple on either brute side and zero power sums, so both sides are zero
+    report = verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 3, "q": 5, "n": 2})
+    assert report.equal
+    assert report.lhs == report.rhs == (0, 0)
+
+
 def test_recurrent_bridge_example():
     report = verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 2, "q": 1, "n": 3})
     assert report.equal
@@ -340,8 +358,10 @@ def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
         (IdentityId.BINOMIAL_PARTITION, {"n": range(1999, 2002), "m": [2000]}, {}, "n=2001, m=2000: BINOMIAL"),
         (IdentityId.PRODUCT_IDENTITY, {"n": range(98, 102)}, {"spec": IndexPower(-1), "q": 1}, "window of 101 terms"),
         (IdentityId.RECURRENT_BRIDGE, {"n": range(26, 29)}, {"spec": N, "m": 6, "q": 1}, r"C\(33, 6\) tuples"),
+        (IdentityId.RECURRENT_BRIDGE, {"m": range(8), "n": [8]}, {"spec": N, "q": 1}, "m=7 exceeds brute-force cap 6"),
+        (IdentityId.STIRLING_ALTERNATING, {"m": range(1998, 2002)}, {}, "m=2001 exceeds the STIRLING_ALTERNATING"),
     ],
-    ids=["binomial_max", "product_window", "bridge_tuples"],
+    ids=["binomial_max", "product_window", "bridge_tuples", "bridge_order", "stirling_max"],
 )
 def test_sweep_refuses_its_last_point_before_any_check(identity, ranges, base, message, monkeypatch):
     # every earlier point is admitted, and would run for seconds if its check ran first

@@ -43,6 +43,8 @@ def _cli_error(*argv: str) -> None:
     (lambda: special_sums.stirling_via_multiple_sum(4, 3), "need 0 <= m <= n"),
     (lambda: special_sums.mzv_closed_form(-1, 1), "m must be >= 0"),
     (lambda: special_sums.mzv_partial_identity(3, 0), "p must be >= 1"),
+    (lambda: exact_arith.bernoulli(-1), "bernoulli requires j >= 0"),
+    (lambda: exact_arith.stirling_first_unsigned(-1, 0), "stirling_first_unsigned requires m >= 0"),
     (lambda: _cli_error("selftest", "--jobs", "0"), "--jobs must be >= 1"),
     (lambda: _cli_error("verify", "LEMMA_3_1", "--sweep", ","), "sweep string is empty"),
     (lambda: _cli_error("multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--m", "2",
@@ -50,7 +52,8 @@ def _cli_error(*argv: str) -> None:
 ], ids=["brute_recurrent_sum-m", "brute_recurrent_sum-q", "reduce_multiple_sum-q", "power_sums-q",
         "symmetrized_multiple_sum-q", "reduce_symmetrized-q", "LEMMA_3_1-m", "EVEN_ODD_N-n", "LEMMA_3_2-phi",
         "multiple_power_sum-m", "multiple_power_sum-p", "stirling_via_multiple_sum", "mzv_closed_form-m",
-        "mzv_partial_identity-p", "cli-selftest-jobs", "cli-verify-sweep", "cli-multisum-q"])
+        "mzv_partial_identity-p", "bernoulli-j", "stirling_first_unsigned-m", "cli-selftest-jobs", "cli-verify-sweep",
+        "cli-multisum-q"])
 def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as refused:
         call()
