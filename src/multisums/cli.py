@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point: exact multiple sums and the paper's partition identities, as JSON.
 
 One JSON document per invocation on stdout (`partitions list` emits JSON
 lines, one object per partition); human diagnostics go to stderr only, so
@@ -124,7 +124,8 @@ def _parse_sweep(text: str) -> dict[str, range]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="multisums", description=__doc__)
+    # the first paragraph only: the rest, on the caps, is for readers of this module and the README
+    parser = argparse.ArgumentParser(prog="multisums", description=(__doc__ or "").partition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_part = sub.add_parser("partitions", help="integer partition enumeration")

@@ -6,14 +6,22 @@ the innermost position N_1 drawn from ``specs[0]`` and the outermost N_m
 from ``specs[-1]``. Conventions, applied uniformly: order 0 gives 1, and
 an index window shorter than m gives 0.
 
+Every route reads sequence values through one private reader, ``_read``,
+the only code that knows where a spec is defined (index 0 has no negative
+power; an explicit sequence covers its own index range). It gives a window's
+values as (numerator, denominator) int pairs, and ``eval_sequence`` is its
+one-index read. An ordered sum reads each position only where a tuple can
+put it: position j of ``brute_multiple_sum`` (from 0) on [q + j, n - m + 1 + j],
+so specs that are each defined on their own position's range sum as well.
+
 Routes come in independent pairs so each can act as the other's oracle:
 
-* ``brute_multiple_sum``        direct tuple enumeration
+* ``brute_multiple_sum``        direct tuple enumeration, as weakly increasing offsets
 * ``reduce_multiple_sum``       power sums reduced by Newton's recurrence,
                                 O(m^2) (single sequence); the paper's partition
                                 formula, ``partitions.partition_sum``, is its
                                 oracle in the tests and the acceptance suite
-* ``brute_recurrent_sum``       weakly increasing tuples, enumeration
+* ``brute_recurrent_sum``       weakly increasing tuples, the same enumeration
 * ``symmetrized_multiple_sum``  all m! spec orderings, one enumeration
 * ``reduce_symmetrized``        set-partition reduction of the same total
 * ``variation_*``               window-extension expansions of P `(m, q, n+1)`
@@ -32,7 +40,7 @@ Newton wrapper, ``elementary_from_power_sums``, for all of them.
 ``power_sums`` returns the m ``Fraction``s S_i. The partition
 formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
-before any value is evaluated, more than ``BRUTE_MAX_TUPLES`` tuples: for a
+before any value is read, more than ``BRUTE_MAX_TUPLES`` tuples: for a
 symmetrized sum, m! C(n-q+1, m) tuples of distinct indices, so m <= 9.
 Where outside input sets the order of a brute-force sum (``multisum eval
 --method brute|both`` and the admission of ``RECURRENT_BRIDGE``), it is
@@ -42,9 +50,9 @@ also capped at ``BRUTE_MAX_M``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact_arith import (
     RationalLike,
@@ -114,20 +122,39 @@ class IndexPower(_Record):
 SequenceSpec = Union[ExplicitSequence, IndexPower]
 
 
+def _read(spec: SequenceSpec, q: int, n: int) -> Iterator[tuple[int, int]]:
+    """The values a_q..a_n as (numerator, denominator) int pairs, den > 0.
+
+    The one place that knows where a spec is defined. Index 0 is refused for
+    a negative power, and a window reaching outside an explicit sequence's
+    values raises ValueError for its first index outside; both are checked
+    before any pair is read, and an empty window (n < q) reads nothing. N ** e
+    is the pair (N ** e, 1), or (1, N ** -e) for e < 0, with no Fraction
+    built; an explicit window is read as one slice of its values.
+    """
+    if isinstance(spec, IndexPower):
+        e = spec.exponent
+        if e >= 0:
+            return ((N**e, 1) for N in range(q, n + 1))
+        if q <= 0 <= n:
+            raise ValueError("index 0 is not valid for a negative exponent")
+        return ((1, N**-e) for N in range(q, n + 1))
+    start, stop, count = q - spec.base, n - spec.base + 1, len(spec.values)
+    if start >= stop:
+        return iter(())
+    if start < 0 or stop > count:
+        index = q if not 0 <= start < count else spec.base + count
+        raise ValueError(f"index {index} outside explicit range [{spec.base}, {spec.base + count - 1}]")
+    return ((v.numerator, v.denominator) for v in spec.values[start:stop])
+
+
 def eval_sequence(spec: SequenceSpec, index: int) -> Fraction:
-    """The sequence value at an index, exact.
+    """The sequence value at an index, exact: the one-index read of the window reader.
 
     Raises ValueError outside an explicit sequence's range and at index 0
     for a negative power.
     """
-    if isinstance(spec, IndexPower):
-        if index == 0 and spec.exponent < 0:
-            raise ValueError("index 0 is not valid for a negative exponent")
-        return Fraction(index) ** spec.exponent
-    offset = index - spec.base
-    if not 0 <= offset < len(spec.values):
-        raise ValueError(f"index {index} outside explicit range [{spec.base}, {spec.base + len(spec.values) - 1}]")
-    return spec.values[offset]
+    return Fraction(*next(_read(spec, index, index)))
 
 
 def sequence_spec_to_json(spec: SequenceSpec) -> dict:
@@ -186,11 +213,11 @@ class SumProblem(_Record):
         return len(self.specs)
 
 
-def _value_tables(specs: Sequence[SequenceSpec], q: int, n: int) -> list[list[Fraction]]:
-    # One pass per spec, tables[j][k] = a_{(j+1); q+k}; every index in [q, n]
-    # is touched by some tuple, so building the full table does not
-    # introduce spurious range errors.
-    return [[eval_sequence(spec, N) for N in range(q, n + 1)] for spec in specs]
+def _check_window(m: int, q: int) -> None:
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if q < 0:
+        raise ValueError("q must be >= 0")
 
 
 def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
@@ -217,64 +244,45 @@ def _check_brute_order(m: int) -> None:
         raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
+def _offset_sum(m: int, width: int, read_tables: Callable[[], list[list[tuple[int, int]]]]) -> Fraction:
+    # sum over offsets 0 <= c_0 <= ... <= c_{m-1} < width of prod_j tables[j][c_j], m, width >= 1:
+    # the C(width + m - 1, m) offset tuples are counted before read_tables reads any value
+    _check_tuple_count(width + m - 1, m)
+    return _tuple_sum(combinations_with_replacement(range(width), m), read_tables())
+
+
 def brute_multiple_sum(problem: SumProblem) -> Fraction:
     """Direct enumeration over strictly increasing index tuples. The oracle.
 
-    Refuses windows of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)).
+    N_j = q + j + c_j (positions counted from 0) over weakly increasing
+    offsets 0 <= c_0 <= ... <= c_{m-1} < w, w = n - q + 2 - m, so position j
+    reads its spec only on [q + j, n - m + 1 + j], the indices a tuple can
+    put there; specs defined on nothing wider sum as well. Refuses windows
+    of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)) before any value is
+    read.
     """
     m, q, n = problem.m, problem.q, problem.n
     if m == 0:
         return Fraction(1)
-    if n - q + 1 < m:
+    width = n - q + 2 - m
+    if width < 1:
         return Fraction(0)
-    _check_tuple_count(n - q + 1, m)
-    return _tuple_sum(combinations(range(n - q + 1), m), _value_tables(problem.specs, q, n))
+    return _offset_sum(m, width, lambda: [list(_read(s, q + j, q + j + width - 1)) for j, s in enumerate(problem.specs)])
 
 
 def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     """Weakly increasing counterpart: q <= N_1 <= ... <= N_m <= n, one sequence.
 
-    Refuses windows of more than BRUTE_MAX_TUPLES tuples (C(n-q+m, m)).
+    The same offset enumeration as brute_multiple_sum, every position reading
+    one table of [q, n]. Refuses windows of more than BRUTE_MAX_TUPLES tuples
+    (C(n-q+m, m)) before any value is read.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _check_window(m, q)
     if m == 0:
         return Fraction(1)
     if n < q:
         return Fraction(0)
-    _check_tuple_count(n - q + m, m)
-    return _tuple_sum(combinations_with_replacement(range(n - q + 1), m), _value_tables((spec,), q, n) * m)
-
-
-def _window_pairs(spec: SequenceSpec, q: int, n: int, m: int) -> Iterator[tuple[int, int]]:
-    """The values a_q..a_n as the kernel reads them, (numerator, denominator)
-    int pairs evaluated as they are read, once the order and window are checked.
-
-    N ** e is the pair (N ** e, 1), or (1, N ** -e) for e < 0, with no
-    Fraction built; index 0 is refused for e < 0 as eval_sequence refuses it.
-    An explicit window is bounds-checked once and read as one slice of its
-    values; a window reaching outside them raises eval_sequence's ValueError
-    for the first index outside.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    if isinstance(spec, IndexPower):
-        e = spec.exponent
-        if e >= 0:
-            return ((N**e, 1) for N in range(q, n + 1))
-        if q == 0 <= n:
-            eval_sequence(spec, 0)  # raises: 0 has no negative power
-        return ((1, N**-e) for N in range(q, n + 1))
-    start, stop, count = q - spec.base, n - spec.base + 1, len(spec.values)
-    if start >= stop:
-        return iter(())
-    if start < 0 or stop > count:
-        eval_sequence(spec, q if not 0 <= start < count else spec.base + count)  # raises at the first index outside
-    return ((v.numerator, v.denominator) for v in spec.values[start:stop])
+    return _offset_sum(m, n - q + 1, lambda: [list(_read(spec, q, n))] * m)
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
@@ -284,7 +292,8 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     an index outside the sequence's domain raises either way; an empty
     window gives zeros.
     """
-    sums, scale = _pair_power_sums(_window_pairs(spec, q, n, m), m)
+    _check_window(m, q)
+    sums, scale = _pair_power_sums(_read(spec, q, n), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
@@ -322,7 +331,8 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     including the degenerate window cases (empty window gives 0 for m >= 1,
     and m = 0 gives 1).
     """
-    elementary, scale = _scaled_elementary(_window_pairs(spec, q, n, m), m)
+    _check_window(m, q)
+    elementary, scale = _scaled_elementary(_read(spec, q, n), m)
     return Fraction(elementary[m], scale**m)
 
 
@@ -378,7 +388,8 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
 
     Brute force over the m! C(n-q+1, m) tuples of distinct indices, position
     h reading spec h (an ordering on an increasing tuple), in one pass over
-    value tables built once. More than BRUTE_MAX_TUPLES are refused before
+    int-pair tables of the whole window, built once: every index in it is
+    reached by some tuple. More than BRUTE_MAX_TUPLES are refused before
     any value is evaluated, so m <= 9: 10! alone exceeds the cap.
     """
     specs = tuple(specs)
@@ -390,7 +401,7 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
     if n - q + 1 < m:
         return Fraction(0)
     _check_tuple_count(n - q + 1, m, factorial(m))
-    return _tuple_sum(permutations(range(n - q + 1), m), _value_tables(specs, q, n))
+    return _tuple_sum(permutations(range(n - q + 1), m), [list(_read(spec, q, n)) for spec in specs])
 
 
 def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fraction:
@@ -409,7 +420,7 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
         raise ValueError(f"set-partition reduction capped at m = {SET_PARTITION_MAX_M}")
     if m == 0:
         return Fraction(1)
-    tables = _value_tables(specs, q, n)
+    tables = [list(_read(spec, q, n)) for spec in specs]
     block_sums: dict[tuple[int, ...], Fraction] = {}
 
     def block_sum(block: tuple[int, ...]) -> Fraction:

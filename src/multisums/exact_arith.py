@@ -175,15 +175,16 @@ def _merge_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[l
     return merged, scale
 
 
-def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[Fraction | int]]) -> Fraction:
+def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[tuple[int, int]]]) -> Fraction:
     """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
 
-    Each product is one int numerator over one int denominator, and the
-    pairs are summed by _pair_power_sums as their S_1, so no Fraction is
-    built per tuple. Entries may be Fractions or ints.
+    Table entries are (numerator, denominator) int pairs, den > 0, as the
+    window reader of core gives them. Each product is one int numerator
+    over one int denominator, and the pairs are summed by _pair_power_sums
+    as their S_1, so no Fraction is built per entry or per tuple.
     """
-    nums = [[v.numerator for v in table] for table in tables]
-    dens = [[v.denominator for v in table] for table in tables]
+    nums = [[num for num, _ in table] for table in tables]
+    dens = [[den for _, den in table] for table in tables]
 
     def products() -> Iterator[tuple[int, int]]:
         for combo in combos:

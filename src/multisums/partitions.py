@@ -288,7 +288,10 @@ def _newton(p: list[Fraction | int]) -> list[Fraction | int]:
     return coeffs
 
 
-_pcounts = [1]  # p(0), extended on demand by the pentagonal recurrence
+# p(0), p(1), ...: a call past the end extends a copy and publishes it by one
+# assignment, never the shared list in place, so concurrent callers each read
+# a list whose every entry was computed from its own predecessors.
+_pcounts = [1]
 
 
 def partition_count(m: int) -> int:
@@ -297,26 +300,31 @@ def partition_count(m: int) -> int:
     The values p(0..m) are kept for later calls. Orders above
     PARTITION_COUNT_MAX_M are refused with ValueError before any is computed.
     """
+    global _pcounts
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > PARTITION_COUNT_MAX_M:
         raise ValueError(f"m={m} exceeds the partition count cap {PARTITION_COUNT_MAX_M}")
-    while len(_pcounts) <= m:
-        n = len(_pcounts)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _pcounts[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * _pcounts[n - g2]
-            k += 1
-        _pcounts.append(total)
-    return _pcounts[m]
+    counts = _pcounts
+    if len(counts) <= m:
+        counts = list(counts)
+        while len(counts) <= m:
+            n = len(counts)
+            total = 0
+            k = 1
+            while True:
+                g1 = k * (3 * k - 1) // 2
+                if g1 > n:
+                    break
+                sign = 1 if k % 2 else -1
+                total += sign * counts[n - g1]
+                g2 = k * (3 * k + 1) // 2
+                if g2 <= n:
+                    total += sign * counts[n - g2]
+                k += 1
+            counts.append(total)
+        _pcounts = counts
+    return counts[m]
 
 
 def enumerate_set_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _scaled_elementary, _window_pairs
+from .core import ExplicitSequence, SequenceSpec, _check_window, _read, _scaled_elementary
 from .exact_arith import RationalLike, _as_rational, _Record, _set
 
 __all__ = [
@@ -130,7 +130,8 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     Callers check the product form.
     """
     top = max(n - q + 1, 0)
-    elementary, scale = _scaled_elementary(_window_pairs(spec, q, n, top), top)
+    _check_window(top, q)
+    elementary, scale = _scaled_elementary(_read(spec, q, n), top)
     total = 0
     for e_m in elementary:  # Horner in the scale
         total = total * scale + e_m

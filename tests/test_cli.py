@@ -322,6 +322,8 @@ def test_help_prints_usage_and_no_json(capsys):
     assert out.startswith("usage: multisums")
     assert "selftest" in out
     assert not any(line.startswith("{") for line in out.splitlines())
+    # the description is the module docstring's first paragraph, naming no private cap constant
+    assert "_MAX" not in out
 
 
 def test_exact_results_print_in_full(capsys):

@@ -43,6 +43,23 @@ def test_brute_frozen_values():
     assert brute_multiple_sum(SumProblem((N, N, N), 1, 2)) == 0
 
 
+def test_brute_reads_each_position_on_its_own_range():
+    # position 1 of a pair on [1, 3] is N_1 in [1, 2], position 2 is N_2 in [2, 3]:
+    # 1*3 + 1*5 + 2*5, although neither spec is defined on the whole window
+    a = ExplicitSequence([1, 2], base=1)
+    b = ExplicitSequence([3, 5], base=2)
+    assert brute_multiple_sum(SumProblem((a, b), 1, 3)) == 18
+    # N_2 >= 1 never meets index 0, where N^-1 is undefined: 0/1 + 0/2 + 0/3 + 1/2 + 1/3 + 2/3
+    assert brute_multiple_sum(SumProblem((N, IndexPower(-1)), 0, 3)) == Fraction(3, 2)
+    # a single spec still reads the whole window, and a position range it misses is still refused
+    with pytest.raises(ValueError, match=r"index 0 is not valid"):
+        brute_multiple_sum(SumProblem((IndexPower(-1), N), 0, 3))
+    with pytest.raises(ValueError, match=r"index 3 outside explicit range \[1, 2\]"):
+        brute_multiple_sum(SumProblem((a, a), 1, 3))
+    with pytest.raises(ValueError, match=r"index 0 outside explicit range \[1, 2\]"):
+        brute_multiple_sum(SumProblem((a, b), 0, 3))
+
+
 def _fraction_reference(combos, specs) -> Fraction:
     """Term by term in Fraction: one exact product per index tuple."""
     total = Fraction(0)
@@ -70,6 +87,19 @@ def test_brute_routes_match_fraction_reference(data, q, width, m):
     spec = ExplicitSequence(data.draw(window), base=q)
     weak = combinations_with_replacement(range(q, n + 1), m)
     assert brute_recurrent_sum(spec, m, q, n) == _fraction_reference(weak, (spec,) * m)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=4))
+def test_brute_multiple_sum_on_specs_covering_only_their_positions(data, q, width, m):
+    # spec j (from 0) holds values on [q + j, n - m + 1 + j] alone, the indices
+    # position j can take; empty when the window is shorter than m
+    n = q + width - 1
+    span = max(width - m + 1, 0)
+    window = st.lists(brute_values, min_size=span, max_size=span)
+    specs = tuple(ExplicitSequence(data.draw(window), base=q + j) for j in range(m))
+    strict = combinations(range(q, n + 1), m)
+    assert brute_multiple_sum(SumProblem(specs, q, n)) == _fraction_reference(strict, specs)
 
 
 def test_brute_routes_fold_many_denominators():
@@ -235,20 +265,36 @@ def test_symmetrized_tuple_guard_names_a_large_factorial():
         symmetrized_multiple_sum((N,) * 2000, 1, 2000)
 
 
+def _unreachable_read(spec, q, n):
+    raise AssertionError("a value was read past the tuple cap")
+
+
+def test_brute_tuple_guard_runs_before_any_value_is_read(monkeypatch):
+    # C(6, 3) = 20 strict and C(7, 3) = 35 weak tuples over a cap of 10; the
+    # window reader, the only way to a value, must not be reached
+    monkeypatch.setattr(core, "BRUTE_MAX_TUPLES", 10)
+    read = core._read
+    monkeypatch.setattr(core, "_read", _unreachable_read)
+    with pytest.raises(ValueError, match=r"C\(6, 3\) tuples"):
+        brute_multiple_sum(SumProblem((N, IndexPower(-1), N), 1, 6))
+    with pytest.raises(ValueError, match=r"C\(7, 3\) tuples"):
+        brute_recurrent_sum(N, 3, 1, 5)
+    monkeypatch.setattr(core, "_read", read)
+    # under the cap the same reader gives the values: C(5, 3) = 10 tuples each way
+    assert brute_multiple_sum(SumProblem((N, N, N), 1, 5)) == reduce_multiple_sum(N, 3, 1, 5)
+    assert brute_recurrent_sum(N, 3, 1, 3) == 90
+
+
 def test_symmetrized_tuple_guard_counts_all_orderings(monkeypatch):
     # 3! orderings of C(6, 3) = 20 tuples each: 120 in all, over a cap of 100
     # that each ordering alone stays under, refused before any value is evaluated
     monkeypatch.setattr(core, "BRUTE_MAX_TUPLES", 100)
     specs = tuple(ExplicitSequence([Fraction(k * j - 4, j) for j in range(1, 7)]) for k in range(1, 4))
-    evaluate = core.eval_sequence
-
-    def unreachable(spec, index):
-        raise AssertionError("a value was evaluated past the tuple cap")
-
-    monkeypatch.setattr(core, "eval_sequence", unreachable)
+    read = core._read
+    monkeypatch.setattr(core, "_read", _unreachable_read)
     with pytest.raises(ValueError, match=r"6 x C\(6, 3\) tuples"):
         symmetrized_multiple_sum(specs, 1, 6)
-    monkeypatch.setattr(core, "eval_sequence", evaluate)
+    monkeypatch.setattr(core, "_read", read)
     # 3! orderings of C(5, 3) = 10 tuples each: 60 in all, under the cap
     assert symmetrized_multiple_sum(specs, 1, 5) == reduce_symmetrized(specs, 1, 5)
 
@@ -399,9 +445,10 @@ def test_summing_kernel_block_edges(length):
         sums, scale = exact_arith._pair_power_sums(((v.numerator, v.denominator) for v in stream), m)
         assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
         assert next(stream, None) is None  # consumed to the end, also at m = 0
-    assert exact_arith._tuple_sum(((k,) for k in range(length)), [values]) == sum(values, Fraction(0))
+    table = [(Fraction(v).numerator, Fraction(v).denominator) for v in values]  # the int pairs core reads
+    assert exact_arith._tuple_sum(((k,) for k in range(length)), [table]) == sum(values, Fraction(0))
     pairs = ((k, length - 1 - k) for k in range(length))
-    assert exact_arith._tuple_sum(pairs, [values, values]) == sum(
+    assert exact_arith._tuple_sum(pairs, [table, table]) == sum(
         (Fraction(a) * b for a, b in zip(values, reversed(values))), Fraction(0))
 
 

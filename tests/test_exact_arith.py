@@ -137,6 +137,25 @@ def test_stirling_high_row_from_cold_cache(monkeypatch):
     assert sum(row) == factorial(1200)
 
 
+def test_stirling_row_under_threads(monkeypatch):
+    # 4 threads on a cold row, orders rising and falling, so callers race to
+    # continue the kept row and to restart it; each must build on a whole row
+    orders = [m for k in range(4) for m in (range(3, 240, 9) if k % 2 else range(240, 0, -11))]
+    monkeypatch.setattr(exact_arith, "_stirling_row", (1,))
+    expected = [stirling_first_unsigned(m, m // 3) for m in orders]  # one thread
+    monkeypatch.setattr(exact_arith, "_stirling_row", (1,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = list(pool.map(lambda m: stirling_first_unsigned(m, m // 3), orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == expected
+    row = exact_arith._stirling_row
+    assert sum(row) == factorial(len(row) - 1)
+
+
 @given(rationals, rationals, rationals)
 def test_rational_field_laws(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -1,5 +1,7 @@
 import gc
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial, prod
 
@@ -81,6 +83,27 @@ def test_partition_count_past_its_cap_refuses_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="m=10001 exceeds the partition count cap 10000"):
         partition_count(PARTITION_COUNT_MAX_M + 1)
     assert cold == [1]
+
+
+def test_partition_count_under_threads(monkeypatch):
+    # 4 threads race to extend a cold cache; each must extend a list whose
+    # entries belong together, or p(m) lands computed from the wrong index
+    orders = list(range(0, 2997, 7))
+    monkeypatch.setattr(partitions, "_pcounts", [1])
+    expected = [partition_count(m) for m in orders]  # one thread, from cold
+    reference = partitions._pcounts
+    monkeypatch.setattr(partitions, "_pcounts", [1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = list(pool.map(partition_count, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == expected
+    assert partitions._pcounts == reference[:len(partitions._pcounts)]
+    assert partition_count(2996) == reference[2996]
+    assert partition_count(100) == 190569292
 
 
 def test_partition_parity_split():
