@@ -257,17 +257,17 @@ def brute_multiple_sum(problem: SumProblem) -> Fraction:
     N_j = q + j + c_j (positions counted from 0) over weakly increasing
     offsets 0 <= c_0 <= ... <= c_{m-1} < w, w = n - q + 2 - m, so position j
     reads its spec only on [q + j, n - m + 1 + j], the indices a tuple can
-    put there; specs defined on nothing wider sum as well. Refuses windows
+    put there; specs defined there alone sum as well. Refuses windows
     of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)) before any value is
     read.
     """
-    m, q, n = problem.m, problem.q, problem.n
+    specs, m, q, n = problem.specs, problem.m, problem.q, problem.n
     if m == 0:
         return Fraction(1)
     width = n - q + 2 - m
     if width < 1:
         return Fraction(0)
-    return _offset_sum(m, width, lambda: [list(_read(s, q + j, q + j + width - 1)) for j, s in enumerate(problem.specs)])
+    return _offset_sum(m, width, lambda: [list(_read(s, q + j, q + j + width - 1)) for j, s in enumerate(specs)])
 
 
 def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
