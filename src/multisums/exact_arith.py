@@ -9,7 +9,8 @@ that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
 decimal string such as ``"0.1"`` is refused too. One block kernel here sums
 many rationals exactly, as integer power sums over one scale, with no
 Fraction built per term: the power sums of a window, the tuple products of
-brute-force multiple sums and the set-partition block sums all run on it;
+brute-force multiple sums (over tables of int pairs, as core's one window
+reader gives them) and the set-partition block sums all run on it;
 partition sums have their own walk in :mod:`multisums.partitions`.
 Bernoulli numbers come from a table of tangent numbers, integers built by
 additions only. A :class:`PiPolynomial` is the record of one term c pi^e,
