@@ -21,20 +21,26 @@ whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
 partition-weighted identities but RECURRENT_BRIDGE share one weight,
-(+-1)^k C(k, phi_i) n^k / (i^k k!) with n = 1 except for EVEN_ODD_N. That
-weight is written once, as integer rows over D_i = i^K K! (K = m // i),
-built by running products with no Fraction per entry. The phi = 0, n = 1
-rows of an order are built once, as tuples, and kept; each phi or n
-derives its own rows from them, new only where phi_i > 0 or n != 1, and
-shares the denominators and their product.
+(+-1)^k C(k, phi_i) n^k / (i^k k!) with n = 1 except for EVEN_ODD_N. Its
+sign and n are factors per part, so over a partition y they multiply to
+(+-n)^sum(y): every walk runs on the unsigned rows at n = 1, and a side is
+sum_p (+-n)^p t_p / den over the walk's totals t_p by number of parts p.
+Those rows are written once, as integer rows over D_i = i^K K!
+(K = m // i), built by running products with no Fraction per entry. One
+unsigned row set per order is built, as tuples, and kept, and so is its
+walk: Lemma 3.1, EVEN_ODD_WEIGHTS, EVEN_ODD_N at every n, LEMMA_3_2's
+restricted side and the phi = 0 reports read that walk, so each order is
+walked once per process. A phi != 0 side derives its own rows, new only
+where phi_i > 0, and walks them once per report.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term by the walk of :mod:`multisums.partitions` (over those rows, or
 through :func:`multisums.partitions.parity_partition_sums` for the bridge's
-rational weights), never by the recurrence that the reductions use. The
-walk skips the terms that C(y_i, phi_i) = 0 removes, those with some
-y_i < phi_i, so a report at order m with phi a partition of r forms
-p(m - r) terms, one partition at a time.
+rational weights), never by the recurrence that the reductions use; only
+the walk of an order is shared. The walk skips the terms that
+C(y_i, phi_i) = 0 removes, those with some y_i < phi_i, so a report at
+order m with phi a partition of r forms p(m - r) terms, one partition at a
+time.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of on
 # partitions summed over by the reports of one verify_sweep, as their admissions count them before
 # any report runs: p(m) per report at order m, and p(m - r) more on LEMMA_3_2's restricted side;
 # an upper bound on the terms walked, as a report with phi a partition of r walks only the p(m - r)
-# terms of its full side that C(y_i, phi_i) leaves nonzero
+# terms of its full side that C(y_i, phi_i) leaves nonzero, and a phi = 0 side reads its order's kept walk
 SWEEP_MAX_PARTITIONS = 2_000_000
 # n and m of BINOMIAL_PARTITION, admitted before any report of a sweep runs: O(m^2) Newton
 # steps on integers growing with n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6,
@@ -194,16 +200,16 @@ def _require_spec(params: Mapping) -> SequenceSpec:
 
 
 @functools.cache
-def _unit_rows(m: int, signed: bool, /) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """(rows, dens, den) of the weight (+-1)^k / (i^k k!) of y_i = k, built once per order.
+def _unit_rows(m: int, /) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """(rows, dens, den) of the weight 1 / (i^k k!) of y_i = k, built once per order.
 
     Row i over D_i = dens[i] = i^K K!, K = m // i, has the integer entries
-    rows[i][k] = (+-1)^k i^(K-k) K!/k!, built by running products, and
+    rows[i][k] = i^(K-k) K!/k!, built by running products, and
     den = prod_i D_i; rows[0] is empty and dens[0] = 1. Everything is a
     tuple, so the cached rows are shared safely, also across the threads of
     ``selftest --jobs``. Orders above the partition enumeration cap are
     refused before any row is built and are not cached, so the cache holds
-    at most 2 (PARTITION_LIST_MAX_M + 1) entries.
+    at most PARTITION_LIST_MAX_M + 1 entries.
     """
     _check_order(m)
     rows: list[tuple[int, ...]] = [()]
@@ -214,62 +220,74 @@ def _unit_rows(m: int, signed: bool, /) -> tuple[tuple[tuple[int, ...], ...], tu
         row = list(accumulate(range(i * top, 0, -i), mul, initial=1))
         row.reverse()
         dens.append(row[0])
-        if signed:
-            row[1::2] = [-entry for entry in row[1::2]]
         rows.append(tuple(row))
     return tuple(rows), tuple(dens), math.prod(dens)
 
 
-def _weight_rows(m: int, phi: Sequence[int], signed: bool, n: int = 1) -> tuple[list[Sequence[int]], tuple[int, ...]]:
-    """(rows, dens) of the weight (+-1)^k C(k, phi_i) n^k / (i^k k!) of y_i = k.
+@functools.cache
+def _unit_totals(m: int, /) -> tuple[tuple[int, ...], int]:
+    """(t, den): the walk of the unit rows at order m, t[p] over den for the partitions with p parts.
 
-    The rows of :func:`_unit_rows` at this order, with rows[i][k] multiplied
-    by n^k where n != 1 (EVEN_ODD_N) and by C(k, phi_i) where phi_i > 0, the
-    form :func:`multisums.partitions._walk_rows` reads. Only those rows are
-    new lists: the others and dens are the shared tuples, and rows[0] is
-    empty. Entries of phi past its end are 0. At phi = 0 and n = 1 it is
-    Lemma 3.1's weight (signed) and EVEN_ODD_WEIGHTS' (unsigned). At
-    k < phi_i it is 0, which removes partitions lacking a part that phi
-    has; the walk skips those terms.
+    Walked once per order and kept, for every sign and n and for every
+    report at phi = 0; an order past the cap is refused by
+    :func:`_unit_rows` before anything is walked or cached.
     """
-    unit, dens, _ = _unit_rows(m, signed)
-    rows: list[Sequence[int]] = [[], *unit[1:]]
-    if n != 1:
-        rows[1:] = [list(map(mul, row, accumulate(repeat(n, len(row) - 1), mul, initial=1))) for row in unit[1:]]
+    rows, _, den = _unit_rows(m)
+    return tuple(_walk_rows(rows)), den
+
+
+def _weight_rows(m: int, phi: Sequence[int]) -> list[Sequence[int]]:
+    """The rows of the weight C(k, phi_i) / (i^k k!) of y_i = k, over the dens of :func:`_unit_rows`.
+
+    The unit rows at this order, with rows[i][k] multiplied by C(k, phi_i)
+    where phi_i > 0, the form :func:`multisums.partitions._walk_rows`
+    reads. Only those rows are new lists: the others are the shared
+    tuples, and rows[0] is empty. Entries of phi past its end are 0. At
+    k < phi_i the weight is 0, which removes partitions lacking a part
+    that phi has; the walk skips those terms.
+    """
+    rows: list[Sequence[int]] = [[], *_unit_rows(m)[0][1:]]
     for i, least in enumerate(phi[:m], start=1):
         if least:
             row = rows[i]
             rows[i] = [0] * least + [math.comb(k, least) * row[k] for k in range(least, len(row))]
-    return rows, dens
+    return rows
 
 
-def _full_sum(rows: Sequence[Sequence[int]], den: int) -> Fraction:
-    """The partition sum of integer rows over their common denominator."""
-    even, odd = _walk_rows(rows)
-    return Fraction(even + odd, den)
+def _class_sums(totals: Sequence[int], den: int, x: int) -> tuple[Fraction, Fraction]:
+    """(even, odd): sum_p x^p t_p / den over the even and over the odd part counts p.
+
+    The weights' sign and n are factors per part, so over a partition with
+    p parts they multiply to x^p, x = +-n, and apply to each class at once:
+    the j-th entry of either class takes (x^2)^j, and the odd class one more
+    x. At x = +-1 no power is formed.
+    """
+    even, odd = totals[0::2], totals[1::2]
+    if x * x != 1:
+        even, odd = (map(mul, side, accumulate(repeat(x * x), mul, initial=1)) for side in (even, odd))
+    return Fraction(sum(even), den), Fraction(x * sum(odd), den)
 
 
-def _parity_sums(rows: Sequence[Sequence[int]], den: int) -> tuple[Fraction, Fraction]:
-    """The (even, odd) partition sums of integer rows over their common denominator."""
-    even, odd = _walk_rows(rows)
-    return Fraction(even, den), Fraction(odd, den)
-
-
-def _filtered(params: Mapping, signed: bool) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
-    """(m, phi, (rows, den), (top, bottom), d) of a binomial-filtered partition sum.
+def _filtered(params: Mapping, sign: int) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
+    """(m, phi, (even, odd), (top, bottom), d) of a binomial-filtered partition sum, sign = +-1 per part.
 
     m is admitted, and phi, if given, is a vector of length m that
     :func:`verify` or :func:`verify_sweep` has checked; it defaults to 0.
-    The weight's product over phi's nonzero entries, where C(phi_i, phi_i)
-    = 1, is top / bottom, read from the rows as one integer product over
-    one denominator, and d = m - r with phi a partition of r.
+    (even, odd) are the sums over the partitions with an even and an odd
+    number of parts, read from the order's kept walk at phi = 0 and from
+    a walk of phi's own rows otherwise. The weight's product over phi's
+    nonzero entries, where C(phi_i, phi_i) = 1, is top / bottom, read from
+    the unit rows as one integer product over one denominator and signed
+    by sign^|phi|, and d = m - r with phi a partition of r.
     """
     m = params["m"]
     phi = params.get("phi", ())
-    rows, dens = _weight_rows(m, phi, signed)
+    unit, dens, den = _unit_rows(m)
     parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
-    base = math.prod(rows[i][k] for i, k in parts), math.prod(dens[i] for i, _ in parts)
-    return m, phi, (rows, _unit_rows(m, signed)[2]), base, m - sum(i * k for i, k in parts)
+    totals = _walk_rows(_weight_rows(m, phi)) if parts else _unit_totals(m)[0]
+    top = sign ** sum(phi) * math.prod(unit[i][k] for i, k in parts)
+    base = top, math.prod(dens[i] for i, _ in parts)
+    return m, phi, _class_sums(totals, den, sign), base, m - sum(i * k for i, k in parts)
 
 
 def _alternating_closed(base: tuple[int, int], d: int) -> Fraction:
@@ -299,21 +317,19 @@ _PARITY_NOTE = "lhs = (even-partition sum, odd-partition sum)"
 
 def _lemma_3_1(params: Mapping) -> Checked:
     """Alternating partition weights collapse: sum = (-1)^m for m <= 1, else 0."""
-    m, _, rows, base, d = _filtered(params, signed=True)
-    return {"m": m}, _full_sum(*rows), _alternating_closed(base, d), ""
+    m, _, sides, base, d = _filtered(params, -1)
+    return {"m": m}, sum(sides), _alternating_closed(base, d), ""
 
 
 def _lemma_3_2(params: Mapping) -> Checked:
     """Binomial-filtered alternating weights; full and restricted sums agree."""
-    m, phi, rows, base, d = _filtered(params, signed=True)
+    m, phi, sides, base, d = _filtered(params, -1)
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
-    unit, _, den = _unit_rows(d, True)
-    even, odd = _walk_rows(unit)
-    restricted = Fraction(base[0] * (even + odd), base[1] * den)
+    restricted = Fraction(*base) * sum(_class_sums(*_unit_totals(d), -1))
     closed = _alternating_closed(base, d)
     note = "lhs = (full sum, sum restricted to y_i >= phi_i)"
-    return {"m": m, "phi": phi}, (_full_sum(*rows), restricted), (closed, closed), note
+    return {"m": m, "phi": phi}, (sum(sides), restricted), (closed, closed), note
 
 
 def _stirling_alternating(params: Mapping) -> Checked:
@@ -372,14 +388,14 @@ def _recurrent_bridge(params: Mapping) -> Checked:
 
 def _even_odd_weights(params: Mapping) -> Checked:
     """Even and odd partition weight totals: (1,0), (0,1), then (1/2, 1/2)."""
-    m, _, rows, base, d = _filtered(params, signed=False)
-    return {"m": m}, _parity_sums(*rows), _parity_closed(base, d, 0), _PARITY_NOTE
+    m, _, sides, base, d = _filtered(params, 1)
+    return {"m": m}, sides, _parity_closed(base, d, 0), _PARITY_NOTE
 
 
 def _even_odd_binom(params: Mapping) -> Checked:
     """Binomial-filtered even/odd weight totals against the three-case closed form."""
-    m, phi, rows, base, d = _filtered(params, signed=False)
-    return {"m": m, "phi": phi}, _parity_sums(*rows), _parity_closed(base, d, sum(phi)), _PARITY_NOTE
+    m, phi, sides, base, d = _filtered(params, 1)
+    return {"m": m, "phi": phi}, sides, _parity_closed(base, d, sum(phi)), _PARITY_NOTE
 
 
 def _even_odd_n(params: Mapping) -> Checked:
@@ -390,8 +406,7 @@ def _even_odd_n(params: Mapping) -> Checked:
     n=3, m=2) and is deliberately not implemented; the note records that.
     """
     m, n = params["m"], params["n"]
-    rows, _ = _weight_rows(m, (), signed=False, n=n)
-    lhs = _parity_sums(rows, _unit_rows(m, False)[2])
+    lhs = _class_sums(*_unit_totals(m), n)
     # n = m = 0 gives C(-1, 0) = 1 (empty choice); math.comb wants n >= 0
     main = Fraction(1) if n + m - 1 < 0 else Fraction(math.comb(n + m - 1, m))
     correction = Fraction(math.comb(n, m))
@@ -540,8 +555,9 @@ def verify_sweep(
     p(m) per report at order m, and for LEMMA_3_2 p(m - r) more on its
     restricted side, phi being a partition of r. The full side of a report
     with phi walks only the p(m - r) terms that C(y_i, phi_i) leaves
-    nonzero, so the count is an upper bound on the terms walked; it stays
-    p(m), and so does the set of refused sweeps. Every report then runs
+    nonzero, and the sides at phi = 0 and LEMMA_3_2's restricted side read
+    the one kept walk of their order, so the count is an upper bound on the
+    terms walked; it stays p(m), and so does the set of refused sweeps. Every report then runs
     through the one check path of :func:`verify`.
     """
     identity = IdentityId(identity)

@@ -17,15 +17,18 @@ term over every partition; it is the readable oracle, and its sums are
 rational. It does not list the partitions: a depth-first walk over the
 multiplicities, largest part first, shares each prefix product among the
 partitions below it. The walk reads integer rows, R_i[k] = D_i w(i, k)
-with one denominator D_i per part size i, and sums integers over
-den = prod_i D_i. It skips the terms with a zero factor in a row's
-leading zeros: each y_i starts at its row's first nonzero entry, so a
-weight that vanishes for y_i < phi_i, phi a partition of r, costs
-p(m - r) terms rather than p(m). Every term it walks is still formed one
-partition at a time. The public functions read each per-entry weight
-w(i, k) as a rational and put its row over the lcm of the row's
-denominators; :mod:`multisums.identities` writes its closed-form weights
-as integer rows and hands them to the walk directly.
+with one denominator D_i per part size i, and returns integer totals over
+den = prod_i D_i, one per number of parts: t_p sums the terms of the
+partitions with p parts, so the full sum is sum_p t_p, the even/odd split
+that of the even and odd p, and a weight that carries a further factor x
+per part gives sum_p x^p t_p from the same walk. It skips the terms with
+a zero factor in a row's leading zeros: each y_i starts at its row's
+first nonzero entry, so a weight that vanishes for y_i < phi_i, phi a
+partition of r, costs p(m - r) terms rather than p(m). Every term it
+walks is still formed one partition at a time. The public functions
+read each per-entry weight w(i, k) as a rational and put its row over the
+lcm of the row's denominators; :mod:`multisums.identities` writes its
+closed-form weights as integer rows and hands them to the walk directly.
 :func:`newton_coefficients` gets every such sum up to m at once from
 Newton's recurrence in O(m^2) exact steps; the production reductions use
 it, the window reductions of :mod:`multisums.core` on integers alone. On
@@ -127,9 +130,9 @@ def _read_rows(m: int, weight: Weight) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(even, odd): the sums over partitions y of m = len(rows) - 1 with an
-    even (odd) number of parts of prod_{i=1}^{m} rows[i][y_i].
+def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """t[0..m]: t[p] sums prod_{i=1}^{m} rows[i][y_i] over the partitions y
+    of m = len(rows) - 1 with p = sum(y) parts.
 
     rows[i] holds the integer entries for y_i = 0..m // i. Only terms whose
     y_i are all at or past their row's first nonzero entry f_i are walked;
@@ -157,25 +160,26 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
         row = rows[i]
         first = 0 if row[0] else next((k for k, entry in enumerate(row) if entry), None)
         if first is None:
-            return 0, 0  # every term has a zero factor
+            return [0] * (m + 1)  # every term has a zero factor
         shifted.append(row[first:] if first else row)
         d -= i * first
         first_parts += first
+    totals = [0] * (m + 1)
     if d < 0:
-        return 0, 0  # no partition of m reaches every first nonzero entry
+        return totals  # no partition of m reaches every first nonzero entry
     lead = prod(shifted[i][0] for i in range(d + 1, m + 1))  # z_i = 0 above d
     if d == 0:
-        return (0, lead) if first_parts & 1 else (lead, 0)
+        totals[first_parts] = lead
+        return totals
     # zeros[j][r] = prod_{l=r+1}^{j} shifted[l][0]: the factor of z_{r+1} = ... = z_j = 0
     zeros = [[1]]
     for j in range(1, d + 1):
         zeros.append([z * shifted[j][0] for z in zeros[-1]] + [1])
-    totals = [0, 0]
 
     def walk(i: int, rest: int, product: int, parts: int) -> None:
         # z_d .. z_{i+1} are fixed, y having `parts` parts so far, and 1 <= i <= rest
         if i == 1:
-            totals[(parts + rest) & 1] += product * shifted[1][rest]
+            totals[parts + rest] += product * shifted[1][rest]
             return
         row = shifted[i]
         for k in range(rest // i + 1):
@@ -186,11 +190,11 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
             elif left:
                 walk(left, left, term * zeros[i - 1][left], parts + k)
             else:
-                totals[(parts + k) & 1] += term * zeros[i - 1][0]
+                totals[parts + k] += term * zeros[i - 1][0]
 
     walk(d, d, lead, first_parts)
     del walk  # as in enumerate_partitions: no reference cycle is left for gc
-    return totals[0], totals[1]
+    return totals
 
 
 def partition_sum(m: int, weight: Weight) -> Fraction:
@@ -205,8 +209,7 @@ def partition_sum(m: int, weight: Weight) -> Fraction:
     applies. Orders above PARTITION_LIST_MAX_M are refused with ValueError.
     """
     rows, den = _read_rows(m, weight)
-    even, odd = _walk_rows(rows)
-    return Fraction(even + odd, den)
+    return Fraction(sum(_walk_rows(rows)), den)
 
 
 def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
@@ -217,8 +220,8 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     conventions are those of :func:`partition_sum`.
     """
     rows, den = _read_rows(m, weight)
-    even, odd = _walk_rows(rows)
-    return Fraction(even, den), Fraction(odd, den)
+    totals = _walk_rows(rows)
+    return Fraction(sum(totals[0::2]), den), Fraction(sum(totals[1::2]), den)
 
 
 def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | int]:

@@ -219,6 +219,12 @@ def test_vanishing_binomial_sum_holds_through_m7():
     assert all(r.equal for r in reports)
 
 
+def _clear_caches():
+    """Empties the kept rows and walks of every order."""
+    identities._unit_rows.cache_clear()
+    identities._unit_totals.cache_clear()
+
+
 @pytest.mark.parametrize(
     "identity", [IdentityId.EVEN_ODD_BINOM, IdentityId.LEMMA_3_2], ids=["even_odd_binom", "lemma_3_2"]
 )
@@ -228,7 +234,7 @@ def test_swept_phi_reports_equal_lone_calls(identity, alone_first):
     # read those of lower orders: no phi's rows may leak into another report
     m = 8
     phis = [sub + (0,) * (m - r) for r in range(m + 1) for sub in enumerate_partitions(r)]
-    identities._unit_rows.cache_clear()
+    _clear_caches()
     assert all(r.equal for r in verify_sweep(identity, {"m": [m - 2]}))  # another order first
 
     def lone():
@@ -246,14 +252,17 @@ def test_swept_phi_reports_equal_lone_calls(identity, alone_first):
 
 
 def test_shared_rows_under_threads():
-    # selftest --jobs runs criteria in threads; from a cold cache they race to build
-    # and read the rows of each order, and every report must equal its lone call
+    # selftest --jobs runs criteria in threads; from cold caches they race to build
+    # and read the rows and the kept walk of each order, and every report must equal
+    # its lone call
     calls = [(IdentityId.EVEN_ODD_N, {"n": n, "m": m}) for n in range(4) for m in range(5, 9)]
+    for identity in (IdentityId.LEMMA_3_1, IdentityId.EVEN_ODD_WEIGHTS):
+        calls += [(identity, {"m": m}) for m in range(5, 9)]
     for identity in (IdentityId.EVEN_ODD_BINOM, IdentityId.LEMMA_3_2):
         calls += [(identity, {"m": m, "phi": sub}) for m in range(5, 9) for sub in enumerate_partitions(4)]
-    identities._unit_rows.cache_clear()
+    _clear_caches()
     expected = [verify(identity, params) for identity, params in calls]
-    identities._unit_rows.cache_clear()
+    _clear_caches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -415,23 +424,83 @@ def test_order_cap_comes_before_any_row_or_phi_padding(identity, params):
         verify(identity, params)
 
 
-@given(st.data(), st.integers(0, 16), st.booleans(), st.integers(0, 30))
-def test_weight_rows_match_the_fraction_weight(data, m, signed, n):
-    # the identities' integer rows against their weight written out in Fractions,
-    # (+-1)^k C(k, phi_i) n^k / (i^k k!), entry by entry and through the public sums
-    sub = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, m)))))
-    phi = identities._normalize_phi(sub + (0,) * data.draw(st.integers(0, 3)), m)
+def _unit_weight(phi, sign, n):
+    """(+-1)^k C(k, phi_i) n^k / (i^k k!) of y_i = k, written out in Fractions."""
 
     def weight(i, k):
-        value = Fraction(math.comb(k, phi[i - 1]) * n**k, i**k * math.factorial(k))
-        return -value if signed and k % 2 else value
+        return Fraction(math.comb(k, phi[i - 1]) * (sign * n) ** k, i**k * math.factorial(k))
 
-    rows, dens = identities._weight_rows(m, phi, signed, n)
-    assert rows[0] == [] and dens[0] == 1 and len(rows) == len(dens) == m + 1
+    return weight
+
+
+@given(st.data(), st.integers(0, 16), st.booleans(), st.integers(0, 30))
+def test_weight_rows_match_the_fraction_weight(data, m, signed, n):
+    # the identities' unsigned integer rows at n = 1 against their weight written out in
+    # Fractions, entry by entry, and the sign and n applied per class of part count
+    # against the public sums of the signed, n-scaled weight
+    sub = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, m)))))
+    phi = identities._normalize_phi(sub + (0,) * data.draw(st.integers(0, 3)), m)
+    sign = -1 if signed else 1
+    rows = identities._weight_rows(m, phi)
+    _, dens, den = identities._unit_rows(m)
+    assert rows[0] == [] and dens[0] == 1 and len(rows) == len(dens) == m + 1 and den == math.prod(dens)
+    unit = _unit_weight(phi, 1, 1)
     for i in range(1, m + 1):
         assert len(rows[i]) == m // i + 1
-        assert [Fraction(entry, dens[i]) for entry in rows[i]] == [weight(i, k) for k in range(m // i + 1)]
-    even, odd = _walk_rows(rows)
-    den = math.prod(dens)
-    assert (Fraction(even, den), Fraction(odd, den)) == parity_partition_sums(m, weight)
-    assert Fraction(even + odd, den) == partition_sum(m, weight)
+        assert [Fraction(entry, dens[i]) for entry in rows[i]] == [unit(i, k) for k in range(m // i + 1)]
+    even, odd = identities._class_sums(_walk_rows(rows), den, sign * n)
+    weight = _unit_weight(phi, sign, n)
+    assert (even, odd) == parity_partition_sums(m, weight)
+    assert even + odd == partition_sum(m, weight)
+
+
+def test_each_order_is_walked_once(monkeypatch):
+    # the unit-weight sides of every sign and n read one kept walk per order: an
+    # EVEN_ODD_N sweep over five n, then LEMMA_3_1 and EVEN_ODD_WEIGHTS at the same
+    # orders, walk each of the 13 orders once, where a walk per report would be 91
+    walked = []
+
+    def counting_walk(rows):
+        walked.append(len(rows) - 1)
+        return _walk_rows(rows)
+
+    monkeypatch.setattr(identities, "_walk_rows", counting_walk)
+    _clear_caches()
+    reports = verify_sweep(IdentityId.EVEN_ODD_N, {"n": range(5), "m": range(13)})
+    reports += verify_sweep(IdentityId.LEMMA_3_1, {"m": range(13)})
+    reports += verify_sweep(IdentityId.EVEN_ODD_WEIGHTS, {"m": range(13)})
+    assert len(reports) == 91 and all(r.equal for r in reports)
+    assert sorted(walked) == list(range(13))
+
+
+_SHARED_SIDES = [IdentityId.LEMMA_3_1, IdentityId.EVEN_ODD_WEIGHTS, IdentityId.EVEN_ODD_N, IdentityId.LEMMA_3_2]
+
+
+@given(st.sampled_from(_SHARED_SIDES), st.integers(0, 14), st.integers(0, 30), st.data())
+def test_shared_sides_match_the_public_oracle(identity, m, n, data):
+    # every side read from an order's kept walk against the public partition sums of its
+    # weight written out in Fractions; LEMMA_3_2's restricted side at order d = m - r is
+    # phi's own factor times the alternating sum at d. The same report on cleared caches
+    # equals the one on the caches it left warm.
+    params = {"m": m}
+    if identity is IdentityId.EVEN_ODD_N:
+        params["n"] = n
+    if identity is IdentityId.LEMMA_3_2:
+        r = data.draw(st.integers(0, m))
+        params["phi"] = data.draw(st.sampled_from(enumerate_partitions(r)))
+    _clear_caches()
+    cold = verify(identity, params)
+    warm = verify(identity, params)
+    assert warm == cold
+    if identity is IdentityId.EVEN_ODD_WEIGHTS:
+        assert warm.lhs == parity_partition_sums(m, _unit_weight((0,) * m, 1, 1))
+    elif identity is IdentityId.EVEN_ODD_N:
+        assert warm.lhs == parity_partition_sums(m, _unit_weight((0,) * m, 1, n))
+    elif identity is IdentityId.LEMMA_3_1:
+        assert warm.lhs == partition_sum(m, _unit_weight((0,) * m, -1, 1))
+    else:
+        phi = warm.params["phi"]
+        r = sum(i * k for i, k in enumerate(phi, start=1))
+        factor = math.prod(_unit_weight(phi, -1, 1)(i, k) for i, k in enumerate(phi, start=1) if k)
+        full = partition_sum(m, _unit_weight(phi, -1, 1))
+        assert warm.lhs == (full, factor * partition_sum(m - r, _unit_weight((0,) * (m - r), -1, 1)))

@@ -248,10 +248,11 @@ def test_walk_rows_match_the_term_by_term_sum(data, m):
     if m and data.draw(st.booleans()):
         zero = data.draw(st.integers(1, m))
         rows[zero] = [0] * len(rows[zero])
-    totals = [0, 0]
+    # the terms grouped by their number of parts, sum(y), every total compared
+    totals = [0] * (m + 1)
     for y in enumerate_partitions(m):
-        totals[sum(y) % 2] += prod(rows[i][k] for i, k in enumerate(y, start=1))
-    assert _walk_rows(rows) == tuple(totals)
+        totals[sum(y)] += prod(rows[i][k] for i, k in enumerate(y, start=1))
+    assert _walk_rows(rows) == totals
 
 
 def test_partition_sums_fold_many_denominators():
