@@ -17,8 +17,9 @@ Partition enumeration (`partitions list` and the partition sums of
 `verify`) stops at m = PARTITION_LIST_MAX_M, `partitions count` at
 m = partitions.PARTITION_COUNT_MAX_M, `--numeric` at
 NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
-as many reports after phi expansion and SWEEP_MAX_PARTITIONS partitions
-summed over. `special faulhaber` and `special mzv` need Bernoulli numbers
+as many reports after phi expansion and SWEEP_MAX_PARTITIONS partition
+terms walked by the reports themselves, which no command-line sweep
+reaches. `special faulhaber` and `special mzv` need Bernoulli numbers
 up to special_sums.BERNOULLI_MAX_INDEX; `verify BINOMIAL_PARTITION` takes
 n and m up to identities.BINOMIAL_MAX, `verify PRODUCT_IDENTITY`
 windows of up to identities.PRODUCT_MAX_WINDOW terms and `verify

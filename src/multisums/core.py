@@ -95,28 +95,37 @@ BRUTE_MAX_TUPLES = 10**6  # tuples one brute-force call may enumerate
 BRUTE_MAX_M = 6
 
 
+def _spec_int(name: str, value: object) -> int:
+    """value, if it is an int and not a bool; ValueError naming the spec field otherwise."""
+    if not _is_int(value):
+        raise ValueError(f"sequence {name!r} must be an integer, got {value!r}")
+    return value
+
+
 class ExplicitSequence(_Record):
     """A finite sequence of rationals; values[k] sits at index base + k.
 
     ``values`` is stored as a tuple of Fractions. Values are Fractions, ints
     or ``"num/den"`` / integer strings; floats, bools and decimal strings
-    raise ValueError.
+    raise ValueError. ``base`` must be an int, not a bool; it is checked
+    before any value is read.
     """
 
     __slots__ = ("values", "base")
 
     def __init__(self, values: Iterable[RationalLike], base: int = 1) -> None:
+        base = _spec_int("base", base)
         _set(self, "values", tuple([_as_rational(v) for v in values]))
         _set(self, "base", base)
 
 
 class IndexPower(_Record):
-    """The sequence a_N = N ** exponent; exponent may be negative."""
+    """The sequence a_N = N ** exponent; exponent may be negative, and must be an int, not a bool."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: int) -> None:
-        _set(self, "exponent", exponent)
+        _set(self, "exponent", _spec_int("exponent", exponent))
 
 
 SequenceSpec = Union[ExplicitSequence, IndexPower]
@@ -167,13 +176,6 @@ def sequence_spec_to_json(spec: SequenceSpec) -> dict:
     }
 
 
-def _json_int(data: dict, key: str) -> int:
-    value = data[key]
-    if not _is_int(value):
-        raise ValueError(f"sequence {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def sequence_spec_from_json(data: object) -> SequenceSpec:
     """Parse a spec written by sequence_spec_to_json; ValueError on anything else."""
     if not isinstance(data, dict):
@@ -182,13 +184,12 @@ def sequence_spec_from_json(data: object) -> SequenceSpec:
     if kind == "index_power":
         if "exponent" not in data:
             raise ValueError("index_power spec needs an 'exponent'")
-        return IndexPower(_json_int(data, "exponent"))
+        return IndexPower(data["exponent"])
     if kind == "explicit":
         values = data.get("values")
         if not isinstance(values, list):
             raise ValueError("explicit spec needs a 'values' list")
-        base = _json_int(data, "base") if "base" in data else 1
-        return ExplicitSequence(tuple(values), base)
+        return ExplicitSequence(tuple(values), data.get("base", 1))
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 

@@ -13,10 +13,11 @@ own. One reader, ``_admit``, checks that each integer parameter (every name
 but "spec" and "phi") is an integer >= 0, in the order the names are
 listed, and then runs the admission. The admission checks every parameter
 that bounds the check's work, refusing one past a cap with ValueError, and
-returns the number of partitions the report's sides sum over, which the
-sweep budget counts. :func:`verify` and :func:`verify_sweep` admit every
-report before any check runs, so a check reads its parameters as
-admitted. The identities taking "phi" are those
+returns the number of partition terms the report walks itself, which the
+sweep budget counts; a side that reads its order's kept walk counts 0, as
+the order cap bounds those walks per process. :func:`verify` and
+:func:`verify_sweep` admit every report before any check runs, so a check
+reads its parameters as admitted. The identities taking "phi" are those
 whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
@@ -49,7 +50,7 @@ import enum
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from itertools import product as cartesian_product
 from operator import mul
 from typing import Callable, Mapping, Sequence, Union
@@ -84,10 +85,11 @@ __all__ = [
 ]
 
 SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of one verify_sweep
-# partitions summed over by the reports of one verify_sweep, as their admissions count them before
-# any report runs: p(m) per report at order m, and p(m - r) more on LEMMA_3_2's restricted side;
-# an upper bound on the terms walked, as a report with phi a partition of r walks only the p(m - r)
-# terms of its full side that C(y_i, phi_i) leaves nonzero, and a phi = 0 side reads its order's kept walk
+# partition terms walked by the reports of one verify_sweep, as their admissions count them before
+# any report runs: p(m - r) per report whose phi != 0 is a partition of r, p(m) per RECURRENT_BRIDGE
+# report, and 0 for a side that reads its order's kept walk (at most 51 walks per process); no
+# command-line sweep reaches it (at most 1 091 745, LEMMA_3_2 --phi 1 over m = 1..50), a library
+# sweep repeating an order at a fixed phi != 0 can
 SWEEP_MAX_PARTITIONS = 2_000_000
 # n and m of BINOMIAL_PARTITION, admitted before any report of a sweep runs: O(m^2) Newton
 # steps on integers growing with n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6,
@@ -420,17 +422,18 @@ def _even_odd_n(params: Mapping) -> Checked:
     return {"n": n, "m": m}, lhs, rhs, note
 
 
-def _admit_order(params: Mapping) -> int:
-    """p(m), the partitions of m that a report's full side sums over; m within the order cap."""
+def _admit_walk(params: Mapping) -> int:
+    """m within the order cap, then the partition terms the report walks itself.
+
+    That is p(m - r) for a phi != 0 full side, phi a partition of r: the
+    terms y = phi + z over the partitions z of m - r. Every other side,
+    phi = 0 and LEMMA_3_2's restricted side included, reads the kept walk
+    of its order, which the order cap bounds per process, and counts 0.
+    """
     m = params["m"]
     _check_order(m)
-    return partition_count(m)
-
-
-def _admit_lemma_3_2(params: Mapping) -> int:
-    """p(m) on the full side and p(m - r) on the restricted one, phi padded and a partition of r."""
-    r = sum(i * k for i, k in enumerate(params["phi"], start=1))
-    return _admit_order(params) + partition_count(params["m"] - r)
+    r = sum(map(mul, params.get("phi", ()), count(1)))
+    return partition_count(m - r) if r else 0
 
 
 def _admit_stirling(params: Mapping) -> int:
@@ -460,7 +463,7 @@ def _admit_product(params: Mapping) -> int:
 
 
 def _admit_bridge(params: Mapping) -> int:
-    """The brute-force tuples and order, then p(m) as for the full sides.
+    """The brute-force tuples and order, then p(m), the terms of its own walk over rational rows.
 
     The recurrent side's C(n - q + m, m) tuples are never fewer than the
     multiple side's C(n - q + 1, m), and none are counted at m = 0 or
@@ -471,22 +474,22 @@ def _admit_bridge(params: Mapping) -> int:
     m, q, n = params["m"], params["q"], params["n"]
     _check_tuple_count(max(n - q + m, 0), m)
     _check_brute_order(m)
-    return _admit_order(params)
+    return partition_count(m)
 
 
 # identity -> (check, parameter names, admission); _admit reads the integer
 # names, all but "spec" and "phi", in this order before the admission runs,
 # and the identities taking "phi" expand it in verify_sweep
 _REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
-    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_order),
-    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_lemma_3_2),
+    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_walk),
+    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_walk),
     IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling),
     IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("m", "n"), _admit_binomial),
     IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), _admit_product),
     IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge),
-    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_order),
-    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_order),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_order),
+    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_walk),
+    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_walk),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_walk),
 }
 
 
@@ -551,13 +554,12 @@ def verify_sweep(
     the last point is refused, with the message :func:`verify` gives,
     before any report runs; pass ``range`` objects so a refused grid costs
     nothing either.
-    The admissions' partitions may sum to at most SWEEP_MAX_PARTITIONS:
-    p(m) per report at order m, and for LEMMA_3_2 p(m - r) more on its
-    restricted side, phi being a partition of r. The full side of a report
-    with phi walks only the p(m - r) terms that C(y_i, phi_i) leaves
-    nonzero, and the sides at phi = 0 and LEMMA_3_2's restricted side read
-    the one kept walk of their order, so the count is an upper bound on the
-    terms walked; it stays p(m), and so does the set of refused sweeps. Every report then runs
+    The partition terms the reports walk themselves, as their admissions
+    count them, may sum to at most SWEEP_MAX_PARTITIONS: p(m - r) for a
+    report at order m whose phi != 0 is a partition of r, p(m) for a
+    RECURRENT_BRIDGE report, and 0 for the sides that read the one kept
+    walk of their order (phi = 0, LEMMA_3_2's restricted side,
+    LEMMA_3_1, EVEN_ODD_WEIGHTS and EVEN_ODD_N). Every report then runs
     through the one check path of :func:`verify`.
     """
     identity = IdentityId(identity)

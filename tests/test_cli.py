@@ -280,12 +280,20 @@ def test_verify_lemma_3_1_at_the_order_cap_in_fresh_process():
     assert "Traceback" not in done.stderr
 
 
-def test_verify_sweep_partition_budget_exits_2(capsys):
-    # m = 21 expands into 3506 reports of p(21) = 792 partitions on the full side and
-    # 35 002 on the restricted sides: 2 811 754 > SWEEP_MAX_PARTITIONS
-    code, out, err = run_main(capsys, ["verify", "LEMMA_3_2", "--sweep", "m=21"])
-    assert code == 2
-    assert json.loads(out) == {"error": "sweep visits 2811754 partitions, more than the cap of 2000000"}
+@pytest.mark.parametrize(
+    ("argv", "reports"),
+    [
+        # 3506 phi reports, whose phi != 0 full sides walk 34 210 terms
+        (["verify", "LEMMA_3_2", "--sweep", "m=21"], 3506),
+        # ten values of n, all reading the one kept walk of order 50
+        (["verify", "EVEN_ODD_N", "--sweep", "n=0..9,m=50"], 10),
+    ],
+    ids=["lemma_3_2_phi", "even_odd_n"],
+)
+def test_verify_sweep_within_the_partition_budget_exits_0(capsys, argv, reports):
+    code, out, err = run_main(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"identity": argv[1], "reports": reports, "passed": reports, "all_equal": True}
     assert "Traceback" not in err
 
 

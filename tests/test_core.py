@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -539,3 +540,21 @@ def test_sequence_spec_from_json_accepts_integers_and_strings():
     assert spec == ExplicitSequence([3, Fraction(-1, 2), 4], base=0)
     assert sequence_spec_from_json({"kind": "explicit", "values": []}) == ExplicitSequence([], base=1)
     assert sequence_spec_from_json({"kind": "index_power", "exponent": -3}) == IndexPower(-3)
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: IndexPower(True), "sequence 'exponent' must be an integer, got True"),
+        (lambda: IndexPower(2.0), "sequence 'exponent' must be an integer, got 2.0"),
+        (lambda: IndexPower(0.5), "sequence 'exponent' must be an integer, got 0.5"),
+        (lambda: ExplicitSequence([1], base=True), "sequence 'base' must be an integer, got True"),
+        (lambda: ExplicitSequence([1], base=1.0), "sequence 'base' must be an integer, got 1.0"),
+        # base is checked before any value is read
+        (lambda: ExplicitSequence([0.1], base=1.0), "sequence 'base' must be an integer, got 1.0"),
+    ],
+    ids=["exponent_true", "exponent_2.0", "exponent_0.5", "base_true", "base_1.0", "base_first"],
+)
+def test_spec_records_refuse_non_integer_fields(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -307,40 +307,52 @@ def _refuse_checks(ident, params):
 
 
 @pytest.mark.parametrize(
-    ("identity", "ranges", "visited"),
+    ("identity", "ranges", "base", "visited"),
     [
-        # p(0) + ... + p(12)
-        (IdentityId.LEMMA_3_1, {"m": range(13)}, 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30 + 42 + 56 + 77),
-        # 1 + 1 + 2 + 3 = 7 phi reports at m = 3, each over p(3) = 3 partitions on the full
-        # side, and over p(3 - r) on the restricted side: 1 * 3 + 1 * 2 + 2 * 1 + 3 * 1 = 10
-        (IdentityId.LEMMA_3_2, {"m": [3]}, 31),
-        # two values of n at p(4) = 5 partitions each
-        (IdentityId.EVEN_ODD_N, {"n": range(2), "m": [4]}, 10),
+        # 1 + 1 + 2 + 3 = 7 phi reports at m = 3; a phi != 0 partition of r walks p(3 - r)
+        # terms on its full side: 1 * 2 + 2 * 1 + 3 * 1 = 7, and phi = 0 reads the kept walk
+        (IdentityId.LEMMA_3_2, {"m": [3]}, None, 7),
+        # the same 7 reports walk the same terms on EVEN_ODD_BINOM's one side
+        (IdentityId.EVEN_ODD_BINOM, {"m": [3]}, None, 7),
+        # the bridge walks its own rational rows: p(4) = 5 at each of two values of n
+        (IdentityId.RECURRENT_BRIDGE, {"n": [5, 6]}, {"spec": N, "m": 4, "q": 1}, 10),
     ],
-    ids=["lemma_3_1", "lemma_3_2_phi", "even_odd_n"],
+    ids=["lemma_3_2_phi", "even_odd_binom_phi", "bridge"],
 )
-def test_sweep_partition_budget_is_inclusive(identity, ranges, visited, monkeypatch):
+def test_sweep_partition_budget_is_inclusive(identity, ranges, base, visited, monkeypatch):
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited)
-    assert all(r.equal for r in verify_sweep(identity, ranges))
+    assert all(r.equal for r in verify_sweep(identity, ranges, base=base))
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", visited - 1)
     monkeypatch.setattr(identities, "_report", _refuse_checks)
     with pytest.raises(ValueError, match=f"sweep visits {visited} partitions, more than the cap of {visited - 1}"):
-        verify_sweep(identity, ranges)
+        verify_sweep(identity, ranges, base=base)
 
 
-def test_sweep_partition_budget_counts_the_restricted_side(monkeypatch):
+@pytest.mark.parametrize(
+    ("identity", "ranges"),
+    [
+        (IdentityId.LEMMA_3_1, {"m": range(51)}),
+        (IdentityId.EVEN_ODD_WEIGHTS, {"m": range(51)}),
+        (IdentityId.EVEN_ODD_N, {"n": [0, 1, 10**6], "m": range(51)}),
+    ],
+    ids=["lemma_3_1", "even_odd_weights", "even_odd_n"],
+)
+def test_sweep_partition_budget_counts_no_kept_walk(identity, ranges, monkeypatch):
+    # each order's walk is kept, and the order cap bounds those walks, so these count nothing
+    monkeypatch.setattr(identities, "_report", lambda ident, params: params)
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 0)
+    assert len(verify_sweep(identity, ranges)) == math.prod(map(len, ranges.values()))
+
+
+def test_sweep_partition_budget_skips_the_restricted_side(monkeypatch):
     monkeypatch.setattr(identities, "_report", _refuse_checks)
-    # the 7 phi reports at m = 3 walk 7 * p(3) = 21 partitions on their full sides, which
-    # fit the cap, and 10 more on their restricted sides, which do not
-    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 21)
-    with pytest.raises(ValueError, match="sweep visits 31 partitions, more than the cap of 21"):
-        verify_sweep(IdentityId.LEMMA_3_2, {"m": [3]})
-    # an explicit phi of r = 2 at m = 4 and 5: p(4) + p(2) = 7 and p(5) + p(3) = 10 partitions
-    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 16)
-    with pytest.raises(ValueError, match="sweep visits 17 partitions, more than the cap of 16"):
+    # an explicit phi of r = 2 at m = 4 and 5 walks p(2) + p(3) = 5 terms on the full sides; the
+    # restricted sides read the kept walks of orders 2 and 3
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 4)
+    with pytest.raises(ValueError, match="sweep visits 5 partitions, more than the cap of 4"):
         verify_sweep(IdentityId.LEMMA_3_2, {"m": [4, 5]}, base={"phi": (0, 1)})
     monkeypatch.undo()  # let the checks run
-    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 17)
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 5)
     assert all(r.equal for r in verify_sweep(IdentityId.LEMMA_3_2, {"m": [4, 5]}, base={"phi": (0, 1)}))
 
 
@@ -352,13 +364,37 @@ def test_sweep_partition_budget_skips_identities_without_partition_sums(monkeypa
 
 def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
     monkeypatch.setattr(identities, "_report", _refuse_checks)
-    # one report at m = 0 over p(0) = 1 partition on each side, then 3506 phi reports at
-    # m = 21 of p(21) = 792 partitions each on the full side and 35 002 on the restricted sides
-    with pytest.raises(ValueError, match="sweep visits 2811756 partitions"):
+    # an order repeated at a fixed phi != 0: 12 reports of p(49) = 173 525 terms each
+    with pytest.raises(ValueError, match="sweep visits 2082300 partitions, more than the cap of 2000000"):
+        verify_sweep(IdentityId.LEMMA_3_2, {"m": [50] * 12}, base={"phi": (1,)})
+    monkeypatch.setattr(identities, "_report", lambda ident, params: params)
+    assert len(verify_sweep(IdentityId.LEMMA_3_2, {"m": [50] * 11}, base={"phi": (1,)})) == 11  # 1 908 775
+    # one report at m = 0 and 3506 phi reports at m = 21, whose phi != 0 full sides walk
+    # sum_{r=1..21} p(r) p(21 - r) = 34 210 terms
+    assert len(verify_sweep(IdentityId.LEMMA_3_2, {"m": [0, 21]})) == 3507
+    monkeypatch.setattr(identities, "_report", _refuse_checks)
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 34_209)
+    with pytest.raises(ValueError, match="sweep visits 34210 partitions"):
         verify_sweep(IdentityId.LEMMA_3_2, {"m": [0, 21]})
     # an order past the enumeration cap is refused up front, not after the orders below it
     with pytest.raises(ValueError, match="partition enumeration cap 50"):
         verify_sweep(IdentityId.LEMMA_3_1, {"m": range(52)})
+
+
+def test_admission_counts_the_terms_the_walk_forms():
+    # against the oracle enumeration: a phi != 0 report walks the partitions y of m with
+    # y_i >= phi_i for every i, a phi = 0 report none, and the bridge all p(m) of its own walk
+    for m in range(13):
+        partitions = list(enumerate_partitions(m))
+        for r in range(m + 1):
+            for sub in enumerate_partitions(r):
+                phi = sub + (0,) * (m - r)
+                covering = sum(all(map(int.__ge__, y, phi)) for y in partitions) if r else 0
+                for identity in (IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM):
+                    assert identities._admit(identity, {"m": m, "phi": phi}) == covering
+        if m <= 6:
+            bridge = {"spec": N, "m": m, "q": 1, "n": 8}
+            assert identities._admit(IdentityId.RECURRENT_BRIDGE, bridge) == len(partitions)
 
 
 @pytest.mark.parametrize(
