@@ -21,7 +21,8 @@ as many reports after phi expansion and SWEEP_MAX_PARTITIONS partition
 terms walked by the reports themselves, which no command-line sweep
 reaches. `special faulhaber` and `special mzv` need Bernoulli numbers
 up to special_sums.BERNOULLI_MAX_INDEX; `verify BINOMIAL_PARTITION` takes
-n and m up to identities.BINOMIAL_MAX, `verify PRODUCT_IDENTITY`
+n and m up to identities.BINOMIAL_MAX, `verify EVEN_ODD_N` n up to the
+same cap, `verify PRODUCT_IDENTITY`
 windows of up to identities.PRODUCT_MAX_WINDOW terms and `verify
 STIRLING_ALTERNATING` m up to identities.STIRLING_MAX_M. Those input caps
 bound the output too: exact results print in full, however many digits

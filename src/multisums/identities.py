@@ -60,10 +60,10 @@ from .core import (
     SumProblem,
     _check_brute_order,
     _check_tuple_count,
+    _read,
     brute_multiple_sum,
     brute_recurrent_sum,
     elementary_from_power_sums,
-    eval_sequence,
     power_sums,
     reduce_multiple_sum,
     sequence_spec_from_json,
@@ -93,7 +93,8 @@ SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of on
 SWEEP_MAX_PARTITIONS = 2_000_000
 # n and m of BINOMIAL_PARTITION, admitted before any report of a sweep runs: O(m^2) Newton
 # steps on integers growing with n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6,
-# m = 2000 (2-vCPU VM)
+# m = 2000 (2-vCPU VM); also n of EVEN_ODD_N, whose sides and output grow with the digits
+# of n (4.8 s at n = 10^20000, m = 50, in process)
 BINOMIAL_MAX = 2000
 # terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full and admitted before any report
 # of a sweep runs: N^-6 on [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
@@ -352,13 +353,17 @@ def _binomial_partition(params: Mapping) -> Checked:
 
 
 def _product_identity(params: Mapping) -> Checked:
-    """Full-window reduction (m = n - q + 1) collapses to the plain product."""
+    """Full-window reduction (m = n - q + 1) collapses to the plain product.
+
+    The product is the one Fraction prod num / prod den over the window's
+    int pairs; the reader refuses index 0 of a negative power and a window
+    outside an explicit sequence before any pair is read.
+    """
     spec = _require_spec(params)
     q, n = params["q"], params["n"]
     m = n - q + 1
-    rhs = Fraction(1)
-    for j in range(q, n + 1):
-        rhs *= eval_sequence(spec, j)
+    values = list(_read(spec, q, n))
+    rhs = Fraction(math.prod(num for num, _ in values), math.prod(den for _, den in values))
     return {"spec": spec, "q": q, "n": n, "m": m}, reduce_multiple_sum(spec, m, q, n), rhs, ""
 
 
@@ -436,6 +441,14 @@ def _admit_walk(params: Mapping) -> int:
     return partition_count(m - r) if r else 0
 
 
+def _admit_even_odd_n(params: Mapping) -> int:
+    """n up to BINOMIAL_MAX, as the output grows with its digits; then the walk's admission."""
+    n = params["n"]
+    if n > BINOMIAL_MAX:
+        raise ValueError(f"n={n} exceeds the EVEN_ODD_N cap {BINOMIAL_MAX}")
+    return _admit_walk(params)
+
+
 def _admit_stirling(params: Mapping) -> int:
     """m up to STIRLING_MAX_M; no side sums over partitions."""
     m = params["m"]
@@ -489,7 +502,7 @@ _REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...],
     IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge),
     IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_walk),
     IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_walk),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_walk),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_even_odd_n),
 }
 
 

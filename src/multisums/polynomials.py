@@ -5,10 +5,19 @@ zeros are stripped, so the leading coefficient is nonzero; the zero
 polynomial keeps a single zero coefficient and has degree 0. Coefficients,
 roots and points are Fractions, ints or strings; floats and bools raise
 ValueError.
+
+The expansions and direct products run on integers over one denominator
+and build one Fraction per value: a product of roots p/q expands as the
+integer product prod (q x - p) over prod q, a derivative multiplies each
+coefficient once by a falling factorial, and prod (r - x) and
+prod (a_i + b_i) multiply integer numerators and denominators. The sides
+checked against them read the elementary symmetric functions of the roots
+from the integer reduction of :mod:`multisums.core`, as E_k / L^k.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -49,16 +58,19 @@ class Polynomial(_Record):
 
 
 def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
-    """prod (x - r) expanded to dense coefficients."""
-    coeffs = [Fraction(1)]
+    """prod (x - r) expanded to dense coefficients.
+
+    With each root r = p / q in lowest terms, prod (q x - p) is expanded on
+    integers, one root at a time, and its coefficients c_i are divided by
+    prod q at the end: one Fraction per coefficient.
+    """
+    coeffs, den = [1], 1
     for root in roots:
         r = _as_rational(root)
-        grown = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            grown[i] -= r * c
-            grown[i + 1] += c
-        coeffs = grown
-    return Polynomial(tuple(coeffs))
+        p, q = r.numerator, r.denominator
+        coeffs = [q * low - p * high for low, high in zip([0, *coeffs], [*coeffs, 0])]
+        den *= q
+    return Polynomial(Fraction(c, den) for c in coeffs)
 
 
 def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
@@ -76,13 +88,14 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
 
 
 def poly_derivative(poly: Polynomial, k: int = 1) -> Polynomial:
-    """k-th formal derivative; the zero polynomial once k exceeds the degree."""
+    """k-th formal derivative; the zero polynomial once k exceeds the degree.
+
+    One pass: coefficient i >= k times the falling factorial i!/(i-k)!
+    becomes coefficient i - k.
+    """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    coeffs = poly.coeffs
-    for _ in range(min(k, len(coeffs))):  # zero from derivative degree + 1 on
-        coeffs = tuple((i + 1) * coeffs[i + 1] for i in range(len(coeffs) - 1))
-    return Polynomial(coeffs)
+    return Polynomial([c * math.perm(i, k) for i, c in enumerate(poly.coeffs[k:], start=k)])
 
 
 def mean_root_ratio(poly: Polynomial) -> Fraction:
@@ -99,23 +112,24 @@ def mean_root_ratio(poly: Polynomial) -> Fraction:
 def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[Fraction, Fraction]:
     """Both sides of the alternating expansion of a factored polynomial.
 
-    lhs = sum_{m=0}^{n} (-1)^m x^(n-m) e_m(roots), with e_0..e_n from one
-    reduction of the root power sums; rhs = (-1)^n prod (r - x). Equal for
-    every x.
+    lhs = sum_{m=0}^{n} (-1)^m x^(n-m) e_m(roots), with e_m = E_m / L^m from
+    one reduction of the root power sums; rhs = (-1)^n prod (r - x). Equal
+    for every x. With x = u / v, lhs is the integer
+    sum_m E_m (-v)^m (u L)^(n-m), by Horner in u L, over (v L)^n, and rhs
+    is (-1)^n prod (p v - u q) over prod q v for the roots p / q.
     """
-    roots = [_as_rational(r) for r in roots]
+    pairs = [(r.numerator, r.denominator) for r in map(_as_rational, roots)]
     x = _as_rational(x)
-    n = len(roots)
-    elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), n)
-    lhs = Fraction(0)
-    for m, e_m in enumerate(elementary):
-        term = x ** (n - m) * Fraction(e_m, scale**m)
-        lhs += -term if m % 2 else term
-    rhs = Fraction(1)
-    for r in roots:
-        rhs *= r - x
-    if n % 2:
-        rhs = -rhs
+    u, v = x.numerator, x.denominator
+    n = len(pairs)
+    elementary, scale = _scaled_elementary(pairs, n)
+    step, total, power = u * scale, 0, 1
+    for e_m in elementary:
+        total = total * step + e_m * power
+        power *= -v
+    lhs = Fraction(total, (v * scale) ** n)
+    product = math.prod(p * v - u * q for p, q in pairs)
+    rhs = Fraction(-product if n % 2 else product, math.prod(q * v for _, q in pairs))
     return lhs, rhs
 
 
@@ -152,9 +166,10 @@ def generalized_binomial(
         raise ValueError("a and b must have the same length")
     if any(v == 0 for v in b):
         raise ValueError("b values must be nonzero")
-    direct = Fraction(1)
-    for x, y in zip(a, b):
-        direct *= x + y
+    direct = Fraction(
+        math.prod(x.numerator * y.denominator + y.numerator * x.denominator for x, y in zip(a, b)),
+        math.prod(x.denominator * y.denominator for x, y in zip(a, b)),
+    )
     ratios = ExplicitSequence(tuple(x / y for x, y in zip(a, b)), base=1)
     reconstructed = sum_of_multiple_sums(ratios, 1, len(a))
     for y in b:

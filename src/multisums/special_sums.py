@@ -64,7 +64,9 @@ def _check_bernoulli_index(j: int, what: str) -> None:
 def faulhaber(n: int, p: int) -> Fraction:
     """sum_{N=1}^{n} N**p, closed form with Bernoulli numbers (B_1 = -1/2).
 
-    (1/(p+1)) sum_{j=0}^{p} (-1)^j C(p+1, j) B_j n^(p+1-j). p above
+    (1/(p+1)) sum_{j=0}^{p} (-1)^j C(p+1, j) B_j n^(p+1-j), on integers:
+    B_0..B_p over the lcm D of their denominators, the sum evaluated by
+    Horner in n, and the one Fraction total n / (D (p+1)). p above
     BERNOULLI_MAX_INDEX is refused with ValueError.
     """
     if n < 0:
@@ -72,12 +74,14 @@ def faulhaber(n: int, p: int) -> Fraction:
     if p < 0:
         raise ValueError("p must be >= 0")
     _check_bernoulli_index(p, f"p={p}")
-    total = Fraction(0)
-    big_n = Fraction(n)
-    for j in range(p + 1):
-        term = math.comb(p + 1, j) * bernoulli(j) * big_n ** (p + 1 - j)
-        total += -term if j % 2 else term
-    return total / (p + 1)
+    numbers = [bernoulli(j) for j in range(p + 1)]
+    den = math.lcm(*(b.denominator for b in numbers))
+    total, binomial = 0, 1  # binomial = C(p+1, j)
+    for j, b in enumerate(numbers):
+        term = binomial * b.numerator * (den // b.denominator)
+        total = total * n + (-term if j % 2 else term)
+        binomial = binomial * (p + 1 - j) // (j + 1)
+    return Fraction(total * n, den * (p + 1))
 
 
 def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
@@ -182,18 +186,17 @@ def mzv_partial_identity(n: int, p: int) -> tuple[Fraction, Fraction]:
     lhs = sum over m = 0..n of the order-m multiple sum of N**(-p) on [1, n],
     all orders from one Newton pass over the power sums
     (sum_of_multiple_sums, O(n^2) exact steps, no tuples); rhs =
-    prod_{N=1}^{n} (1 + N**(-p)), multiplied out directly. Exact rationals;
-    equality is the caller's check.
+    prod_{N=1}^{n} (1 + N**(-p)), multiplied out directly as the one
+    Fraction prod (N^p + 1) / prod N^p. Exact rationals; equality is the
+    caller's check.
     """
     if not 1 <= n <= MZV_PARTIAL_MAX_N:
         raise ValueError(f"n must be in [1, {MZV_PARTIAL_MAX_N}]")
     if p < 1:
         raise ValueError("p must be >= 1")
     lhs = sum_of_multiple_sums(IndexPower(-p), 1, n)
-    rhs = Fraction(1)
-    for N in range(1, n + 1):
-        rhs *= 1 + Fraction(1, N**p)
-    return lhs, rhs
+    powers = [N**p for N in range(1, n + 1)]
+    return lhs, Fraction(math.prod(power + 1 for power in powers), math.prod(powers))
 
 
 def mzv_limit_trend(exponents: Sequence[int], n: int) -> list[str]:

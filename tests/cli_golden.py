@@ -8,7 +8,8 @@ specs (mixed denominators, zeros, negatives, a window of several hundred
 distinct denominators, empty windows), Faulhaber sums up to p = 40, the
 repeated even zeta values for p = 1..4 with and without `--numeric` (up to
 depth 128 and the Bernoulli index cap at (128, 2)), the
-shipped zeta table, the root identities, and all nine identities at the
+shipped zeta table, the root identities (also on the 400 roots i/(i+1),
+expanded and differentiated 200 times), and all nine identities at the
 acceptance suite's sweep ranges (criterion 10), with fixed explicit specs
 for the sequence-bearing identities and one explicit phi per phi-taking
 identity, and three sweeps whose last point breaks a cap (the binomial
@@ -20,6 +21,10 @@ the CLI, to rewrite the records or to check an installed console script:
     python tests/cli_golden.py multisums | cmp - tests/data/cli_golden.jsonl
 
 `tests/test_cli_golden.py` replays the same records in process.
+
+A line added to LINES has its record written by the code as it stands
+before the change that the line pins, so the record is the old behaviour
+the change must keep, not the output of the change itself.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ BASED = _spec({"kind": "explicit", "base": 0, "values": [2, "-1/3", 3, "5/7", -2
 ZEROS = _spec({"kind": "explicit", "values": [0, 0, "1/3", 0, "-2/9", 0]})
 BRIDGE_SPEC = json.dumps({"kind": "explicit", "values": [1, "-1/2", 3, "2/5", -2, "7/3", "1/4"]})
 PRODUCT_SPEC = json.dumps({"kind": "explicit", "base": 0, "values": [2, "-1/3", 3, "5/7", -2, "1/2", 4, "-3/5", 5]})
+WIDE_ROOTS = ",".join(f"{i}/{i + 1}" for i in range(1, 401))  # 400 distinct denominators
 
 
 def _eval(spec: str, m: int, q: int, n: int, method: str) -> list[str]:
@@ -92,6 +98,8 @@ LINES = [
     *(["poly", "check-derivative-mean", "--roots", roots, "--k", str(k)] for roots, k in [
         ("1,2,3", 1), ("1,2,3", 2), ("1/2,-3,0,5/7,2", 3), ("5,-1/3,-1/3,4/9,7,-2/11", 4), ("2,5", 1),
     ]),
+    ["poly", "vieta", f"--roots={WIDE_ROOTS}", "--m", "2"],
+    ["poly", "check-derivative-mean", f"--roots={WIDE_ROOTS}", "--k", "200"],
     ["verify", "LEMMA_3_1", "--sweep", "m=0..12", "--json"],
     ["verify", "STIRLING_ALTERNATING", "--sweep", "m=0..12", "--json"],
     ["verify", "LEMMA_3_2", "--sweep", "m=0..6", "--json"],

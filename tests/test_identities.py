@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multisums.core import ExplicitSequence, IndexPower
+from multisums.core import ExplicitSequence, IndexPower, eval_sequence
 from multisums import identities
 from multisums.identities import IdentityId, verify, verify_sweep
 from multisums.partitions import _walk_rows, enumerate_partitions, parity_partition_sums, partition_sum
@@ -78,6 +78,17 @@ def test_binomial_partition_cap():
             verify(IdentityId.BINOMIAL_PARTITION, {"n": n, "m": m})
 
 
+def test_even_odd_n_cap():
+    cap = identities.BINOMIAL_MAX
+    assert verify(IdentityId.EVEN_ODD_N, {"n": cap, "m": 7}).equal
+    for n, m in ((cap + 1, 3), (10**100, 0)):
+        with pytest.raises(ValueError, match=f"^n={n} exceeds the EVEN_ODD_N cap {cap}$"):
+            verify(IdentityId.EVEN_ODD_N, {"n": n, "m": m})
+    # n is refused before the order cap is read
+    with pytest.raises(ValueError, match="EVEN_ODD_N cap"):
+        verify(IdentityId.EVEN_ODD_N, {"n": cap + 1, "m": 51})
+
+
 def test_product_identity_window_cap():
     cap = identities.PRODUCT_MAX_WINDOW
     assert verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": 1, "n": cap}).equal
@@ -95,6 +106,23 @@ def test_product_identity():
     assert report.equal and report.lhs == Fraction(1, 2) * -3 * Fraction(2, 7)
     with pytest.raises(ValueError):
         verify(IdentityId.PRODUCT_IDENTITY, {"spec": N, "q": 3, "n": 2})
+
+
+@pytest.mark.parametrize(
+    ("spec", "q", "n", "outside", "message"),
+    [
+        (IndexPower(-1), 0, 4, 0, "index 0 is not valid for a negative exponent"),
+        (ExplicitSequence([2, 3, 5], base=1), 0, 2, 0, r"index 0 outside explicit range \[1, 3\]"),
+        (ExplicitSequence([2, 3, 5], base=1), 2, 5, 4, r"index 4 outside explicit range \[1, 3\]"),
+    ],
+    ids=["index_zero", "below_explicit", "past_explicit"],
+)
+def test_product_identity_refuses_a_window_outside_the_sequence(spec, q, n, outside, message):
+    # the message eval_sequence gives at the window's first index outside the sequence
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eval_sequence(spec, outside)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify(IdentityId.PRODUCT_IDENTITY, {"spec": spec, "q": q, "n": n})
 
 
 def test_recurrent_bridge_order_cap():
@@ -333,7 +361,7 @@ def test_sweep_partition_budget_is_inclusive(identity, ranges, base, visited, mo
     [
         (IdentityId.LEMMA_3_1, {"m": range(51)}),
         (IdentityId.EVEN_ODD_WEIGHTS, {"m": range(51)}),
-        (IdentityId.EVEN_ODD_N, {"n": [0, 1, 10**6], "m": range(51)}),
+        (IdentityId.EVEN_ODD_N, {"n": [0, 1, identities.BINOMIAL_MAX], "m": range(51)}),
     ],
     ids=["lemma_3_1", "even_odd_weights", "even_odd_n"],
 )
@@ -405,8 +433,9 @@ def test_admission_counts_the_terms_the_walk_forms():
         (IdentityId.RECURRENT_BRIDGE, {"n": range(26, 29)}, {"spec": N, "m": 6, "q": 1}, r"C\(33, 6\) tuples"),
         (IdentityId.RECURRENT_BRIDGE, {"m": range(8), "n": [8]}, {"spec": N, "q": 1}, "m=7 exceeds brute-force cap 6"),
         (IdentityId.STIRLING_ALTERNATING, {"m": range(1998, 2002)}, {}, "m=2001 exceeds the STIRLING_ALTERNATING"),
+        (IdentityId.EVEN_ODD_N, {"n": range(1999, 2002), "m": [50]}, {}, "^n=2001 exceeds the EVEN_ODD_N cap 2000$"),
     ],
-    ids=["binomial_max", "product_window", "bridge_tuples", "bridge_order", "stirling_max"],
+    ids=["binomial_max", "product_window", "bridge_tuples", "bridge_order", "stirling_max", "even_odd_n_max"],
 )
 def test_sweep_refuses_its_last_point_before_any_check(identity, ranges, base, message, monkeypatch):
     # every earlier point is admitted, and would run for seconds if its check ran first

@@ -43,6 +43,10 @@ def test_faulhaber_matches_direct_sums():
             if n:
                 running += Fraction(n) ** p
             assert faulhaber(n, p) == running
+    # every p the Bernoulli index cap admits, at n <= 3
+    for p in range(BERNOULLI_MAX_INDEX + 1):
+        for n in range(4):
+            assert faulhaber(n, p) == sum(N**p for N in range(1, n + 1)), (n, p)
 
 
 def test_faulhaber_matches_sympy_past_the_acceptance_ranges():
@@ -152,6 +156,12 @@ def test_mzv_partial_identity_values():
         for n in range(1, 13):
             lhs, rhs = mzv_partial_identity(n, p)
             assert lhs == rhs
+    for p in range(1, 7):
+        for n in (1, 2, 7, 30, MZV_PARTIAL_MAX_N):
+            product = Fraction(1)
+            for N in range(1, n + 1):
+                product *= 1 + Fraction(1, N**p)
+            assert mzv_partial_identity(n, p)[1] == product
     # prod (1 + 1/N) telescopes to n + 1
     assert mzv_partial_identity(MZV_PARTIAL_MAX_N, 1) == (MZV_PARTIAL_MAX_N + 1, MZV_PARTIAL_MAX_N + 1)
     with pytest.raises(ValueError):
