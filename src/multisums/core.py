@@ -58,6 +58,7 @@ from .exact_arith import (
     RationalLike,
     _as_exact,
     _as_rational,
+    _int_text,
     _is_int,
     _pair_power_sums,
     _Record,
@@ -153,7 +154,8 @@ def _read(spec: SequenceSpec, q: int, n: int) -> Iterator[tuple[int, int]]:
         return iter(())
     if start < 0 or stop > count:
         index = q if not 0 <= start < count else spec.base + count
-        raise ValueError(f"index {index} outside explicit range [{spec.base}, {spec.base + count - 1}]")
+        low, high = _int_text(spec.base), _int_text(spec.base + count - 1)
+        raise ValueError(f"index {_int_text(index)} outside explicit range [{low}, {high}]")
     return ((v.numerator, v.denominator) for v in spec.values[start:stop])
 
 
@@ -193,6 +195,13 @@ def sequence_spec_from_json(data: object) -> SequenceSpec:
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
+def _check_window(m: int, q: int) -> None:
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if q < 0:
+        raise ValueError("q must be >= 0")
+
+
 class SumProblem(_Record):
     """An order-m multiple sum: one spec per position, window [q, n].
 
@@ -206,19 +215,11 @@ class SumProblem(_Record):
         _set(self, "specs", tuple(specs))
         _set(self, "q", q)
         _set(self, "n", n)
-        if q < 0:
-            raise ValueError("q must be >= 0")
+        _check_window(self.m, q)
 
     @property
     def m(self) -> int:
         return len(self.specs)
-
-
-def _check_window(m: int, q: int) -> None:
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
 
 
 def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
@@ -235,14 +236,15 @@ def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
     if count > BRUTE_MAX_TUPLES:
         # orderings is m! for a symmetrized sum; past 20! it reads {m}!, as its digits
         # soon pass the default limit on printing an int
-        factor = orderings if m <= 20 else f"{m}!"
+        factor = orderings if m <= 20 else f"{_int_text(m)}!"
         times = f"{factor} x " if orderings > 1 else ""
-        raise ValueError(f"brute force over {times}C({width}, {m}) tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
+        tuples = f"C({_int_text(width)}, {_int_text(m)})"
+        raise ValueError(f"brute force over {times}{tuples} tuples exceeds the cap of {BRUTE_MAX_TUPLES}")
 
 
 def _check_brute_order(m: int) -> None:
     if m > BRUTE_MAX_M:
-        raise ValueError(f"m={m} exceeds brute-force cap {BRUTE_MAX_M}")
+        raise ValueError(f"m={_int_text(m)} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
 def _offset_sum(m: int, width: int, read_tables: Callable[[], list[list[tuple[int, int]]]]) -> Fraction:
@@ -329,20 +331,14 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     recurrence gives e_m of the window as the integer E_m, and the one
     Fraction built is E_m / L ** m. Agrees with brute_multiple_sum on
     identical specs and with elementary_from_power_sums on power_sums,
-    including the degenerate window cases (empty window gives 0 for m >= 1,
-    and m = 0 gives 1).
+    including the degenerate window cases (m = 0 gives 1, and a window
+    shorter than m gives 0 before any value is read, as brute force does).
     """
     _check_window(m, q)
+    if m > max(n - q + 1, 0):
+        return Fraction(0)
     elementary, scale = _scaled_elementary(_read(spec, q, n), m)
     return Fraction(elementary[m], scale**m)
-
-
-def _leading_product(specs: Sequence[SequenceSpec], m: int, n: int, k: int) -> Fraction:
-    # prod_{j=0}^{m-k-1} a_{(m-j); n+1-j}; empty when k == m.
-    product = Fraction(1)
-    for j in range(m - k):
-        product *= eval_sequence(specs[m - j - 1], n + 1 - j)
-    return product
 
 
 def variation_expand(problem: SumProblem, cutoff: int) -> Fraction:
@@ -351,20 +347,21 @@ def variation_expand(problem: SumProblem, cutoff: int) -> Fraction:
     sum_{k=cutoff+1}^{m} (leading product to order k) * P_{k,q,n-m+k}
       + (leading product to order cutoff) * P_{cutoff,q,n-m+cutoff+1}
 
-    cutoff = m collapses to P_{m,q,n+1} itself. Meaningful for windows
-    satisfying n >= q + m - 1; explicit sequences must cover [q, n+1].
+    The leading product to order k is prod_{j=k+1}^{m} a_{(j); n-m+j+1},
+    empty at k = m; k walks from m down to the cutoff, and each step
+    multiplies the running product by one factor. cutoff = m collapses to
+    P_{m,q,n+1} itself. Meaningful for windows satisfying n >= q + m - 1;
+    explicit sequences must cover [q, n+1].
     """
     m, q, n = problem.m, problem.q, problem.n
     if not 0 <= cutoff <= m:
         raise ValueError("cutoff must be in [0, m]")
     specs = problem.specs
-    total = Fraction(0)
-    for k in range(cutoff + 1, m + 1):
-        inner = brute_multiple_sum(SumProblem(specs[:k], q, n - m + k))
-        total += _leading_product(specs, m, n, k) * inner
-    last = brute_multiple_sum(SumProblem(specs[:cutoff], q, n - m + cutoff + 1))
-    total += _leading_product(specs, m, n, cutoff) * last
-    return total
+    total, leading = Fraction(0), Fraction(1)
+    for k in range(m, cutoff, -1):
+        total += leading * brute_multiple_sum(SumProblem(specs[:k], q, n - m + k))
+        leading *= eval_sequence(specs[k - 1], n - m + k + 1)
+    return total + leading * brute_multiple_sum(SumProblem(specs[:cutoff], q, n - m + cutoff + 1))
 
 
 def variation_recursive(problem: SumProblem, cutoff: int) -> Fraction:
@@ -395,8 +392,7 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
     """
     specs = tuple(specs)
     m = len(specs)
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _check_window(m, q)
     if m == 0:
         return Fraction(1)
     if n - q + 1 < m:
@@ -415,8 +411,7 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
     """
     specs = tuple(specs)
     m = len(specs)
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _check_window(m, q)
     if m > SET_PARTITION_MAX_M:
         raise ValueError(f"set-partition reduction capped at m = {SET_PARTITION_MAX_M}")
     if m == 0:

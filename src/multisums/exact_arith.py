@@ -96,6 +96,15 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_text(value: int) -> str:
+    """str(value) for a refusal message, or "<b-bit integer>" where the interpreter's limit on
+    int-to-string conversion refuses to print it (4300 digits by default), so the refusal is raised."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 def _as_rational(value: RationalLike) -> Fraction:
     """value as a Fraction. Only Fraction, int and str are taken.
 
@@ -349,7 +358,7 @@ def pi_poly_numeric(value: PiPolynomial, digits: int) -> str:
     checks only; 1 <= digits <= NUMERIC_MAX_DIGITS.
     """
     if not 1 <= digits <= NUMERIC_MAX_DIGITS:
-        raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {digits}")
+        raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {_int_text(digits)}")
     exponent, coeff = value.exponent, value.coefficient
     if not coeff:
         return "0"

@@ -15,10 +15,10 @@ listed, and then runs the admission. The admission checks every parameter
 that bounds the check's work, refusing one past a cap with ValueError, and
 returns the number of partition terms the report walks itself, which the
 sweep budget counts; a side that reads its order's kept walk counts 0, as
-the order cap bounds those walks per process. :func:`verify` and
-:func:`verify_sweep` admit every report before any check runs, so a check
-reads its parameters as admitted. The identities taking "phi" are those
-whose parameter names include it.
+the order cap bounds those walks per process. :func:`verify_sweep` admits
+every report before any check runs, so a check reads its parameters as
+admitted, and :func:`verify` is its sweep of one point. The identities
+taking "phi" are those whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
 partition-weighted identities but RECURRENT_BRIDGE share one weight,
@@ -69,7 +69,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import _is_int, _Record, _set, rational_to_str, stirling_first_unsigned
+from .exact_arith import _int_text, _is_int, _Record, _set, rational_to_str, stirling_first_unsigned
 from .partitions import _check_order, _walk_rows, enumerate_partitions, parity_partition_sums, partition_count
 
 __all__ = [
@@ -156,7 +156,7 @@ def _side_to_json(side: Side):
 def _params_to_json(params: Mapping) -> dict:
     out = {}
     for key, value in params.items():
-        if key == "spec" and not isinstance(value, (int, str)):
+        if key == "spec":
             out[key] = sequence_spec_to_json(value)
         elif isinstance(value, tuple):
             out[key] = list(value)
@@ -275,7 +275,7 @@ def _filtered(params: Mapping, sign: int) -> tuple[int, tuple[int, ...], tuple, 
     """(m, phi, (even, odd), (top, bottom), d) of a binomial-filtered partition sum, sign = +-1 per part.
 
     m is admitted, and phi, if given, is a vector of length m that
-    :func:`verify` or :func:`verify_sweep` has checked; it defaults to 0.
+    :func:`verify_sweep` has checked; it defaults to 0.
     (even, odd) are the sums over the partitions with an even and an odd
     number of parts, read from the order's kept walk at phi = 0 and from
     a walk of phi's own rows otherwise. The weight's product over phi's
@@ -338,10 +338,8 @@ def _lemma_3_2(params: Mapping) -> Checked:
 def _stirling_alternating(params: Mapping) -> Checked:
     """Alternating row sums of the first-kind triangle vanish past m = 1."""
     m = params["m"]
-    lhs = Fraction(0)
-    for k in range(m + 1):
-        term = Fraction(stirling_first_unsigned(m, k))
-        lhs += -term if k % 2 else term
+    row = [stirling_first_unsigned(m, k) for k in range(m + 1)]
+    lhs = Fraction(sum(row[0::2]) - sum(row[1::2]))
     rhs = Fraction((-1 if m % 2 else 1) * math.factorial(m)) if m <= 1 else Fraction(0)
     return {"m": m}, lhs, rhs, ""
 
@@ -445,7 +443,7 @@ def _admit_even_odd_n(params: Mapping) -> int:
     """n up to BINOMIAL_MAX, as the output grows with its digits; then the walk's admission."""
     n = params["n"]
     if n > BINOMIAL_MAX:
-        raise ValueError(f"n={n} exceeds the EVEN_ODD_N cap {BINOMIAL_MAX}")
+        raise ValueError(f"n={_int_text(n)} exceeds the EVEN_ODD_N cap {BINOMIAL_MAX}")
     return _admit_walk(params)
 
 
@@ -453,7 +451,7 @@ def _admit_stirling(params: Mapping) -> int:
     """m up to STIRLING_MAX_M; no side sums over partitions."""
     m = params["m"]
     if m > STIRLING_MAX_M:
-        raise ValueError(f"m={m} exceeds the STIRLING_ALTERNATING cap {STIRLING_MAX_M}")
+        raise ValueError(f"m={_int_text(m)} exceeds the STIRLING_ALTERNATING cap {STIRLING_MAX_M}")
     return 0
 
 
@@ -461,7 +459,8 @@ def _admit_binomial(params: Mapping) -> int:
     """m and n up to BINOMIAL_MAX; no side sums over partitions."""
     m, n = params["m"], params["n"]
     if max(n, m) > BINOMIAL_MAX:
-        raise ValueError(f"n={n}, m={m}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
+        text = f"n={_int_text(n)}, m={_int_text(m)}"
+        raise ValueError(f"{text}: BINOMIAL_PARTITION takes n and m up to {BINOMIAL_MAX}")
     return 0
 
 
@@ -471,7 +470,8 @@ def _admit_product(params: Mapping) -> int:
     if n < q:
         raise ValueError("need n >= q")
     if n - q + 1 > PRODUCT_MAX_WINDOW:
-        raise ValueError(f"window of {n - q + 1} terms exceeds the PRODUCT_IDENTITY cap {PRODUCT_MAX_WINDOW}")
+        window = _int_text(n - q + 1)
+        raise ValueError(f"window of {window} terms exceeds the PRODUCT_IDENTITY cap {PRODUCT_MAX_WINDOW}")
     return 0
 
 
@@ -507,24 +507,17 @@ _REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...],
 
 
 def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
-    """Run one identity check with the given parameters.
+    """Run one identity check with the given parameters: the one-point :func:`verify_sweep`.
 
-    A parameter the identity does not take, or one past the identity's caps,
-    raises ValueError before the check runs rather than being ignored.
+    For the identities taking phi, phi defaults to () and so is checked at
+    0, where a sweep without phi would expand every phi. A parameter the
+    identity does not take, or one past the identity's caps, raises
+    ValueError before the check runs rather than being ignored.
     """
     identity = IdentityId(identity)
-    _check_names(identity, params)
-    params = _with_phi(identity, params)
-    _admit(identity, params)
-    return _report(identity, params)
-
-
-def _check_names(identity: IdentityId, params: Mapping) -> None:
-    """Refuses a parameter the identity does not take."""
-    parameters = _REGISTRY[identity][1]
-    unknown = sorted(set(params) - set(parameters))
-    if unknown:
-        raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
+    if "phi" in _REGISTRY[identity][1]:
+        params = {"phi": (), **params}
+    return verify_sweep(identity, {}, params)[0]
 
 
 def _with_phi(identity: IdentityId, params: Mapping) -> Mapping:
@@ -551,6 +544,13 @@ def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
 
 
+def _count_values(values: Sequence[int]) -> int:
+    """len(values), counted by arithmetic for a range, whose len() raises OverflowError past sys.maxsize."""
+    if isinstance(values, range):
+        return max(0, -((values.start - values.stop) // values.step))
+    return len(values)
+
+
 def verify_sweep(
     identity: IdentityId,
     ranges: Mapping[str, Sequence[int]],
@@ -564,16 +564,16 @@ def verify_sweep(
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
     SWEEP_MAX_POINTS reports are allowed. The parameters of every report are
     built and admitted before any check runs, so a parameter past a cap at
-    the last point is refused, with the message :func:`verify` gives,
-    before any report runs; pass ``range`` objects so a refused grid costs
-    nothing either.
+    the last point is refused before any report runs; pass ``range``
+    objects so a refused grid costs nothing either. A range's points are
+    counted by arithmetic, so one longer than sys.maxsize is refused too.
     The partition terms the reports walk themselves, as their admissions
     count them, may sum to at most SWEEP_MAX_PARTITIONS: p(m - r) for a
     report at order m whose phi != 0 is a partition of r, p(m) for a
     RECURRENT_BRIDGE report, and 0 for the sides that read the one kept
     walk of their order (phi = 0, LEMMA_3_2's restricted side,
     LEMMA_3_1, EVEN_ODD_WEIGHTS and EVEN_ODD_N). Every report then runs
-    through the one check path of :func:`verify`.
+    through one check path; :func:`verify` is the sweep of one point.
     """
     identity = IdentityId(identity)
     parameters = _REGISTRY[identity][1]
@@ -581,17 +581,18 @@ def verify_sweep(
     unknown = sorted(set(ranges) - swept)
     if unknown:
         raise ValueError(f"{identity.value} sweeps only {sorted(swept)}, not {unknown}")
-    points = math.prod(len(values) for values in ranges.values())
+    points = math.prod(map(_count_values, ranges.values()))
     if points > SWEEP_MAX_POINTS:
-        raise ValueError(f"sweep of {points} points exceeds the cap {SWEEP_MAX_POINTS}")
+        raise ValueError(f"sweep of {_int_text(points)} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})
     grid = [dict(base, **dict(zip(ranges, combo))) for combo in cartesian_product(*ranges.values())]
-    if grid:
-        _check_names(identity, grid[0])  # every point has the same names
+    unknown = sorted(set(grid[0]) - set(parameters)) if grid else []  # every point has the same names
+    if unknown:
+        raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
     if "phi" in parameters and "phi" not in base:
         reports = []
         for params in grid:
-            # each phi is a partition of r <= m padded to length m, as verify pads it; they are
+            # each phi is a partition of r <= m padded to length m, as _with_phi pads it; they are
             # counted first, as the count stops at the cap long before a large m is padded
             m = _require_int(params, "m")
             sizes = accumulate(map(partition_count, range(m + 1)), initial=len(reports))

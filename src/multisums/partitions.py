@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .exact_arith import RationalLike, _as_exact, _as_rational
+from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text
 
 __all__ = [
     "enumerate_partitions",
@@ -75,7 +75,7 @@ def _check_order(m: int) -> None:
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > PARTITION_LIST_MAX_M:
-        raise ValueError(f"m={m} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
+        raise ValueError(f"m={_int_text(m)} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
 
 
 def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
@@ -256,7 +256,7 @@ def _check_newton(m: int, count: int) -> None:
     if m < 0:
         raise ValueError("m must be >= 0")
     if count < m:
-        raise ValueError(f"need at least {m} values, got {count}")
+        raise ValueError(f"need at least {_int_text(m)} values, got {count}")
 
 
 def _newton(p: list[Fraction | int]) -> list[Fraction | int]:
@@ -307,7 +307,7 @@ def partition_count(m: int) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > PARTITION_COUNT_MAX_M:
-        raise ValueError(f"m={m} exceeds the partition count cap {PARTITION_COUNT_MAX_M}")
+        raise ValueError(f"m={_int_text(m)} exceeds the partition count cap {PARTITION_COUNT_MAX_M}")
     counts = _pcounts
     if len(counts) <= m:
         counts = list(counts)

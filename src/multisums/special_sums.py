@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import IndexPower, elementary_from_power_sums
-from .exact_arith import PiPolynomial, bernoulli
+from .exact_arith import PiPolynomial, _int_text, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
 
@@ -55,10 +55,14 @@ MZV_PARTIAL_MAX_N = 60  # n^2 Newton steps on power sums of N^-p, rationals of t
 BERNOULLI_MAX_INDEX = 512
 
 
-def _check_bernoulli_index(j: int, what: str) -> None:
-    """Refuses a call that needs B_j past BERNOULLI_MAX_INDEX, before the tangent table grows."""
+def _check_bernoulli_index(j: int, **inputs: int) -> None:
+    """Refuses a call that needs B_j past BERNOULLI_MAX_INDEX, before the tangent table grows.
+
+    The message names the call's inputs, given by keyword in their order.
+    """
     if j > BERNOULLI_MAX_INDEX:
-        raise ValueError(f"{what} needs B_{j}, past the Bernoulli index cap {BERNOULLI_MAX_INDEX}")
+        what = ", ".join(f"{name}={_int_text(value)}" for name, value in inputs.items())
+        raise ValueError(f"{what} needs B_{_int_text(j)}, past the Bernoulli index cap {BERNOULLI_MAX_INDEX}")
 
 
 def faulhaber(n: int, p: int) -> Fraction:
@@ -73,7 +77,7 @@ def faulhaber(n: int, p: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if p < 0:
         raise ValueError("p must be >= 0")
-    _check_bernoulli_index(p, f"p={p}")
+    _check_bernoulli_index(p, p=p)
     numbers = [bernoulli(j) for j in range(p + 1)]
     den = math.lcm(*(b.denominator for b in numbers))
     total, binomial = 0, 1  # binomial = C(p+1, j)
@@ -97,7 +101,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
         raise ValueError("need n >= m")
     if p < 0:
         raise ValueError("p must be >= 0")
-    _check_bernoulli_index(m * p, f"m={m}, p={p}")
+    _check_bernoulli_index(m * p, m=m, p=p)
     return Fraction(elementary_from_power_sums([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
 
 
@@ -175,7 +179,7 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_bernoulli_index(2 * m * p, f"m={m}, p={p}")
+    _check_bernoulli_index(2 * m * p, m=m, p=p)
     weights = [bernoulli(2 * i * p) / (2 * math.factorial(2 * i * p)) for i in range(1, m + 1)]
     return newton_coefficients(weights, m)[m]
 

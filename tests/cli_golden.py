@@ -1,26 +1,38 @@
-"""Writes the golden records of the computing subcommands, one JSON line per command line.
+"""Writes the golden CLI records of one record set, one JSON line per command line.
 
 Each record holds the argv after the program name, the exit code and the
-stdout of one call of `multisum eval`, `special faulhaber`, `special mzv`,
-`special zeta-table`, `poly vieta`, `poly check-derivative-mean` or
-`verify --json`. The lines cover the reduction on index-power and explicit
-specs (mixed denominators, zeros, negatives, a window of several hundred
-distinct denominators, empty windows), Faulhaber sums up to p = 40, the
-repeated even zeta values for p = 1..4 with and without `--numeric` (up to
-depth 128 and the Bernoulli index cap at (128, 2)), the
-shipped zeta table, the root identities (also on the 400 roots i/(i+1),
-expanded and differentiated 200 times), and all nine identities at the
-acceptance suite's sweep ranges (criterion 10), with fixed explicit specs
-for the sequence-bearing identities and one explicit phi per phi-taking
-identity, and three sweeps whose last point breaks a cap (the binomial
-bound, the product window, the bridge's tuple count), each refused with
-exit 2. Run it from the repository root with the command that starts
-the CLI, to rewrite the records or to check an installed console script:
+stdout of one call of the CLI. There are two record sets, each named after
+its data file under `tests/data`:
 
-    PYTHONPATH=src python tests/cli_golden.py python -m multisums > tests/data/cli_golden.jsonl
-    python tests/cli_golden.py multisums | cmp - tests/data/cli_golden.jsonl
+- `cli_golden`: one call of `multisum eval`, `special faulhaber`, `special
+  mzv`, `special zeta-table`, `poly vieta`, `poly check-derivative-mean` or
+  `verify --json` per line of LINES. The lines cover the reduction on
+  index-power and explicit specs (mixed denominators, zeros, negatives, a
+  window of several hundred distinct denominators, empty windows),
+  Faulhaber sums up to p = 40, the repeated even zeta values for p = 1..4
+  with and without `--numeric` (up to depth 128 and the Bernoulli index cap
+  at (128, 2)), the shipped zeta table, the root identities (also on the
+  400 roots i/(i+1), expanded and differentiated 200 times), and all nine
+  identities at the acceptance suite's sweep ranges (criterion 10), with
+  fixed explicit specs for the sequence-bearing identities and one
+  explicit phi per phi-taking identity, and three sweeps whose last point
+  breaks a cap (the binomial bound, the product window, the bridge's tuple
+  count), each refused with exit 2.
+- `cli_workload_golden`: every line of the `cli` workload of
+  `perfbench/workloads.py` for seeds 1 to 4, 40 lines a seed, a tenth of
+  them malformed, so 160 records in all, each led by its seed. The
+  workload file is read as it stands, and nothing under `perfbench/` is
+  changed or imported as a package.
 
-`tests/test_cli_golden.py` replays the same records in process.
+Run it from the repository root with the record set's name and the command
+that starts the CLI, to rewrite the records or to check an installed
+console script:
+
+    PYTHONPATH=src python tests/cli_golden.py cli_golden python -m multisums > tests/data/cli_golden.jsonl
+    python tests/cli_golden.py cli_golden multisums | cmp - tests/data/cli_golden.jsonl
+    python tests/cli_golden.py cli_workload_golden multisums | cmp - tests/data/cli_workload_golden.jsonl
+
+`tests/test_cli_golden.py` replays both record sets in process.
 
 A line added to LINES has its record written by the code as it stands
 before the change that the line pins, so the record is the old behaviour
@@ -30,8 +42,10 @@ the change must keep, not the output of the change itself.
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 
 def _spec(data: dict) -> str:
@@ -121,13 +135,29 @@ LINES = [
 ]
 
 
-def main(command: list[str]) -> None:
-    for argv in LINES:
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SEEDS = (1, 2, 3, 4)
+
+
+def _workload_lines() -> list[tuple[dict, list[str]]]:
+    make_ops = runpy.run_path(str(WORKLOADS))["make_ops"]
+    return [({"seed": seed}, op["argv"]) for seed in SEEDS for op in make_ops("cli", seed)]
+
+
+# record set name -> its (leading fields, argv) pairs, in record order
+RECORD_SETS = {
+    "cli_golden": lambda: [({}, argv) for argv in LINES],
+    "cli_workload_golden": _workload_lines,
+}
+
+
+def main(name: str, command: list[str]) -> None:
+    for fields, argv in RECORD_SETS[name]():
         done = subprocess.run(command + argv, capture_output=True, text=True, check=False)
-        print(json.dumps({"argv": argv, "exit": done.returncode, "stdout": done.stdout}))
+        print(json.dumps({**fields, "argv": argv, "exit": done.returncode, "stdout": done.stdout}))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit("usage: cli_golden.py COMMAND...")
-    main(sys.argv[1:])
+    if len(sys.argv) < 3 or sys.argv[1] not in RECORD_SETS:
+        sys.exit(f"usage: cli_golden.py {'|'.join(RECORD_SETS)} COMMAND...")
+    main(sys.argv[1], sys.argv[2:])

@@ -211,6 +211,28 @@ def test_verify_malformed_sweep_exits_2(capsys, identity, sweep):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("identity,sweep", [("LEMMA_3_1", "m=0..100000000000000000000"),
+                                            ("BINOMIAL_PARTITION", "n=0..100000000000000000000,m=1")],
+                         ids=["LEMMA_3_1-m", "BINOMIAL_PARTITION-n"])
+def test_verify_sweep_longer_than_maxsize_exits_2(capsys, identity, sweep):
+    code, out, err = run_main(capsys, ["verify", identity, "--sweep", sweep])
+    assert code == 2
+    assert json.loads(out) == {"error": "sweep of 100000000000000000001 points exceeds the cap 10000"}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent,m,q,n,method", [(-1, 5, 0, 2, "reduce"), (-1, 5, 0, 2, "both"),
+                                                   (1, 10**20, 1, 3, "reduce")],
+                         ids=["index_0-reduce", "index_0-both", "huge_order"])
+def test_multisum_order_past_the_window_is_zero(capsys, exponent, m, q, n, method):
+    spec = json.dumps({"kind": "index_power", "exponent": exponent})
+    argv = ["multisum", "eval", "--spec", spec, "--m", str(m), "--q", str(q), "--n", str(n), "--method", method]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    expected = {"reduced": "0/1"} if method == "reduce" else {"brute": "0/1", "reduced": "0/1", "equal": True}
+    assert json.loads(out) == expected
+
+
 BRIDGE = ["verify", "RECURRENT_BRIDGE", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "8"]
 
 

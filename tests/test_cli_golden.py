@@ -1,7 +1,10 @@
-"""Stdout and exit code of the computing subcommands and `verify --json`, against the golden records.
+"""Stdout and exit code of CLI command lines against the golden records of both record sets.
 
-The records come from `tests/cli_golden.py`; see its docstring to
-regenerate them or to replay them through an installed console script.
+`cli_golden.jsonl` holds the computing subcommands and `verify --json`,
+and `cli_workload_golden.jsonl` every line of the benchmark's `cli`
+workload for seeds 1 to 4. Both come from `tests/cli_golden.py`; see its
+docstring to regenerate them or to replay them through an installed
+console script. The test reads only the data files.
 """
 
 import json
@@ -11,22 +14,32 @@ import pytest
 
 from multisums.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"
-RECORDS = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+DATA = Path(__file__).parent / "data"
+RECORDS = {
+    name: [json.loads(line) for line in (DATA / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
+    for name in ("cli_golden", "cli_workload_golden")
+}
 
 
 def _label(arg: str) -> str:
     if not arg.startswith("{"):
         return arg
     spec = json.loads(arg)
-    return f"N^{spec['exponent']}" if spec["kind"] == "index_power" else f"explicit{spec['values'][:3]}"
+    if "exponent" in spec:
+        return f"N^{spec['exponent']}"
+    return f"explicit{spec['values'][:3]}" if "values" in spec else spec.get("kind", "spec")
 
 
 def _record_id(record: dict) -> str:
-    return " ".join(_label(a) for a in record["argv"] if not a.startswith("--"))
+    words = " ".join(_label(a) for a in record["argv"] if not a.startswith("--"))
+    return f"seed{record['seed']} {words}" if "seed" in record else words
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+def test_workload_records_cover_four_seeds_of_forty_lines():
+    assert [r["seed"] for r in RECORDS["cli_workload_golden"]] == [seed for seed in (1, 2, 3, 4) for _ in range(40)]
+
+
+@pytest.mark.parametrize("record", [*RECORDS["cli_golden"], *RECORDS["cli_workload_golden"]], ids=_record_id)
 def test_cli_output_matches_golden(capsys, record):
     code = main(record["argv"])
     out = capsys.readouterr().out

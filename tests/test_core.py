@@ -331,6 +331,19 @@ def test_reduce_equals_brute_property(values, m):
     assert reduce_multiple_sum(spec, m, 1, n) == brute_multiple_sum(SumProblem((spec,) * m, 1, n))
 
 
+@given(st.one_of(st.integers(min_value=-3, max_value=3).map(IndexPower),
+                 st.builds(ExplicitSequence, explicit_values, st.integers(min_value=-2, max_value=4))),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=-3, max_value=6),
+       st.integers(min_value=1, max_value=6))
+def test_reduce_past_the_window_is_zero_as_brute_force(spec, q, width, excess):
+    # an order past the window reads no value, as brute force reads none: index 0 of a
+    # negative power and indices outside an explicit range are not refused there
+    n = q + width - 1
+    m = max(width, 0) + excess
+    assert reduce_multiple_sum(spec, m, q, n) == brute_multiple_sum(SumProblem((spec,) * m, q, n)) == 0
+    assert reduce_multiple_sum(spec, m + 10**20, q, n) == 0
+
+
 @given(explicit_values)
 def test_full_window_reduction_is_plain_product(values):
     spec = ExplicitSequence(values, base=1)

@@ -315,6 +315,23 @@ def test_sweep_cap_counts_grid_points():
         verify_sweep(IdentityId.BINOMIAL_PARTITION, {"n": range(200), "m": range(200)})
 
 
+@pytest.mark.parametrize("values", [range(10**20 + 1), range(10**20, -1, -1), range(0, 2 * 10**20 + 1, 2)],
+                         ids=["ascending", "descending", "step_2"])
+def test_sweep_cap_counts_ranges_longer_than_maxsize(values):
+    # len() of such a range raises OverflowError; its points are counted by arithmetic
+    with pytest.raises(ValueError, match=r"^sweep of 100000000000000000001 points exceeds the cap 10000$"):
+        verify_sweep(IdentityId.LEMMA_3_1, {"m": values})
+    with pytest.raises(ValueError, match=r"^sweep of 100000000000000000001 points exceeds the cap 10000$"):
+        verify_sweep(IdentityId.BINOMIAL_PARTITION, {"m": range(1), "n": values})
+
+
+@pytest.mark.parametrize("values", [range(5), range(2, 9, 3), range(9, 2, -3), range(7, 0, -1), range(3, 4, 5)])
+def test_sweep_cap_counts_range_points_as_len(values, monkeypatch):
+    monkeypatch.setattr(identities, "SWEEP_MAX_POINTS", 0)
+    with pytest.raises(ValueError, match=rf"^sweep of {len(values)} points exceeds the cap 0$"):
+        verify_sweep(IdentityId.LEMMA_3_1, {"m": values})
+
+
 @pytest.mark.parametrize("identity", [IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM])
 def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
