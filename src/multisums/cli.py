@@ -44,7 +44,7 @@ from .core import (
     reduce_multiple_sum,
     sequence_spec_from_json,
 )
-from .exact_arith import PiPolynomial, _Record, _set, pi_poly_numeric, rational_from_str, rational_to_str
+from .exact_arith import PiPolynomial, _integer, _Record, _set, pi_poly_numeric, rational_from_str, rational_to_str
 from .identities import IdentityId, verify, verify_sweep
 from .partitions import enumerate_partitions, partition_count
 from .polynomials import coeff_ratio_from_roots, mean_root_ratio, poly_derivative, poly_from_roots
@@ -195,8 +195,7 @@ def _cmd_partitions(args) -> CommandOutcome:
 
 
 def _cmd_multisum(args) -> CommandOutcome:
-    if args.m < 0:
-        raise ValueError("m must be >= 0")
+    _integer("m", args.m)
     spec = sequence_spec_from_json(_parse_spec(args.spec))
     payload: dict[str, object] = {}
     if args.method in ("brute", "both"):

@@ -13,6 +13,9 @@ values as (numerator, denominator) int pairs, and ``eval_sequence`` is its
 one-index read. An ordered sum reads each position only where a tuple can
 put it: position j of ``brute_multiple_sum`` (from 0) on [q + j, n - m + 1 + j],
 so specs that are each defined on their own position's range sum as well.
+Orders, window bounds and indices are read once per call by the integer
+reader of :mod:`multisums.exact_arith`: m and q must be ints >= 0 and n
+an int (an empty window, n < q, is allowed), none of them a bool.
 
 Routes come in independent pairs so each can act as the other's oracle:
 
@@ -59,6 +62,7 @@ from .exact_arith import (
     _as_exact,
     _as_rational,
     _int_text,
+    _integer,
     _is_int,
     _pair_power_sums,
     _Record,
@@ -96,13 +100,6 @@ BRUTE_MAX_TUPLES = 10**6  # tuples one brute-force call may enumerate
 BRUTE_MAX_M = 6
 
 
-def _spec_int(name: str, value: object) -> int:
-    """value, if it is an int and not a bool; ValueError naming the spec field otherwise."""
-    if not _is_int(value):
-        raise ValueError(f"sequence {name!r} must be an integer, got {value!r}")
-    return value
-
-
 class ExplicitSequence(_Record):
     """A finite sequence of rationals; values[k] sits at index base + k.
 
@@ -115,7 +112,7 @@ class ExplicitSequence(_Record):
     __slots__ = ("values", "base")
 
     def __init__(self, values: Iterable[RationalLike], base: int = 1) -> None:
-        base = _spec_int("base", base)
+        base = _integer("sequence 'base'", base, None)
         _set(self, "values", tuple([_as_rational(v) for v in values]))
         _set(self, "base", base)
 
@@ -126,7 +123,7 @@ class IndexPower(_Record):
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: int) -> None:
-        _set(self, "exponent", _spec_int("exponent", exponent))
+        _set(self, "exponent", _integer("sequence 'exponent'", exponent, None))
 
 
 SequenceSpec = Union[ExplicitSequence, IndexPower]
@@ -165,6 +162,7 @@ def eval_sequence(spec: SequenceSpec, index: int) -> Fraction:
     Raises ValueError outside an explicit sequence's range and at index 0
     for a negative power.
     """
+    index = _integer("index", index, None)
     return Fraction(*next(_read(spec, index, index)))
 
 
@@ -195,11 +193,11 @@ def sequence_spec_from_json(data: object) -> SequenceSpec:
     raise ValueError(f"unknown sequence kind: {kind!r}")
 
 
-def _check_window(m: int, q: int) -> None:
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if q < 0:
-        raise ValueError("q must be >= 0")
+def _check_window(m: int, q: int, n: int) -> None:
+    """Reads an order m >= 0 and a window [q, n], q >= 0; an empty window (n < q) is allowed."""
+    _integer("m", m)
+    _integer("q", q)
+    _integer("n", n, None)
 
 
 class SumProblem(_Record):
@@ -215,7 +213,7 @@ class SumProblem(_Record):
         _set(self, "specs", tuple(specs))
         _set(self, "q", q)
         _set(self, "n", n)
-        _check_window(self.m, q)
+        _check_window(self.m, q, n)
 
     @property
     def m(self) -> int:
@@ -224,15 +222,18 @@ class SumProblem(_Record):
 
 def _check_tuple_count(width: int, m: int, orderings: int = 1) -> None:
     # orderings * comb(width, m) tuples, counted before anything is evaluated as
-    # the running product orderings * C(width - m + i, i), i = 0..m. It never
-    # decreases, so the count stops at the first partial product past the cap.
+    # the running product orderings * C(width - k + i, i), i = 0..k, over the
+    # smaller side k = min(m, width - m), as C(width, m) = C(width, k). It never
+    # decreases, so the count stops at the first partial product past the cap,
+    # and at most k steps are taken: none for a single tuple at width = m.
     if width < m:
         return  # comb(width, m) = 0
+    k = min(m, width - m)
     count = orderings
-    for i in range(1, m + 1):
+    for i in range(1, k + 1):
         if count > BRUTE_MAX_TUPLES:
             break
-        count = count * (width - m + i) // i
+        count = count * (width - k + i) // i
     if count > BRUTE_MAX_TUPLES:
         # orderings is m! for a symmetrized sum; past 20! it reads {m}!, as its digits
         # soon pass the default limit on printing an int
@@ -280,7 +281,7 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     one table of [q, n]. Refuses windows of more than BRUTE_MAX_TUPLES tuples
     (C(n-q+m, m)) before any value is read.
     """
-    _check_window(m, q)
+    _check_window(m, q, n)
     if m == 0:
         return Fraction(1)
     if n < q:
@@ -295,7 +296,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     an index outside the sequence's domain raises either way; an empty
     window gives zeros.
     """
-    _check_window(m, q)
+    _check_window(m, q, n)
     sums, scale = _pair_power_sums(_read(spec, q, n), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
@@ -334,7 +335,7 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     including the degenerate window cases (m = 0 gives 1, and a window
     shorter than m gives 0 before any value is read, as brute force does).
     """
-    _check_window(m, q)
+    _check_window(m, q, n)
     if m > max(n - q + 1, 0):
         return Fraction(0)
     elementary, scale = _scaled_elementary(_read(spec, q, n), m)
@@ -354,7 +355,7 @@ def variation_expand(problem: SumProblem, cutoff: int) -> Fraction:
     explicit sequences must cover [q, n+1].
     """
     m, q, n = problem.m, problem.q, problem.n
-    if not 0 <= cutoff <= m:
+    if not _is_int(cutoff) or not 0 <= cutoff <= m:
         raise ValueError("cutoff must be in [0, m]")
     specs = problem.specs
     total, leading = Fraction(0), Fraction(1)
@@ -371,7 +372,7 @@ def variation_recursive(problem: SumProblem, cutoff: int) -> Fraction:
     X_k = a_{(k); n-m+k+1} * X_{k-1} + P_{k,q,n-m+k};  answer X_m.
     """
     m, q, n = problem.m, problem.q, problem.n
-    if not 0 <= cutoff <= m:
+    if not _is_int(cutoff) or not 0 <= cutoff <= m:
         raise ValueError("cutoff must be in [0, m]")
     specs = problem.specs
     acc = brute_multiple_sum(SumProblem(specs[:cutoff], q, n - m + cutoff + 1))
@@ -392,7 +393,7 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
     """
     specs = tuple(specs)
     m = len(specs)
-    _check_window(m, q)
+    _check_window(m, q, n)
     if m == 0:
         return Fraction(1)
     if n - q + 1 < m:
@@ -411,7 +412,7 @@ def reduce_symmetrized(specs: Sequence[SequenceSpec], q: int, n: int) -> Fractio
     """
     specs = tuple(specs)
     m = len(specs)
-    _check_window(m, q)
+    _check_window(m, q, n)
     if m > SET_PARTITION_MAX_M:
         raise ValueError(f"set-partition reduction capped at m = {SET_PARTITION_MAX_M}")
     if m == 0:

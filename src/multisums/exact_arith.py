@@ -6,13 +6,18 @@ positive denominator), and inputs become rationals only from ``Fraction``,
 ``int`` or string values: a float or a bool is refused with ValueError
 rather than read as the binary fraction it stores. Strings have one grammar,
 that of :func:`rational_from_str` (``"num/den"`` or an integer), so a
-decimal string such as ``"0.1"`` is refused too. One block kernel here sums
-many rationals exactly, as integer power sums over one scale, with no
-Fraction built per term: the power sums of a window, the tuple products of
-brute-force multiple sums (over tables of int pairs, as core's one window
-reader gives them) and the set-partition block sums all run on it;
-partition sums have their own walk in :mod:`multisums.partitions`.
-Bernoulli numbers come from a table of tangent numbers, integers built by
+decimal string such as ``"0.1"`` is refused too. Integer arguments have one
+reader, the private ``_integer``: every public entry point of the package
+reads its orders, window bounds, exponents and indices through it once per
+call, so a bool, a float or a string is refused with ValueError naming the
+argument, never read as a number or left to fail in a kernel.
+
+One block kernel here sums many rationals exactly, as integer power sums
+over one scale, with no Fraction built per term: the power sums of a
+window, the tuple products of brute-force multiple sums (over tables of int
+pairs, as core's one window reader gives them) and the set-partition block
+sums all run on it; partition sums have their own walk in
+:mod:`multisums.partitions`. Bernoulli numbers come from a table of tangent numbers, integers built by
 additions only. A :class:`PiPolynomial` is the record of one term c pi^e,
 and zero is 0 pi^0. Decimal arithmetic appears only inside
 :func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
@@ -96,11 +101,25 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(name: str, value: object, low: int | None = 0) -> int:
+    """value, if it is an int, not a bool, and at least low (None: no bound); ValueError naming it otherwise.
+
+    The one reader of an integer argument at the package's public entry
+    points, run once per call before any work. A plain int is let through
+    on its class alone, which halves the reader's cost on the common path.
+    """
+    if value.__class__ is not int and not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def _int_text(value: int) -> str:
-    """str(value) for a refusal message, or "<b-bit integer>" where the interpreter's limit on
+    """repr(value) for a refusal message, or "<b-bit integer>" where the interpreter's limit on
     int-to-string conversion refuses to print it (4300 digits by default), so the refusal is raised."""
     try:
-        return str(value)
+        return repr(value)
     except ValueError:
         return f"<{value.bit_length()}-bit integer>"
 
@@ -252,9 +271,7 @@ def bernoulli(j: int) -> Fraction:
     demand, and kept in a table.
     """
     global _zigzag
-    if j < 0:
-        raise ValueError("bernoulli requires j >= 0")
-    if j < 2:
+    if _integer("j", j) < 2:
         return Fraction(1) if j == 0 else Fraction(-1, 2)
     if j % 2:
         return Fraction(0)
@@ -276,26 +293,31 @@ def bernoulli(j: int) -> Fraction:
 _stirling_row: tuple[int, ...] = (1,)
 
 
-def stirling_first_unsigned(m: int, r: int) -> int:
-    """Unsigned Stirling number of the first kind [m, r].
+def _stirling(m: int) -> tuple[int, ...]:
+    """The row [m, 0..m] of the unsigned first-kind triangle, m >= 0 already read.
 
-    Counts permutations of m elements with r cycles. Triangular recurrence
-    [m, r] = (m-1) [m-1, r] + [m-1, r-1] with [0, 0] = 1, applied row by
-    row from the bottom up, so no recursion deepens with m; out-of-range r
-    gives 0.
+    Triangular recurrence [m, r] = (m-1) [m-1, r] + [m-1, r-1] with
+    [0, 0] = 1, applied row by row from the bottom up, so no recursion
+    deepens with m.
     """
     global _stirling_row
-    if m < 0:
-        raise ValueError("stirling_first_unsigned requires m >= 0")
-    if r < 0 or r > m:
-        return 0
     row = _stirling_row
     if len(row) > m + 1:
         row = (1,)
     for k in range(len(row) - 1, m):
         row = tuple([k * a + b for a, b in zip(row + (0,), (0,) + row)])
     _stirling_row = row
-    return row[r]
+    return row
+
+
+def stirling_first_unsigned(m: int, r: int) -> int:
+    """Unsigned Stirling number of the first kind [m, r].
+
+    Counts permutations of m elements with r cycles: entry r of the
+    triangle's row m, built by recurrence; out-of-range r gives 0.
+    """
+    m, r = _integer("m", m), _integer("r", r, None)
+    return _stirling(m)[r] if 0 <= r <= m else 0
 
 
 class PiPolynomial(_Record):
@@ -357,7 +379,7 @@ def pi_poly_numeric(value: PiPolynomial, digits: int) -> str:
     top of the request and rounded once, half to even. Display and trend
     checks only; 1 <= digits <= NUMERIC_MAX_DIGITS.
     """
-    if not 1 <= digits <= NUMERIC_MAX_DIGITS:
+    if not _is_int(digits) or not 1 <= digits <= NUMERIC_MAX_DIGITS:
         raise ValueError(f"numeric digits must be in [1, {NUMERIC_MAX_DIGITS}], got {_int_text(digits)}")
     exponent, coeff = value.exponent, value.coefficient
     if not coeff:

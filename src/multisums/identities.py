@@ -9,10 +9,10 @@ Registry keys are opaque stable strings (the CLI wire format). The registry
 is one table: per identity, a check returning (params, lhs, rhs, note), the
 parameter names it takes, and its admission. Every rule on an identity's
 parameters lives here, the caps included, so the CLI applies none of its
-own. One reader, ``_admit``, checks that each integer parameter (every name
-but "spec" and "phi") is an integer >= 0, in the order the names are
-listed, and then runs the admission. The admission checks every parameter
-that bounds the check's work, refusing one past a cap with ValueError, and
+own. One reader, ``_admit``, reads each integer parameter (every name but
+"spec" and "phi") as an integer >= 0 through the package's one integer
+reader, in the order the names are listed, and then runs the admission.
+The admission checks every parameter that bounds the check's work, refusing one past a cap with ValueError, and
 returns the number of partition terms the report walks itself, which the
 sweep budget counts; a side that reads its order's kept walk counts 0, as
 the order cap bounds those walks per process. :func:`verify_sweep` admits
@@ -69,7 +69,7 @@ from .core import (
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
-from .exact_arith import _int_text, _is_int, _Record, _set, rational_to_str, stirling_first_unsigned
+from .exact_arith import _int_text, _integer, _is_int, _Record, _set, _stirling, rational_to_str
 from .partitions import _check_order, _walk_rows, enumerate_partitions, parity_partition_sums, partition_count
 
 __all__ = [
@@ -187,12 +187,7 @@ def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
 def _require_int(params: Mapping, key: str) -> int:
     if key not in params:
         raise ValueError(f"missing parameter {key!r}")
-    value = params[key]
-    if not _is_int(value):
-        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"parameter {key!r} must be >= 0")
-    return value
+    return _integer(f"parameter {key!r}", params[key])
 
 
 def _require_spec(params: Mapping) -> SequenceSpec:
@@ -338,7 +333,7 @@ def _lemma_3_2(params: Mapping) -> Checked:
 def _stirling_alternating(params: Mapping) -> Checked:
     """Alternating row sums of the first-kind triangle vanish past m = 1."""
     m = params["m"]
-    row = [stirling_first_unsigned(m, k) for k in range(m + 1)]
+    row = _stirling(m)
     lhs = Fraction(sum(row[0::2]) - sum(row[1::2]))
     rhs = Fraction((-1 if m % 2 else 1) * math.factorial(m)) if m <= 1 else Fraction(0)
     return {"m": m}, lhs, rhs, ""

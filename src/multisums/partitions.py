@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text
+from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text, _integer, _is_int
 
 __all__ = [
     "enumerate_partitions",
@@ -72,9 +72,7 @@ PARTITION_COUNT_MAX_M = 10_000
 
 def _check_order(m: int) -> None:
     """Refuses an order no partition enumeration or walk takes."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > PARTITION_LIST_MAX_M:
+    if _integer("m", m) > PARTITION_LIST_MAX_M:
         raise ValueError(f"m={_int_text(m)} exceeds the partition enumeration cap {PARTITION_LIST_MAX_M}")
 
 
@@ -252,10 +250,8 @@ def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | in
 
 
 def _check_newton(m: int, count: int) -> None:
-    """Refuses a negative order, or fewer than m values."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if count < m:
+    """Refuses an order that is not an integer >= 0, or fewer than m values."""
+    if count < _integer("m", m):
         raise ValueError(f"need at least {_int_text(m)} values, got {count}")
 
 
@@ -304,9 +300,7 @@ def partition_count(m: int) -> int:
     PARTITION_COUNT_MAX_M are refused with ValueError before any is computed.
     """
     global _pcounts
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > PARTITION_COUNT_MAX_M:
+    if _integer("m", m) > PARTITION_COUNT_MAX_M:
         raise ValueError(f"m={_int_text(m)} exceeds the partition count cap {PARTITION_COUNT_MAX_M}")
     counts = _pcounts
     if len(counts) <= m:
@@ -332,7 +326,7 @@ def partition_count(m: int) -> int:
 
 def enumerate_set_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All Bell(m) set partitions of {1, ..., m}, 1 <= m <= 8, as block tuples in canonical order."""
-    if not 1 <= m <= SET_PARTITION_MAX_M:
+    if not _is_int(m) or not 1 <= m <= SET_PARTITION_MAX_M:
         raise ValueError(f"m must be in [1, {SET_PARTITION_MAX_M}]")
     partitions: list[list[list[int]]] = [[[1]]]
     for element in range(2, m + 1):

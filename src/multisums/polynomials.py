@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ExplicitSequence, SequenceSpec, _check_window, _read, _scaled_elementary
-from .exact_arith import RationalLike, _as_rational, _Record, _set
+from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _Record, _set
 
 __all__ = [
     "Polynomial",
@@ -81,7 +81,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     (-1)^m e_m(roots) = (-1)^m E_m / L^m.
     """
     roots = [_as_rational(r) for r in roots]
-    if not 0 <= m <= len(roots):
+    if not _is_int(m) or not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
     elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), m)
     return Fraction(-elementary[m] if m % 2 else elementary[m], scale**m)
@@ -93,8 +93,7 @@ def poly_derivative(poly: Polynomial, k: int = 1) -> Polynomial:
     One pass: coefficient i >= k times the falling factorial i!/(i-k)!
     becomes coefficient i - k.
     """
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    k = _integer("derivative order", k)
     return Polynomial([c * math.perm(i, k) for i, c in enumerate(poly.coeffs[k:], start=k)])
 
 
@@ -143,8 +142,8 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
     prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1 that is (n+1)!.
     Callers check the product form.
     """
+    _check_window(0, q, n)  # the orders 0..top all follow from the window
     top = max(n - q + 1, 0)
-    _check_window(top, q)
     elementary, scale = _scaled_elementary(_read(spec, q, n), top)
     total = 0
     for e_m in elementary:  # Horner in the scale

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import IndexPower, elementary_from_power_sums
-from .exact_arith import PiPolynomial, _int_text, bernoulli
+from .exact_arith import PiPolynomial, _int_text, _integer, _is_int, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
 
@@ -73,10 +73,7 @@ def faulhaber(n: int, p: int) -> Fraction:
     Horner in n, and the one Fraction total n / (D (p+1)). p above
     BERNOULLI_MAX_INDEX is refused with ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    n, p = _integer("n", n), _integer("p", p)
     _check_bernoulli_index(p, p=p)
     numbers = [bernoulli(j) for j in range(p + 1)]
     den = math.lcm(*(b.denominator for b in numbers))
@@ -95,12 +92,10 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
     scale 1 (e_m of the integers N^p); no tuples are enumerated.
     Requires 0 <= m <= n and m p <= BERNOULLI_MAX_INDEX.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m, n = _integer("m", m), _integer("n", n, None)
     if n < m:
         raise ValueError("need n >= m")
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    p = _integer("p", p)
     _check_bernoulli_index(m * p, m=m, p=p)
     return Fraction(elementary_from_power_sums([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
 
@@ -110,7 +105,7 @@ def stirling_via_multiple_sum(m: int, n: int) -> int:
 
     Cross-route for the recurrence table; always an exact integer.
     """
-    if not 0 <= m <= n:
+    if not (_is_int(m) and _is_int(n)) or not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     value = multiple_power_sum(m, n, 1)
     if value.denominator != 1:
@@ -123,8 +118,7 @@ def zeta_even(p: int) -> PiPolynomial:
 
     (-1)^(p+1) (2 pi)^(2p) B_{2p} / (2 (2p)!).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer("p", p, 1)
     coeff = Fraction(2) ** (2 * p) * bernoulli(2 * p) / (2 * math.factorial(2 * p))
     if p % 2 == 0:
         coeff = -coeff
@@ -155,8 +149,7 @@ def mzv_closed_form(m: int, p: int) -> PiPolynomial:
     p=2: 2 * 2^(2m) * pi^(4m) / (4m+2)!
     p=3: 6 * (2 pi)^(6m) / (6m+3)!
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m, p = _integer("m", m), _integer("p", p, None)
     if p == 1:
         return PiPolynomial(2 * m, Fraction(1, math.factorial(2 * m + 1)))
     if p == 2:
@@ -175,10 +168,7 @@ def bernoulli_partition_sum(m: int, p: int) -> Fraction:
     p=2, and 6/(6m+3)! at p=3; callers check those forms. 2mp above
     BERNOULLI_MAX_INDEX is refused with ValueError.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    m, p = _integer("m", m), _integer("p", p, 1)
     _check_bernoulli_index(2 * m * p, m=m, p=p)
     weights = [bernoulli(2 * i * p) / (2 * math.factorial(2 * i * p)) for i in range(1, m + 1)]
     return newton_coefficients(weights, m)[m]
@@ -194,10 +184,9 @@ def mzv_partial_identity(n: int, p: int) -> tuple[Fraction, Fraction]:
     Fraction prod (N^p + 1) / prod N^p. Exact rationals; equality is the
     caller's check.
     """
-    if not 1 <= n <= MZV_PARTIAL_MAX_N:
+    if not _is_int(n) or not 1 <= n <= MZV_PARTIAL_MAX_N:
         raise ValueError(f"n must be in [1, {MZV_PARTIAL_MAX_N}]")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer("p", p, 1)
     lhs = sum_of_multiple_sums(IndexPower(-p), 1, n)
     powers = [N**p for N in range(1, n + 1)]
     return lhs, Fraction(math.prod(power + 1 for power in powers), math.prod(powers))
@@ -210,8 +199,7 @@ def mzv_limit_trend(exponents: Sequence[int], n: int) -> list[str]:
     display only. Computed stably as 2 |expm1(sum log1p(N**-p))| over
     N >= 2, since the N = 1 factor is exactly 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     out = []
     for p in exponents:
         if p < 2:

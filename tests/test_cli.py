@@ -292,6 +292,16 @@ def test_verify_stirling_high_order_in_fresh_process():
     assert "Traceback" not in done.stderr
 
 
+def test_verify_bridge_at_a_huge_order_on_one_tuple_is_refused_in_time():
+    # width = m: one tuple, counted without a step per order, then the order cap refuses
+    env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}
+    argv = [sys.executable, "-m", "multisums", "verify", "RECURRENT_BRIDGE", "--spec",
+            '{"kind":"index_power","exponent":1}', "--m", "100000000000", "--q", "1", "--n", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout) == {"error": "m=100000000000 exceeds brute-force cap 6"}
+
+
 def test_verify_lemma_3_1_at_the_order_cap_in_fresh_process():
     # p(50) = 204 226 partitions, the largest order a partition sum takes
     env = {**os.environ, "PYTHONPATH": str(Path(multisums.__file__).parents[1])}

@@ -142,6 +142,21 @@ def test_brute_tuple_guard_stops_counting_at_the_cap():
     assert time.perf_counter() - started < 1.0
 
 
+def test_brute_tuple_guard_counts_the_smaller_side():
+    # C(width, m) is counted as C(width, min(m, width - m)): a single tuple at width = m takes no
+    # step, so an order of 10**7 reaches the order cap at once; the refusal still prints C(width, m)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^m=10000000 exceeds brute-force cap 6$"):
+        verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 10**7, "q": 1, "n": 1})
+    with pytest.raises(ValueError, match=r"^brute force over C\(1000001, 1000000\) tuples exceeds the cap"):
+        core._check_tuple_count(10**6 + 1, 10**6)
+    core._check_tuple_count(10**6, 10**6 - 1)  # C(10**6, 1) is the cap itself
+    core._check_tuple_count(9, 8, factorial(8))  # 8! x C(9, 1) orderings and tuples
+    with pytest.raises(ValueError, match=r"^brute force over 362880 x C\(10, 9\) tuples exceeds the cap"):
+        core._check_tuple_count(10, 9, factorial(9))
+    assert time.perf_counter() - started < 1.0
+
+
 def test_recurrent_frozen_values():
     assert brute_recurrent_sum(N, 2, 1, 3) == 25
     assert brute_recurrent_sum(N, 0, 1, 3) == 1

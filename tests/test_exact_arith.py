@@ -102,6 +102,7 @@ def test_stirling_first_values():
     assert stirling_first_unsigned(6, 6) == 1
     assert stirling_first_unsigned(3, 0) == 0
     assert stirling_first_unsigned(2, 5) == 0
+    assert stirling_first_unsigned(2, -1) == 0
 
 
 def test_stirling_matches_rising_factorial_coefficients():

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -43,8 +44,8 @@ def _cli_error(*argv: str) -> None:
     (lambda: special_sums.stirling_via_multiple_sum(4, 3), "need 0 <= m <= n"),
     (lambda: special_sums.mzv_closed_form(-1, 1), "m must be >= 0"),
     (lambda: special_sums.mzv_partial_identity(3, 0), "p must be >= 1"),
-    (lambda: exact_arith.bernoulli(-1), "bernoulli requires j >= 0"),
-    (lambda: exact_arith.stirling_first_unsigned(-1, 0), "stirling_first_unsigned requires m >= 0"),
+    (lambda: exact_arith.bernoulli(-1), "j must be >= 0"),
+    (lambda: exact_arith.stirling_first_unsigned(-1, 0), "m must be >= 0"),
     (lambda: _cli_error("selftest", "--jobs", "0"), "--jobs must be >= 1"),
     (lambda: _cli_error("verify", "LEMMA_3_1", "--sweep", ","), "sweep string is empty"),
     (lambda: _cli_error("multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--m", "2",
@@ -57,6 +58,128 @@ def _cli_error(*argv: str) -> None:
 def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as refused:
         call()
+    assert str(refused.value) == message
+
+
+# Valid keyword arguments of every public callable with an int-annotated parameter; the boundary
+# table below replaces one of those integers at a time.
+_P = core.SumProblem((N, N), 1, 3)
+VALID = {
+    "ExplicitSequence": {"values": [1, 2], "base": 1},
+    "IndexPower": {"exponent": 1},
+    "SumProblem": {"specs": (N, N), "q": 1, "n": 3},
+    "eval_sequence": {"spec": N, "index": 2},
+    "brute_recurrent_sum": {"spec": N, "m": 2, "q": 1, "n": 3},
+    "power_sums": {"spec": N, "q": 1, "n": 3, "m": 2},
+    "reduce_multiple_sum": {"spec": N, "m": 2, "q": 1, "n": 3},
+    "elementary_from_power_sums": {"sums": [6, 14, 36], "m": 2},
+    "variation_expand": {"problem": _P, "cutoff": 1},
+    "variation_recursive": {"problem": _P, "cutoff": 1},
+    "symmetrized_multiple_sum": {"specs": (N, N), "q": 1, "n": 3},
+    "reduce_symmetrized": {"specs": (N, N), "q": 1, "n": 3},
+    "bernoulli": {"j": 2},
+    "stirling_first_unsigned": {"m": 3, "r": 2},
+    "PiPolynomial": {"exponent": 2, "coefficient": 1},
+    "pi_poly_numeric": {"value": exact_arith.PiPolynomial(2, 1), "digits": 5},
+    "enumerate_partitions": {"m": 3},
+    "partition_sum": {"m": 3, "weight": lambda i, k: 1},
+    "parity_partition_sums": {"m": 3, "weight": lambda i, k: 1},
+    "newton_coefficients": {"p": [1, 2, 3], "m": 2},
+    "partition_count": {"m": 3},
+    "enumerate_set_partitions": {"m": 2},
+    "coeff_ratio_from_roots": {"roots": [1, 2], "m": 1},
+    "poly_derivative": {"poly": polynomials.Polynomial([1, 2, 3]), "k": 1},
+    "sum_of_multiple_sums": {"spec": N, "q": 1, "n": 3},
+    "faulhaber": {"n": 3, "p": 2},
+    "multiple_power_sum": {"m": 2, "n": 3, "p": 1},
+    "stirling_via_multiple_sum": {"m": 2, "n": 3},
+    "zeta_even": {"p": 1},
+    "mzv_even_reduced": {"m": 2, "p": 1},
+    "mzv_closed_form": {"m": 2, "p": 1},
+    "bernoulli_partition_sum": {"m": 2, "p": 1},
+    "mzv_partial_identity": {"n": 3, "p": 2},
+    "mzv_limit_trend": {"exponents": [2], "n": 3},
+}
+# the name the integer reader gives a parameter, where it is not the parameter's own
+READER_NAMES = {
+    ("ExplicitSequence", "base"): "sequence 'base'",
+    ("IndexPower", "exponent"): "sequence 'exponent'",
+    ("poly_derivative", "k"): "derivative order",
+}
+# parameters refused with their own range message instead of the reader's
+RANGE_MESSAGES = {
+    ("variation_expand", "cutoff"): "cutoff must be in [0, m]",
+    ("variation_recursive", "cutoff"): "cutoff must be in [0, m]",
+    ("PiPolynomial", "exponent"): "pi exponent must be an integer >= 0, got {value!r}",
+    ("pi_poly_numeric", "digits"): "numeric digits must be in [1, 1000], got {value!r}",
+    ("enumerate_set_partitions", "m"): "m must be in [1, 8]",
+    ("coeff_ratio_from_roots", "m"): "m must be in [0, number of roots]",
+    ("stirling_via_multiple_sum", "m"): "need 0 <= m <= n",
+    ("stirling_via_multiple_sum", "n"): "need 0 <= m <= n",
+    ("mzv_partial_identity", "n"): "n must be in [1, 60]",
+}
+BAD_INTEGERS = (True, 2.0, "2")
+
+
+def _int_parameters() -> list[tuple[str, str]]:
+    """(callable, parameter) for every parameter annotated int of every public callable."""
+    pairs = []
+    for name in multisums.__all__:
+        obj = getattr(multisums, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            pairs += [(name, p.name) for p in inspect.signature(obj).parameters.values() if p.annotation == "int"]
+    return pairs
+
+
+def test_every_public_integer_parameter_is_in_the_boundary_table():
+    table = {(name, parameter) for name, arguments in VALID.items() for parameter in arguments}
+    missing = [pair for pair in _int_parameters() if pair not in table]
+    assert missing == []
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name,parameter", _int_parameters(), ids=lambda v: v)
+def test_a_public_integer_parameter_refuses_a_bool_a_float_and_a_string(name, parameter, value):
+    assert getattr(multisums, name)(**VALID[name]) is not None  # the valid call returns a value
+    message = RANGE_MESSAGES.get((name, parameter))
+    if message is None:
+        message = f"{READER_NAMES.get((name, parameter), parameter)} must be an integer, got {{value!r}}"
+    with pytest.raises(ValueError) as refused:
+        getattr(multisums, name)(**dict(VALID[name], **{parameter: value}))
+    assert str(refused.value) == message.format(value=value)
+
+
+IDENTITY_PARAMS = {
+    IdentityId.LEMMA_3_1: {"m": 2},
+    IdentityId.LEMMA_3_2: {"m": 2},
+    IdentityId.STIRLING_ALTERNATING: {"m": 2},
+    IdentityId.BINOMIAL_PARTITION: {"m": 2, "n": 3},
+    IdentityId.PRODUCT_IDENTITY: {"spec": N, "q": 1, "n": 3},
+    IdentityId.RECURRENT_BRIDGE: {"spec": N, "m": 2, "q": 1, "n": 3},
+    IdentityId.EVEN_ODD_WEIGHTS: {"m": 2},
+    IdentityId.EVEN_ODD_BINOM: {"m": 2},
+    IdentityId.EVEN_ODD_N: {"m": 2, "n": 3},
+}
+
+
+def test_every_identity_and_integer_parameter_is_in_the_boundary_table():
+    assert set(IDENTITY_PARAMS) == set(IdentityId)
+    for identity, params in IDENTITY_PARAMS.items():
+        assert set(params) == set(identities._REGISTRY[identity][1]) - {"phi"}
+        assert verify(identity, params).equal
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("identity,key", [
+    (identity, key) for identity, params in IDENTITY_PARAMS.items() for key in params if key != "spec"
+], ids=lambda v: getattr(v, "value", v))
+def test_an_identity_integer_parameter_refuses_a_bool_a_float_and_a_string(identity, key, value):
+    message = f"parameter {key!r} must be an integer, got {value!r}"
+    with pytest.raises(ValueError) as refused:
+        verify(identity, dict(IDENTITY_PARAMS[identity], **{key: value}))
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        identities.verify_sweep(identity, {key: [value]}, {k: v for k, v in IDENTITY_PARAMS[identity].items() if k != key})
     assert str(refused.value) == message
 
 
