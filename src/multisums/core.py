@@ -20,26 +20,37 @@ an int (an empty window, n < q, is allowed), none of them a bool.
 Routes come in independent pairs so each can act as the other's oracle:
 
 * ``brute_multiple_sum``        direct tuple enumeration, as weakly increasing offsets
-* ``reduce_multiple_sum``       power sums reduced by Newton's recurrence,
-                                O(m^2) (single sequence); the paper's partition
-                                formula, ``partitions.partition_sum``, is its
-                                oracle in the tests and the acceptance suite
+* ``reduce_multiple_sum``       e_m of one sequence's window by Viete's truncated
+                                product, O(n m), or by power sums reduced with
+                                Newton's recurrence, O(m^2), one written rule
+                                (``_takes_product``) picking; brute force and the
+                                paper's partition formula, ``partitions.partition_sum``,
+                                are its oracles in the tests and the acceptance suite
 * ``brute_recurrent_sum``       weakly increasing tuples, the same enumeration
 * ``symmetrized_multiple_sum``  all m! spec orderings, one enumeration
 * ``reduce_symmetrized``        set-partition reduction of the same total
-* ``variation_*``               window-extension expansions of P `(m, q, n+1)`
+* ``variation_*``               window-extension expansions of P `(m, q, n+1)`, their
+                                inner sums from one table of the variation lemma,
+                                O(m n); brute force is their oracle
 
 One block kernel of :mod:`multisums.exact_arith` sums the window's power
 sums, the brute routes' tuple products and the block sums of
 ``reduce_symmetrized``: terms are int pairs, summed as integers over the lcm
 of each block's denominators, and the blocks merge into integer power sums
-T_1..T_m over one scale L, S_i = T_i / L^i. The window reductions
-(``reduce_multiple_sum`` here, and the root and all-order sums of
-:mod:`multisums.polynomials`) keep those integers: they are the power sums
-of the integers num L / den, so Newton's recurrence runs on integers alone
-and e_k of the window is E_k / L^k, one ``Fraction`` per value read. One
+T_1..T_m over one scale L, S_i = T_i / L^i. The Newton route of the
+window reductions keeps those integers: they are the power sums of the
+integers num L / den, so Newton's recurrence runs on integers alone and
+e_k of the window is E_k / L^k, one ``Fraction`` per value read. One
 private helper, ``_scaled_elementary``, runs the kernel and the one signed
-Newton wrapper, ``elementary_from_power_sums``, for all of them.
+Newton wrapper, ``elementary_from_power_sums``, for ``reduce_multiple_sum``,
+``PRODUCT_IDENTITY``'s left side and the root and all-order sums of
+:mod:`multisums.polynomials`. ``reduce_multiple_sum`` takes Viete's product
+of exact_arith instead, prod (den + num t) truncated at degree m, when
+bits(prod den) < m bits(L): its integers grow to about bits(prod den), while
+Newton's grow to m bits(L). The rule reads L off the kernel's tree of block
+scales, which the Newton route then takes, so no lcm is computed twice. The
+other callers of ``_scaled_elementary`` are checked against a direct
+product, so they never take the product route.
 ``power_sums`` returns the m ``Fraction``s S_i. The partition
 formula does not use the kernel (it sums over one common denominator, see
 :mod:`multisums.partitions`). The brute routes refuse, with ValueError and
@@ -52,9 +63,10 @@ also capped at ``BRUTE_MAX_M``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from math import factorial
+from itertools import accumulate, combinations_with_replacement, permutations
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact_arith import (
@@ -66,8 +78,11 @@ from .exact_arith import (
     _is_int,
     _pair_power_sums,
     _Record,
+    _scale_tree,
     _set,
+    _Tree,
     _tuple_sum,
+    _viete,
     rational_to_str,
 )
 from .partitions import SET_PARTITION_MAX_M, _check_newton, _newton, enumerate_set_partitions
@@ -297,6 +312,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     window gives zeros.
     """
     _check_window(m, q, n)
+    _check_list_order(m)
     sums, scale = _pair_power_sums(_read(spec, q, n), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
@@ -314,71 +330,133 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     return _newton([-s if i % 2 else s for i, s in enumerate(map(_as_exact, sums[:m]))])
 
 
-def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:
+def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
     """(E, L): e_k of the values num / den of the int pairs is E[k] / L ** k for k = 0..m.
 
-    The block kernel of exact_arith gives the power sums as integers over one
-    scale L, and Newton's recurrence runs on those integers alone.
+    The Newton route: the block kernel of exact_arith gives the power sums
+    as integers over one scale L, and Newton's recurrence runs on those
+    integers alone. ``tree``, the pairs' _scale_tree, is handed to the
+    kernel in their place, so no lcm is computed twice.
     """
-    sums, scale = _pair_power_sums(pairs, m)
+    sums, scale = _pair_power_sums(pairs, m, tree)
     return elementary_from_power_sums(sums, m), scale
 
 
-def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
-    """Order-m multiple sum of one sequence via power sums, no enumeration.
+def _takes_product(tree: _Tree, m: int) -> bool:
+    """The rule of reduce_multiple_sum: Viete's product when bits(prod den) < m bits(L).
 
-    O(n - q + 1) window terms and O(m^2) recurrence steps, all on integers:
-    the window's power sums stay integers over one scale L, Newton's
-    recurrence gives e_m of the window as the integer E_m, and the one
-    Fraction built is E_m / L ** m. Agrees with brute_multiple_sum on
-    identical specs and with elementary_from_power_sums on power_sums,
-    including the degenerate window cases (m = 0 gives 1, and a window
-    shorter than m gives 0 before any value is read, as brute force does).
+    The product's integers grow to about bits(prod den), Newton's to
+    m bits(L), L the lcm of the denominators; both are read off the window's
+    _scale_tree, the one Newton's kernel takes, and a denominator counts
+    ceil(log2 den) bits, so 0 for 1. The count stops at Newton's bits.
+    """
+    blocks, _, scale = tree
+    bits, newton_bits = 0, m * scale.bit_length()
+    for block, _ in blocks:
+        bits += sum([(den - 1).bit_length() for _, den in block])
+        if bits >= newton_bits:
+            return False
+    return True
+
+
+def _check_list_order(m: int) -> None:
+    # the order of a route that holds a list of m or m + 1 entries, refused before any value is read
+    if m > sys.maxsize:
+        raise ValueError(f"m={_int_text(m)} exceeds sys.maxsize ({sys.maxsize})")
+
+
+def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
+    """Order-m multiple sum of one sequence, e_m of its window, with no enumeration.
+
+    On the window's int pairs, by one of two integer routes picked by
+    ``_takes_product``: Viete's product prod (den + num t) truncated at
+    degree m, O((n - q + 1) m) steps, whose coefficient c_m over c_0 =
+    prod den is e_m; or the power sums over one scale L reduced by Newton's
+    recurrence, O(n - q + 1) window terms and O(m^2) steps, e_m = E_m / L^m.
+    One Fraction is built. Agrees with brute_multiple_sum on identical specs
+    and with elementary_from_power_sums on power_sums, including the
+    degenerate window cases (m = 0 gives 1, and a window shorter than m
+    gives 0 before any value is read, as brute force does). An order past
+    sys.maxsize on a window wider than it is refused before any value is
+    read. The window is read once and held as a list of pairs, which the
+    rule and either route read.
     """
     _check_window(m, q, n)
     if m > max(n - q + 1, 0):
         return Fraction(0)
-    elementary, scale = _scaled_elementary(_read(spec, q, n), m)
+    _check_list_order(m)
+    pairs = list(_read(spec, q, n))
+    tree = _scale_tree(pairs)
+    if _takes_product(tree, m):
+        coeffs = _viete(pairs, m)
+        return Fraction(coeffs[m], coeffs[0])
+    elementary, scale = _scaled_elementary((), m, tree)
     return Fraction(elementary[m], scale**m)
 
 
+def _variation_table(problem: SumProblem, cutoff: int) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """(inner, outer, base) for the expansions of P_{m,q,n+1} down to order cutoff.
+
+    inner[k - 1] = P_{k,q,n-m+k} and outer[k - 1] = a_{(k); n-m+k+1} for
+    k = 1..m, and base = P_{cutoff,q,n-m+cutoff+1}, all from one table of the
+    variation lemma: with w = n - m - q + 2, T_j[c] = P_{j+1,q,q+j+c} for
+    c = 0..w, and T_j[c] = T_j[c-1] + a_{(j+1); q+j+c} T_{j-1}[c],
+    T_{-1} = 1. Position j (from 0) is read once, on [q + j, q + j + w],
+    inside [q, n + 1]; each row is kept as int numerators over the lcm of
+    its values' denominators times the row below's. O(m w) integer steps.
+    """
+    m, q, n = problem.m, problem.q, problem.n
+    if not _is_int(cutoff) or not 0 <= cutoff <= m:
+        raise ValueError("cutoff must be in [0, m]")
+    w = n - m - q + 2
+    if w < 0 < m:  # [q, n + 1] is shorter than m: no value is read, and zeros give P_{m,q,n+1} = 0
+        return [Fraction(0)] * m, [Fraction(0)] * m, Fraction(0)
+    row, scale = [1] * (w + 1), 1  # T_{-1}
+    inner, outer, base = [], [], Fraction(1)
+    for j, spec in enumerate(problem.specs):
+        values = list(_read(spec, q + j, q + j + w))
+        up = lcm(*(den for _, den in values))
+        row = list(accumulate(num * (up // den) * below for (num, den), below in zip(values, row)))
+        scale *= up
+        inner.append(Fraction(row[w - 1], scale) if w else Fraction(0))
+        outer.append(Fraction(*values[w]))
+        if j + 1 == cutoff:
+            base = Fraction(row[w], scale)
+    return inner, outer, base
+
+
 def variation_expand(problem: SumProblem, cutoff: int) -> Fraction:
-    """P_{m,q,n+1} expanded down to order ``cutoff``, inner sums brute forced.
+    """P_{m,q,n+1} expanded down to order ``cutoff``.
 
     sum_{k=cutoff+1}^{m} (leading product to order k) * P_{k,q,n-m+k}
       + (leading product to order cutoff) * P_{cutoff,q,n-m+cutoff+1}
 
     The leading product to order k is prod_{j=k+1}^{m} a_{(j); n-m+j+1},
     empty at k = m; k walks from m down to the cutoff, and each step
-    multiplies the running product by one factor. cutoff = m collapses to
-    P_{m,q,n+1} itself. Meaningful for windows satisfying n >= q + m - 1;
-    explicit sequences must cover [q, n+1].
+    multiplies the running product by one factor. The inner sums come from
+    one table of the variation lemma (``_variation_table``), not from brute
+    force. cutoff = m collapses to P_{m,q,n+1} itself. Meaningful for
+    windows satisfying n >= q + m - 2; a window [q, n+1] shorter than m
+    gives 0 before any value is read, as brute force does. Position j
+    (from 0) reads its spec on [q + j, n - m + 2 + j], inside [q, n+1].
     """
-    m, q, n = problem.m, problem.q, problem.n
-    if not _is_int(cutoff) or not 0 <= cutoff <= m:
-        raise ValueError("cutoff must be in [0, m]")
-    specs = problem.specs
+    inner, outer, base = _variation_table(problem, cutoff)
     total, leading = Fraction(0), Fraction(1)
-    for k in range(m, cutoff, -1):
-        total += leading * brute_multiple_sum(SumProblem(specs[:k], q, n - m + k))
-        leading *= eval_sequence(specs[k - 1], n - m + k + 1)
-    return total + leading * brute_multiple_sum(SumProblem(specs[:cutoff], q, n - m + cutoff + 1))
+    for k in range(problem.m, cutoff, -1):
+        total += leading * inner[k - 1]
+        leading *= outer[k - 1]
+    return total + leading * base
 
 
 def variation_recursive(problem: SumProblem, cutoff: int) -> Fraction:
-    """Horner form of variation_expand: same value, nested products.
+    """Horner form of variation_expand: same value, nested products, the same table.
 
     X_cutoff = P_{cutoff,q,n-m+cutoff+1};
     X_k = a_{(k); n-m+k+1} * X_{k-1} + P_{k,q,n-m+k};  answer X_m.
     """
-    m, q, n = problem.m, problem.q, problem.n
-    if not _is_int(cutoff) or not 0 <= cutoff <= m:
-        raise ValueError("cutoff must be in [0, m]")
-    specs = problem.specs
-    acc = brute_multiple_sum(SumProblem(specs[:cutoff], q, n - m + cutoff + 1))
-    for k in range(cutoff + 1, m + 1):
-        inner = brute_multiple_sum(SumProblem(specs[:k], q, n - m + k))
-        acc = eval_sequence(specs[k - 1], n - m + k + 1) * acc + inner
+    inner, outer, acc = _variation_table(problem, cutoff)
+    for k in range(cutoff + 1, problem.m + 1):
+        acc = outer[k - 1] * acc + inner[k - 1]
     return acc
 
 

@@ -17,7 +17,9 @@ over one scale, with no Fraction built per term: the power sums of a
 window, the tuple products of brute-force multiple sums (over tables of int
 pairs, as core's one window reader gives them) and the set-partition block
 sums all run on it; partition sums have their own walk in
-:mod:`multisums.partitions`. Bernoulli numbers come from a table of tangent numbers, integers built by
+:mod:`multisums.partitions`. Viete's integer product prod (den + num t)
+over int pairs, truncated at a degree, is written once here too: the window
+reduction of core and the root expansion of polynomials both run it. Bernoulli numbers come from a table of tangent numbers, integers built by
 additions only. A :class:`PiPolynomial` is the record of one term c pi^e,
 and zero is 0 pi^0. Decimal arithmetic appears only inside
 :func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
@@ -31,8 +33,8 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from itertools import accumulate, islice
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "RationalLike",
@@ -146,37 +148,30 @@ def _as_exact(value: RationalLike) -> Fraction | int:
     return value if _is_int(value) else _as_rational(value)
 
 
-def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int], int]:
-    """(T, L): the power sums S_i = sum of (num / den) ** i over (num, den) int
-    pairs, den > 0, are S_i = T[i - 1] / L ** i for i = 1..m, with L the lcm
-    of the denominators.
+_Block = tuple[list[tuple[int, int]], int]  # up to _SUM_BLOCK int pairs and the lcm of their denominators
+_Tree = tuple[list[_Block], list[int], int]  # a _scale_tree
 
-    Every term is the integer num L / den, so T_i is an integer power sum and
-    no Fraction is built. The pairs are taken in blocks of _SUM_BLOCK, each
-    summed over the lcm of its own denominators, and the blocks are merged
-    as a binary counter: at most one pending node per level, and two nodes
-    of equal level merge, at the lcm of their scales, into one of the next.
-    Every merge then joins sums of similar size, and the stream is consumed
-    once with O(log(blocks)) nodes live; folding each block into one running
-    sum would rescale that sum, whose lcm grows with every block over a
-    window of distinct denominators such as N ** -1 on [1, 50000], once per
-    block. The whole stream is consumed, also when m = 0.
-    """
-    levels: list[tuple[list[int], int] | None] = []  # levels[i]: the sums of 2 ** i blocks
+
+def _blocks(pairs: Iterable[tuple[int, int]]) -> Iterator[_Block]:
+    """The pairs in blocks of _SUM_BLOCK, each with the lcm of its own denominators."""
     pairs = iter(pairs)
     while block := list(islice(pairs, _SUM_BLOCK)):
-        scale = math.lcm(*(den for _, den in block))
-        sums = [0] * m
-        for num, den in block:
-            numerator = num * (scale // den)
-            power = 1
-            for i in range(m):
-                power *= numerator
-                sums[i] += power
-        node = (sums, scale)
+        yield block, math.lcm(*[den for _, den in block])
+
+
+def _fold(nodes: Iterable, merge: Callable) -> object:
+    """The nodes merged as a binary counter; None when there are none.
+
+    At most one pending node per level, and two nodes of equal level merge
+    into one of the next; the pending nodes then merge from the lowest
+    level up. Which nodes merge, and in what order, depends only on how
+    many there are.
+    """
+    levels: list = []  # levels[i]: the merge of 2 ** i nodes, or None
+    for node in nodes:
         level = 0
         while level < len(levels) and levels[level] is not None:
-            node = _merge_scaled(levels[level], node)
+            node = merge(levels[level], node)
             levels[level] = None
             level += 1
         if level == len(levels):
@@ -186,14 +181,45 @@ def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int) -> tuple[list[int
     total = None
     for node in levels:
         if node is not None:
-            total = node if total is None else _merge_scaled(node, total)
-    return total or ([0] * m, 1)
+            total = node if total is None else merge(node, total)
+    return total
 
 
-def _merge_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
-    """The sum of two (T, L) power-sum nodes, over the lcm of their scales."""
+def _scale_tree(pairs: Sequence[tuple[int, int]]) -> _Tree:
+    """(blocks, merges, L): the pairs in blocks as _pair_power_sums takes them,
+    the scale of each merge its binary counter makes over them, in its order,
+    and the lcm L of all the denominators (1 for no pairs).
+
+    Given to _pair_power_sums, the tree spares it every lcm.
+    """
+    blocks = list(_blocks(pairs))
+    merges: list[int] = []
+
+    def merge(a: int, b: int) -> int:
+        merges.append(math.lcm(a, b))
+        return merges[-1]
+
+    return blocks, merges, _fold([scale for _, scale in blocks], merge) or 1
+
+
+def _block_sums(block: _Block, m: int) -> tuple[list[int], int]:
+    """(T, L) of one block: the power sums 1..m of the integers num L / den over its scale L."""
+    terms, scale = block
+    sums = [0] * m
+    for num, den in terms:
+        numerator = num * (scale // den)
+        power = 1
+        for i in range(m):
+            power *= numerator
+            sums[i] += power
+    return sums, scale
+
+
+def _merge_sums(a: tuple[list[int], int], b: tuple[list[int], int], scale: int | None = None) -> tuple[list[int], int]:
+    """The sum of two (T, L) power-sum nodes over the lcm of their scales, or over ``scale``, that lcm."""
     (sums_a, scale_a), (sums_b, scale_b) = a, b
-    scale = math.lcm(scale_a, scale_b)
+    if scale is None:
+        scale = math.lcm(scale_a, scale_b)
     up_a, up_b = scale // scale_a, scale // scale_b
     factor_a = factor_b = 1
     merged = []
@@ -202,6 +228,54 @@ def _merge_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[l
         factor_b *= up_b
         merged.append(x * factor_a + y * factor_b)
     return merged, scale
+
+
+def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
+    """(T, L): the power sums S_i = sum of (num / den) ** i over (num, den) int
+    pairs, den > 0, are S_i = T[i - 1] / L ** i for i = 1..m, with L the lcm
+    of the denominators.
+
+    Every term is the integer num L / den, so T_i is an integer power sum and
+    no Fraction is built. The pairs are taken in blocks of _SUM_BLOCK, each
+    summed over the lcm of its own denominators, and the blocks are merged
+    as a binary counter (_fold), two nodes at the lcm of their scales.
+    Every merge then joins sums of similar size, and the stream is consumed
+    once with O(log(blocks)) nodes live; folding each block into one running
+    sum would rescale that sum, whose lcm grows with every block over a
+    window of distinct denominators such as N ** -1 on [1, 50000], once per
+    block. The whole stream is consumed, also when m = 0. With the
+    _scale_tree of the pairs as ``tree`` (and ``pairs`` unread), its blocks
+    are summed and its scales taken, so no lcm is computed again.
+    """
+    if tree is None:
+        blocks, merge = _blocks(pairs), _merge_sums
+    else:
+        blocks, scales = tree[0], iter(tree[1])
+
+        def merge(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
+            return _merge_sums(a, b, next(scales))
+
+    return _fold(map(_block_sums, blocks, repeat(m)), merge) or ([0] * m, 1)
+
+
+def _viete(pairs: Iterable[tuple[int, int]], m: int | None = None) -> list[int]:
+    """c_0..c_top of prod (den + num t) over the (num, den) int pairs, truncated at degree m.
+
+    Viete's expansion, one pair at a time: c_k <- c_k den + c_{k-1} num for
+    k = 0..top, each old c_{k-1} carried up (c_{-1} = 0), and c_{top+1} =
+    c_top num appended while top < m (None: no truncation). So c_0 = prod
+    den, and e_k of the values num / den is c_k / c_0 for k <= m: integers
+    alone, O(pairs x m) steps.
+    """
+    coeffs = [1]
+    for num, den in pairs:
+        below = 0
+        for k, c in enumerate(coeffs):
+            coeffs[k] = c * den + below * num
+            below = c
+        if m is None or len(coeffs) <= m:
+            coeffs.append(below * num)
+    return coeffs
 
 
 def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[tuple[int, int]]]) -> Fraction:

@@ -61,11 +61,11 @@ from .core import (
     _check_brute_order,
     _check_tuple_count,
     _read,
+    _scaled_elementary,
     brute_multiple_sum,
     brute_recurrent_sum,
     elementary_from_power_sums,
     power_sums,
-    reduce_multiple_sum,
     sequence_spec_from_json,
     sequence_spec_to_json,
 )
@@ -350,14 +350,17 @@ def _product_identity(params: Mapping) -> Checked:
 
     The product is the one Fraction prod num / prod den over the window's
     int pairs; the reader refuses index 0 of a negative power and a window
-    outside an explicit sequence before any pair is read.
+    outside an explicit sequence before any pair is read. The reduction is
+    reduce_multiple_sum's Newton route, ``_scaled_elementary``, by name:
+    its product route would compute the right side itself.
     """
     spec = _require_spec(params)
     q, n = params["q"], params["n"]
     m = n - q + 1
     values = list(_read(spec, q, n))
     rhs = Fraction(math.prod(num for num, _ in values), math.prod(den for _, den in values))
-    return {"spec": spec, "q": q, "n": n, "m": m}, reduce_multiple_sum(spec, m, q, n), rhs, ""
+    elementary, scale = _scaled_elementary(values, m)
+    return {"spec": spec, "q": q, "n": n, "m": m}, Fraction(elementary[m], scale**m), rhs, ""
 
 
 def _recurrent_bridge(params: Mapping) -> Checked:
@@ -539,10 +542,16 @@ def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
 
 
-def _count_values(values: Sequence[int]) -> int:
-    """len(values), counted by arithmetic for a range, whose len() raises OverflowError past sys.maxsize."""
+def _count_values(name: str, values: Sequence[int]) -> int:
+    """len(values), counted by arithmetic for a range, whose len() raises OverflowError past sys.maxsize.
+
+    A swept parameter's values are a range, or a list or tuple of values;
+    anything else, such as one int or a string, is refused with ValueError.
+    """
     if isinstance(values, range):
         return max(0, -((values.start - values.stop) // values.step))
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"sweep range of {name!r} must be a range, a list or a tuple, got {type(values).__name__}")
     return len(values)
 
 
@@ -562,6 +571,7 @@ def verify_sweep(
     the last point is refused before any report runs; pass ``range``
     objects so a refused grid costs nothing either. A range's points are
     counted by arithmetic, so one longer than sys.maxsize is refused too.
+    Each parameter's values must be a range, a list or a tuple.
     The partition terms the reports walk themselves, as their admissions
     count them, may sum to at most SWEEP_MAX_PARTITIONS: p(m - r) for a
     report at order m whose phi != 0 is a partition of r, p(m) for a
@@ -576,7 +586,7 @@ def verify_sweep(
     unknown = sorted(set(ranges) - swept)
     if unknown:
         raise ValueError(f"{identity.value} sweeps only {sorted(swept)}, not {unknown}")
-    points = math.prod(map(_count_values, ranges.values()))
+    points = math.prod(map(_count_values, ranges, ranges.values()))
     if points > SWEEP_MAX_POINTS:
         raise ValueError(f"sweep of {_int_text(points)} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})

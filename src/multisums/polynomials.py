@@ -8,7 +8,8 @@ ValueError.
 
 The expansions and direct products run on integers over one denominator
 and build one Fraction per value: a product of roots p/q expands as the
-integer product prod (q x - p) over prod q, a derivative multiplies each
+integer product prod (q x - p) over prod q, by Viete's loop of
+:mod:`multisums.exact_arith`, a derivative multiplies each
 coefficient once by a falling factorial, and prod (r - x) and
 prod (a_i + b_i) multiply integer numerators and denominators. The sides
 checked against them read the elementary symmetric functions of the roots
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ExplicitSequence, SequenceSpec, _check_window, _read, _scaled_elementary
-from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _Record, _set
+from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _Record, _set, _viete
 
 __all__ = [
     "Polynomial",
@@ -60,17 +61,13 @@ class Polynomial(_Record):
 def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
     """prod (x - r) expanded to dense coefficients.
 
-    With each root r = p / q in lowest terms, prod (q x - p) is expanded on
-    integers, one root at a time, and its coefficients c_i are divided by
-    prod q at the end: one Fraction per coefficient.
+    With each root r = p / q in lowest terms, prod (q x - p) is x^n times
+    Viete's integer product prod (q - p t) of exact_arith, untruncated: its
+    coefficient c_k of t^k is that of x^(n-k), and c_0 = prod q. Each is
+    divided by c_0 at the end, one Fraction per coefficient.
     """
-    coeffs, den = [1], 1
-    for root in roots:
-        r = _as_rational(root)
-        p, q = r.numerator, r.denominator
-        coeffs = [q * low - p * high for low, high in zip([0, *coeffs], [*coeffs, 0])]
-        den *= q
-    return Polynomial(Fraction(c, den) for c in coeffs)
+    coeffs = _viete((-r.numerator, r.denominator) for r in map(_as_rational, roots))
+    return Polynomial(Fraction(c, coeffs[0]) for c in reversed(coeffs))
 
 
 def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:

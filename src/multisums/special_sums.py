@@ -197,9 +197,11 @@ def mzv_limit_trend(exponents: Sequence[int], n: int) -> list[str]:
 
     Floating point by design (denominators explode otherwise); trend
     display only. Computed stably as 2 |expm1(sum log1p(N**-p))| over
-    N >= 2, since the N = 1 factor is exactly 2.
+    N >= 2, since the N = 1 factor is exactly 2. Each exponent is read as
+    an integer before any is used, and must be at least 2.
     """
     n = _integer("n", n, 1)
+    exponents = [_integer("exponent", p, None) for p in exponents]
     out = []
     for p in exponents:
         if p < 2:

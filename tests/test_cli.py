@@ -233,6 +233,15 @@ def test_multisum_order_past_the_window_is_zero(capsys, exponent, m, q, n, metho
     assert json.loads(out) == expected
 
 
+def test_multisum_reduce_refuses_an_order_past_maxsize(capsys):
+    spec = '{"kind":"index_power","exponent":1}'
+    argv = ["multisum", "eval", "--spec", spec, "--m", str(2**63), "--q", "1", "--n", str(2**64), "--method", "reduce"]
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"error": f"m={2**63} exceeds sys.maxsize ({sys.maxsize})"}
+    assert "Traceback" not in err
+
+
 BRIDGE = ["verify", "RECURRENT_BRIDGE", "--spec", '{"kind":"index_power","exponent":1}', "--q", "1", "--n", "8"]
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multisums import core, exact_arith
+from multisums import core, exact_arith, polynomials
 from multisums.core import (
     ExplicitSequence,
     IndexPower,
@@ -29,7 +30,7 @@ from multisums.core import (
 )
 from multisums.identities import IdentityId, verify
 from multisums.partitions import newton_coefficients, partition_sum
-from multisums.polynomials import coeff_ratio_from_roots, sum_of_multiple_sums
+from multisums.polynomials import coeff_ratio_from_roots, eval_factored_sum, sum_of_multiple_sums
 
 N = IndexPower(1)
 
@@ -474,6 +475,8 @@ def test_summing_kernel_block_edges(length):
         sums, scale = exact_arith._pair_power_sums(((v.numerator, v.denominator) for v in stream), m)
         assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
         assert next(stream, None) is None  # consumed to the end, also at m = 0
+        pairs = [(Fraction(v).numerator, Fraction(v).denominator) for v in values]
+        assert exact_arith._pair_power_sums((), m, exact_arith._scale_tree(pairs)) == (sums, scale)
     table = [(Fraction(v).numerator, Fraction(v).denominator) for v in values]  # the int pairs core reads
     assert exact_arith._tuple_sum(((k,) for k in range(length)), [table]) == sum(values, Fraction(0))
     pairs = ((k, length - 1 - k) for k in range(length))
@@ -494,6 +497,10 @@ def test_summing_kernel_merges_many_distinct_denominators():
     assert power_sums(IndexPower(-1), 1, n, m) == expected
     sums, scale = exact_arith._pair_power_sums(((1, N) for N in range(1, n + 1)), m)
     assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
+    # the same merges over the scales of a _scale_tree, which the rule of reduce_multiple_sum reads
+    tree = exact_arith._scale_tree([(1, N) for N in range(1, n + 1)])
+    assert tree[2] == scale and len(tree[1]) == len(tree[0]) - 1
+    assert exact_arith._pair_power_sums((), m, tree) == (sums, scale)
 
 
 # windows of 0 to 70 values: zeros, negatives and denominators 1..40
@@ -539,6 +546,116 @@ def test_reduction_matches_sympy_at_order_30():
     e_30 = poly.coeff_monomial(x**10)  # (-1)^30 e_30
     expected = Fraction(int(e_30.p), int(e_30.q))
     assert reduce_multiple_sum(ExplicitSequence(values, base=1), 30, 1, 40) == expected
+
+
+def _newton_route(spec, m, q, n):
+    elementary, scale = core._scaled_elementary(core._read(spec, q, n), m)
+    return Fraction(elementary[m], scale**m)
+
+
+# windows of 0 to 12 values, every denominator 1 or mixed with zeros, negatives and denominators up to 12
+straddle_values = st.one_of(
+    st.lists(st.integers(min_value=-12, max_value=12).map(Fraction), max_size=12),
+    st.lists(st.one_of(st.just(Fraction(0)), st.fractions(min_value=-12, max_value=12, max_denominator=12)),
+             max_size=12),
+)
+
+
+@given(st.one_of(st.integers(min_value=-3, max_value=3).map(IndexPower),
+                 st.builds(ExplicitSequence, straddle_values, st.integers(min_value=0, max_value=2))),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5))
+def test_reduction_routes_agree_on_both_sides_of_the_rule(spec, q, width, excess):
+    # each window is reduced by the route its rule picks, by the Newton route and by
+    # Viete's product alone, against brute force; an explicit window is its own values
+    if isinstance(spec, ExplicitSequence):
+        q, width = spec.base, len(spec.values)
+    n = q + width - 1
+    m = max(width - excess, 0)
+    if isinstance(spec, IndexPower) and spec.exponent < 0 and q == 0 <= n:
+        with pytest.raises(ValueError, match="index 0 is not valid"):
+            reduce_multiple_sum(spec, m, q, n)
+        with pytest.raises(ValueError, match="index 0 is not valid"):
+            _newton_route(spec, m, q, n)
+        return
+    expected = brute_multiple_sum(SumProblem((spec,) * m, q, n))
+    coeffs = exact_arith._viete(core._read(spec, q, n), m)
+    assert reduce_multiple_sum(spec, m, q, n) == _newton_route(spec, m, q, n) == expected
+    assert Fraction(coeffs[m], coeffs[0]) == expected
+
+
+def test_reduction_rule_picks_the_product_or_newton():
+    # bits(prod den) < m bits(L): 1/N on [1, 200] counts 1 345 product bits against
+    # 200 x 298 Newton bits; on [1, 10^5] at m = 2, 1 568 929 against 2 x 144 344
+    def takes_product(spec, m, q, n):
+        return core._takes_product(exact_arith._scale_tree(core._read(spec, q, n)), m)
+
+    assert takes_product(IndexPower(-1), 200, 1, 200)
+    assert not takes_product(IndexPower(-1), 2, 1, 10**5)
+    # a denominator of 1 counts 0 bits, so an integer window takes the product at every order but 0
+    assert takes_product(N, 1000, 1, 1000)
+    assert takes_product(N, 1, 1, 1000)
+    assert not takes_product(N, 0, 1, 1000)
+
+
+def test_reduction_refuses_an_order_past_maxsize_before_any_value_is_read(monkeypatch):
+    monkeypatch.setattr(core, "_read", _unreachable_read)
+    message = rf"^m={2**63} exceeds sys.maxsize \({sys.maxsize}\)$"
+    with pytest.raises(ValueError, match=message):
+        reduce_multiple_sum(N, 2**63, 1, 2**64)
+    for n in (5, 0):  # also on an empty window, where the m sums are zeros
+        with pytest.raises(ValueError, match=message):
+            power_sums(N, 1, n, 2**63)
+    assert reduce_multiple_sum(N, 2**63, 1, 5) == 0  # an order past its window reads no value
+
+
+def test_checked_sides_never_take_the_product(monkeypatch):
+    # each of these sides is checked against a direct product, so it must reduce by Newton
+    def product(*args):
+        raise AssertionError("Viete's product")
+
+    for module in (core, exact_arith, polynomials):
+        monkeypatch.setattr(module, "_viete", product)
+    inverse = IndexPower(-1)
+    with pytest.raises(AssertionError):
+        reduce_multiple_sum(inverse, 30, 1, 30)  # the rule takes the product here
+    assert verify(IdentityId.PRODUCT_IDENTITY, {"spec": inverse, "q": 1, "n": 30}).equal
+    roots = [Fraction(1, k) for k in range(1, 31)]
+    assert coeff_ratio_from_roots(roots, 30) == Fraction(1, factorial(30))
+    lhs, rhs = eval_factored_sum(roots, Fraction(1, 2))
+    assert lhs == rhs
+    assert sum_of_multiple_sums(inverse, 1, 30) == 31
+
+
+def _variation_target(problem):
+    return brute_multiple_sum(SumProblem(problem.specs, problem.q, problem.n + 1))
+
+
+@given(st.data(), st.integers(min_value=0, max_value=2), st.integers(min_value=-2, max_value=7),
+       st.integers(min_value=0, max_value=4))
+def test_variation_table_matches_brute_force_on_specs_covering_only_their_positions(data, q, width, m):
+    # spec j (from 0) holds values on [q + j, n - m + 2 + j] alone, the indices position j takes in
+    # P_{m,q,n+1}; a window [q, n + 1] shorter than m gives 0, as brute force does
+    n = q + width - 2
+    span = max(width - m + 1, 0)
+    window = st.lists(brute_values, min_size=span, max_size=span)
+    specs = tuple(ExplicitSequence(data.draw(window), base=q + j) for j in range(m))
+    problem = SumProblem(specs, q, n)
+    target = _variation_target(problem)
+    for cutoff in range(m + 1):
+        assert variation_expand(problem, cutoff) == variation_recursive(problem, cutoff) == target
+
+
+def test_variation_expansions_make_no_brute_force_call(monkeypatch):
+    specs = tuple(ExplicitSequence([Fraction(k - j, k % 5 + 1) for k in range(1, 21)]) for j in range(6))
+    problem = SumProblem(specs, 1, 19)
+    target = _variation_target(problem)
+
+    def brute(problem):
+        raise AssertionError("brute force")
+
+    monkeypatch.setattr(core, "brute_multiple_sum", brute)
+    for cutoff in range(7):
+        assert variation_expand(problem, cutoff) == variation_recursive(problem, cutoff) == target
 
 
 @pytest.mark.parametrize(

@@ -50,11 +50,21 @@ def _cli_error(*argv: str) -> None:
     (lambda: _cli_error("verify", "LEMMA_3_1", "--sweep", ","), "sweep string is empty"),
     (lambda: _cli_error("multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--m", "2",
                         "--q", "-1", "--n", "3", "--method", "reduce"), "q must be >= 0"),
+    (lambda: special_sums.mzv_limit_trend([2.5], 3), "exponent must be an integer, got 2.5"),
+    (lambda: special_sums.mzv_limit_trend([2.0], 3), "exponent must be an integer, got 2.0"),
+    (lambda: special_sums.mzv_limit_trend([3, "2"], 3), "exponent must be an integer, got '2'"),
+    (lambda: special_sums.mzv_limit_trend([True], 3), "exponent must be an integer, got True"),
+    (lambda: special_sums.mzv_limit_trend([4, 1], 3), "exponents below 2 have no finite product limit"),
+    (lambda: identities.verify_sweep(IdentityId.LEMMA_3_1, {"m": 5}),
+     "sweep range of 'm' must be a range, a list or a tuple, got int"),
+    (lambda: identities.verify_sweep(IdentityId.LEMMA_3_1, {"m": "12"}),
+     "sweep range of 'm' must be a range, a list or a tuple, got str"),
 ], ids=["brute_recurrent_sum-m", "brute_recurrent_sum-q", "reduce_multiple_sum-q", "power_sums-q",
         "symmetrized_multiple_sum-q", "reduce_symmetrized-q", "LEMMA_3_1-m", "EVEN_ODD_N-n", "LEMMA_3_2-phi",
         "multiple_power_sum-m", "multiple_power_sum-p", "stirling_via_multiple_sum", "mzv_closed_form-m",
         "mzv_partial_identity-p", "bernoulli-j", "stirling_first_unsigned-m", "cli-selftest-jobs", "cli-verify-sweep",
-        "cli-multisum-q"])
+        "cli-multisum-q", "mzv_limit_trend-float", "mzv_limit_trend-integral-float", "mzv_limit_trend-string",
+        "mzv_limit_trend-bool", "mzv_limit_trend-below-2", "verify_sweep-int-range", "verify_sweep-string-range"])
 def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as refused:
         call()
