@@ -305,10 +305,28 @@ def rational_to_str(value: Fraction) -> str:
     """Serialize a rational as ``"num/den"`` in canonical form.
 
     The denominator is always written, so integers read ``"7/1"``; the sign
-    sits on the numerator.
+    sits on the numerator. Integers past the interpreter's limit on
+    int-to-string conversion are written too, without changing the limit.
     """
     value = _as_rational(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(value: int) -> str:
+    """str(value), also past the interpreter's limit on int-to-string conversion (4300 digits by default).
+
+    A value the limit admits takes one str(). Past it, the value is split
+    at a power of ten into two halves of about equal length, each written
+    the same way, the lower one padded with zeros, so the process-wide
+    limit is read and never changed.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    digits = value.bit_length() * 3 // 20  # about half its decimal digits, log10(2) being 0.30103
+    high, low = divmod(abs(value), 10**digits)
+    return ("-" if value < 0 else "") + _decimal(high) + _decimal(low).zfill(digits)
 
 
 def rational_from_str(text: str) -> Fraction:

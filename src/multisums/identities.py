@@ -31,8 +31,11 @@ Those rows are written once, as integer rows over D_i = i^K K!
 unsigned row set per order is built, as tuples, and kept, and so is its
 walk: Lemma 3.1, EVEN_ODD_WEIGHTS, EVEN_ODD_N at every n, LEMMA_3_2's
 restricted side and the phi = 0 reports read that walk, so each order is
-walked once per process. A phi != 0 side derives its own rows, new only
-where phi_i > 0, and walks them once per report.
+walked once per process. A report at a given phi != 0 derives its own
+rows, new only where phi_i > 0, and walks them. A sweep that expands phi
+walks each order once for all its phi != 0 reports instead, into one table
+that lives for the sweep, and a BINOMIAL_PARTITION sweep runs Newton once
+per n; :func:`verify_sweep` says which reports share what.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term by the walk of :mod:`multisums.partitions` (over those rows, or
@@ -53,7 +56,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from itertools import product as cartesian_product
 from operator import mul
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     SequenceSpec,
@@ -70,7 +73,14 @@ from .core import (
     sequence_spec_to_json,
 )
 from .exact_arith import _int_text, _integer, _is_int, _Record, _set, _stirling, rational_to_str
-from .partitions import _check_order, _walk_rows, enumerate_partitions, parity_partition_sums, partition_count
+from .partitions import (
+    _check_order,
+    _sub_terms,
+    _walk_rows,
+    enumerate_partitions,
+    parity_partition_sums,
+    partition_count,
+)
 
 __all__ = [
     "IdentityId",
@@ -92,9 +102,9 @@ SWEEP_MAX_POINTS = 10_000  # grid points, and reports after phi expansion, of on
 # sweep repeating an order at a fixed phi != 0 can
 SWEEP_MAX_PARTITIONS = 2_000_000
 # n and m of BINOMIAL_PARTITION, admitted before any report of a sweep runs: O(m^2) Newton
-# steps on integers growing with n and m, 0.9 s at n = m = 2000 and 3.8 s at n = 10^6,
-# m = 2000 (2-vCPU VM); also n of EVEN_ODD_N, whose sides and output grow with the digits
-# of n (4.8 s at n = 10^20000, m = 50, in process)
+# steps on integers growing with n and m, run once per n of a sweep, 0.4 to 0.9 s at
+# n = m = 2000 and 3.8 s at n = 10^6, m = 2000 (2-vCPU VM); also n of EVEN_ODD_N, whose
+# sides and output grow with the digits of n (4.8 s at n = 10^20000, m = 50, in process)
 BINOMIAL_MAX = 2000
 # terms n - q + 1 of PRODUCT_IDENTITY's window, reduced in full and admitted before any report
 # of a sweep runs: N^-6 on [1, 100] takes 2.7 s, on [1, 150] 21 s (2-vCPU VM)
@@ -237,12 +247,15 @@ def _unit_totals(m: int, /) -> tuple[tuple[int, ...], int]:
 def _weight_rows(m: int, phi: Sequence[int]) -> list[Sequence[int]]:
     """The rows of the weight C(k, phi_i) / (i^k k!) of y_i = k, over the dens of :func:`_unit_rows`.
 
-    The unit rows at this order, with rows[i][k] multiplied by C(k, phi_i)
-    where phi_i > 0, the form :func:`multisums.partitions._walk_rows`
-    reads. Only those rows are new lists: the others are the shared
-    tuples, and rows[0] is empty. Entries of phi past its end are 0. At
-    k < phi_i the weight is 0, which removes partitions lacking a part
-    that phi has; the walk skips those terms.
+    They serve the reports of one given phi != 0, a single :func:`verify`
+    or a sweep at a fixed phi, which walk only phi's own p(m - r) terms; a
+    sweep that expands phi reads :func:`_phi_table` instead, which these
+    rows' walks are tested against. The unit rows at this order, with
+    rows[i][k] multiplied by C(k, phi_i) where phi_i > 0, the form
+    :func:`multisums.partitions._walk_rows` reads. Only those rows are new
+    lists: the others are the shared tuples, and rows[0] is empty. Entries
+    of phi past its end are 0. At k < phi_i the weight is 0, which removes
+    partitions lacking a part that phi has; the walk skips those terms.
     """
     rows: list[Sequence[int]] = [[], *_unit_rows(m)[0][1:]]
     for i, least in enumerate(phi[:m], start=1):
@@ -250,6 +263,26 @@ def _weight_rows(m: int, phi: Sequence[int]) -> list[Sequence[int]]:
             row = rows[i]
             rows[i] = [0] * least + [math.comb(k, least) * row[k] for k in range(least, len(row))]
     return rows
+
+
+def _phi_table(m: int) -> dict[tuple, list[int]]:
+    """{phi: t} for every phi != 0 partitioning some r <= m, from one walk over the partitions of m.
+
+    phi is written sparse, as the pairs (i, phi_i) with phi_i > 0, i
+    ascending, and t[p] over the den of :func:`_unit_rows` sums the unit
+    terms of the partitions y >= phi with p parts, each times
+    prod_i C(y_i, phi_i): the totals that :func:`_walk_rows` gives on
+    phi's :func:`_weight_rows`, for every phi at once. The table is
+    unsigned, so both signs read it. It is built per sweep and not kept.
+    """
+    table: dict[tuple, list[int]] = {}
+    for parts, terms in _sub_terms(_unit_rows(m)[0]):
+        for phi, term in terms:
+            totals = table.get(phi)
+            if totals is None:
+                totals = table[phi] = [0] * (m + 1)
+            totals[parts] += term
+    return table
 
 
 def _class_sums(totals: Sequence[int], den: int, x: int) -> tuple[Fraction, Fraction]:
@@ -266,14 +299,17 @@ def _class_sums(totals: Sequence[int], den: int, x: int) -> tuple[Fraction, Frac
     return Fraction(sum(even), den), Fraction(x * sum(odd), den)
 
 
-def _filtered(params: Mapping, sign: int) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
+def _filtered(
+    params: Mapping, sign: int, totals: Sequence[int] | None = None
+) -> tuple[int, tuple[int, ...], tuple, tuple[int, int], int]:
     """(m, phi, (even, odd), (top, bottom), d) of a binomial-filtered partition sum, sign = +-1 per part.
 
     m is admitted, and phi, if given, is a vector of length m that
     :func:`verify_sweep` has checked; it defaults to 0.
     (even, odd) are the sums over the partitions with an even and an odd
-    number of parts, read from the order's kept walk at phi = 0 and from
-    a walk of phi's own rows otherwise. The weight's product over phi's
+    number of parts, read from ``totals`` where the sweep's :func:`_phi_table`
+    gives them, else from the order's kept walk at phi = 0 and from a walk
+    of phi's own rows otherwise. The weight's product over phi's
     nonzero entries, where C(phi_i, phi_i) = 1, is top / bottom, read from
     the unit rows as one integer product over one denominator and signed
     by sign^|phi|, and d = m - r with phi a partition of r.
@@ -282,7 +318,8 @@ def _filtered(params: Mapping, sign: int) -> tuple[int, tuple[int, ...], tuple, 
     phi = params.get("phi", ())
     unit, dens, den = _unit_rows(m)
     parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
-    totals = _walk_rows(_weight_rows(m, phi)) if parts else _unit_totals(m)[0]
+    if totals is None:
+        totals = _walk_rows(_weight_rows(m, phi)) if parts else _unit_totals(m)[0]
     top = sign ** sum(phi) * math.prod(unit[i][k] for i, k in parts)
     base = top, math.prod(dens[i] for i, _ in parts)
     return m, phi, _class_sums(totals, den, sign), base, m - sum(i * k for i, k in parts)
@@ -319,9 +356,9 @@ def _lemma_3_1(params: Mapping) -> Checked:
     return {"m": m}, sum(sides), _alternating_closed(base, d), ""
 
 
-def _lemma_3_2(params: Mapping) -> Checked:
+def _lemma_3_2(params: Mapping, totals: Sequence[int] | None = None) -> Checked:
     """Binomial-filtered alternating weights; full and restricted sums agree."""
-    m, phi, sides, base, d = _filtered(params, -1)
+    m, phi, sides, base, d = _filtered(params, -1, totals)
     # Only y >= phi contributes; writing y = phi + z with z a partition of d,
     # C(y_i, phi_i) / y_i! = 1 / (phi_i! z_i!) splits each term in two.
     restricted = Fraction(*base) * sum(_class_sums(*_unit_totals(d), -1))
@@ -339,10 +376,14 @@ def _stirling_alternating(params: Mapping) -> Checked:
     return {"m": m}, lhs, rhs, ""
 
 
-def _binomial_partition(params: Mapping) -> Checked:
-    """Partition reduction with every power sum set to n equals C(n, m)."""
+def _binomial_partition(params: Mapping, elementary: Fraction | int) -> Checked:
+    """Partition reduction with every power sum set to n equals C(n, m).
+
+    elementary is c_m of Newton's recurrence on the power sums n, ..., n,
+    read from the one row :func:`_binomial_rows` runs per n of a sweep.
+    """
     n, m = params["n"], params["m"]
-    return {"n": n, "m": m}, Fraction(elementary_from_power_sums([n] * m, m)[m]), Fraction(math.comb(n, m)), ""
+    return {"n": n, "m": m}, Fraction(elementary), Fraction(math.comb(n, m)), ""
 
 
 def _product_identity(params: Mapping) -> Checked:
@@ -395,9 +436,9 @@ def _even_odd_weights(params: Mapping) -> Checked:
     return {"m": m}, sides, _parity_closed(base, d, 0), _PARITY_NOTE
 
 
-def _even_odd_binom(params: Mapping) -> Checked:
+def _even_odd_binom(params: Mapping, totals: Sequence[int] | None = None) -> Checked:
     """Binomial-filtered even/odd weight totals against the three-case closed form."""
-    m, phi, sides, base, d = _filtered(params, 1)
+    m, phi, sides, base, d = _filtered(params, 1, totals)
     return {"m": m, "phi": phi}, sides, _parity_closed(base, d, sum(phi)), _PARITY_NOTE
 
 
@@ -490,8 +531,9 @@ def _admit_bridge(params: Mapping) -> int:
 
 # identity -> (check, parameter names, admission); _admit reads the integer
 # names, all but "spec" and "phi", in this order before the admission runs,
-# and the identities taking "phi" expand it in verify_sweep
-_REGISTRY: dict[IdentityId, tuple[Callable[[Mapping], Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
+# and the identities taking "phi" expand it in verify_sweep; a check also
+# takes what its sweep shares with it, where _shared gives that
+_REGISTRY: dict[IdentityId, tuple[Callable[..., Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
     IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_walk),
     IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_walk),
     IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling),
@@ -536,10 +578,64 @@ def _admit(identity: IdentityId, params: Mapping) -> int:
     return admit(params)
 
 
-def _report(identity: IdentityId, params: Mapping) -> VerificationReport:
-    """The identity's check on parameters already admitted, and its verdict."""
-    checked, lhs, rhs, note = _REGISTRY[identity][0](params)
+def _report(identity: IdentityId, params: Mapping, shared: object = None) -> VerificationReport:
+    """The identity's check on parameters already admitted, and its verdict.
+
+    ``shared`` is what the sweep computed once for this report (see
+    :func:`_shared`), or None where the check computes its own.
+    """
+    check = _REGISTRY[identity][0]
+    checked, lhs, rhs, note = check(params) if shared is None else check(params, shared)
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
+
+
+def _binomial_rows(reports: Sequence[Mapping]) -> list[Fraction | int]:
+    """c_m per BINOMIAL_PARTITION report: one Newton row per n, up to the largest m swept with it.
+
+    Each row keeps only the c_m its reports read, so what is held grows
+    with the reports, not with the rows.
+    """
+    wanted: dict[int, set[int]] = {}
+    for params in reports:
+        wanted.setdefault(params["n"], set()).add(params["m"])
+    values = {}
+    for n, orders in wanted.items():
+        top = max(orders)
+        row = elementary_from_power_sums([n] * top, top)
+        values.update(((n, m), row[m]) for m in orders)
+    return [values[params["n"], params["m"]] for params in reports]
+
+
+def _phi_totals(reports: Sequence[Mapping]) -> Iterator[list[int] | None]:
+    """Per report of a sweep that expands phi, its totals from its order's :func:`_phi_table`; None at phi = 0.
+
+    The reports of one grid point follow one another, phi = 0 first, so
+    one table is built per grid point and held only until its last report,
+    each totals list leaving it as its report reads it.
+    """
+    table: dict[tuple, list[int]] = {}
+    for params in reports:
+        key = tuple((i, k) for i, k in enumerate(params["phi"], start=1) if k)
+        if key:
+            yield table.pop(key)
+        else:  # the first report of a grid point
+            table = _phi_table(params["m"])
+            yield None
+
+
+def _shared(identity: IdentityId, reports: Sequence[Mapping], expanded: bool) -> Iterable:
+    """Per report, what its sweep computes once and the report reads, or None where it computes its own.
+
+    A sweep that expands phi walks each order once for all its phi != 0
+    (:func:`_phi_totals`); its phi = 0 reports read their order's kept
+    walk. A BINOMIAL_PARTITION sweep reads c_m from :func:`_binomial_rows`.
+    Nothing is kept past the sweep.
+    """
+    if expanded:
+        return _phi_totals(reports)
+    if identity is IdentityId.BINOMIAL_PARTITION:
+        return _binomial_rows(reports)
+    return repeat(None)
 
 
 def _count_values(name: str, values: Sequence[int]) -> int:
@@ -579,6 +675,20 @@ def verify_sweep(
     walk of their order (phi = 0, LEMMA_3_2's restricted side,
     LEMMA_3_1, EVEN_ODD_WEIGHTS and EVEN_ODD_N). Every report then runs
     through one check path; :func:`verify` is the sweep of one point.
+
+    Some work is shared for the length of the sweep and then dropped:
+    - When the sweep expands phi, the phi != 0 reports of each grid point
+      read their totals from one :func:`_phi_table` of its order, a single
+      walk over the p(m) partitions y of m that forms the same
+      sum_{0 < r <= m} p(r) p(m - r) terms their admissions count, with no
+      rows built and no walk set up per report. The table is unsigned, so
+      LEMMA_3_2 and EVEN_ODD_BINOM read it alike. A sweep at a given phi,
+      and a single verify, walk phi's own :func:`_weight_rows`, which need
+      only its own p(m - r) terms.
+    - A BINOMIAL_PARTITION sweep runs Newton's recurrence once per n, up to
+      the largest m swept with that n, and each report reads its c_m from
+      that row (:func:`_binomial_rows`); a single verify runs it up to its
+      own m.
     """
     identity = IdentityId(identity)
     parameters = _REGISTRY[identity][1]
@@ -594,7 +704,8 @@ def verify_sweep(
     unknown = sorted(set(grid[0]) - set(parameters)) if grid else []  # every point has the same names
     if unknown:
         raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
-    if "phi" in parameters and "phi" not in base:
+    expanded = "phi" in parameters and "phi" not in base
+    if expanded:
         reports = []
         for params in grid:
             # each phi is a partition of r <= m padded to length m, as _with_phi pads it; they are
@@ -609,4 +720,4 @@ def verify_sweep(
     visited = sum(_admit(identity, params) for params in reports)
     if visited > SWEEP_MAX_PARTITIONS:
         raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
-    return [_report(identity, params) for params in reports]
+    return [_report(identity, params, shared) for params, shared in zip(reports, _shared(identity, reports, expanded))]

@@ -8,7 +8,8 @@ one slot per possible part size, which is what the partition-weighted
 product formulas consume. :func:`enumerate_partitions` is the one
 enumerator. It keeps no cache: the partition sums below do not list
 partitions, and its callers (``partitions list``, the phi expansion of
-identity sweeps, the coefficient tables of the acceptance suite) list few.
+identity sweeps and the one walk per order that serves it, the
+coefficient tables of the acceptance suite) list few.
 
 Sums over all partitions of m of a product of per-part weights have two
 routes here. :func:`partition_sum` (and its even/odd split
@@ -45,8 +46,9 @@ tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from typing import Callable, Sequence
+from math import comb, lcm, prod
+from operator import getitem
+from typing import Callable, Iterator, Sequence
 
 from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text, _integer, _is_int
 
@@ -193,6 +195,29 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     walk(d, d, lead, first_parts)
     del walk  # as in enumerate_partitions: no reference cycle is left for gc
     return totals
+
+
+def _sub_terms(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[tuple[tuple, int]]]]:
+    """(p, terms) per partition y of m = len(rows) - 1, p = sum(y) its number of parts.
+
+    terms lists (phi, prod_i rows[i][y_i] C(y_i, phi_i)) for every
+    multiplicity vector phi != 0 with phi_i <= y_i, phi written sparse as
+    the pairs (i, phi_i) with phi_i > 0, i ascending. Summed per phi and p,
+    the terms are :func:`_walk_rows` of the rows rows[i][k] C(k, phi_i),
+    for every phi != 0 partitioning some r <= m at once: one walk over the
+    p(m) partitions y, forming the sum_{0 < r <= m} p(r) p(m - r) terms
+    that walks of one phi at a time would form, with no rows built and no
+    walk set up per phi. Each y's product of rows is formed once, and its
+    terms multiply one binomial per nonzero y_i into it.
+    """
+    tail = rows[1:]
+    for y in enumerate_partitions(len(tail)):
+        terms = [((), prod(map(getitem, tail, y)))]
+        for i, k in enumerate(y, start=1):
+            if k:
+                terms = [(phi + ((i, f),) if f else phi, term * comb(k, f))
+                         for phi, term in terms for f in range(k + 1)]
+        yield sum(y), terms[1:]  # terms[0] is phi = 0
 
 
 def partition_sum(m: int, weight: Weight) -> Fraction:

@@ -42,10 +42,14 @@ __all__ = [
     "mzv_limit_trend",
     "load_zeta_golden_table",
     "MZV_PARTIAL_MAX_N",
+    "MZV_PARTIAL_MAX_P",
     "BERNOULLI_MAX_INDEX",
 ]
 
 MZV_PARTIAL_MAX_N = 60  # n^2 Newton steps on power sums of N^-p, rationals of thousands of bits
+# p of mzv_partial_identity: the rationals grow with p, and the dearest admitted call, n = 60 at
+# p = 20, takes 0.76 to 1.2 s in process (p = 50 took 4.5 s) on a 2-vCPU VM
+MZV_PARTIAL_MAX_P = 20
 # Largest index j of the B_j one call here requests: p for faulhaber, mp for
 # multiple_power_sum, 2mp for bernoulli_partition_sum and mzv_even_reduced.
 # The dearest call it admits, mzv_even_reduced(256, 1), takes about 0.6 s in
@@ -186,7 +190,8 @@ def mzv_partial_identity(n: int, p: int) -> tuple[Fraction, Fraction]:
     """
     if not _is_int(n) or not 1 <= n <= MZV_PARTIAL_MAX_N:
         raise ValueError(f"n must be in [1, {MZV_PARTIAL_MAX_N}]")
-    p = _integer("p", p, 1)
+    if _integer("p", p, 1) > MZV_PARTIAL_MAX_P:
+        raise ValueError(f"p={_int_text(p)} exceeds the mzv_partial_identity cap {MZV_PARTIAL_MAX_P}")
     lhs = sum_of_multiple_sums(IndexPower(-p), 1, n)
     powers = [N**p for N in range(1, n + 1)]
     return lhs, Fraction(math.prod(power + 1 for power in powers), math.prod(powers))

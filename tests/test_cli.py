@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -643,3 +644,33 @@ def test_every_outcome_is_an_exit_code_with_json_on_stdout(command):
                 assert list(payload) == ["error"] and isinstance(payload["error"], str)
 
     check()
+
+
+# Sweep bounds far past every cap: 2^63, 10^11, and 10^4300, an integer of 4301 digits, more than
+# Python prints by default. Every sweep holding one of them is refused before any report runs.
+_HUGE = (2**63, 10**11, 10**4300)
+_bounds = st.one_of(st.sampled_from(_HUGE), st.integers(-1, 6))
+
+
+@st.composite
+def _huge_sweeps(draw):
+    """1 to 3 chunks name=lo..hi over distinct names, one of their bounds huge."""
+    names = draw(st.permutations(["m", "n", "q"]))[: draw(st.integers(1, 3))]
+    bounds = [[draw(_bounds), draw(_bounds)] for _ in names]
+    chunk, side = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, 1))
+    bounds[chunk][side] = draw(st.sampled_from(_HUGE))
+    return ",".join(f"{name}={lo}..{hi}" for name, (lo, hi) in zip(names, bounds))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([i.value for i in IdentityId]), _huge_sweeps())
+def test_sweeps_with_huge_bounds_exit_2_in_bounded_time(identity, sweep):
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", identity, "--sweep", sweep])
+    assert time.perf_counter() - started < 2
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    payload = json.loads(out.getvalue())
+    assert list(payload) == ["error"] and isinstance(payload["error"], str)

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multisums.core import ExplicitSequence, IndexPower, eval_sequence
+from multisums.core import ExplicitSequence, IndexPower, elementary_from_power_sums, eval_sequence
 from multisums import identities
 from multisums.identities import IdentityId, verify, verify_sweep
-from multisums.partitions import _walk_rows, enumerate_partitions, parity_partition_sums, partition_sum
+from multisums.partitions import (
+    _sub_terms,
+    _walk_rows,
+    enumerate_partitions,
+    parity_partition_sums,
+    partition_count,
+    partition_sum,
+)
 
 N = IndexPower(1)
 
@@ -279,6 +286,65 @@ def test_swept_phi_reports_equal_lone_calls(identity, alone_first):
     assert all(r.equal for r in swept)
 
 
+@pytest.mark.parametrize(
+    "identity", [IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM], ids=["sign_minus", "sign_plus"]
+)
+def test_phi_table_reports_equal_the_walk_of_each_phi(identity):
+    # a sweep that expands phi reads one table per order; a lone phi walks its own rows
+    for m in range(13):
+        swept = verify_sweep(identity, {"m": [m]})
+        alone = [verify(identity, {"m": m, "phi": r.params["phi"]}) for r in swept]
+        assert [r.to_json_dict() for r in swept] == [r.to_json_dict() for r in alone]
+        assert all(r.equal for r in swept)
+        phis = [phi for phi in (r.params["phi"] for r in swept) if any(phi)]
+        walks = {tuple((i, k) for i, k in enumerate(phi, 1) if k): _walk_rows(identities._weight_rows(m, phi))
+                 for phi in phis}
+        assert identities._phi_table(m) == walks
+
+
+def test_phi_table_forms_the_terms_the_admissions_count(monkeypatch):
+    # every sweep is refused, and its message gives the sum of its reports' admissions
+    monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", -1)
+    for m in range(13):
+        terms = sum(len(terms) for _, terms in _sub_terms(identities._unit_rows(m)[0]))
+        assert terms == sum(partition_count(r) * partition_count(m - r) for r in range(1, m + 1))
+        for identity in (IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM):
+            with pytest.raises(ValueError, match=rf"^sweep visits {terms} partitions, more than the cap of -1$"):
+                verify_sweep(identity, {"m": [m]})
+
+
+@pytest.mark.parametrize(
+    "ranges", [{"n": range(31), "m": range(31)}, {"m": range(31), "n": range(31)}], ids=["m_fastest", "n_fastest"]
+)
+def test_binomial_sweep_rows_equal_per_point_newton(ranges):
+    swept = verify_sweep(IdentityId.BINOMIAL_PARTITION, ranges)
+    fastest = list(ranges)[-1]
+    assert [r.params[fastest] for r in swept[:31]] == list(range(31))
+    alone = [verify(IdentityId.BINOMIAL_PARTITION, r.params) for r in swept]
+    assert [r.to_json_dict() for r in swept] == [r.to_json_dict() for r in alone]
+    for r in swept:
+        n, m = r.params["n"], r.params["m"]
+        assert r.lhs == Fraction(elementary_from_power_sums([n] * m, m)[m])
+        assert r.equal
+
+
+def test_binomial_rows_reach_only_the_largest_order_swept(monkeypatch):
+    rows = []
+
+    def recording(sums, m):
+        rows.append((sums[0] if sums else None, m))
+        return elementary_from_power_sums(sums, m)
+
+    monkeypatch.setattr(identities, "elementary_from_power_sums", recording)
+    assert verify(IdentityId.BINOMIAL_PARTITION, {"n": 30, "m": 7}).equal
+    assert rows == [(30, 7)]
+    rows.clear()
+    reports = verify_sweep(IdentityId.BINOMIAL_PARTITION, {"m": [3, 9, 5], "n": [4, 6]})
+    assert [(r.params["n"], r.params["m"]) for r in reports] == [(4, 3), (6, 3), (4, 9), (6, 9), (4, 5), (6, 5)]
+    assert all(r.equal for r in reports)
+    assert rows == [(4, 9), (6, 9)]
+
+
 def test_shared_rows_under_threads():
     # selftest --jobs runs criteria in threads; from cold caches they race to build
     # and read the rows and the kept walk of each order, and every report must equal
@@ -336,7 +402,7 @@ def test_sweep_cap_counts_range_points_as_len(values, monkeypatch):
 def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     # one point at m expands into sum_{r<=m} p(r) reports: 9296 at m = 25,
     # 11 732 at m = 26; the second grid has 3 points but 10 076 reports
-    monkeypatch.setattr(identities, "_report", lambda ident, params: params["phi"])
+    monkeypatch.setattr(identities, "_report", lambda ident, params, shared=None: params["phi"])
     # 9296 reports of p(25) partitions each are over the partition budget, tested on its own below;
     # LEMMA_3_2's restricted sides add fewer again
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 2 * 9296 * 1958)
@@ -347,7 +413,7 @@ def test_sweep_cap_counts_phi_reports(identity, monkeypatch):
     assert len(verify_sweep(identity, {"m": [3]}, base={"phi": (1, 0, 0)})) == 1
 
 
-def _refuse_checks(ident, params):
+def _refuse_checks(ident, params, shared=None):
     raise AssertionError("a check ran before the sweep's budget was counted")
 
 
@@ -384,7 +450,7 @@ def test_sweep_partition_budget_is_inclusive(identity, ranges, base, visited, mo
 )
 def test_sweep_partition_budget_counts_no_kept_walk(identity, ranges, monkeypatch):
     # each order's walk is kept, and the order cap bounds those walks, so these count nothing
-    monkeypatch.setattr(identities, "_report", lambda ident, params: params)
+    monkeypatch.setattr(identities, "_report", lambda ident, params, shared=None: params)
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", 0)
     assert len(verify_sweep(identity, ranges)) == math.prod(map(len, ranges.values()))
 
@@ -412,7 +478,7 @@ def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
     # an order repeated at a fixed phi != 0: 12 reports of p(49) = 173 525 terms each
     with pytest.raises(ValueError, match="sweep visits 2082300 partitions, more than the cap of 2000000"):
         verify_sweep(IdentityId.LEMMA_3_2, {"m": [50] * 12}, base={"phi": (1,)})
-    monkeypatch.setattr(identities, "_report", lambda ident, params: params)
+    monkeypatch.setattr(identities, "_report", lambda ident, params, shared=None: params)
     assert len(verify_sweep(IdentityId.LEMMA_3_2, {"m": [50] * 11}, base={"phi": (1,)})) == 11  # 1 908 775
     # one report at m = 0 and 3506 phi reports at m = 21, whose phi != 0 full sides walk
     # sum_{r=1..21} p(r) p(21 - r) = 34 210 terms

@@ -1,14 +1,16 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import multisums
 from multisums import core, exact_arith, identities, partitions, polynomials, special_sums
-from multisums.cli import run
+from multisums.cli import main, run
 from multisums.core import IndexPower
 from multisums.identities import IdentityId, verify
 
@@ -44,6 +46,7 @@ def _cli_error(*argv: str) -> None:
     (lambda: special_sums.stirling_via_multiple_sum(4, 3), "need 0 <= m <= n"),
     (lambda: special_sums.mzv_closed_form(-1, 1), "m must be >= 0"),
     (lambda: special_sums.mzv_partial_identity(3, 0), "p must be >= 1"),
+    (lambda: special_sums.mzv_partial_identity(60, 21), "p=21 exceeds the mzv_partial_identity cap 20"),
     (lambda: exact_arith.bernoulli(-1), "j must be >= 0"),
     (lambda: exact_arith.stirling_first_unsigned(-1, 0), "m must be >= 0"),
     (lambda: _cli_error("selftest", "--jobs", "0"), "--jobs must be >= 1"),
@@ -62,7 +65,8 @@ def _cli_error(*argv: str) -> None:
 ], ids=["brute_recurrent_sum-m", "brute_recurrent_sum-q", "reduce_multiple_sum-q", "power_sums-q",
         "symmetrized_multiple_sum-q", "reduce_symmetrized-q", "LEMMA_3_1-m", "EVEN_ODD_N-n", "LEMMA_3_2-phi",
         "multiple_power_sum-m", "multiple_power_sum-p", "stirling_via_multiple_sum", "mzv_closed_form-m",
-        "mzv_partial_identity-p", "bernoulli-j", "stirling_first_unsigned-m", "cli-selftest-jobs", "cli-verify-sweep",
+        "mzv_partial_identity-p", "mzv_partial_identity-p-cap", "bernoulli-j", "stirling_first_unsigned-m",
+        "cli-selftest-jobs", "cli-verify-sweep",
         "cli-multisum-q", "mzv_limit_trend-float", "mzv_limit_trend-integral-float", "mzv_limit_trend-string",
         "mzv_limit_trend-bool", "mzv_limit_trend-below-2", "verify_sweep-int-range", "verify_sweep-string-range"])
 def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
@@ -242,6 +246,28 @@ def test_refusals_of_unprintable_inputs_keep_their_message(default_int_digits, c
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 5000, 9000, 30_000])
+def test_rational_to_str_writes_past_the_digit_limit(default_int_digits, digits):
+    # each side read back digit by digit, as int() reads at most 4300 digits
+    for value in (Fraction(10**digits - 1, 7), Fraction(-(10 ** (digits - 1)) - 3, 10**digits + 1)):
+        num, den = exact_arith.rational_to_str(value).split("/")
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        for text, part in ((num, value.numerator), (den, value.denominator)):
+            assert text.lstrip("-") and text.lstrip("-")[0] != "0"
+            read = sum(int(digit) * 10**i for i, digit in enumerate(reversed(text.lstrip("-"))))
+            assert (-read if text.startswith("-") else read) == part
+
+
+def test_library_report_past_the_digit_limit_equals_the_cli_line(default_int_digits, capsys):
+    # both sides are 10^6000, 6001 digits; each value fits the limit, so the spec prints as JSON
+    spec = core.ExplicitSequence([10**3000, 10**3000])
+    library = verify(IdentityId.PRODUCT_IDENTITY, {"spec": spec, "q": 1, "n": 2}).to_json_dict()
+    assert library["lhs"] == library["rhs"] == "1" + "0" * 6000 + "/1"
+    spec_text = json.dumps(core.sequence_spec_to_json(spec) | {"values": [10**3000, 10**3000]})
+    assert main(["verify", "PRODUCT_IDENTITY", "--spec", spec_text, "--q", "1", "--n", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [library]
 
 
 def test_readme_caps_table_names_every_public_cap():
