@@ -72,11 +72,11 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from .exact_arith import (
     RationalLike,
     _as_exact,
-    _as_rational,
     _int_text,
     _integer,
     _is_int,
     _pair_power_sums,
+    _rationals,
     _Record,
     _scale_tree,
     _set,
@@ -128,7 +128,7 @@ class ExplicitSequence(_Record):
 
     def __init__(self, values: Iterable[RationalLike], base: int = 1) -> None:
         base = _integer("sequence 'base'", base, None)
-        _set(self, "values", tuple([_as_rational(v) for v in values]))
+        _set(self, "values", tuple(_rationals("sequence 'values'", values)))
         _set(self, "base", base)
 
 
@@ -327,7 +327,7 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     beyond S_m are ignored.
     """
     _check_newton(m, len(sums))
-    return _newton([-s if i % 2 else s for i, s in enumerate(map(_as_exact, sums[:m]))])
+    return _newton([-s if i % 2 else s for i, s in enumerate(_rationals("sums", sums[:m], _as_exact))])
 
 
 def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:

@@ -10,7 +10,10 @@ decimal string such as ``"0.1"`` is refused too. Integer arguments have one
 reader, the private ``_integer``: every public entry point of the package
 reads its orders, window bounds, exponents and indices through it once per
 call, so a bool, a float or a string is refused with ValueError naming the
-argument, never read as a number or left to fail in a kernel.
+argument, never read as a number or left to fail in a kernel. A sequence
+of rational arguments has one reader too, the private ``_rationals``,
+which refuses a str or a bytes rather than read its characters or byte
+codes as values.
 
 One block kernel here sums many rationals exactly, as integer power sums
 over one scale, with no Fraction built per term: the power sums of a
@@ -146,6 +149,17 @@ def _as_rational(value: RationalLike) -> Fraction:
 def _as_exact(value: RationalLike) -> Fraction | int:
     """value as an exact number: an int stays an int, the rest is read by _as_rational."""
     return value if _is_int(value) else _as_rational(value)
+
+
+def _rationals(name: str, values: Iterable[RationalLike], read: Callable = _as_rational) -> list:
+    """[read(v) for v in values], the one reader of a sequence of rational arguments.
+
+    A str or a bytes is one value, never a sequence of characters or of
+    byte codes, so it is refused with ValueError naming the argument.
+    """
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of rationals, got {type(values).__name__}")
+    return [read(v) for v in values]
 
 
 _Block = tuple[list[tuple[int, int]], int]  # up to _SUM_BLOCK int pairs and the lcm of their denominators

@@ -31,20 +31,22 @@ Those rows are written once, as integer rows over D_i = i^K K!
 unsigned row set per order is built, as tuples, and kept, and so is its
 walk: Lemma 3.1, EVEN_ODD_WEIGHTS, EVEN_ODD_N at every n, LEMMA_3_2's
 restricted side and the phi = 0 reports read that walk, so each order is
-walked once per process. A report at a given phi != 0 derives its own
-rows, new only where phi_i > 0, and walks them. A sweep that expands phi
-walks each order once for all its phi != 0 reports instead, into one table
-that lives for the sweep, and a BINOMIAL_PARTITION sweep runs Newton once
-per n; :func:`verify_sweep` says which reports share what.
+walked once per process. A report at a given phi != 0 derives the rows of
+its terms y = phi + z, slices of the unit rows where phi_i = 0, and walks
+the partitions z of m - r. A sweep that expands phi walks each order once
+for all its phi != 0 reports instead, into one table that lives for the
+sweep, a BINOMIAL_PARTITION sweep runs Newton once per n, and a
+STIRLING_ALTERNATING sweep builds its rows in one ascending pass;
+:func:`verify_sweep` says which reports share what.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term by the walk of :mod:`multisums.partitions` (over those rows, or
 through :func:`multisums.partitions.parity_partition_sums` for the bridge's
 rational weights), never by the recurrence that the reductions use; only
-the walk of an order is shared. The walk skips the terms that
-C(y_i, phi_i) = 0 removes, those with some y_i < phi_i, so a report at
-order m with phi a partition of r forms p(m - r) terms, one partition at a
-time.
+the walk of an order is shared. This module alone knows phi: C(y_i, phi_i)
+vanishes for y_i < phi_i, so only the partitions y = phi + z contribute,
+and a report at order m with phi a partition of r walks the p(m - r)
+partitions z of m - r, one partition at a time.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from itertools import product as cartesian_product
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
@@ -75,7 +77,7 @@ from .core import (
 from .exact_arith import _int_text, _integer, _is_int, _Record, _set, _stirling, rational_to_str
 from .partitions import (
     _check_order,
-    _sub_terms,
+    _class_sums,
     _walk_rows,
     enumerate_partitions,
     parity_partition_sums,
@@ -176,7 +178,9 @@ def _params_to_json(params: Mapping) -> dict:
 
 
 def _normalize_phi(phi: Sequence[int], m: int) -> tuple[int, ...]:
-    """Multiplicity vector for the sub-partition, padded with zeros to length m."""
+    """Multiplicity vector for the sub-partition, padded with zeros to length m; a list or a tuple."""
+    if not isinstance(phi, (list, tuple)):
+        raise ValueError(f"phi must be a list or a tuple, got {type(phi).__name__}")
     phi = tuple(phi)
     if not all(_is_int(v) for v in phi):
         raise ValueError(f"phi multiplicities must be integers, got {list(phi)!r}")
@@ -244,59 +248,61 @@ def _unit_totals(m: int, /) -> tuple[tuple[int, ...], int]:
     return tuple(_walk_rows(rows)), den
 
 
-def _weight_rows(m: int, phi: Sequence[int]) -> list[Sequence[int]]:
-    """The rows of the weight C(k, phi_i) / (i^k k!) of y_i = k, over the dens of :func:`_unit_rows`.
+def _weight_rows(m: int, phi: Sequence[int]) -> tuple[list[Sequence[int]], int]:
+    """(rows, factor): the terms y = phi + z of the weight C(k, phi_i) / (i^k k!) of y_i = k, for one phi != 0.
 
-    They serve the reports of one given phi != 0, a single :func:`verify`
-    or a sweep at a fixed phi, which walk only phi's own p(m - r) terms; a
-    sweep that expands phi reads :func:`_phi_table` instead, which these
-    rows' walks are tested against. The unit rows at this order, with
-    rows[i][k] multiplied by C(k, phi_i) where phi_i > 0, the form
-    :func:`multisums.partitions._walk_rows` reads. Only those rows are new
-    lists: the others are the shared tuples, and rows[0] is empty. Entries
-    of phi past its end are 0. At k < phi_i the weight is 0, which removes
-    partitions lacking a part that phi has; the walk skips those terms.
+    phi is a vector of length m partitioning r, and only the partitions
+    y >= phi have no zero factor C(y_i, phi_i); they are y = phi + z over
+    the partitions z of d = m - r. The rows, of order d, are
+    rows[i][k] = unit[i][phi_i + k] C(phi_i + k, phi_i) for i <= d and
+    k <= d // i, over the dens of the unit rows ``unit`` of
+    :func:`_unit_rows` at order m, so :func:`_walk_rows` forms the p(d)
+    terms of z and its total t_p is that of y with |phi| + p parts. The
+    parts above d are phi's own, z_i = 0 there, and their entries multiply
+    to ``factor`` = prod_{i > d} unit[i][phi_i]. A row with phi_i = 0 is a
+    slice of the shared unit row, and rows[0] is empty. These rows serve
+    the reports of a given phi, a single :func:`verify` or a sweep at a
+    fixed phi; a sweep that expands phi reads :func:`_phi_table` instead,
+    which these rows' walks are tested against.
     """
-    rows: list[Sequence[int]] = [[], *_unit_rows(m)[0][1:]]
-    for i, least in enumerate(phi[:m], start=1):
-        if least:
-            row = rows[i]
-            rows[i] = [0] * least + [math.comb(k, least) * row[k] for k in range(least, len(row))]
-    return rows
+    unit = _unit_rows(m)[0]
+    d = m - sum(map(mul, phi, count(1)))
+    rows: list[Sequence[int]] = [()]
+    for i in range(1, d + 1):
+        least, row, top = phi[i - 1], unit[i], d // i + 1
+        rows.append([math.comb(least + k, least) * row[least + k] for k in range(top)] if least else row[:top])
+    return rows, math.prod(unit[i][phi[i - 1]] for i in range(d + 1, m + 1))
 
 
 def _phi_table(m: int) -> dict[tuple, list[int]]:
-    """{phi: t} for every phi != 0 partitioning some r <= m, from one walk over the partitions of m.
+    """{phi: t} for every phi != 0 partitioning some r <= m, from one walk over the partitions y of m.
 
     phi is written sparse, as the pairs (i, phi_i) with phi_i > 0, i
     ascending, and t[p] over the den of :func:`_unit_rows` sums the unit
     terms of the partitions y >= phi with p parts, each times
-    prod_i C(y_i, phi_i): the totals that :func:`_walk_rows` gives on
-    phi's :func:`_weight_rows`, for every phi at once. The table is
-    unsigned, so both signs read it. It is built per sweep and not kept.
+    prod_i C(y_i, phi_i): the totals of phi's :func:`_weight_rows` walk,
+    placed as :func:`_filtered` places them, for every phi at once. Each y's
+    unit product is formed once, and its terms multiply one binomial per
+    nonzero y_i into it, so the table holds the
+    sum_{0 < r <= m} p(r) p(m - r) terms that walks of one phi at a time
+    would form, with no rows built and no walk set up per phi. The table
+    is unsigned, so both signs read it. It is built per sweep and not kept.
     """
+    tail = _unit_rows(m)[0][1:]
     table: dict[tuple, list[int]] = {}
-    for parts, terms in _sub_terms(_unit_rows(m)[0]):
-        for phi, term in terms:
+    for y in enumerate_partitions(m):
+        terms = [((), math.prod(map(getitem, tail, y)))]
+        for i, k in enumerate(y, start=1):
+            if k:
+                terms = [(phi + ((i, f),) if f else phi, term * math.comb(k, f))
+                         for phi, term in terms for f in range(k + 1)]
+        parts = sum(y)
+        for phi, term in terms[1:]:  # terms[0] is phi = 0
             totals = table.get(phi)
             if totals is None:
                 totals = table[phi] = [0] * (m + 1)
             totals[parts] += term
     return table
-
-
-def _class_sums(totals: Sequence[int], den: int, x: int) -> tuple[Fraction, Fraction]:
-    """(even, odd): sum_p x^p t_p / den over the even and over the odd part counts p.
-
-    The weights' sign and n are factors per part, so over a partition with
-    p parts they multiply to x^p, x = +-n, and apply to each class at once:
-    the j-th entry of either class takes (x^2)^j, and the odd class one more
-    x. At x = +-1 no power is formed.
-    """
-    even, odd = totals[0::2], totals[1::2]
-    if x * x != 1:
-        even, odd = (map(mul, side, accumulate(repeat(x * x), mul, initial=1)) for side in (even, odd))
-    return Fraction(sum(even), den), Fraction(x * sum(odd), den)
 
 
 def _filtered(
@@ -308,18 +314,23 @@ def _filtered(
     :func:`verify_sweep` has checked; it defaults to 0.
     (even, odd) are the sums over the partitions with an even and an odd
     number of parts, read from ``totals`` where the sweep's :func:`_phi_table`
-    gives them, else from the order's kept walk at phi = 0 and from a walk
-    of phi's own rows otherwise. The weight's product over phi's
-    nonzero entries, where C(phi_i, phi_i) = 1, is top / bottom, read from
-    the unit rows as one integer product over one denominator and signed
-    by sign^|phi|, and d = m - r with phi a partition of r.
+    gives them, else from the order's kept walk at phi = 0, and otherwise
+    from the walk of phi's :func:`_weight_rows` over the partitions z of d,
+    whose total t_p, times the rows' factor, counts at |phi| + p parts. The
+    weight's product over phi's nonzero entries, where C(phi_i, phi_i) = 1,
+    is top / bottom, read from the unit rows as one integer product over one
+    denominator and signed by sign^|phi|, and d = m - r with phi a partition
+    of r.
     """
     m = params["m"]
     phi = params.get("phi", ())
     unit, dens, den = _unit_rows(m)
     parts = [(i, k) for i, k in enumerate(phi, start=1) if k]
-    if totals is None:
-        totals = _walk_rows(_weight_rows(m, phi)) if parts else _unit_totals(m)[0]
+    if totals is None and parts:
+        rows, factor = _weight_rows(m, phi)
+        totals = [0] * sum(phi) + [factor * t for t in _walk_rows(rows)]
+    elif totals is None:
+        totals = _unit_totals(m)[0]
     top = sign ** sum(phi) * math.prod(unit[i][k] for i, k in parts)
     base = top, math.prod(dens[i] for i, _ in parts)
     return m, phi, _class_sums(totals, den, sign), base, m - sum(i * k for i, k in parts)
@@ -367,11 +378,14 @@ def _lemma_3_2(params: Mapping, totals: Sequence[int] | None = None) -> Checked:
     return {"m": m, "phi": phi}, (sum(sides), restricted), (closed, closed), note
 
 
-def _stirling_alternating(params: Mapping) -> Checked:
-    """Alternating row sums of the first-kind triangle vanish past m = 1."""
+def _stirling_alternating(params: Mapping, alternating: int) -> Checked:
+    """Alternating row sums of the first-kind triangle vanish past m = 1.
+
+    alternating is the sum of row m with signs (-1)^r, read from the one
+    ascending pass :func:`_stirling_sums` makes over a sweep's orders.
+    """
     m = params["m"]
-    row = _stirling(m)
-    lhs = Fraction(sum(row[0::2]) - sum(row[1::2]))
+    lhs = Fraction(alternating)
     rhs = Fraction((-1 if m % 2 else 1) * math.factorial(m)) if m <= 1 else Fraction(0)
     return {"m": m}, lhs, rhs, ""
 
@@ -606,6 +620,20 @@ def _binomial_rows(reports: Sequence[Mapping]) -> list[Fraction | int]:
     return [values[params["n"], params["m"]] for params in reports]
 
 
+def _stirling_sums(reports: Sequence[Mapping]) -> list[int]:
+    """The alternating row sum per STIRLING_ALTERNATING report, from one ascending pass over the sweep's orders.
+
+    Each row of the triangle continues from the one built before it, so
+    every row up to the largest m is built once, whatever the order of the
+    swept m, and only the sums are held.
+    """
+    sums = {}
+    for m in sorted({params["m"] for params in reports}):
+        row = _stirling(m)
+        sums[m] = sum(row[0::2]) - sum(row[1::2])
+    return [sums[params["m"]] for params in reports]
+
+
 def _phi_totals(reports: Sequence[Mapping]) -> Iterator[list[int] | None]:
     """Per report of a sweep that expands phi, its totals from its order's :func:`_phi_table`; None at phi = 0.
 
@@ -628,13 +656,16 @@ def _shared(identity: IdentityId, reports: Sequence[Mapping], expanded: bool) ->
 
     A sweep that expands phi walks each order once for all its phi != 0
     (:func:`_phi_totals`); its phi = 0 reports read their order's kept
-    walk. A BINOMIAL_PARTITION sweep reads c_m from :func:`_binomial_rows`.
+    walk. A BINOMIAL_PARTITION sweep reads c_m from :func:`_binomial_rows`,
+    and a STIRLING_ALTERNATING sweep its row sums from :func:`_stirling_sums`.
     Nothing is kept past the sweep.
     """
     if expanded:
         return _phi_totals(reports)
     if identity is IdentityId.BINOMIAL_PARTITION:
         return _binomial_rows(reports)
+    if identity is IdentityId.STIRLING_ALTERNATING:
+        return _stirling_sums(reports)
     return repeat(None)
 
 
@@ -689,6 +720,9 @@ def verify_sweep(
       the largest m swept with that n, and each report reads its c_m from
       that row (:func:`_binomial_rows`); a single verify runs it up to its
       own m.
+    - A STIRLING_ALTERNATING sweep builds the rows of its distinct m in
+      ascending order, each continuing from the last (:func:`_stirling_sums`),
+      so a descending or alternating sweep costs what an ascending one does.
     """
     identity = IdentityId(identity)
     parameters = _REGISTRY[identity][1]

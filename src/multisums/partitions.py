@@ -22,14 +22,15 @@ with one denominator D_i per part size i, and returns integer totals over
 den = prod_i D_i, one per number of parts: t_p sums the terms of the
 partitions with p parts, so the full sum is sum_p t_p, the even/odd split
 that of the even and odd p, and a weight that carries a further factor x
-per part gives sum_p x^p t_p from the same walk. It skips the terms with
-a zero factor in a row's leading zeros: each y_i starts at its row's
-first nonzero entry, so a weight that vanishes for y_i < phi_i, phi a
-partition of r, costs p(m - r) terms rather than p(m). Every term it
-walks is still formed one partition at a time. The public functions
-read each per-entry weight w(i, k) as a rational and put its row over the
-lcm of the row's denominators; :mod:`multisums.identities` writes its
-closed-form weights as integer rows and hands them to the walk directly.
+per part gives sum_p x^p t_p from the same walk. It forms all p(m)
+terms, one partition at a time, a zero factor included; a sum that only
+some partitions reach is the caller's to write over those partitions, as
+:mod:`multisums.identities` walks the partitions z of m - r for the
+terms y = phi + z its binomial-filtered weights leave nonzero. The
+public functions read each per-entry weight w(i, k) as a rational and put
+its row over the lcm of the row's denominators;
+:mod:`multisums.identities` writes its closed-form weights as integer
+rows and hands them to the walk directly.
 :func:`newton_coefficients` gets every such sum up to m at once from
 Newton's recurrence in O(m^2) exact steps; the production reductions use
 it, the window reductions of :mod:`multisums.core` on integers alone. On
@@ -46,11 +47,12 @@ tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import getitem
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul
+from typing import Callable, Sequence
 
-from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text, _integer, _is_int
+from .exact_arith import RationalLike, _as_exact, _as_rational, _int_text, _integer, _is_int, _rationals
 
 __all__ = [
     "enumerate_partitions",
@@ -134,54 +136,29 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     """t[0..m]: t[p] sums prod_{i=1}^{m} rows[i][y_i] over the partitions y
     of m = len(rows) - 1 with p = sum(y) parts.
 
-    rows[i] holds the integer entries for y_i = 0..m // i. Only terms whose
-    y_i are all at or past their row's first nonzero entry f_i are walked;
-    the others have a zero factor. Those terms are y = f + z with z a
-    partition of the rest d = m - sum_i i f_i, so each y_i starts at f_i,
-    stops where the rest no longer covers the weight the smaller parts
-    must carry, and a row that vanishes below phi_i, as C(y_i, phi_i) does,
-    costs p(m - r) terms instead of p(m), phi being a partition of r. An
-    all-zero row, or d < 0, costs none. A zero entry past f_i is multiplied
-    in like any other.
-
-    A depth-first walk fixes z_d, z_{d-1}, ..., z_2 in turn and gives z_1
+    rows[i] holds the integer entries for y_i = 0..m // i; a zero entry is
+    multiplied in like any other, so every one of the p(m) terms is formed.
+    A depth-first walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1
     the rest, multiplying one row entry into a running product per step, so
     terms that share their larger parts share that prefix product. Once the
     rest is smaller than the next part size, the rows in between can only
-    take z_i = 0, and their product comes from a table; so do the rows
-    above d.
+    take y_i = 0, and their product comes from a table.
     """
     m = len(rows) - 1
-    # shifted[i][j] = rows[i][f_i + j], and d counts down to the weight z carries
-    shifted: list[Sequence[int]] = [()]
-    d = m
-    first_parts = 0
-    for i in range(1, m + 1):
-        row = rows[i]
-        first = 0 if row[0] else next((k for k, entry in enumerate(row) if entry), None)
-        if first is None:
-            return [0] * (m + 1)  # every term has a zero factor
-        shifted.append(row[first:] if first else row)
-        d -= i * first
-        first_parts += first
+    if not m:
+        return [1]  # the empty partition's empty product
     totals = [0] * (m + 1)
-    if d < 0:
-        return totals  # no partition of m reaches every first nonzero entry
-    lead = prod(shifted[i][0] for i in range(d + 1, m + 1))  # z_i = 0 above d
-    if d == 0:
-        totals[first_parts] = lead
-        return totals
-    # zeros[j][r] = prod_{l=r+1}^{j} shifted[l][0]: the factor of z_{r+1} = ... = z_j = 0
+    # zeros[j][r] = prod_{l=r+1}^{j} rows[l][0]: the factor of y_{r+1} = ... = y_j = 0
     zeros = [[1]]
-    for j in range(1, d + 1):
-        zeros.append([z * shifted[j][0] for z in zeros[-1]] + [1])
+    for j in range(1, m + 1):
+        zeros.append([z * rows[j][0] for z in zeros[-1]] + [1])
 
     def walk(i: int, rest: int, product: int, parts: int) -> None:
-        # z_d .. z_{i+1} are fixed, y having `parts` parts so far, and 1 <= i <= rest
+        # y_m .. y_{i+1} are fixed, with `parts` parts so far, and 1 <= i <= rest
         if i == 1:
-            totals[parts + rest] += product * shifted[1][rest]
+            totals[parts + rest] += product * rows[1][rest]
             return
-        row = shifted[i]
+        row = rows[i]
         for k in range(rest // i + 1):
             left = rest - i * k
             term = product * row[k]
@@ -192,32 +169,24 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
             else:
                 totals[parts + k] += term * zeros[i - 1][0]
 
-    walk(d, d, lead, first_parts)
+    walk(m, m, 1, 0)
     del walk  # as in enumerate_partitions: no reference cycle is left for gc
     return totals
 
 
-def _sub_terms(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[tuple[tuple, int]]]]:
-    """(p, terms) per partition y of m = len(rows) - 1, p = sum(y) its number of parts.
+def _class_sums(totals: Sequence[int], den: int, x: int) -> tuple[Fraction, Fraction]:
+    """(even, odd): sum_p x^p t_p / den over the even and over the odd part counts p.
 
-    terms lists (phi, prod_i rows[i][y_i] C(y_i, phi_i)) for every
-    multiplicity vector phi != 0 with phi_i <= y_i, phi written sparse as
-    the pairs (i, phi_i) with phi_i > 0, i ascending. Summed per phi and p,
-    the terms are :func:`_walk_rows` of the rows rows[i][k] C(k, phi_i),
-    for every phi != 0 partitioning some r <= m at once: one walk over the
-    p(m) partitions y, forming the sum_{0 < r <= m} p(r) p(m - r) terms
-    that walks of one phi at a time would form, with no rows built and no
-    walk set up per phi. Each y's product of rows is formed once, and its
-    terms multiply one binomial per nonzero y_i into it.
+    A weight that carries a further factor x per part, such as a sign or
+    the n of the identities' weights, multiplies to x^p over a partition
+    with p parts, and applies to each class at once: the j-th entry of
+    either class takes (x^2)^j, and the odd class one more x. At x = +-1 no
+    power is formed.
     """
-    tail = rows[1:]
-    for y in enumerate_partitions(len(tail)):
-        terms = [((), prod(map(getitem, tail, y)))]
-        for i, k in enumerate(y, start=1):
-            if k:
-                terms = [(phi + ((i, f),) if f else phi, term * comb(k, f))
-                         for phi, term in terms for f in range(k + 1)]
-        yield sum(y), terms[1:]  # terms[0] is phi = 0
+    even, odd = totals[0::2], totals[1::2]
+    if x * x != 1:
+        even, odd = (map(mul, side, accumulate(repeat(x * x), mul, initial=1)) for side in (even, odd))
+    return Fraction(sum(even), den), Fraction(x * sum(odd), den)
 
 
 def partition_sum(m: int, weight: Weight) -> Fraction:
@@ -226,10 +195,11 @@ def partition_sum(m: int, weight: Weight) -> Fraction:
     A zero multiplicity is a factor too: weight(i, 0) is 1 for the usual
     weights and 0 where a missing part must remove the term. Each weight(i, k),
     k <= m // i, is evaluated once and read as a rational (a Fraction, an int
-    or a "num/den" string; a float or a bool raises ValueError). Every term
-    is formed and added one partition at a time, in integers over one common
-    denominator; production code uses :func:`newton_coefficients` where it
-    applies. Orders above PARTITION_LIST_MAX_M are refused with ValueError.
+    or a "num/den" string; a float or a bool raises ValueError). Each of the
+    p(m) terms is formed and added one partition at a time, zero or not, in
+    integers over one common denominator; production code uses
+    :func:`newton_coefficients` where it applies. Orders above
+    PARTITION_LIST_MAX_M are refused with ValueError.
     """
     rows, den = _read_rows(m, weight)
     return Fraction(sum(_walk_rows(rows)), den)
@@ -243,8 +213,7 @@ def parity_partition_sums(m: int, weight: Weight) -> tuple[Fraction, Fraction]:
     conventions are those of :func:`partition_sum`.
     """
     rows, den = _read_rows(m, weight)
-    totals = _walk_rows(rows)
-    return Fraction(sum(totals[0::2]), den), Fraction(sum(totals[1::2]), den)
+    return _class_sums(_walk_rows(rows), den, 1)
 
 
 def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | int]:
@@ -271,7 +240,7 @@ def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | in
     Fraction dot product.
     """
     _check_newton(m, len(p))
-    return _newton([_as_exact(v) for v in p[:m]])
+    return _newton(_rationals("p", p[:m], _as_exact))
 
 
 def _check_newton(m: int, count: int) -> None:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ExplicitSequence, SequenceSpec, _check_window, _read, _scaled_elementary
-from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _Record, _set, _viete
+from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _rationals, _Record, _set, _viete
 
 __all__ = [
     "Polynomial",
@@ -46,7 +46,7 @@ class Polynomial(_Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike]) -> None:
-        coeffs = [_as_rational(c) for c in coeffs]
+        coeffs = _rationals("coeffs", coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
@@ -66,7 +66,7 @@ def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
     coefficient c_k of t^k is that of x^(n-k), and c_0 = prod q. Each is
     divided by c_0 at the end, one Fraction per coefficient.
     """
-    coeffs = _viete((-r.numerator, r.denominator) for r in map(_as_rational, roots))
+    coeffs = _viete((-r.numerator, r.denominator) for r in _rationals("roots", roots))
     return Polynomial(Fraction(c, coeffs[0]) for c in reversed(coeffs))
 
 
@@ -77,7 +77,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     the root power sums, on integers over their scale L; equals
     (-1)^m e_m(roots) = (-1)^m E_m / L^m.
     """
-    roots = [_as_rational(r) for r in roots]
+    roots = _rationals("roots", roots)
     if not _is_int(m) or not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
     elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), m)
@@ -114,7 +114,7 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     sum_m E_m (-v)^m (u L)^(n-m), by Horner in u L, over (v L)^n, and rhs
     is (-1)^n prod (p v - u q) over prod q v for the roots p / q.
     """
-    pairs = [(r.numerator, r.denominator) for r in map(_as_rational, roots)]
+    pairs = [(r.numerator, r.denominator) for r in _rationals("roots", roots)]
     x = _as_rational(x)
     u, v = x.numerator, x.denominator
     n = len(pairs)
@@ -156,8 +156,8 @@ def generalized_binomial(
     Returns (direct product, prod(b) * sum over all orders of the multiple
     sums of the ratio sequence). The b values must be nonzero.
     """
-    a = [_as_rational(v) for v in a_values]
-    b = [_as_rational(v) for v in b_values]
+    a = _rationals("a_values", a_values)
+    b = _rationals("b_values", b_values)
     if len(a) != len(b):
         raise ValueError("a and b must have the same length")
     if any(v == 0 for v in b):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from multisums.core import ExplicitSequence, IndexPower, elementary_from_power_sums, eval_sequence
 from multisums import identities
+from multisums.exact_arith import _stirling
 from multisums.identities import IdentityId, verify, verify_sweep
 from multisums.partitions import (
-    _sub_terms,
+    _class_sums,
     _walk_rows,
     enumerate_partitions,
     parity_partition_sums,
@@ -55,6 +56,27 @@ def test_stirling_alternating():
         report = verify(IdentityId.STIRLING_ALTERNATING, {"m": m})
         assert report.equal
     assert verify(IdentityId.STIRLING_ALTERNATING, {"m": 1}).rhs == -1
+
+
+def test_stirling_sweeps_build_their_rows_in_one_ascending_pass(monkeypatch):
+    # a descending or alternating sweep equals the ascending reports, and asks the
+    # triangle for each distinct m once, in ascending order, so no row is rebuilt
+    ascending = verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": range(40)})
+    built = []
+
+    def recording_stirling(m):
+        built.append(m)
+        return _stirling(m)
+
+    monkeypatch.setattr(identities, "_stirling", recording_stirling)
+    descending = verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": range(39, -1, -1)})
+    assert descending == ascending[::-1] and all(r.equal for r in descending)
+    assert built == list(range(40))
+    built.clear()
+    orders = [39, 0] * 5 + [20]
+    alternating = verify_sweep(IdentityId.STIRLING_ALTERNATING, {"m": orders})
+    assert alternating == [ascending[m] for m in orders]
+    assert built == [0, 20, 39]
 
 
 def test_binomial_partition():
@@ -290,24 +312,31 @@ def test_swept_phi_reports_equal_lone_calls(identity, alone_first):
     "identity", [IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM], ids=["sign_minus", "sign_plus"]
 )
 def test_phi_table_reports_equal_the_walk_of_each_phi(identity):
-    # a sweep that expands phi reads one table per order; a lone phi walks its own rows
+    # a sweep that expands phi reads one table per order; a lone phi walks the partitions
+    # z of m - r, whose total t_p, times the rows' factor, counts at |phi| + p parts
     for m in range(13):
         swept = verify_sweep(identity, {"m": [m]})
         alone = [verify(identity, {"m": m, "phi": r.params["phi"]}) for r in swept]
         assert [r.to_json_dict() for r in swept] == [r.to_json_dict() for r in alone]
         assert all(r.equal for r in swept)
-        phis = [phi for phi in (r.params["phi"] for r in swept) if any(phi)]
-        walks = {tuple((i, k) for i, k in enumerate(phi, 1) if k): _walk_rows(identities._weight_rows(m, phi))
-                 for phi in phis}
+        walks = {}
+        for phi in (r.params["phi"] for r in swept if any(r.params["phi"])):
+            rows, factor = identities._weight_rows(m, phi)
+            totals = [0] * (m + 1)
+            for parts, total in enumerate(_walk_rows(rows), start=sum(phi)):
+                totals[parts] = factor * total
+            walks[tuple((i, k) for i, k in enumerate(phi, 1) if k)] = totals
         assert identities._phi_table(m) == walks
 
 
 def test_phi_table_forms_the_terms_the_admissions_count(monkeypatch):
-    # every sweep is refused, and its message gives the sum of its reports' admissions
+    # the table forms one term per partition y of m and phi != 0 below it, prod_i (y_i + 1) - 1
+    # per y; every sweep is refused, and its message gives the sum of its reports' admissions
     monkeypatch.setattr(identities, "SWEEP_MAX_PARTITIONS", -1)
     for m in range(13):
-        terms = sum(len(terms) for _, terms in _sub_terms(identities._unit_rows(m)[0]))
+        terms = sum(math.prod(k + 1 for k in y) - 1 for y in enumerate_partitions(m))
         assert terms == sum(partition_count(r) * partition_count(m - r) for r in range(1, m + 1))
+        assert len(identities._phi_table(m)) == sum(map(partition_count, range(1, m + 1)))
         for identity in (IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM):
             with pytest.raises(ValueError, match=rf"^sweep visits {terms} partitions, more than the cap of -1$"):
                 verify_sweep(identity, {"m": [m]})
@@ -589,17 +618,48 @@ def test_weight_rows_match_the_fraction_weight(data, m, signed, n):
     sub = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, m)))))
     phi = identities._normalize_phi(sub + (0,) * data.draw(st.integers(0, 3)), m)
     sign = -1 if signed else 1
-    rows = identities._weight_rows(m, phi)
+    d = m - sum(i * k for i, k in enumerate(phi, start=1))
+    rows, factor = identities._weight_rows(m, phi)
     _, dens, den = identities._unit_rows(m)
-    assert rows[0] == [] and dens[0] == 1 and len(rows) == len(dens) == m + 1 and den == math.prod(dens)
+    assert rows[0] == () and dens[0] == 1 and len(rows) == d + 1 and len(dens) == m + 1 and den == math.prod(dens)
+    # the terms y = phi + z: z_i = k <= d // i at each part i <= d, and y_i = phi_i above d
     unit = _unit_weight(phi, 1, 1)
-    for i in range(1, m + 1):
-        assert len(rows[i]) == m // i + 1
-        assert [Fraction(entry, dens[i]) for entry in rows[i]] == [unit(i, k) for k in range(m // i + 1)]
-    even, odd = identities._class_sums(_walk_rows(rows), den, sign * n)
+    for i in range(1, d + 1):
+        assert len(rows[i]) == d // i + 1
+        assert [Fraction(entry, dens[i]) for entry in rows[i]] == [unit(i, phi[i - 1] + k) for k in range(d // i + 1)]
+    assert Fraction(factor, math.prod(dens[d + 1 :])) == math.prod(unit(i, phi[i - 1]) for i in range(d + 1, m + 1))
+    totals = [0] * (m + 1)
+    for parts, total in enumerate(_walk_rows(rows), start=sum(phi)):
+        totals[parts] = factor * total
+    even, odd = _class_sums(totals, den, sign * n)
     weight = _unit_weight(phi, sign, n)
     assert (even, odd) == parity_partition_sums(m, weight)
     assert even + odd == partition_sum(m, weight)
+
+
+@pytest.mark.parametrize("identity", [IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM])
+def test_a_given_phi_walks_the_partitions_of_m_minus_r(monkeypatch, identity):
+    # a report at a given phi != 0, a partition of r, walks one set of rows of order
+    # d = m - r, so its terms are the p(m - r) partitions z of d, as its admission counts;
+    # the kept walks that LEMMA_3_2's restricted sides read are made first
+    for d in range(13):
+        identities._unit_totals(d)
+    walked = []
+
+    def recording_walk(rows):
+        walked.append(len(rows) - 1)
+        return _walk_rows(rows)
+
+    monkeypatch.setattr(identities, "_walk_rows", recording_walk)
+    terms = 0
+    for m in range(13):
+        for r in range(1, m + 1):
+            for phi in enumerate_partitions(r):
+                walked.clear()
+                assert verify(identity, {"m": m, "phi": phi}).equal
+                assert walked == [m - r]
+                terms += partition_count(walked[0])
+    assert terms == sum(partition_count(r) * partition_count(m - r) for m in range(13) for r in range(1, m + 1))
 
 
 def test_each_order_is_walked_once(monkeypatch):

@@ -62,13 +62,33 @@ def _cli_error(*argv: str) -> None:
      "sweep range of 'm' must be a range, a list or a tuple, got int"),
     (lambda: identities.verify_sweep(IdentityId.LEMMA_3_1, {"m": "12"}),
      "sweep range of 'm' must be a range, a list or a tuple, got str"),
+    (lambda: verify(IdentityId.LEMMA_3_2, {"m": 5, "phi": 1}), "phi must be a list or a tuple, got int"),
+    (lambda: verify(IdentityId.EVEN_ODD_BINOM, {"m": 5, "phi": "1"}), "phi must be a list or a tuple, got str"),
+    *((call, f"{name} must be a sequence of rationals, got {type(text).__name__}")
+      for text in ("12", b"12")
+      for call, name in (
+          (lambda text=text: core.ExplicitSequence(text), "sequence 'values'"),
+          (lambda text=text: polynomials.Polynomial(text), "coeffs"),
+          (lambda text=text: polynomials.poly_from_roots(text), "roots"),
+          (lambda text=text: polynomials.coeff_ratio_from_roots(text, 1), "roots"),
+          (lambda text=text: polynomials.eval_factored_sum(text, 1), "roots"),
+          (lambda text=text: polynomials.generalized_binomial(text, [1, 2]), "a_values"),
+          (lambda text=text: polynomials.generalized_binomial([1, 2], text), "b_values"),
+          (lambda text=text: partitions.newton_coefficients(text, 2), "p"),
+          (lambda text=text: core.elementary_from_power_sums(text, 2), "sums"),
+      )),
 ], ids=["brute_recurrent_sum-m", "brute_recurrent_sum-q", "reduce_multiple_sum-q", "power_sums-q",
         "symmetrized_multiple_sum-q", "reduce_symmetrized-q", "LEMMA_3_1-m", "EVEN_ODD_N-n", "LEMMA_3_2-phi",
         "multiple_power_sum-m", "multiple_power_sum-p", "stirling_via_multiple_sum", "mzv_closed_form-m",
         "mzv_partial_identity-p", "mzv_partial_identity-p-cap", "bernoulli-j", "stirling_first_unsigned-m",
         "cli-selftest-jobs", "cli-verify-sweep",
         "cli-multisum-q", "mzv_limit_trend-float", "mzv_limit_trend-integral-float", "mzv_limit_trend-string",
-        "mzv_limit_trend-bool", "mzv_limit_trend-below-2", "verify_sweep-int-range", "verify_sweep-string-range"])
+        "mzv_limit_trend-bool", "mzv_limit_trend-below-2", "verify_sweep-int-range", "verify_sweep-string-range",
+        "LEMMA_3_2-phi-int", "EVEN_ODD_BINOM-phi-str",
+        *(f"{name}-{kind}" for kind in ("str", "bytes")
+          for name in ("ExplicitSequence", "Polynomial", "poly_from_roots", "coeff_ratio_from_roots",
+                       "eval_factored_sum", "generalized_binomial-a", "generalized_binomial-b",
+                       "newton_coefficients", "elementary_from_power_sums"))])
 def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as refused:
         call()

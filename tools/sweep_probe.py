@@ -4,19 +4,24 @@ Each row is one sweep, timed in process through the public entry points,
 best of ``--repeat`` runs:
 
 - "shared s" is ``verify_sweep`` itself. A sweep that expands phi walks each
-  order once for every phi, and a ``BINOMIAL_PARTITION`` sweep runs Newton
-  once per n.
+  order once for every phi, a ``BINOMIAL_PARTITION`` sweep runs Newton
+  once per n, and a ``STIRLING_ALTERNATING`` sweep builds its rows in one
+  ascending pass, whatever the order of its m.
 - "per-report s" makes the same reports one ``verify`` call each: a given
-  phi walks its own rows, and a point of ``BINOMIAL_PARTITION`` runs Newton
-  up to its own m.
+  phi walks the partitions z of m - r, and a point of
+  ``BINOMIAL_PARTITION`` runs Newton up to its own m. The rows at a given
+  phi (m = 49) take that same route in both columns.
 
 The "same" column says whether both routes gave equal reports, compared by
-``to_json_dict``. Only public names are used, so the same script runs on
-an older checkout, where both columns take the per-report route. The
-10 000-report ``BINOMIAL_PARTITION`` row runs only with ``--large``, and by
-the shared route only: it takes about 2.5 s where a Newton run per report
-would take about 22 minutes, as it does on a checkout without the shared
-rows. Standard library only; not run by the tests.
+``to_json_dict``, and "all equal" whether every report's sides agree. The
+script exits 1 when either reads False on any row, so it can run as a
+check. Only public names are used, so the same script runs on an older
+checkout, where both columns take the per-report route. The descending
+``STIRLING_ALTERNATING`` row runs by the shared route only. The 10 000-report
+``BINOMIAL_PARTITION`` row runs only with ``--large``, and by the shared
+route only: it takes about 2.5 s where a Newton run per report would take
+about 22 minutes, as it does on a checkout without the shared rows.
+Standard library only; not run by the tests.
 
 Run from the repository root:
 
@@ -44,6 +49,11 @@ SWEEPS = (
     ("LEMMA_3_2", {"m": [25]}, {}, True),
     ("BINOMIAL_PARTITION", {"n": range(31), "m": range(31)}, {}, True),
     ("BINOMIAL_PARTITION", {"m": range(1995, 2001)}, {"n": 2000}, True),
+    ("LEMMA_3_2", {"m": [49]}, {"phi": (1,)}, True),
+    ("EVEN_ODD_BINOM", {"m": [49]}, {"phi": (1,)}, True),
+    ("LEMMA_3_2", {"m": [49]}, {"phi": (0, 0, 1)}, True),
+    ("EVEN_ODD_BINOM", {"m": [49]}, {"phi": (0, 0, 1)}, True),
+    ("STIRLING_ALTERNATING", {"m": range(600, -1, -1)}, {}, False),
     ("BINOMIAL_PARTITION", {"m": range(2000), "n": range(1996, 2001)}, {}, False),
 )
 
@@ -51,7 +61,7 @@ SWEEPS = (
 def _label(identity: str, ranges: dict, base: dict) -> str:
     def text(values) -> str:
         if isinstance(values, range) and len(values) > 1:
-            return f"{values.start}..{values.stop - 1}"
+            return f"{values.start}..{values[-1]}"
         return ",".join(map(str, values))
 
     parts = [f"{name} = {text(values)}" for name, values in ranges.items()]
@@ -99,10 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {args.src} on Python {platform.python_version()}, {platform.machine()}, {platform.processor() or '?'}")
     print("| " + " | ".join(columns) + " |")
     print("|" + "---|" * len(columns))
+    failed = False
     for row in _rows(multisums, args.repeat, args.large):
         cells = [f"{v:.4f}" if isinstance(v, float) else str(v) for v in (row.get(c, "-") for c in columns)]
         print("| " + " | ".join(cells) + " |", flush=True)
-    return 0
+        failed |= row["all equal"] is False or row.get("same") is False
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
