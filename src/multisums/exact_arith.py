@@ -13,7 +13,8 @@ call, so a bool, a float or a string is refused with ValueError naming the
 argument, never read as a number or left to fail in a kernel. A sequence
 of rational arguments has one reader too, the private ``_rationals``,
 which refuses a str or a bytes rather than read its characters or byte
-codes as values.
+codes as values, and a set or a frozenset, whose order changes with the
+hash seed, and a dict, which would be read as its keys.
 
 One block kernel here sums many rationals exactly, as integer power sums
 over one scale, with no Fraction built per term: the power sums of a
@@ -151,15 +152,21 @@ def _as_exact(value: RationalLike) -> Fraction | int:
     return value if _is_int(value) else _as_rational(value)
 
 
-def _rationals(name: str, values: Iterable[RationalLike], read: Callable = _as_rational) -> list:
-    """[read(v) for v in values], the one reader of a sequence of rational arguments.
+def _rationals(
+    name: str, values: Iterable[RationalLike], read: Callable = _as_rational, stop: int | None = None
+) -> list:
+    """[read(v) for v in values], the one reader of a sequence of rational arguments; the first ``stop`` if given.
 
     A str or a bytes is one value, never a sequence of characters or of
-    byte codes, so it is refused with ValueError naming the argument.
+    byte codes, a set or a frozenset is iterated in an order that changes
+    with the hash seed, and a dict would be read as its keys: each is
+    refused with ValueError naming the argument. Any other iterable, a
+    generator included, is read in its own order, and no value past
+    ``stop``.
     """
-    if isinstance(values, (str, bytes)):
+    if isinstance(values, (str, bytes, set, frozenset, dict)):
         raise ValueError(f"{name} must be a sequence of rationals, got {type(values).__name__}")
-    return [read(v) for v in values]
+    return [read(v) for v in islice(values, stop)]
 
 
 _Block = tuple[list[tuple[int, int]], int]  # up to _SUM_BLOCK int pairs and the lcm of their denominators

@@ -6,19 +6,22 @@ statement is a pair of equations carry both sides as ordered pairs, so
 ``equal`` is still literally ``lhs == rhs``.
 
 Registry keys are opaque stable strings (the CLI wire format). The registry
-is one table: per identity, a check returning (params, lhs, rhs, note), the
-parameter names it takes, and its admission. Every rule on an identity's
-parameters lives here, the caps included, so the CLI applies none of its
-own. One reader, ``_admit``, reads each integer parameter (every name but
-"spec" and "phi") as an integer >= 0 through the package's one integer
-reader, in the order the names are listed, and then runs the admission.
-The admission checks every parameter that bounds the check's work, refusing one past a cap with ValueError, and
+is one table and the whole description of an identity: per identity, a
+check returning (params, lhs, rhs, note), the parameter names it takes, its
+admission, and the work its sweep shares with its reports, or None. Every
+rule on an identity's parameters lives here, the caps included, so the CLI
+applies none of its own, and the sweep names no identity. :func:`verify_sweep`
+reads "spec" once per sweep, then each grid point's integer parameters
+(every name but "spec" and "phi") once, as integers >= 0 through the
+package's one integer reader, in the order the names are listed, and then
+runs the admission of each report. The admission checks every parameter
+that bounds the check's work, refusing one past a cap with ValueError, and
 returns the number of partition terms the report walks itself, which the
 sweep budget counts; a side that reads its order's kept walk counts 0, as
-the order cap bounds those walks per process. :func:`verify_sweep` admits
-every report before any check runs, so a check reads its parameters as
-admitted, and :func:`verify` is its sweep of one point. The identities
-taking "phi" are those whose parameter names include it.
+the order cap bounds those walks per process. Every report is admitted
+before any check runs, so a check reads its parameters as admitted, and
+:func:`verify` is the sweep of one point. The identities taking "phi" are
+those whose parameter names include it.
 Lemma 3.1 and EVEN_ODD_WEIGHTS are the phi = 0 cases of LEMMA_3_2 and
 EVEN_ODD_BINOM, so each pair shares one closed form, and all five
 partition-weighted identities but RECURRENT_BRIDGE share one weight,
@@ -35,9 +38,10 @@ walked once per process. A report at a given phi != 0 derives the rows of
 its terms y = phi + z, slices of the unit rows where phi_i = 0, and walks
 the partitions z of m - r. A sweep that expands phi walks each order once
 for all its phi != 0 reports instead, into one table that lives for the
-sweep, a BINOMIAL_PARTITION sweep runs Newton once per n, and a
-STIRLING_ALTERNATING sweep builds its rows in one ascending pass;
-:func:`verify_sweep` says which reports share what.
+sweep. The registry rows of BINOMIAL_PARTITION and STIRLING_ALTERNATING
+name the rest of the shared work: Newton once per n, and the triangle's
+rows in one ascending pass; :func:`verify_sweep` says which reports share
+what.
 
 Here the partition sum is the left side under test, so it is evaluated term
 by term by the walk of :mod:`multisums.partitions` (over those rows, or
@@ -58,7 +62,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from itertools import product as cartesian_product
 from operator import getitem, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     SequenceSpec,
@@ -390,6 +394,20 @@ def _stirling_alternating(params: Mapping, alternating: int) -> Checked:
     return {"m": m}, lhs, rhs, ""
 
 
+def _stirling_sums(reports: Sequence[Mapping]) -> list[int]:
+    """The alternating row sum per STIRLING_ALTERNATING report, from one ascending pass over the sweep's orders.
+
+    Each row of the triangle continues from the one built before it, so
+    every row up to the largest m is built once, whatever the order of the
+    swept m, and only the sums are held.
+    """
+    sums = {}
+    for m in sorted({params["m"] for params in reports}):
+        row = _stirling(m)
+        sums[m] = sum(row[0::2]) - sum(row[1::2])
+    return [sums[params["m"]] for params in reports]
+
+
 def _binomial_partition(params: Mapping, elementary: Fraction | int) -> Checked:
     """Partition reduction with every power sum set to n equals C(n, m).
 
@@ -398,6 +416,23 @@ def _binomial_partition(params: Mapping, elementary: Fraction | int) -> Checked:
     """
     n, m = params["n"], params["m"]
     return {"n": n, "m": m}, Fraction(elementary), Fraction(math.comb(n, m)), ""
+
+
+def _binomial_rows(reports: Sequence[Mapping]) -> list[Fraction | int]:
+    """c_m per BINOMIAL_PARTITION report: one Newton row per n, up to the largest m swept with it.
+
+    Each row keeps only the c_m its reports read, so what is held grows
+    with the reports, not with the rows.
+    """
+    wanted: dict[int, set[int]] = {}
+    for params in reports:
+        wanted.setdefault(params["n"], set()).add(params["m"])
+    values = {}
+    for n, orders in wanted.items():
+        top = max(orders)
+        row = elementary_from_power_sums([n] * top, top)
+        values.update(((n, m), row[m]) for m in orders)
+    return [values[params["n"], params["m"]] for params in reports]
 
 
 def _product_identity(params: Mapping) -> Checked:
@@ -409,8 +444,7 @@ def _product_identity(params: Mapping) -> Checked:
     reduce_multiple_sum's Newton route, ``_scaled_elementary``, by name:
     its product route would compute the right side itself.
     """
-    spec = _require_spec(params)
-    q, n = params["q"], params["n"]
+    spec, q, n = params["spec"], params["q"], params["n"]
     m = n - q + 1
     values = list(_read(spec, q, n))
     rhs = Fraction(math.prod(num for num, _ in values), math.prod(den for _, den in values))
@@ -424,8 +458,7 @@ def _recurrent_bridge(params: Mapping) -> Checked:
     recurrent + (-1)^m multiple = 2 * even-partition sum
     recurrent - (-1)^m multiple = 2 * odd-partition sum
     """
-    spec = _require_spec(params)
-    m, q, n = params["m"], params["q"], params["n"]
+    spec, m, q, n = params["spec"], params["m"], params["q"], params["n"]
     recurrent = brute_recurrent_sum(spec, m, q, n)
     multiple = brute_multiple_sum(SumProblem((spec,) * m, q, n))
     signed_multiple = -multiple if m % 2 else multiple
@@ -543,20 +576,21 @@ def _admit_bridge(params: Mapping) -> int:
     return partition_count(m)
 
 
-# identity -> (check, parameter names, admission); _admit reads the integer
-# names, all but "spec" and "phi", in this order before the admission runs,
-# and the identities taking "phi" expand it in verify_sweep; a check also
-# takes what its sweep shares with it, where _shared gives that
-_REGISTRY: dict[IdentityId, tuple[Callable[..., Checked], tuple[str, ...], Callable[[Mapping], int]]] = {
-    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_walk),
-    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_walk),
-    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling),
-    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("m", "n"), _admit_binomial),
-    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), _admit_product),
-    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge),
-    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_walk),
-    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_walk),
-    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_even_odd_n),
+# identity -> (check, parameter names, admission, shared work): verify_sweep reads the integer
+# names, all but "spec" and "phi", in this order before the admission runs, and expands "phi"
+# where it is taken and not given; the shared work, where there is one, takes the sweep's
+# reports and gives each the value its check takes after the parameters
+_REGISTRY: dict[IdentityId, tuple[Callable[..., Checked], tuple[str, ...], Callable[[Mapping], int],
+                                  Callable[[Sequence[Mapping]], list] | None]] = {
+    IdentityId.LEMMA_3_1: (_lemma_3_1, ("m",), _admit_walk, None),
+    IdentityId.LEMMA_3_2: (_lemma_3_2, ("m", "phi"), _admit_walk, None),
+    IdentityId.STIRLING_ALTERNATING: (_stirling_alternating, ("m",), _admit_stirling, _stirling_sums),
+    IdentityId.BINOMIAL_PARTITION: (_binomial_partition, ("m", "n"), _admit_binomial, _binomial_rows),
+    IdentityId.PRODUCT_IDENTITY: (_product_identity, ("spec", "q", "n"), _admit_product, None),
+    IdentityId.RECURRENT_BRIDGE: (_recurrent_bridge, ("spec", "m", "q", "n"), _admit_bridge, None),
+    IdentityId.EVEN_ODD_WEIGHTS: (_even_odd_weights, ("m",), _admit_walk, None),
+    IdentityId.EVEN_ODD_BINOM: (_even_odd_binom, ("m", "phi"), _admit_walk, None),
+    IdentityId.EVEN_ODD_N: (_even_odd_n, ("m", "n"), _admit_even_odd_n, None),
 }
 
 
@@ -574,64 +608,15 @@ def verify(identity: IdentityId, params: Mapping) -> VerificationReport:
     return verify_sweep(identity, {}, params)[0]
 
 
-def _with_phi(identity: IdentityId, params: Mapping) -> Mapping:
-    """params with phi checked and padded to length m, for the identities taking phi."""
-    if "phi" not in _REGISTRY[identity][1]:
-        return params
-    m = _require_int(params, "m")
-    _check_order(m)  # before phi is padded to length m
-    return dict(params, phi=_normalize_phi(params.get("phi", ()), m))
-
-
-def _admit(identity: IdentityId, params: Mapping) -> int:
-    """The identity's admission, once each integer parameter is read as an integer >= 0."""
-    _, parameters, admit = _REGISTRY[identity]
-    for name in parameters:
-        if name not in ("spec", "phi"):
-            _require_int(params, name)
-    return admit(params)
-
-
 def _report(identity: IdentityId, params: Mapping, shared: object = None) -> VerificationReport:
     """The identity's check on parameters already admitted, and its verdict.
 
     ``shared`` is what the sweep computed once for this report (see
-    :func:`_shared`), or None where the check computes its own.
+    :func:`verify_sweep`), or None where the check computes its own.
     """
     check = _REGISTRY[identity][0]
     checked, lhs, rhs, note = check(params) if shared is None else check(params, shared)
     return VerificationReport(identity, checked, lhs, rhs, lhs == rhs, note)
-
-
-def _binomial_rows(reports: Sequence[Mapping]) -> list[Fraction | int]:
-    """c_m per BINOMIAL_PARTITION report: one Newton row per n, up to the largest m swept with it.
-
-    Each row keeps only the c_m its reports read, so what is held grows
-    with the reports, not with the rows.
-    """
-    wanted: dict[int, set[int]] = {}
-    for params in reports:
-        wanted.setdefault(params["n"], set()).add(params["m"])
-    values = {}
-    for n, orders in wanted.items():
-        top = max(orders)
-        row = elementary_from_power_sums([n] * top, top)
-        values.update(((n, m), row[m]) for m in orders)
-    return [values[params["n"], params["m"]] for params in reports]
-
-
-def _stirling_sums(reports: Sequence[Mapping]) -> list[int]:
-    """The alternating row sum per STIRLING_ALTERNATING report, from one ascending pass over the sweep's orders.
-
-    Each row of the triangle continues from the one built before it, so
-    every row up to the largest m is built once, whatever the order of the
-    swept m, and only the sums are held.
-    """
-    sums = {}
-    for m in sorted({params["m"] for params in reports}):
-        row = _stirling(m)
-        sums[m] = sum(row[0::2]) - sum(row[1::2])
-    return [sums[params["m"]] for params in reports]
 
 
 def _phi_totals(reports: Sequence[Mapping]) -> Iterator[list[int] | None]:
@@ -649,24 +634,6 @@ def _phi_totals(reports: Sequence[Mapping]) -> Iterator[list[int] | None]:
         else:  # the first report of a grid point
             table = _phi_table(params["m"])
             yield None
-
-
-def _shared(identity: IdentityId, reports: Sequence[Mapping], expanded: bool) -> Iterable:
-    """Per report, what its sweep computes once and the report reads, or None where it computes its own.
-
-    A sweep that expands phi walks each order once for all its phi != 0
-    (:func:`_phi_totals`); its phi = 0 reports read their order's kept
-    walk. A BINOMIAL_PARTITION sweep reads c_m from :func:`_binomial_rows`,
-    and a STIRLING_ALTERNATING sweep its row sums from :func:`_stirling_sums`.
-    Nothing is kept past the sweep.
-    """
-    if expanded:
-        return _phi_totals(reports)
-    if identity is IdentityId.BINOMIAL_PARTITION:
-        return _binomial_rows(reports)
-    if identity is IdentityId.STIRLING_ALTERNATING:
-        return _stirling_sums(reports)
-    return repeat(None)
 
 
 def _count_values(name: str, values: Sequence[int]) -> int:
@@ -693,8 +660,11 @@ def verify_sweep(
     identities, when no explicit phi is supplied every sub-partition phi of
     every r <= m is checked at each swept m, so one point at m stands for
     sum_{r<=m} p(r) reports. At most SWEEP_MAX_POINTS grid points and
-    SWEEP_MAX_POINTS reports are allowed. The parameters of every report are
-    built and admitted before any check runs, so a parameter past a cap at
+    SWEEP_MAX_POINTS reports are allowed. A name the identity does not
+    sweep or take is refused first, and then "spec" is read once, as a
+    SequenceSpec or its JSON, for every report of the sweep. One pass over
+    the grid then reads each point's integer parameters once, pads or
+    expands its phi, and admits its reports, so a parameter past a cap at
     the last point is refused before any report runs; pass ``range``
     objects so a refused grid costs nothing either. A range's points are
     counted by arithmetic, so one longer than sys.maxsize is refused too.
@@ -715,17 +685,20 @@ def verify_sweep(
       rows built and no walk set up per report. The table is unsigned, so
       LEMMA_3_2 and EVEN_ODD_BINOM read it alike. A sweep at a given phi,
       and a single verify, walk phi's own :func:`_weight_rows`, which need
-      only its own p(m - r) terms.
-    - A BINOMIAL_PARTITION sweep runs Newton's recurrence once per n, up to
-      the largest m swept with that n, and each report reads its c_m from
-      that row (:func:`_binomial_rows`); a single verify runs it up to its
-      own m.
-    - A STIRLING_ALTERNATING sweep builds the rows of its distinct m in
-      ascending order, each continuing from the last (:func:`_stirling_sums`),
-      so a descending or alternating sweep costs what an ascending one does.
+      only its own p(m - r) terms. This is the one sharing rule that does
+      not depend on the identity.
+    - Otherwise the identity's registry row names its shared work, which
+      takes the sweep's reports and gives each its value:
+      BINOMIAL_PARTITION runs Newton's recurrence once per n, up to the
+      largest m swept with that n (:func:`_binomial_rows`), and
+      STIRLING_ALTERNATING builds the rows of its distinct m in ascending
+      order, each continuing from the last (:func:`_stirling_sums`), so a
+      descending or alternating sweep costs what an ascending one does.
+      A single verify is a sweep of one report, so it runs the same work
+      up to its own m.
     """
     identity = IdentityId(identity)
-    parameters = _REGISTRY[identity][1]
+    _, parameters, admit, share = _REGISTRY[identity]
     swept = set(parameters) - {"phi", "spec"}
     unknown = sorted(set(ranges) - swept)
     if unknown:
@@ -734,24 +707,34 @@ def verify_sweep(
     if points > SWEEP_MAX_POINTS:
         raise ValueError(f"sweep of {_int_text(points)} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})
-    grid = [dict(base, **dict(zip(ranges, combo))) for combo in cartesian_product(*ranges.values())]
-    unknown = sorted(set(grid[0]) - set(parameters)) if grid else []  # every point has the same names
+    unknown = sorted(set(base) - set(parameters))  # every point has the names of base and ranges
     if unknown:
         raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
+    if "spec" in parameters:
+        base["spec"] = _require_spec(base)
+    integers = [name for name in parameters if name not in ("spec", "phi")]
     expanded = "phi" in parameters and "phi" not in base
-    if expanded:
-        reports = []
-        for params in grid:
-            # each phi is a partition of r <= m padded to length m, as _with_phi pads it; they are
-            # counted first, as the count stops at the cap long before a large m is padded
-            m = _require_int(params, "m")
+    reports, visited = [], 0
+    for combo in cartesian_product(*ranges.values()):
+        params = dict(base, **dict(zip(ranges, combo)))
+        for name in integers:
+            _require_int(params, name)
+        if expanded:
+            # each phi is a partition of r <= m padded to length m; they are counted first, as
+            # the count stops at the cap long before a large m is padded
+            m = params["m"]
             sizes = accumulate(map(partition_count, range(m + 1)), initial=len(reports))
             if any(size > SWEEP_MAX_POINTS for size in sizes):
                 raise ValueError(f"sweep's phi expansion exceeds the cap of {SWEEP_MAX_POINTS} reports")
-            reports += [dict(params, phi=sub + (0,) * (m - r)) for r in range(m + 1) for sub in enumerate_partitions(r)]
-    else:
-        reports = [_with_phi(identity, params) for params in grid]
-    visited = sum(_admit(identity, params) for params in reports)
+            point = [dict(params, phi=sub + (0,) * (m - r)) for r in range(m + 1) for sub in enumerate_partitions(r)]
+        elif "phi" in parameters:
+            _check_order(params["m"])  # before phi is padded to length m
+            point = [dict(params, phi=_normalize_phi(params["phi"], params["m"]))]
+        else:
+            point = [params]
+        visited += sum(map(admit, point))
+        reports += point
     if visited > SWEEP_MAX_PARTITIONS:
         raise ValueError(f"sweep visits {visited} partitions, more than the cap of {SWEEP_MAX_PARTITIONS}")
-    return [_report(identity, params, shared) for params, shared in zip(reports, _shared(identity, reports, expanded))]
+    shared = _phi_totals(reports) if expanded else share(reports) if share else repeat(None)
+    return [_report(identity, params, value) for params, value in zip(reports, shared)]

@@ -225,7 +225,8 @@ def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | in
     Symmetric Functions and Hall Polynomials, ch. I, eqs. 2.11 and 2.14').
     Uses p_1..p_m; extra trailing values are ignored.
 
-    Inputs are read as rationals (a float or a bool raises ValueError), and
+    Inputs are read as rationals (a float or a bool raises ValueError, and
+    so does a str, a set or a dict in place of the sequence), and
     Fraction inputs give Fractions. Integer inputs stay integers and no
     Fraction is built per step while k divides the dot product, as it does
     at every step when the p_i are signed power sums (-1)^(i-1) T_i of some
@@ -240,7 +241,7 @@ def newton_coefficients(p: Sequence[RationalLike], m: int) -> list[Fraction | in
     Fraction dot product.
     """
     _check_newton(m, len(p))
-    return _newton(_rationals("p", p[:m], _as_exact))
+    return _newton(_rationals("p", p, _as_exact, m))
 
 
 def _check_newton(m: int, count: int) -> None:

@@ -352,9 +352,17 @@ def test_verify_sweep_within_the_partition_budget_exits_0(capsys, argv, reports)
          "window of 1000 terms exceeds the PRODUCT_IDENTITY cap 100"),
         (["partitions", "count", "10001"], "m=10001 exceeds the partition count cap 10000"),
         (["verify", "STIRLING_ALTERNATING", "--m", "2001"], "m=2001 exceeds the STIRLING_ALTERNATING cap 2000"),
+        # (p + 1) bits(n) = 513 x 1024 bits, one bit of n past the cap's 513 x 1022
+        (["special", "faulhaber", "--n", str(2**1023), "--p", "512"],
+         f"n={2**1023}, p=512: a sum of about 525312 bits exceeds the faulhaber cap of 524288 bits"),
+        (["multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--m", "2", "--q", "1",
+          "--n", "100001", "--method", "reduce"], "window of 100001 terms exceeds the cap 100000"),
+        # at order 0 the window is still read, to check the spec's domain
+        (["multisum", "eval", "--spec", '{"kind":"index_power","exponent":1}', "--m", "0", "--q", "0",
+          "--n", "100000", "--method", "both"], "window of 100001 terms exceeds the cap 100000"),
     ],
     ids=["faulhaber", "mzv", "mzv_numeric", "binomial_partition", "product_identity", "partitions_count",
-         "stirling_alternating"],
+         "stirling_alternating", "faulhaber_bits", "window", "window_order_0"],
 )
 def test_capped_calls_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     cold = ((1,), [1])
@@ -674,3 +682,98 @@ def test_sweeps_with_huge_bounds_exit_2_in_bounded_time(identity, sweep):
     assert "Traceback" not in err.getvalue()
     payload = json.loads(out.getvalue())
     assert list(payload) == ["error"] and isinstance(payload["error"], str)
+
+
+# Every integer option of every subcommand, with the value each takes unless drawn: at most one
+# criterion is queued where --jobs is drawn with --criterion, and ten without it
+_SPEC = '{"kind":"index_power","exponent":1}'
+_TAKES_PHI = {"LEMMA_3_2", "EVEN_ODD_BINOM"}
+_INTEGER_COMMANDS = {
+    "partitions_count": (["partitions", "count"], {"": 5}),
+    "partitions_list": (["partitions", "list"], {"": 5}),
+    **{f"multisum_{method}": (["multisum", "eval", "--spec", _SPEC, "--method", method],
+                              {"--m": 2, "--q": 1, "--n": 4}) for method in ("brute", "reduce", "both")},
+    "poly_vieta": (["poly", "vieta", "--roots", "1,2,3"], {"--m": 1}),
+    "poly_mean": (["poly", "check-derivative-mean", "--roots", "1,2,3"], {"--k": 1}),
+    "faulhaber": (["special", "faulhaber"], {"--n": 3, "--p": 2}),
+    "mzv": (["special", "mzv"], {"--m": 2, "--p": 1, "--numeric": 5}),
+    **{f"verify_{identity.value.lower()}": (
+        ["verify", identity.value] + (["--spec", _SPEC] if "spec" in names else [])
+        + (["--phi", "1"] if identity.value in _TAKES_PHI else []),
+        {f"--{name}": 1 if name == "q" else 3 for name in names if name in "mnq"}
+        | ({"--r": 1} if identity.value in _TAKES_PHI else {}))
+       for identity, (_, names, *_) in _REGISTRY.items()},
+    "selftest_criterion": (["selftest"], {"--criterion": 3, "--jobs": 2}),
+    "selftest_jobs": (["selftest"], {"--jobs": 2}),
+}
+
+
+def _integer_argv(command: str, values: dict) -> list[str]:
+    head, defaults = _INTEGER_COMMANDS[command]
+    argv = list(head)
+    for option, default in defaults.items():
+        argv += ([option] if option else []) + [str(values.get(option, default))]
+    return argv
+
+
+def _ends_in_bounded_time(argv: list[str]) -> None:
+    """The call ends within 2 s, in exit 2 with a one-key JSON error or in a result."""
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - started < 2, argv[:6]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    assert lines
+    if code == 2:
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert list(payload) == ["error"] and isinstance(payload["error"], str)
+
+
+@pytest.mark.parametrize("huge", _HUGE, ids=["2^63", "10^11", "10^4300"])
+@pytest.mark.parametrize(
+    ("command", "option"),
+    [(command, option) for command, (_, defaults) in _INTEGER_COMMANDS.items() for option in defaults],
+    ids=lambda value: value.strip("-") or "m",
+)
+def test_each_integer_option_takes_a_huge_value_in_bounded_time(command, option, huge):
+    _ends_in_bounded_time(_integer_argv(command, {option: huge}))
+
+
+@st.composite
+def _huge_integer_argv(draw):
+    """One command line of _INTEGER_COMMANDS, each integer drawn small or huge, one at least huge."""
+    command = draw(st.sampled_from(sorted(_INTEGER_COMMANDS)))
+    options = list(_INTEGER_COMMANDS[command][1])
+    values = {option: draw(_bounds) for option in options}
+    values[draw(st.sampled_from(options))] = draw(st.sampled_from(_HUGE))
+    return _integer_argv(command, values)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_huge_integer_argv())
+def test_integer_options_with_huge_values_end_in_bounded_time(argv):
+    _ends_in_bounded_time(argv)
+
+
+def test_three_unbounded_lines_end_in_bounded_time(capsys):
+    # each ran past 8 s before its admission or fix: a window of 10^11 terms listed in full, a
+    # Faulhaber sum of 7.3 million bits, and 4^p formed at m = 0
+    window = ["multisum", "eval", "--spec", _SPEC, "--m", "2", "--q", "1", "--n", str(10**11), "--method", "reduce"]
+    for argv, error in [
+        (window, "window of 100000000000 terms exceeds the cap 100000"),
+        (window[:5] + ["1"] + window[6:9] + [str(10**4300)] + window[10:], f"window of {10**4300} terms exceeds"),
+        (["special", "faulhaber", "--n", str(10**4300), "--p", "512"], "a sum of about 7328205 bits exceeds"),
+    ]:
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, argv)
+        assert time.perf_counter() - started < 2
+        assert code == 2 and list(json.loads(out)) == ["error"] and error in json.loads(out)["error"]
+    for p in (10**11, 2**63):
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, ["special", "mzv", "--m", "0", "--p", str(p)])
+        assert time.perf_counter() - started < 2
+        assert code == 0 and json.loads(out) == {"m": 0, "p": p, "value": {"0": "1/1"}}

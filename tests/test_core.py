@@ -608,6 +608,38 @@ def test_reduction_refuses_an_order_past_maxsize_before_any_value_is_read(monkey
     assert reduce_multiple_sum(N, 2**63, 1, 5) == 0  # an order past its window reads no value
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_window_cap_refuses_before_any_value_is_read(monkeypatch, m):
+    # every order that reads the window, m = 0 included, is admitted on its width first; the
+    # edge, n - q + 1 = the cap, reads its values
+    monkeypatch.setattr(core, "WINDOW_MAX_TERMS", 6)
+    read = core._read
+    monkeypatch.setattr(core, "_read", _unreachable_read)
+    for q, n in ((1, 7), (0, 6), (3, 10**11), (1, 10**4299)):  # 4300 digits print by default
+        message = rf"^window of {n - q + 1} terms exceeds the cap 6$"
+        with pytest.raises(ValueError, match=message):
+            reduce_multiple_sum(N, m, q, n)
+        with pytest.raises(ValueError, match=message):
+            power_sums(N, q, n, m)
+        if m:
+            with pytest.raises(ValueError, match=message):
+                reduce_symmetrized((N,) * m, q, n)
+    monkeypatch.setattr(core, "_read", read)
+    assert reduce_multiple_sum(N, m, 1, 6) == brute_multiple_sum(SumProblem((N,) * m, 1, 6))
+    assert power_sums(N, 2, 7, m) == [Fraction(sum(k**i for k in range(2, 8))) for i in range(1, m + 1)]
+    assert reduce_symmetrized((N,) * m, 1, 6) == symmetrized_multiple_sum((N,) * m, 1, 6)
+
+
+def test_window_cap_comes_after_the_order_checks(monkeypatch):
+    # an order past sys.maxsize keeps its message, and an order past its window still reads nothing
+    monkeypatch.setattr(core, "_read", _unreachable_read)
+    with pytest.raises(ValueError, match=rf"^m={2**63} exceeds sys.maxsize"):
+        reduce_multiple_sum(N, 2**63, 1, 2**64)
+    with pytest.raises(ValueError, match=rf"^m={2**63} exceeds sys.maxsize"):
+        power_sums(N, 1, 2**64, 2**63)
+    assert reduce_multiple_sum(N, 2**63, 1, core.WINDOW_MAX_TERMS + 1) == 0
+
+
 def test_checked_sides_never_take_the_product(monkeypatch):
     # each of these sides is checked against a direct product, so it must reduce by Newton
     def product(*args):

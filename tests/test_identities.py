@@ -523,7 +523,11 @@ def test_sweep_partition_budget_refuses_before_any_check(monkeypatch):
 
 def test_admission_counts_the_terms_the_walk_forms():
     # against the oracle enumeration: a phi != 0 report walks the partitions y of m with
-    # y_i >= phi_i for every i, a phi = 0 report none, and the bridge all p(m) of its own walk
+    # y_i >= phi_i for every i, a phi = 0 report none, and the bridge all p(m) of its own walk;
+    # each count is the registry row's admission
+    def admit(identity, params):
+        return identities._REGISTRY[identity][2](params)
+
     for m in range(13):
         partitions = list(enumerate_partitions(m))
         for r in range(m + 1):
@@ -531,10 +535,71 @@ def test_admission_counts_the_terms_the_walk_forms():
                 phi = sub + (0,) * (m - r)
                 covering = sum(all(map(int.__ge__, y, phi)) for y in partitions) if r else 0
                 for identity in (IdentityId.LEMMA_3_2, IdentityId.EVEN_ODD_BINOM):
-                    assert identities._admit(identity, {"m": m, "phi": phi}) == covering
+                    assert admit(identity, {"m": m, "phi": phi}) == covering
         if m <= 6:
             bridge = {"spec": N, "m": m, "q": 1, "n": 8}
-            assert identities._admit(IdentityId.RECURRENT_BRIDGE, bridge) == len(partitions)
+            assert admit(IdentityId.RECURRENT_BRIDGE, bridge) == len(partitions)
+
+
+def test_a_sweep_reads_its_json_spec_once(monkeypatch):
+    # the spec is a sweep parameter no point changes, so it is parsed once, before the grid
+    parsed, parse = [], identities.sequence_spec_from_json
+
+    def recording(data):
+        parsed.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(identities, "sequence_spec_from_json", recording)
+    spec = {"kind": "explicit", "base": 1, "values": ["2", "-1/3", "3", "5/7", "-2"]}
+    reports = verify_sweep(IdentityId.PRODUCT_IDENTITY, {"n": [3, 4, 5]}, base={"spec": spec, "q": 1})
+    assert len(reports) == 3 and all(r.equal for r in reports)
+    assert parsed == [spec]
+    parsed.clear()
+    bridge = {"spec": {"kind": "index_power", "exponent": 1}, "m": 3, "q": 1}
+    assert all(r.equal for r in verify_sweep(IdentityId.RECURRENT_BRIDGE, {"n": range(1, 6)}, base=bridge))
+    assert parsed == [bridge["spec"]]
+
+
+@pytest.mark.parametrize("identity", [IdentityId.EVEN_ODD_BINOM, IdentityId.LEMMA_3_2])
+def test_an_expanded_sweep_reads_each_point_once(monkeypatch, identity):
+    # a grid point's m is read once, however many phi reports it expands into: 1 + 2 + 5 + 11 + 22
+    # reports over these five orders
+    read = []
+
+    def recording(params, key):
+        read.append((key, params[key]))
+        return identities._integer(f"parameter {key!r}", params[key])
+
+    monkeypatch.setattr(identities, "_require_int", recording)
+    reports = verify_sweep(identity, {"m": [0, 2, 4, 6, 8]})
+    assert len(reports) == sum(sum(map(partition_count, range(m + 1))) for m in (0, 2, 4, 6, 8))
+    assert all(r.equal for r in reports)
+    assert read == [("m", 0), ("m", 2), ("m", 4), ("m", 6), ("m", 8)]
+
+
+@pytest.mark.parametrize(
+    ("identity", "ranges"),
+    [
+        (IdentityId.BINOMIAL_PARTITION, {"m": [3, 9, 5], "n": [4, 6]}),
+        (IdentityId.STIRLING_ALTERNATING, {"m": [9, 0, 4, 9]}),
+    ],
+    ids=["binomial_partition", "stirling_alternating"],
+)
+def test_a_sweep_reaches_its_shared_work_through_the_registry_row(monkeypatch, identity, ranges):
+    # the fourth entry of the identity's row gives each report its shared value, once per sweep
+    check, names, admit, share = identities._REGISTRY[identity]
+    calls = []
+
+    def recording(reports):
+        calls.append([dict(params) for params in reports])
+        return share(reports)
+
+    monkeypatch.setitem(identities._REGISTRY, identity, (check, names, admit, recording))
+    points = [dict(zip(ranges, combo)) for combo in itertools.product(*ranges.values())]
+    reports = verify_sweep(identity, ranges)
+    assert calls == [points]
+    assert reports == [verify(identity, params) for params in points]
+    assert len(calls) == 1 + len(points) and all(r.equal for r in reports)
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def _cli_error(*argv: str) -> None:
     (lambda: verify(IdentityId.LEMMA_3_2, {"m": 5, "phi": 1}), "phi must be a list or a tuple, got int"),
     (lambda: verify(IdentityId.EVEN_ODD_BINOM, {"m": 5, "phi": "1"}), "phi must be a list or a tuple, got str"),
     *((call, f"{name} must be a sequence of rationals, got {type(text).__name__}")
-      for text in ("12", b"12")
+      for text in ("12", b"12", {"1", "2"}, frozenset({"1", "2"}), {"1": 0, "2": 0})
       for call, name in (
           (lambda text=text: core.ExplicitSequence(text), "sequence 'values'"),
           (lambda text=text: polynomials.Polynomial(text), "coeffs"),
@@ -85,7 +85,7 @@ def _cli_error(*argv: str) -> None:
         "cli-multisum-q", "mzv_limit_trend-float", "mzv_limit_trend-integral-float", "mzv_limit_trend-string",
         "mzv_limit_trend-bool", "mzv_limit_trend-below-2", "verify_sweep-int-range", "verify_sweep-string-range",
         "LEMMA_3_2-phi-int", "EVEN_ODD_BINOM-phi-str",
-        *(f"{name}-{kind}" for kind in ("str", "bytes")
+        *(f"{name}-{kind}" for kind in ("str", "bytes", "set", "frozenset", "dict")
           for name in ("ExplicitSequence", "Polynomial", "poly_from_roots", "coeff_ratio_from_roots",
                        "eval_factored_sum", "generalized_binomial-a", "generalized_binomial-b",
                        "newton_coefficients", "elementary_from_power_sums"))])
@@ -93,6 +93,14 @@ def test_out_of_domain_inputs_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+
+
+def test_generators_are_read_in_their_own_order():
+    # unordered collections are refused above; an iterator has one order, so it is read
+    assert core.ExplicitSequence(str(k) for k in (3, 1, 2)).values == (3, 1, 2)
+    assert polynomials.Polynomial(iter(["1/2", 2])).coeffs == (Fraction(1, 2), 2)
+    assert polynomials.poly_from_roots(r for r in (1, 2)) == polynomials.poly_from_roots([1, 2])
+    assert partitions.newton_coefficients(range(1, 9), 2) == partitions.newton_coefficients([1, 2], 2)
 
 
 # Valid keyword arguments of every public callable with an int-annotated parameter; the boundary

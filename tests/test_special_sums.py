@@ -7,9 +7,10 @@ from multisums.core import IndexPower, SumProblem, brute_multiple_sum, reduce_mu
 from multisums.exact_arith import PiPolynomial, bernoulli, stirling_first_unsigned
 from multisums.partitions import partition_sum
 from multisums.polynomials import sum_of_multiple_sums
-from multisums import exact_arith
+from multisums import exact_arith, special_sums
 from multisums.special_sums import (
     BERNOULLI_MAX_INDEX,
+    FAULHABER_MAX_BITS,
     MZV_PARTIAL_MAX_N,
     bernoulli_partition_sum,
     faulhaber,
@@ -230,6 +231,44 @@ def test_bernoulli_index_cap_refuses_before_the_table_grows(monkeypatch, call, i
     with pytest.raises(ValueError, match=f"needs B_{index}, past the Bernoulli index cap {BERNOULLI_MAX_INDEX}"):
         call()
     assert exact_arith._zigzag is cold
+
+
+@pytest.mark.parametrize(
+    ("n", "p"),
+    [(2**1023, BERNOULLI_MAX_INDEX), (10**4300, BERNOULLI_MAX_INDEX), (10**4300, 100), (2**FAULHABER_MAX_BITS, 0)],
+    ids=["2^1023", "10^4300", "10^4300_p100", "p0"],
+)
+def test_faulhaber_size_cap_refuses_before_the_table_grows(monkeypatch, n, p):
+    # (p + 1) bits(n) bounds the sum's bits and its digits; the Bernoulli index cap comes first
+    cold = ((1,), [1])
+    monkeypatch.setattr(exact_arith, "_zigzag", cold)
+    bits = (p + 1) * n.bit_length()
+    with pytest.raises(ValueError, match=f"a sum of about {bits} bits exceeds the faulhaber cap of"):
+        faulhaber(n, p)
+    with pytest.raises(ValueError, match="needs B_513, past the Bernoulli index cap"):
+        faulhaber(n, BERNOULLI_MAX_INDEX + 1)
+    assert exact_arith._zigzag is cold
+
+
+def test_faulhaber_size_cap_admits_its_edge(monkeypatch):
+    # at the cap, against the direct sum: 3 is 2 bits, so (p + 1) 2 bits at p = 7
+    monkeypatch.setattr(special_sums, "FAULHABER_MAX_BITS", 16)
+    assert faulhaber(3, 7) == 1 + 2**7 + 3**7
+    with pytest.raises(ValueError, match="^n=3, p=8: a sum of about 18 bits exceeds the faulhaber cap of 16 bits$"):
+        faulhaber(3, 8)
+    assert faulhaber(2**16 - 1, 0) == 2**16 - 1
+    with pytest.raises(ValueError, match="a sum of about 17 bits"):
+        faulhaber(2**16, 0)
+
+
+def test_mzv_at_depth_0_forms_no_power_of_p(monkeypatch):
+    # lam^m = (+-4^p)^m is formed as +-4^(pm), so m = 0 is 1 at any p, and every value is as before
+    for p in (10**11, 2**63, 10**4300):
+        assert mzv_even_reduced(0, p) == PiPolynomial(0, 1)
+    for m in range(8):
+        for p in range(1, 6):
+            lam = 4**p if p % 2 else -(4**p)
+            assert mzv_even_reduced(m, p) == PiPolynomial(2 * p * m, bernoulli_partition_sum(m, p) * lam**m)
 
 
 def test_bernoulli_index_cap_admits_its_edge():

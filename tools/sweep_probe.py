@@ -12,6 +12,11 @@ best of ``--repeat`` runs:
   ``BINOMIAL_PARTITION`` runs Newton up to its own m. The rows at a given
   phi (m = 49) take that same route in both columns.
 
+The ``PRODUCT_IDENTITY`` and ``RECURRENT_BRIDGE`` rows pass an explicit
+sequence as JSON, as the command line does: the sweep reads it once for all
+its reports, and the per-report column passes the same JSON to each
+``verify``, which reads it for its one report.
+
 The "same" column says whether both routes gave equal reports, compared by
 ``to_json_dict``, and "all equal" whether every report's sides agree. The
 script exits 1 when either reads False on any row, so it can run as a
@@ -39,6 +44,8 @@ import sys
 import time
 from pathlib import Path
 
+# an explicit sequence as JSON, the form the command line passes: 60 values (-1)^k k / (k + 2)
+_EXPLICIT = {"kind": "explicit", "base": 1, "values": [f"{(-1) ** k * k}/{k + 2}" for k in range(1, 61)]}
 # (identity, ranges, base, time the per-report route too); the last row is the --large one
 SWEEPS = (
     ("EVEN_ODD_BINOM", {"m": range(7, 10)}, {}, True),
@@ -53,6 +60,8 @@ SWEEPS = (
     ("EVEN_ODD_BINOM", {"m": [49]}, {"phi": (1,)}, True),
     ("LEMMA_3_2", {"m": [49]}, {"phi": (0, 0, 1)}, True),
     ("EVEN_ODD_BINOM", {"m": [49]}, {"phi": (0, 0, 1)}, True),
+    ("PRODUCT_IDENTITY", {"n": range(40, 61)}, {"spec": _EXPLICIT, "q": 1}, True),
+    ("RECURRENT_BRIDGE", {"n": range(4, 13)}, {"spec": _EXPLICIT, "m": 4, "q": 1}, True),
     ("STIRLING_ALTERNATING", {"m": range(600, -1, -1)}, {}, False),
     ("BINOMIAL_PARTITION", {"m": range(2000), "n": range(1996, 2001)}, {}, False),
 )
@@ -65,7 +74,8 @@ def _label(identity: str, ranges: dict, base: dict) -> str:
         return ",".join(map(str, values))
 
     parts = [f"{name} = {text(values)}" for name, values in ranges.items()]
-    parts += [f"{name} = {value}" for name, value in base.items()]
+    parts += [f"{name} = {value['kind']} JSON" if isinstance(value, dict) else f"{name} = {value}"
+              for name, value in base.items()]
     return f"{identity}, {', '.join(parts)}"
 
 
@@ -78,9 +88,10 @@ def _best(call, repeat: int):
     return best, result
 
 
-def _one_at_a_time(ms, identity: str, reports) -> list:
-    """The reports of a sweep, remade by one verify call each on their reported parameters."""
-    return [ms.verify(identity, dict(report.params)) for report in reports]
+def _one_at_a_time(ms, identity: str, ranges: dict, base: dict, reports) -> list:
+    """The reports of a sweep, remade by one verify call each on the base and each report's swept values and phi."""
+    return [ms.verify(identity, {**base, **{k: v for k, v in r.params.items() if k in ranges or k == "phi"}})
+            for r in reports]
 
 
 def _rows(ms, repeat: int, large: bool):
@@ -90,7 +101,7 @@ def _rows(ms, repeat: int, large: bool):
         row["reports"] = len(reports)
         row["all equal"] = all(r.equal for r in reports)
         if per_report:
-            row["per-report s"], alone = _best(lambda: _one_at_a_time(ms, identity, reports), repeat)
+            row["per-report s"], alone = _best(lambda: _one_at_a_time(ms, identity, ranges, base, reports), repeat)
             row["same"] = [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
         yield row
 
