@@ -13,6 +13,10 @@ values as (numerator, denominator) int pairs, and ``eval_sequence`` is its
 one-index read. An ordered sum reads each position only where a tuple can
 put it: position j of ``brute_multiple_sum`` (from 0) on [q + j, n - m + 1 + j],
 so specs that are each defined on their own position's range sum as well.
+The window reductions depend only on the multiset of a window's values, so
+they read it through ``_terms``, which runs ``_read`` and gives the values
+as (numerator, denominator, count) int terms, a window of more than one
+kernel block as its distinct values with their counts.
 Orders, window bounds and indices are read once per call by the integer
 reader of :mod:`multisums.exact_arith`: m and q must be ints >= 0 and n
 an int (an empty window, n < q, is allowed), none of them a bool.
@@ -22,7 +26,8 @@ Routes come in independent pairs so each can act as the other's oracle:
 * ``brute_multiple_sum``        direct tuple enumeration, as weakly increasing offsets
 * ``reduce_multiple_sum``       e_m of one sequence's window by Viete's truncated
                                 product, O(n m), or by power sums reduced with
-                                Newton's recurrence, O(m^2), one written rule
+                                Newton's recurrence, O(n + d m + m^2) for d
+                                distinct values, one written rule
                                 (``_takes_product``) picking; brute force and the
                                 paper's partition formula, ``partitions.partition_sum``,
                                 are its oracles in the tests and the acceptance suite
@@ -35,30 +40,34 @@ Routes come in independent pairs so each can act as the other's oracle:
 
 One block kernel of :mod:`multisums.exact_arith` sums the window's power
 sums, the brute routes' tuple products and the block sums of
-``reduce_symmetrized``: terms are int pairs, summed as integers over the lcm
-of each block's denominators, and the blocks merge into integer power sums
-T_1..T_m over one scale L, S_i = T_i / L^i. The Newton route of the
-window reductions keeps those integers: they are the power sums of the
-integers num L / den, so Newton's recurrence runs on integers alone and
-e_k of the window is E_k / L^k, one ``Fraction`` per value read. One
-private helper, ``_scaled_elementary``, runs the kernel and the one signed
-Newton wrapper, ``elementary_from_power_sums``, for ``reduce_multiple_sum``,
-``PRODUCT_IDENTITY``'s left side and the root and all-order sums of
-:mod:`multisums.polynomials`. ``reduce_multiple_sum`` takes Viete's product
-of exact_arith instead, prod (den + num t) truncated at degree m, when
-bits(prod den) < m bits(L): its integers grow to about bits(prod den), while
-Newton's grow to m bits(L). The rule reads L off the kernel's tree of block
-scales, which the Newton route then takes, so no lcm is computed twice. The
-other callers of ``_scaled_elementary`` are checked against a direct
-product, so they never take the product route.
-``power_sums`` returns the m ``Fraction``s S_i. The partition
-formula does not use the kernel (it sums over one common denominator, see
-:mod:`multisums.partitions`). The brute routes refuse, with ValueError and
-before any value is read, more than ``BRUTE_MAX_TUPLES`` tuples: for a
-symmetrized sum, m! C(n-q+1, m) tuples of distinct indices, so m <= 9.
-Where outside input sets the order of a brute-force sum (``multisum eval
---method brute|both`` and the admission of ``RECURRENT_BRIDGE``), it is
-also capped at ``BRUTE_MAX_M``. The routes that read a whole window as a
+``reduce_symmetrized``: terms are (num, den, count) int triples, summed
+as count (num L' / den)^i over the lcm L' of each block's
+denominators, and the blocks merge into integer power sums T_1..T_m over
+one scale L, S_i = T_i / L^i. A window of n values with d distinct ones is
+counted in O(n) steps and summed in O(d m) big-integer products, so its
+power sums cost O(n + d m), not O(n m); N ** e at e != 0 has d = n and is
+streamed, and a window of one block is summed as read.
+The Newton route of the window reductions keeps those integers: they are
+the power sums of the integers num L / den, so Newton's recurrence runs on
+integers alone and e_k of the window is E_k / L^k, one ``Fraction`` per
+value read. One private helper, ``_scaled_elementary``, runs the kernel and
+the one signed Newton wrapper, ``elementary_from_power_sums``, for
+``reduce_multiple_sum``, ``PRODUCT_IDENTITY``'s left side and the root and
+all-order sums of :mod:`multisums.polynomials`. ``reduce_multiple_sum``
+takes Viete's product of exact_arith instead, prod (den + num t) truncated
+at degree m, when bits(prod den) < m bits(L), each denominator counted once
+per value: its integers grow to about bits(prod den), while Newton's grow
+to m bits(L). The rule reads L off the kernel's tree of block scales, which
+the Newton route then takes, so no lcm is computed twice. The other callers
+of ``_scaled_elementary`` are checked against a direct product, so they
+never take the product route. ``power_sums`` returns the m ``Fraction``s
+S_i. The partition formula does not use the kernel (it sums over one
+common denominator, see :mod:`multisums.partitions`). The brute routes
+refuse, with ValueError and before any value is read, more than
+``BRUTE_MAX_TUPLES`` tuples: for a symmetrized sum, m! C(n-q+1, m) tuples
+of distinct indices, so m <= 9. Where outside input sets the order of a
+brute-force sum (``multisum eval --method brute|both`` and the admission
+of ``RECURRENT_BRIDGE``), it is also capped at ``BRUTE_MAX_M``. The routes that read a whole window as a
 list or a stream, ``reduce_multiple_sum``, ``power_sums`` and
 ``reduce_symmetrized``, refuse a window of more than ``WINDOW_MAX_TERMS``
 terms, also before any value is read.
@@ -67,9 +76,11 @@ terms, also before any value is read.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import factorial, lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact_arith import (
@@ -78,14 +89,16 @@ from .exact_arith import (
     _int_text,
     _integer,
     _is_int,
-    _pair_power_sums,
     _rationals,
     _Record,
     _scale_tree,
     _set,
+    _SUM_BLOCK,
+    _Term,
     _Tree,
     _tuple_sum,
     _viete,
+    _weighted_power_sums,
     rational_to_str,
 )
 from .partitions import SET_PARTITION_MAX_M, _check_newton, _newton, enumerate_set_partitions
@@ -121,6 +134,7 @@ BRUTE_MAX_M = 6
 # full, at every order that reads it, refused before any value is read: N over [1, 10^5] at
 # m = 2 takes 0.08 s and N^-1 0.7 s, over [1, 10^6] 1.4 s and 126 MB for N (in process, 2-vCPU VM)
 WINDOW_MAX_TERMS = 10**5
+_pair = attrgetter("numerator", "denominator")  # a Fraction's (num, den), read in C
 
 
 class ExplicitSequence(_Record):
@@ -160,7 +174,8 @@ def _read(spec: SequenceSpec, q: int, n: int) -> Iterator[tuple[int, int]]:
     values raises ValueError for its first index outside; both are checked
     before any pair is read, and an empty window (n < q) reads nothing. N ** e
     is the pair (N ** e, 1), or (1, N ** -e) for e < 0, with no Fraction
-    built; an explicit window is read as one slice of its values.
+    built; an explicit window is read as one slice of its values, mapped
+    to their pairs.
     """
     if isinstance(spec, IndexPower):
         e = spec.exponent
@@ -176,7 +191,29 @@ def _read(spec: SequenceSpec, q: int, n: int) -> Iterator[tuple[int, int]]:
         index = q if not 0 <= start < count else spec.base + count
         low, high = _int_text(spec.base), _int_text(spec.base + count - 1)
         raise ValueError(f"index {_int_text(index)} outside explicit range [{low}, {high}]")
-    return ((v.numerator, v.denominator) for v in spec.values[start:stop])
+    return map(_pair, spec.values[start:stop])
+
+
+def _terms(spec: SequenceSpec, q: int, n: int) -> Iterable[_Term]:
+    """The values a_q..a_n as (numerator, denominator, count) int terms, count >= 1.
+
+    The reader of the window reductions, whose results depend only on the
+    multiset of the window's values; ``_read`` checks the window and gives
+    its pairs. An explicit window of more than _SUM_BLOCK values is counted
+    in one pass over those pairs, each distinct value once, in the order it
+    first appears. One of at most _SUM_BLOCK values, which the kernel sums
+    as one block either way, is streamed with count 1: counting it costs
+    about as much as its whole reduction at low order. N ** e at e != 0
+    takes a new value at each index N >= 0, so its pairs are streamed with
+    count 1 and nothing is held; at e = 0 the window is the one term
+    (1, 1, width).
+    """
+    pairs = _read(spec, q, n)
+    if isinstance(spec, IndexPower) and not spec.exponent:
+        return [(1, 1, n - q + 1)] if n >= q else []
+    if isinstance(spec, IndexPower) or n - q < _SUM_BLOCK:
+        return ((num, den, 1) for num, den in pairs)
+    return [(num, den, count) for (num, den), count in Counter(pairs).items()]
 
 
 def eval_sequence(spec: SequenceSpec, index: int) -> Fraction:
@@ -323,7 +360,7 @@ def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
     _check_window(m, q, n)
     _check_list_order(m)
     _check_width(q, n)
-    sums, scale = _pair_power_sums(_read(spec, q, n), m)
+    sums, scale = _weighted_power_sums(_terms(spec, q, n), m)
     return [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)]
 
 
@@ -341,15 +378,15 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     return _newton([-s if i % 2 else s for i, s in enumerate(_rationals("sums", sums, _as_exact, m))])
 
 
-def _scaled_elementary(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
-    """(E, L): e_k of the values num / den of the int pairs is E[k] / L ** k for k = 0..m.
+def _scaled_elementary(terms: Iterable[_Term], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
+    """(E, L): e_k of the values num / den, each taken count times, of the int terms is E[k] / L ** k for k = 0..m.
 
     The Newton route: the block kernel of exact_arith gives the power sums
     as integers over one scale L, and Newton's recurrence runs on those
-    integers alone. ``tree``, the pairs' _scale_tree, is handed to the
+    integers alone. ``tree``, the terms' _scale_tree, is handed to the
     kernel in their place, so no lcm is computed twice.
     """
-    sums, scale = _pair_power_sums(pairs, m, tree)
+    sums, scale = _weighted_power_sums(terms, m, tree)
     return elementary_from_power_sums(sums, m), scale
 
 
@@ -359,12 +396,13 @@ def _takes_product(tree: _Tree, m: int) -> bool:
     The product's integers grow to about bits(prod den), Newton's to
     m bits(L), L the lcm of the denominators; both are read off the window's
     _scale_tree, the one Newton's kernel takes, and a denominator counts
-    ceil(log2 den) bits, so 0 for 1. The count stops at Newton's bits.
+    ceil(log2 den) bits, so 0 for 1, once per value it stands for. The
+    count stops at Newton's bits.
     """
     blocks, _, scale = tree
     bits, newton_bits = 0, m * scale.bit_length()
     for block, _ in blocks:
-        bits += sum([(den - 1).bit_length() for _, den in block])
+        bits += sum([(den - 1).bit_length() * count for _, den, count in block])
         if bits >= newton_bits:
             return False
     return True
@@ -385,11 +423,12 @@ def _check_width(q: int, n: int) -> None:
 def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     """Order-m multiple sum of one sequence, e_m of its window, with no enumeration.
 
-    On the window's int pairs, by one of two integer routes picked by
-    ``_takes_product``: Viete's product prod (den + num t) truncated at
-    degree m, O((n - q + 1) m) steps, whose coefficient c_m over c_0 =
-    prod den is e_m; or the power sums over one scale L reduced by Newton's
-    recurrence, O(n - q + 1) window terms and O(m^2) steps, e_m = E_m / L^m.
+    On the window's d distinct values with their counts, by one of two
+    integer routes picked by ``_takes_product``: Viete's product
+    prod (den + num t) truncated at degree m, O((n - q + 1) m) steps, whose
+    coefficient c_m over c_0 = prod den is e_m; or the power sums over one
+    scale L reduced by Newton's recurrence, O(n - q + 1 + d m) kernel steps
+    and O(m^2) Newton steps, e_m = E_m / L^m.
     One Fraction is built. Agrees with brute_multiple_sum on identical specs
     and with elementary_from_power_sums on power_sums, including the
     degenerate window cases (m = 0 gives 1, and a window shorter than m
@@ -397,17 +436,17 @@ def reduce_multiple_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
     sys.maxsize on a window wider than it, and then a window of more than
     WINDOW_MAX_TERMS terms at any order that reads it, m = 0 included, are
     refused before any value is read. The window is read once and held as
-    a list of pairs, which the rule and either route read.
+    a list of distinct terms, which the rule and either route read.
     """
     _check_window(m, q, n)
     if m > max(n - q + 1, 0):
         return Fraction(0)
     _check_list_order(m)
     _check_width(q, n)
-    pairs = list(_read(spec, q, n))
-    tree = _scale_tree(pairs)
+    terms = list(_terms(spec, q, n))
+    tree = _scale_tree(terms)
     if _takes_product(tree, m):
-        coeffs = _viete(pairs, m)
+        coeffs = _viete(terms, m)
         return Fraction(coeffs[m], coeffs[0])
     elementary, scale = _scaled_elementary((), m, tree)
     return Fraction(elementary[m], scale**m)

@@ -17,19 +17,24 @@ codes as values, and a set or a frozenset, whose order changes with the
 hash seed, and a dict, which would be read as its keys.
 
 One block kernel here sums many rationals exactly, as integer power sums
-over one scale, with no Fraction built per term: the power sums of a
-window, the tuple products of brute-force multiple sums (over tables of int
-pairs, as core's one window reader gives them) and the set-partition block
+over one scale, with no Fraction built per term. Its terms are weighted,
+(num, den, count) int triples, and a count multiplies the term's
+powers, so a window read as its d distinct values with their
+multiplicities costs O(d m) products for m powers, not one per value and
+power. The power sums of a window, the tuple products of brute-force
+multiple sums (over tables of int pairs, as core's positional window reader
+gives them, each product a term of count 1) and the set-partition block
 sums all run on it; partition sums have their own walk in
-:mod:`multisums.partitions`. Viete's integer product prod (den + num t)
-over int pairs, truncated at a degree, is written once here too: the window
-reduction of core and the root expansion of polynomials both run it. Bernoulli numbers come from a table of tangent numbers, integers built by
-additions only. A :class:`PiPolynomial` is the record of one term c pi^e,
-and zero is 0 pi^0. Decimal arithmetic appears only inside
-:func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a decimal
-string for display and trend checks, never for an equality verdict. The
-private ``_Record`` gives the package's value records, ``PiPolynomial``
-among them, their equality, hash, immutability and repr.
+:mod:`multisums.partitions`. Viete's integer product prod (den + num t) **
+count over the same terms, truncated at a degree, is written once here
+too: the window reduction of core and the root expansion of polynomials
+both run it. Bernoulli numbers come from a table of tangent numbers,
+integers built by additions only. A :class:`PiPolynomial` is the record of
+one term c pi^e, and zero is 0 pi^0. Decimal arithmetic appears only
+inside :func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a
+decimal string for display and trend checks, never for an equality
+verdict. The private ``_Record`` gives the package's value records,
+``PiPolynomial`` among them, their equality, hash, immutability and repr.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ __all__ = [
 
 NUMERIC_MAX_DIGITS = 1000  # longest pi_poly_numeric rendering; pi is summed at digits + 25
 _GUARD_DIGITS = 25
-_SUM_BLOCK = 32  # terms per integer block in _pair_power_sums
+_SUM_BLOCK = 32  # terms per integer block in _weighted_power_sums
 
 # What _as_rational takes exactly; floats and bools are refused.
 RationalLike = Union[Fraction, int, str]
@@ -169,15 +174,16 @@ def _rationals(
     return [read(v) for v in islice(values, stop)]
 
 
-_Block = tuple[list[tuple[int, int]], int]  # up to _SUM_BLOCK int pairs and the lcm of their denominators
+_Term = tuple[int, int, int]  # (num, den, count): the rational num / den, den > 0, taken count >= 1 times
+_Block = tuple[list[_Term], int]  # up to _SUM_BLOCK terms and the lcm of their denominators
 _Tree = tuple[list[_Block], list[int], int]  # a _scale_tree
 
 
-def _blocks(pairs: Iterable[tuple[int, int]]) -> Iterator[_Block]:
-    """The pairs in blocks of _SUM_BLOCK, each with the lcm of its own denominators."""
-    pairs = iter(pairs)
-    while block := list(islice(pairs, _SUM_BLOCK)):
-        yield block, math.lcm(*[den for _, den in block])
+def _blocks(terms: Iterable[_Term]) -> Iterator[_Block]:
+    """The terms in blocks of _SUM_BLOCK, each with the lcm of its own denominators."""
+    terms = iter(terms)
+    while block := list(islice(terms, _SUM_BLOCK)):
+        yield block, math.lcm(*[den for _, den, _ in block])
 
 
 def _fold(nodes: Iterable, merge: Callable) -> object:
@@ -206,14 +212,14 @@ def _fold(nodes: Iterable, merge: Callable) -> object:
     return total
 
 
-def _scale_tree(pairs: Sequence[tuple[int, int]]) -> _Tree:
-    """(blocks, merges, L): the pairs in blocks as _pair_power_sums takes them,
+def _scale_tree(terms: Sequence[_Term]) -> _Tree:
+    """(blocks, merges, L): the terms in blocks as _weighted_power_sums takes them,
     the scale of each merge its binary counter makes over them, in its order,
-    and the lcm L of all the denominators (1 for no pairs).
+    and the lcm L of all the denominators (1 for no terms).
 
-    Given to _pair_power_sums, the tree spares it every lcm.
+    Given to _weighted_power_sums, the tree spares it every lcm.
     """
-    blocks = list(_blocks(pairs))
+    blocks = list(_blocks(terms))
     merges: list[int] = []
 
     def merge(a: int, b: int) -> int:
@@ -224,12 +230,16 @@ def _scale_tree(pairs: Sequence[tuple[int, int]]) -> _Tree:
 
 
 def _block_sums(block: _Block, m: int) -> tuple[list[int], int]:
-    """(T, L) of one block: the power sums 1..m of the integers num L / den over its scale L."""
+    """(T, L) of one block: the power sums 1..m of the integers num L / den, each count times, over its scale L.
+
+    The running power starts at the term's count, so a term taken count
+    times costs the m products of one.
+    """
     terms, scale = block
     sums = [0] * m
-    for num, den in terms:
+    for num, den, count in terms:
         numerator = num * (scale // den)
-        power = 1
+        power = count
         for i in range(m):
             power *= numerator
             sums[i] += power
@@ -251,25 +261,27 @@ def _merge_sums(a: tuple[list[int], int], b: tuple[list[int], int], scale: int |
     return merged, scale
 
 
-def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
-    """(T, L): the power sums S_i = sum of (num / den) ** i over (num, den) int
-    pairs, den > 0, are S_i = T[i - 1] / L ** i for i = 1..m, with L the lcm
-    of the denominators.
+def _weighted_power_sums(terms: Iterable[_Term], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
+    """(T, L): the power sums S_i = sum of count (num / den) ** i over
+    (num, den, count) int terms, den > 0, are S_i = T[i - 1] / L ** i for
+    i = 1..m, with L the lcm of the denominators.
 
     Every term is the integer num L / den, so T_i is an integer power sum and
-    no Fraction is built. The pairs are taken in blocks of _SUM_BLOCK, each
-    summed over the lcm of its own denominators, and the blocks are merged
-    as a binary counter (_fold), two nodes at the lcm of their scales.
-    Every merge then joins sums of similar size, and the stream is consumed
-    once with O(log(blocks)) nodes live; folding each block into one running
-    sum would rescale that sum, whose lcm grows with every block over a
-    window of distinct denominators such as N ** -1 on [1, 50000], once per
-    block. The whole stream is consumed, also when m = 0. With the
-    _scale_tree of the pairs as ``tree`` (and ``pairs`` unread), its blocks
-    are summed and its scales taken, so no lcm is computed again.
+    no Fraction is built; a term's count multiplies its powers, so a window
+    read as its d distinct values costs O(d m) products, not one per value
+    and power. The terms are taken in blocks of _SUM_BLOCK, each summed over
+    the lcm of its own denominators, and the blocks are merged as a binary
+    counter (_fold), two nodes at the lcm of their scales. Every merge then
+    joins sums of similar size, and the stream is consumed once with
+    O(log(blocks)) nodes live; folding each block into one running sum would
+    rescale that sum, whose lcm grows with every block over a window of
+    distinct denominators such as N ** -1 on [1, 50000], once per block. The
+    whole stream is consumed, also when m = 0. With the _scale_tree of the
+    terms as ``tree`` (and ``terms`` unread), its blocks are summed and its
+    scales taken, so no lcm is computed again.
     """
     if tree is None:
-        blocks, merge = _blocks(pairs), _merge_sums
+        blocks, merge = _blocks(terms), _merge_sums
     else:
         blocks, scales = tree[0], iter(tree[1])
 
@@ -279,23 +291,27 @@ def _pair_power_sums(pairs: Iterable[tuple[int, int]], m: int, tree: _Tree | Non
     return _fold(map(_block_sums, blocks, repeat(m)), merge) or ([0] * m, 1)
 
 
-def _viete(pairs: Iterable[tuple[int, int]], m: int | None = None) -> list[int]:
-    """c_0..c_top of prod (den + num t) over the (num, den) int pairs, truncated at degree m.
+def _viete(terms: Iterable[_Term], m: int | None = None) -> list[int]:
+    """c_0..c_top of prod (den + num t) ** count over the (num, den, count) int terms, truncated at degree m.
 
-    Viete's expansion, one pair at a time: c_k <- c_k den + c_{k-1} num for
-    k = 0..top, each old c_{k-1} carried up (c_{-1} = 0), and c_{top+1} =
-    c_top num appended while top < m (None: no truncation). So c_0 = prod
-    den, and e_k of the values num / den is c_k / c_0 for k <= m: integers
-    alone, O(pairs x m) steps.
+    Viete's expansion, one factor at a time, each term's factor count times:
+    c_k <- c_k den + c_{k-1} num for k = 0..top, each old c_{k-1} carried up
+    (c_{-1} = 0), and c_{top+1} = c_top num appended while top < m (None: no
+    truncation). So c_0 = prod den ** count, and e_k of the values num / den,
+    each taken count times, is c_k / c_0 for k <= m: integers alone,
+    O(values x m) steps. The count is stepped down in place rather than by a
+    range, which would cost a term of count 1 a third more.
     """
     coeffs = [1]
-    for num, den in pairs:
-        below = 0
-        for k, c in enumerate(coeffs):
-            coeffs[k] = c * den + below * num
-            below = c
-        if m is None or len(coeffs) <= m:
-            coeffs.append(below * num)
+    for num, den, count in terms:
+        while count:
+            count -= 1
+            below = 0
+            for k, c in enumerate(coeffs):
+                coeffs[k] = c * den + below * num
+                below = c
+            if m is None or len(coeffs) <= m:
+                coeffs.append(below * num)
     return coeffs
 
 
@@ -304,21 +320,22 @@ def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[tuple[
 
     Table entries are (numerator, denominator) int pairs, den > 0, as the
     window reader of core gives them. Each product is one int numerator
-    over one int denominator, and the pairs are summed by _pair_power_sums
-    as their S_1, so no Fraction is built per entry or per tuple.
+    over one int denominator, and the products are summed by
+    _weighted_power_sums as their S_1, each a term of count 1, so no
+    Fraction is built per entry or per tuple.
     """
     nums = [[num for num, _ in table] for table in tables]
     dens = [[den for _, den in table] for table in tables]
 
-    def products() -> Iterator[tuple[int, int]]:
+    def products() -> Iterator[_Term]:
         for combo in combos:
             num = den = 1
             for row_nums, row_dens, i in zip(nums, dens, combo):
                 num *= row_nums[i]
                 den *= row_dens[i]
-            yield num, den
+            yield num, den, 1
 
-    (total,), scale = _pair_power_sums(products(), 1)
+    (total,), scale = _weighted_power_sums(products(), 1)
     return Fraction(total, scale)
 
 

@@ -69,6 +69,7 @@ from .core import (
     SumProblem,
     _check_brute_order,
     _check_tuple_count,
+    _terms,
     _read,
     _scaled_elementary,
     brute_multiple_sum,
@@ -442,13 +443,15 @@ def _product_identity(params: Mapping) -> Checked:
     int pairs; the reader refuses index 0 of a negative power and a window
     outside an explicit sequence before any pair is read. The reduction is
     reduce_multiple_sum's Newton route, ``_scaled_elementary``, by name:
-    its product route would compute the right side itself.
+    its product route would compute the right side itself. It reads the
+    window as its distinct values with their counts, as reduce_multiple_sum
+    does, and the product reads every value.
     """
     spec, q, n = params["spec"], params["q"], params["n"]
     m = n - q + 1
     values = list(_read(spec, q, n))
     rhs = Fraction(math.prod(num for num, _ in values), math.prod(den for _, den in values))
-    elementary, scale = _scaled_elementary(values, m)
+    elementary, scale = _scaled_elementary(_terms(spec, q, n), m)
     return {"spec": spec, "q": q, "n": n, "m": m}, Fraction(elementary[m], scale**m), rhs, ""
 
 
@@ -700,14 +703,14 @@ def verify_sweep(
     identity = IdentityId(identity)
     _, parameters, admit, share = _REGISTRY[identity]
     swept = set(parameters) - {"phi", "spec"}
-    unknown = sorted(set(ranges) - swept)
+    unknown = sorted(set(ranges) - swept, key=str)
     if unknown:
         raise ValueError(f"{identity.value} sweeps only {sorted(swept)}, not {unknown}")
     points = math.prod(map(_count_values, ranges, ranges.values()))
     if points > SWEEP_MAX_POINTS:
         raise ValueError(f"sweep of {_int_text(points)} points exceeds the cap {SWEEP_MAX_POINTS}")
     base = dict(base or {})
-    unknown = sorted(set(base) - set(parameters))  # every point has the names of base and ranges
+    unknown = sorted(set(base) - set(parameters), key=str)  # every point has the names of base and ranges
     if unknown:
         raise ValueError(f"{identity.value} takes only {sorted(parameters)}, not {unknown}")
     if "spec" in parameters:

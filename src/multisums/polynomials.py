@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _check_window, _read, _scaled_elementary
+from .core import ExplicitSequence, SequenceSpec, _check_window, _terms, _scaled_elementary
 from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _rationals, _Record, _set, _viete
 
 __all__ = [
@@ -66,7 +66,7 @@ def poly_from_roots(roots: Iterable[RationalLike]) -> Polynomial:
     coefficient c_k of t^k is that of x^(n-k), and c_0 = prod q. Each is
     divided by c_0 at the end, one Fraction per coefficient.
     """
-    coeffs = _viete((-r.numerator, r.denominator) for r in _rationals("roots", roots))
+    coeffs = _viete((-r.numerator, r.denominator, 1) for r in _rationals("roots", roots))
     return Polynomial(Fraction(c, coeffs[0]) for c in reversed(coeffs))
 
 
@@ -80,7 +80,7 @@ def coeff_ratio_from_roots(roots: Sequence[RationalLike], m: int) -> Fraction:
     roots = _rationals("roots", roots)
     if not _is_int(m) or not 0 <= m <= len(roots):
         raise ValueError("m must be in [0, number of roots]")
-    elementary, scale = _scaled_elementary(((r.numerator, r.denominator) for r in roots), m)
+    elementary, scale = _scaled_elementary(((r.numerator, r.denominator, 1) for r in roots), m)
     return Fraction(-elementary[m] if m % 2 else elementary[m], scale**m)
 
 
@@ -118,7 +118,7 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     x = _as_rational(x)
     u, v = x.numerator, x.denominator
     n = len(pairs)
-    elementary, scale = _scaled_elementary(pairs, n)
+    elementary, scale = _scaled_elementary([(p, q, 1) for p, q in pairs], n)
     step, total, power = u * scale, 0, 1
     for e_m in elementary:
         total = total * step + e_m * power
@@ -134,14 +134,15 @@ def sum_of_multiple_sums(spec: SequenceSpec, q: int, n: int) -> Fraction:
 
     The order-m sum is e_m of the window's values, so all of them come from
     one Newton pass over the power sums S_1..S_top (O(top^2) integer steps,
-    no tuples): e_m = E_m / L^m over the window's scale L, and the total is
+    no tuples), which read each distinct value of the window once with its
+    count: e_m = E_m / L^m over the window's scale L, and the total is
     the one Fraction (sum_m E_m L^(top-m)) / L^top. Telescopes to
     prod_{N=q}^{n} (a_N + 1); with a_N = N and q = 1 that is (n+1)!.
     Callers check the product form.
     """
     _check_window(0, q, n)  # the orders 0..top all follow from the window
     top = max(n - q + 1, 0)
-    elementary, scale = _scaled_elementary(_read(spec, q, n), top)
+    elementary, scale = _scaled_elementary(_terms(spec, q, n), top)
     total = 0
     for e_m in elementary:  # Horner in the scale
         total = total * scale + e_m

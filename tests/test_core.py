@@ -472,11 +472,11 @@ def test_summing_kernel_block_edges(length):
         expected = [sum((Fraction(v) ** i for v in values), Fraction(0)) for i in range(1, m + 1)]
         assert power_sums(ExplicitSequence(values), 1, len(values), m) == expected
         stream = iter(values)
-        sums, scale = exact_arith._pair_power_sums(((v.numerator, v.denominator) for v in stream), m)
+        sums, scale = exact_arith._weighted_power_sums(((v.numerator, v.denominator, 1) for v in stream), m)
         assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
         assert next(stream, None) is None  # consumed to the end, also at m = 0
-        pairs = [(Fraction(v).numerator, Fraction(v).denominator) for v in values]
-        assert exact_arith._pair_power_sums((), m, exact_arith._scale_tree(pairs)) == (sums, scale)
+        terms = [(Fraction(v).numerator, Fraction(v).denominator, 1) for v in values]
+        assert exact_arith._weighted_power_sums((), m, exact_arith._scale_tree(terms)) == (sums, scale)
     table = [(Fraction(v).numerator, Fraction(v).denominator) for v in values]  # the int pairs core reads
     assert exact_arith._tuple_sum(((k,) for k in range(length)), [table]) == sum(values, Fraction(0))
     pairs = ((k, length - 1 - k) for k in range(length))
@@ -495,12 +495,12 @@ def test_summing_kernel_merges_many_distinct_denominators():
         for i in range(m):
             expected[i] += term ** (i + 1)
     assert power_sums(IndexPower(-1), 1, n, m) == expected
-    sums, scale = exact_arith._pair_power_sums(((1, N) for N in range(1, n + 1)), m)
+    sums, scale = exact_arith._weighted_power_sums(((1, N, 1) for N in range(1, n + 1)), m)
     assert [Fraction(t, scale**i) for i, t in enumerate(sums, start=1)] == expected
     # the same merges over the scales of a _scale_tree, which the rule of reduce_multiple_sum reads
-    tree = exact_arith._scale_tree([(1, N) for N in range(1, n + 1)])
+    tree = exact_arith._scale_tree([(1, N, 1) for N in range(1, n + 1)])
     assert tree[2] == scale and len(tree[1]) == len(tree[0]) - 1
-    assert exact_arith._pair_power_sums((), m, tree) == (sums, scale)
+    assert exact_arith._weighted_power_sums((), m, tree) == (sums, scale)
 
 
 # windows of 0 to 70 values: zeros, negatives and denominators 1..40
@@ -549,7 +549,7 @@ def test_reduction_matches_sympy_at_order_30():
 
 
 def _newton_route(spec, m, q, n):
-    elementary, scale = core._scaled_elementary(core._read(spec, q, n), m)
+    elementary, scale = core._scaled_elementary(core._terms(spec, q, n), m)
     return Fraction(elementary[m], scale**m)
 
 
@@ -578,7 +578,7 @@ def test_reduction_routes_agree_on_both_sides_of_the_rule(spec, q, width, excess
             _newton_route(spec, m, q, n)
         return
     expected = brute_multiple_sum(SumProblem((spec,) * m, q, n))
-    coeffs = exact_arith._viete(core._read(spec, q, n), m)
+    coeffs = exact_arith._viete(core._terms(spec, q, n), m)
     assert reduce_multiple_sum(spec, m, q, n) == _newton_route(spec, m, q, n) == expected
     assert Fraction(coeffs[m], coeffs[0]) == expected
 
@@ -587,7 +587,7 @@ def test_reduction_rule_picks_the_product_or_newton():
     # bits(prod den) < m bits(L): 1/N on [1, 200] counts 1 345 product bits against
     # 200 x 298 Newton bits; on [1, 10^5] at m = 2, 1 568 929 against 2 x 144 344
     def takes_product(spec, m, q, n):
-        return core._takes_product(exact_arith._scale_tree(core._read(spec, q, n)), m)
+        return core._takes_product(exact_arith._scale_tree(core._terms(spec, q, n)), m)
 
     assert takes_product(IndexPower(-1), 200, 1, 200)
     assert not takes_product(IndexPower(-1), 2, 1, 10**5)
@@ -595,6 +595,103 @@ def test_reduction_rule_picks_the_product_or_newton():
     assert takes_product(N, 1000, 1, 1000)
     assert takes_product(N, 1, 1, 1000)
     assert not takes_product(N, 0, 1, 1000)
+
+
+# a small pool of values, zeros and negatives among them, so windows drawn from it repeat values
+POOL = tuple(Fraction(v) for v in (0, 1, -1, 3, "1/2", "-2/3", "7/4", "-5/6"))
+
+
+@st.composite
+def block_edge_windows(draw):
+    # BLOCK - 1 to BLOCK + 1 distinct values, one of them repeated up to 40 times, in any order: the
+    # shortest is one block, read as it is, and the counted ones end short of, on or past a block edge
+    values = list(dict.fromkeys(Fraction(k - 16, k % 4 + 1) for k in range(draw(st.integers(BLOCK - 1, BLOCK + 1)))))
+    values += [draw(st.sampled_from(values))] * draw(st.integers(1, 40))
+    return draw(st.permutations(values))
+
+
+# windows past one block, so the reductions count them: drawn from the pool, all equal, or around a block edge
+counted_windows = st.one_of(
+    st.lists(st.sampled_from(POOL), min_size=BLOCK + 1, max_size=BLOCK + 24),
+    st.builds(lambda value, width: [value] * width, st.sampled_from(POOL), st.integers(BLOCK + 1, BLOCK + 40)),
+    block_edge_windows(),
+)
+
+
+def _forced_routes(spec, m, q, n):
+    # e_m of the window by the Newton route and by Viete's product, each on the reductions' read
+    coeffs = exact_arith._viete(core._terms(spec, q, n), m)
+    return _newton_route(spec, m, q, n), Fraction(coeffs[m], coeffs[0])
+
+
+def _positional_terms(spec, q, n):
+    return [(num, den, 1) for num, den in core._read(spec, q, n)]
+
+
+def _fraction_elementary(values, m):
+    # e_m of the values as written, by e_k += v e_(k-1) in Fractions
+    e = [Fraction(1)] + [Fraction(0)] * m
+    for v in values:
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
+    return e[m]
+
+
+@given(counted_windows, st.integers(min_value=0, max_value=10))
+def test_counted_windows_match_brute_force_and_fraction_loops(values, m):
+    # the window reductions read a window past one block as its distinct values with their counts;
+    # every value they give equals brute force (m <= 2), a Fraction loop or the direct product on the
+    # window as written
+    n = len(values)
+    spec = ExplicitSequence(values, base=1)
+    terms = list(core._terms(spec, 1, n))
+    if n > BLOCK:
+        assert sorted(count for _, _, count in terms) == sorted(values.count(v) for v in set(values))
+    else:
+        assert terms == _positional_terms(spec, 1, n)
+    expected = _fraction_elementary(values, m)
+    if m <= 2:
+        assert brute_multiple_sum(SumProblem((spec,) * m, 1, n)) == expected
+    assert reduce_multiple_sum(spec, m, 1, n) == expected
+    assert _forced_routes(spec, m, 1, n) == (expected, expected)
+    assert core._takes_product(exact_arith._scale_tree(terms), m) == core._takes_product(
+        exact_arith._scale_tree(_positional_terms(spec, 1, n)), m)
+    loop = [sum((v**i for v in values), Fraction(0)) for i in range(1, m + 3)]
+    assert power_sums(spec, 1, n, m + 2) == loop
+    shifted, product = Fraction(1), Fraction(1)
+    for v in values:
+        shifted *= v + 1
+        product *= v
+    assert sum_of_multiple_sums(spec, 1, n) == shifted
+    report = verify(IdentityId.PRODUCT_IDENTITY, {"spec": spec, "q": 1, "n": n})
+    assert report.equal and report.lhs == report.rhs == product
+
+
+@given(st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
+def test_index_power_windows_are_streamed_or_one_term(exponent, q, width, m):
+    # N ** e at e != 0 is distinct at each index, so its read is streamed with count 1 and holds
+    # nothing; at e = 0 the window is the one term 1 counted width times
+    spec, n, m = IndexPower(exponent), q + width - 1, min(m, width)
+    if exponent < 0 and q == 0 < width:
+        with pytest.raises(ValueError, match="index 0 is not valid"):
+            core._terms(spec, q, n)
+        return
+    read = core._terms(spec, q, n)
+    if exponent:
+        assert iter(read) is read and list(read) == _positional_terms(spec, q, n)
+    else:
+        assert read == ([(1, 1, width)] if width else [])
+    expected = brute_multiple_sum(SumProblem((spec,) * m, q, n))
+    assert reduce_multiple_sum(spec, m, q, n) == expected
+    assert _forced_routes(spec, m, q, n) == (expected, expected)
+    assert core._takes_product(exact_arith._scale_tree(list(core._terms(spec, q, n))), m) == core._takes_product(
+        exact_arith._scale_tree(_positional_terms(spec, q, n)), m)
+    assert power_sums(spec, q, n, m) == _per_term_power_sums(spec, q, n, m)
+    product = Fraction(1)
+    for N in range(q, n + 1):
+        product *= eval_sequence(spec, N) + 1
+    assert sum_of_multiple_sums(spec, q, n) == product
 
 
 def test_reduction_refuses_an_order_past_maxsize_before_any_value_is_read(monkeypatch):

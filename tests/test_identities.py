@@ -621,6 +621,14 @@ def test_sweep_refuses_its_last_point_before_any_check(identity, ranges, base, m
         verify_sweep(identity, ranges, base=base)
 
 
+def test_unknown_names_of_mixed_types_are_refused_by_name():
+    # names that are not all strings are listed in the order of their text, not compared
+    with pytest.raises(ValueError, match=r"^LEMMA_3_1 takes only \['m'\], not \[2, 'x'\]$"):
+        verify(IdentityId.LEMMA_3_1, {"m": 1, 2: 3, "x": 1})
+    with pytest.raises(ValueError, match=r"^LEMMA_3_1 sweeps only \['m'\], not \[2, 'x'\]$"):
+        verify_sweep(IdentityId.LEMMA_3_1, {"m": [1], 2: [3], "x": [1]})
+
+
 BRIDGE = ExplicitSequence([1, Fraction(-1, 2), 3, Fraction(2, 5), -2, Fraction(7, 3)])
 PRODUCT = ExplicitSequence([2, Fraction(-1, 3), 3, Fraction(5, 7), -2, Fraction(1, 2)], base=0)
 

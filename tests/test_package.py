@@ -276,15 +276,25 @@ def test_refusals_of_unprintable_inputs_keep_their_message(default_int_digits, c
     assert str(refused.value) == message
 
 
+def _read_digits(text: str) -> int:
+    # the decimal digits of text, split in halves down to chunks under 4300 digits, as int() reads
+    # at most 4300 under the default limit, and joined with powers of ten
+    if len(text) < 4300:
+        return int(text)
+    high, low = text[: len(text) // 2], text[len(text) // 2:]
+    return _read_digits(high) * 10 ** len(low) + _read_digits(low)
+
+
 @pytest.mark.parametrize("digits", [4300, 4301, 5000, 9000, 30_000])
 def test_rational_to_str_writes_past_the_digit_limit(default_int_digits, digits):
-    # each side read back digit by digit, as int() reads at most 4300 digits
+    # each side read back chunk by chunk, as int() reads at most 4300 digits
     for value in (Fraction(10**digits - 1, 7), Fraction(-(10 ** (digits - 1)) - 3, 10**digits + 1)):
         num, den = exact_arith.rational_to_str(value).split("/")
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
         for text, part in ((num, value.numerator), (den, value.denominator)):
             assert text.lstrip("-") and text.lstrip("-")[0] != "0"
-            read = sum(int(digit) * 10**i for i, digit in enumerate(reversed(text.lstrip("-"))))
+            assert text.lstrip("-").isascii() and text.lstrip("-").isdigit()  # no sign, space or _ inside
+            read = _read_digits(text.lstrip("-"))
             assert (-read if text.startswith("-") else read) == part
 
 

@@ -7,9 +7,12 @@ public entry point: ``reduce_multiple_sum``, ``variation_expand``,
 two inputs of the route rule, bits(prod den) and m bits(L), and the route
 the rule picks; ``--routes`` times the Newton route and Viete's product on
 their own as well. A tree that lacks a private name prints ``-`` in its
-column, so the same script runs on an older checkout. Standard library
-only; not run by the tests. The wide rows reach orders near the window
-width, which no benchmark workload does.
+column, and one whose window reductions read a window positionally rather
+than as weighted terms (``core._terms``) is read that way, so the same
+script runs on an older checkout. Standard library only; not run by
+the tests. The wide rows reach orders near the window width, which no
+benchmark workload does; the two explicit rows repeat values, as data
+windows over a small alphabet do.
 
 Run from the repository root:
 
@@ -28,7 +31,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-# (label, exponent, q, n, m): reduce_multiple_sum of N ** exponent on [q, n] at order m
+_POOL = random.Random(31)
+# 2000 values drawn from the 110 one-digit fractions +-a/b, a, b in 1..9, and 10^4 drawn from the
+# 19 integers -9..9
+ONE_DIGIT = tuple(Fraction(_POOL.choice([1, -1]) * _POOL.randint(1, 9), _POOL.randint(1, 9)) for _ in range(2000))
+SMALL_INTEGERS = tuple(Fraction(_POOL.randint(-9, 9)) for _ in range(10**4))
+
+# (label, exponent or explicit values, q, n, m): reduce_multiple_sum of N ** exponent, or of the
+# values from index 1, on [q, n] at order m
 REDUCTIONS = (
     ("N^-1 on [1, 200], m = 200", -1, 1, 200, 200),
     ("N^-6 on [1, 100], m = 100", -6, 1, 100, 100),
@@ -39,6 +49,8 @@ REDUCTIONS = (
     ("N^-1 on [1, 5000], m = 20", -1, 1, 5000, 20),
     ("N^-2 on [1, 2000], m = 10", -2, 1, 2000, 10),
     ("N^-1 on [1, 100000], m = 2", -1, 1, 100000, 2),
+    ("2000 one-digit fractions, m = 10", ONE_DIGIT, 1, 2000, 10),
+    ("10^4 of 19 small integers, m = 5", SMALL_INTEGERS, 1, 10**4, 5),
 )
 ROOTS = 400  # coeff_ratio_from_roots on the roots i / (i + 1), i = 1..ROOTS, at m = ROOTS / 2
 
@@ -52,27 +64,33 @@ def _best(call, repeat: int) -> float:
     return best
 
 
+def _product_bits(tree) -> int:
+    """bits(prod den) over a _scale_tree of (num, den, count) terms or of (num, den) pairs."""
+    return sum((term[1] - 1).bit_length() * (term[2:] or (1,))[0] for block, _ in tree[0] for term in block)
+
+
 def _rows(ms, routes: bool, repeat: int):
     core, arith = ms.core, ms.exact_arith
     viete, tree_of = getattr(arith, "_viete", None), getattr(arith, "_scale_tree", None)
-    for label, exponent, q, n, m in REDUCTIONS:
-        spec = ms.IndexPower(exponent)
+    read = getattr(core, "_terms", core._read)  # what the window reductions of this tree read
+    for label, source, q, n, m in REDUCTIONS:
+        spec = ms.IndexPower(source) if isinstance(source, int) else ms.ExplicitSequence(source)
         row = {"case": f"reduce {label}"}
         if tree_of is not None:
-            tree = tree_of(core._read(spec, q, n))
-            row["bits(prod den)"] = sum((den - 1).bit_length() for block, _ in tree[0] for _, den in block)
+            tree = tree_of(list(read(spec, q, n)))
+            row["bits(prod den)"] = _product_bits(tree)
             row["m bits(L)"] = m * tree[2].bit_length()
             row["rule"] = "product" if core._takes_product(tree, m) else "Newton"
         row["entry s"] = _best(lambda: ms.reduce_multiple_sum(spec, m, q, n), repeat)
         if routes:
             def newton():
-                elementary, scale = core._scaled_elementary(core._read(spec, q, n), m)
+                elementary, scale = core._scaled_elementary(read(spec, q, n), m)
                 return Fraction(elementary[m], scale**m)
 
             row["Newton s"] = _best(newton, repeat)
             if viete is not None:
                 def product():
-                    coeffs = viete(core._read(spec, q, n), m)
+                    coeffs = viete(read(spec, q, n), m)
                     return Fraction(coeffs[m], coeffs[0])
 
                 row["product s"] = _best(product, repeat)
