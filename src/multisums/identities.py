@@ -69,9 +69,9 @@ from .core import (
     SumProblem,
     _check_brute_order,
     _check_tuple_count,
-    _terms,
     _read,
     _scaled_elementary,
+    _terms,
     brute_multiple_sum,
     brute_recurrent_sum,
     elementary_from_power_sums,

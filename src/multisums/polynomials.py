@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExplicitSequence, SequenceSpec, _check_window, _terms, _scaled_elementary
+from .core import ExplicitSequence, SequenceSpec, _check_window, _scaled_elementary, _terms
 from .exact_arith import RationalLike, _as_rational, _integer, _is_int, _rationals, _Record, _set, _viete
 
 __all__ = [
@@ -114,18 +114,18 @@ def eval_factored_sum(roots: Sequence[RationalLike], x: RationalLike) -> tuple[F
     sum_m E_m (-v)^m (u L)^(n-m), by Horner in u L, over (v L)^n, and rhs
     is (-1)^n prod (p v - u q) over prod q v for the roots p / q.
     """
-    pairs = [(r.numerator, r.denominator) for r in _rationals("roots", roots)]
+    terms = [(r.numerator, r.denominator, 1) for r in _rationals("roots", roots)]
     x = _as_rational(x)
     u, v = x.numerator, x.denominator
-    n = len(pairs)
-    elementary, scale = _scaled_elementary([(p, q, 1) for p, q in pairs], n)
+    n = len(terms)
+    elementary, scale = _scaled_elementary(terms, n)
     step, total, power = u * scale, 0, 1
     for e_m in elementary:
         total = total * step + e_m * power
         power *= -v
     lhs = Fraction(total, (v * scale) ** n)
-    product = math.prod(p * v - u * q for p, q in pairs)
-    rhs = Fraction(-product if n % 2 else product, math.prod(q * v for _, q in pairs))
+    product = math.prod(p * v - u * q for p, q, _ in terms)
+    rhs = Fraction(-product if n % 2 else product, math.prod(q * v for _, q, _ in terms))
     return lhs, rhs
 
 

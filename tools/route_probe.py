@@ -24,6 +24,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import math
 import platform
 import random
 import sys
@@ -66,7 +67,7 @@ def _best(call, repeat: int) -> float:
 
 def _product_bits(tree) -> int:
     """bits(prod den) over a _scale_tree of (num, den, count) terms or of (num, den) pairs."""
-    return sum((term[1] - 1).bit_length() * (term[2:] or (1,))[0] for block, _ in tree[0] for term in block)
+    return sum((term[1] - 1).bit_length() * math.prod(term[2:]) for block, _ in tree[0] for term in block)
 
 
 def _rows(ms, routes: bool, repeat: int):
