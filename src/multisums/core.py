@@ -45,8 +45,8 @@ as count (num L' / den)^i over the lcm L' of each block's
 denominators, and the blocks merge into integer power sums T_1..T_m over
 one scale L, S_i = T_i / L^i. A window of n values with d distinct ones is
 counted in O(n) steps and summed in O(d m) big-integer products, so its
-power sums cost O(n + d m), not O(n m); N ** e at e != 0 has d = n and is
-streamed, and a window of one block is summed as read.
+power sums cost O(n + d m), not O(n m); N ** e, which has d = n at e != 0,
+is streamed, and a window of one block is summed as read.
 The Newton route of the window reductions keeps those integers: they are
 the power sums of the integers num L / den, so Newton's recurrence runs on
 integers alone and e_k of the window is E_k / L^k, one ``Fraction`` per
@@ -203,14 +203,11 @@ def _terms(spec: SequenceSpec, q: int, n: int) -> Iterable[_Term]:
     in one pass over those pairs, each distinct value once, in the order it
     first appears. One of at most _SUM_BLOCK values, which the kernel sums
     as one block either way, is streamed with count 1: counting it costs
-    about as much as its whole reduction at low order. N ** e at e != 0
-    takes a new value at each index N >= 0, so its pairs are streamed with
-    count 1 and nothing is held; at e = 0 the window is the one term
-    (1, 1, width).
+    about as much as its whole reduction at low order. N ** e is streamed
+    with count 1 and nothing is held: at e != 0 it takes a new value at each
+    index N >= 0.
     """
     pairs = _read(spec, q, n)
-    if isinstance(spec, IndexPower) and not spec.exponent:
-        return [(1, 1, n - q + 1)] if n >= q else []
     if isinstance(spec, IndexPower) or n - q < _SUM_BLOCK:
         return ((num, den, 1) for num, den in pairs)
     return [(num, den, count) for (num, den), count in Counter(pairs).items()]

@@ -669,19 +669,15 @@ def test_counted_windows_match_brute_force_and_fraction_loops(values, m):
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=2),
        st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
-def test_index_power_windows_are_streamed_or_one_term(exponent, q, width, m):
-    # N ** e at e != 0 is distinct at each index, so its read is streamed with count 1 and holds
-    # nothing; at e = 0 the window is the one term 1 counted width times
+def test_index_power_windows_are_streamed(exponent, q, width, m):
+    # N ** e is streamed with count 1 and holds nothing; at e != 0 it is distinct at each index
     spec, n, m = IndexPower(exponent), q + width - 1, min(m, width)
     if exponent < 0 and q == 0 < width:
         with pytest.raises(ValueError, match="index 0 is not valid"):
             core._terms(spec, q, n)
         return
     read = core._terms(spec, q, n)
-    if exponent:
-        assert iter(read) is read and list(read) == _positional_terms(spec, q, n)
-    else:
-        assert read == ([(1, 1, width)] if width else [])
+    assert iter(read) is read and list(read) == _positional_terms(spec, q, n)
     expected = brute_multiple_sum(SumProblem((spec,) * m, q, n))
     assert reduce_multiple_sum(spec, m, q, n) == expected
     assert _forced_routes(spec, m, q, n) == (expected, expected)
