@@ -94,8 +94,13 @@ def _random_explicit(rng: random.Random, lo: int, hi: int, nonzero: bool = False
 
 
 def _reduction_oracle(sums: Sequence[Fraction], m: int) -> Fraction:
-    """The paper's formula term by term: (-1)^m sum_y prod_i (-S_i / i)^(y_i) / y_i!."""
-    value = partition_sum(m, lambda i, k: (-sums[i - 1] / i) ** k / factorial(k))
+    """The paper's formula term by term: (-1)^m sum_y prod_i (-S_i / i)^(y_i) / y_i!.
+
+    Each weight (-S_i / i)^k / k! is built as one Fraction.
+    """
+    value = partition_sum(
+        m, lambda i, k: Fraction((-sums[i - 1].numerator) ** k, (i * sums[i - 1].denominator) ** k * factorial(k))
+    )
     return -value if m % 2 else value
 
 
@@ -318,19 +323,26 @@ def _mzv_oracle(m: int, p: int) -> PiPolynomial:
     """(-1)^m sum_y prod_i [(-1)^(y_i) / (y_i! i^(y_i))] zeta(2ip)^(y_i), term by term.
 
     zeta(2ip)^(y_i) is z_i^(y_i) pi^(2ip y_i), so every term carries
-    pi^(2pm): the sum runs over the rational coefficients z_i alone.
+    pi^(2pm): the sum runs over the rational coefficients z_i alone, each
+    weight (-z_i / i)^k / k! built as one Fraction.
     """
-    value = partition_sum(
-        m,
-        lambda i, k: zeta_even(i * p).coefficient ** k * Fraction((-1) ** k, factorial(k) * i**k),
-    )
+
+    def weight(i: int, k: int) -> Fraction:
+        z = zeta_even(i * p).coefficient
+        return Fraction((-z.numerator) ** k, (i * z.denominator) ** k * factorial(k))
+
+    value = partition_sum(m, weight)
     return PiPolynomial(2 * p * m, -value if m % 2 else value)
 
 
 def _bernoulli_oracle(m: int, p: int) -> Fraction:
-    """sum_y prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i), term by term."""
-    return partition_sum(m, lambda i, k: (bernoulli(2 * i * p) / (2 * i * factorial(2 * i * p))) ** k
-                         / factorial(k))
+    """sum_y prod_i (1/y_i!) (B_{2ip} / ((2i) (2ip)!))^(y_i), term by term, each weight one Fraction."""
+
+    def weight(i: int, k: int) -> Fraction:
+        b = bernoulli(2 * i * p)
+        return Fraction(b.numerator**k, (2 * i * factorial(2 * i * p) * b.denominator) ** k * factorial(k))
+
+    return partition_sum(m, weight)
 
 
 def _criterion_8() -> tuple[bool, str]:

@@ -19,8 +19,9 @@ m = partitions.PARTITION_COUNT_MAX_M, `--numeric` at
 NUMERIC_MAX_DIGITS digits and `--sweep` at SWEEP_MAX_POINTS grid points,
 as many reports after phi expansion and SWEEP_MAX_PARTITIONS partition
 terms walked by the reports themselves, which no command-line sweep
-reaches. `multisum eval --method reduce|both` reads windows of up to
-core.WINDOW_MAX_TERMS terms. `special faulhaber` and `special mzv` need
+reaches. `multisum eval`, by either method, and `verify RECURRENT_BRIDGE`
+read windows of up to core.WINDOW_MAX_TERMS terms, refused before any
+value is read. `special faulhaber` and `special mzv` need
 Bernoulli numbers up to special_sums.BERNOULLI_MAX_INDEX, and `special
 faulhaber` gives sums of up to about special_sums.FAULHABER_MAX_BITS
 bits, (p + 1) bits(n); `verify BINOMIAL_PARTITION` takes

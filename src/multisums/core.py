@@ -39,28 +39,33 @@ Routes come in independent pairs so each can act as the other's oracle:
                                 O(m n); brute force is their oracle
 
 One block kernel of :mod:`multisums.exact_arith` sums the window's power
-sums, the brute routes' tuple products and the block sums of
-``reduce_symmetrized``: terms are (num, den, count) int triples, summed
-as count (num L' / den)^i over the lcm L' of each block's
-denominators, and the blocks merge into integer power sums T_1..T_m over
-one scale L, S_i = T_i / L^i. A window of n values with d distinct ones is
+sums: terms are (num, den, count) int triples, summed as count (num L' /
+den)^i over the lcm L' of each block's denominators, and the blocks merge
+into integer power sums T_1..T_m over one scale L, S_i = T_i / L^i. The
+brute routes' tuple products and the block sums of ``reduce_symmetrized``
+are summed in the same blocks and merges, each block's products formed by
+column (``_tuple_sum``). A window of n values with d distinct ones is
 counted in O(n) steps and summed in O(d m) big-integer products, so its
 power sums cost O(n + d m), not O(n m); N ** e, which has d = n at e != 0,
 is streamed, and a window of one block is summed as read.
-The Newton route of the window reductions keeps those integers: they are
-the power sums of the integers num L / den, so Newton's recurrence runs on
+The Newton route of the window reductions keeps those integers: they are the
+power sums of the integers num L / den, so Newton's recurrence runs on
 integers alone and e_k of the window is E_k / L^k, one ``Fraction`` per
 value read. One private helper, ``_scaled_elementary``, runs the kernel and
-the one signed Newton wrapper, ``elementary_from_power_sums``, for
-``reduce_multiple_sum``, ``PRODUCT_IDENTITY``'s left side and the root and
-all-order sums of :mod:`multisums.polynomials`. ``reduce_multiple_sum``
-takes Viete's product of exact_arith instead, prod (den + num t) truncated
-at degree m, when bits(prod den) < m bits(L), each denominator counted once
-per value: its integers grow to about bits(prod den), while Newton's grow
-to m bits(L). The rule reads L off the kernel's tree of block scales, which
-the Newton route then takes, so no lcm is computed twice. The other callers
-of ``_scaled_elementary`` are checked against a direct product, so they
-never take the product route. ``power_sums`` returns the m ``Fraction``s
+the one signed Newton wrapper, ``_elementary``, for ``reduce_multiple_sum``,
+``PRODUCT_IDENTITY``'s left side and the root and all-order sums of
+:mod:`multisums.polynomials`. The wrapper takes sums already read, so the
+callers that build their own integer sums (``_scaled_elementary``,
+``BINOMIAL_PARTITION``'s rows and ``special_sums.multiple_power_sum``) run
+it directly; the public ``elementary_from_power_sums`` reads supplied sums
+and then runs it. ``reduce_multiple_sum`` takes Viete's product of
+exact_arith instead, prod (den + num t) truncated at degree m, when
+bits(prod den) < m bits(L), each denominator counted once per value: its
+integers grow to about bits(prod den), while Newton's grow to m bits(L). The
+rule reads L off the kernel's tree of block scales, which the Newton route
+then takes, so no lcm is computed twice. The other callers of
+``_scaled_elementary`` are checked against a direct product, so they never
+take the product route. ``power_sums`` returns the m ``Fraction``s
 S_i. The partition formula does not use the kernel (it sums over one
 common denominator, see :mod:`multisums.partitions`). The brute routes
 refuse, with ValueError and before any value is read, more than
@@ -70,7 +75,10 @@ brute-force sum (``multisum eval --method brute|both`` and the admission
 of ``RECURRENT_BRIDGE``), it is also capped at ``BRUTE_MAX_M``. The routes that read a whole window as a
 list or a stream, ``reduce_multiple_sum``, ``power_sums`` and
 ``reduce_symmetrized``, refuse a window of more than ``WINDOW_MAX_TERMS``
-terms, also before any value is read.
+terms, also before any value is read; so do the brute routes, after the
+tuple count. The tuple cap keeps their windows at m >= 2 to 1415 terms
+or fewer, so the window cap binds them at m = 1 only, where the tuple cap
+alone would admit ten times more.
 """
 
 from __future__ import annotations
@@ -80,7 +88,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import factorial, lcm
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact_arith import (
@@ -134,7 +141,7 @@ BRUTE_MAX_M = 6
 # full, at every order that reads it, refused before any value is read: N over [1, 10^5] at
 # m = 2 takes 0.08 s and N^-1 0.7 s, over [1, 10^6] 1.4 s and 126 MB for N (in process, 2-vCPU VM)
 WINDOW_MAX_TERMS = 10**5
-_pair = attrgetter("numerator", "denominator")  # a Fraction's (num, den), read in C
+_pair = Fraction.as_integer_ratio  # a Fraction's (num, den), one call in C
 
 
 class ExplicitSequence(_Record):
@@ -305,10 +312,14 @@ def _check_brute_order(m: int) -> None:
         raise ValueError(f"m={_int_text(m)} exceeds brute-force cap {BRUTE_MAX_M}")
 
 
-def _offset_sum(m: int, width: int, read_tables: Callable[[], list[list[tuple[int, int]]]]) -> Fraction:
+def _offset_sum(
+    m: int, width: int, q: int, n: int, read_tables: Callable[[], list[list[tuple[int, int]]]]
+) -> Fraction:
     # sum over offsets 0 <= c_0 <= ... <= c_{m-1} < width of prod_j tables[j][c_j], m, width >= 1:
-    # the C(width + m - 1, m) offset tuples are counted before read_tables reads any value
+    # the C(width + m - 1, m) offset tuples are counted, and the window [q, n] is checked,
+    # before read_tables reads any value
     _check_tuple_count(width + m - 1, m)
+    _check_width(q, n)
     return _tuple_sum(combinations_with_replacement(range(width), m), read_tables())
 
 
@@ -319,8 +330,8 @@ def brute_multiple_sum(problem: SumProblem) -> Fraction:
     offsets 0 <= c_0 <= ... <= c_{m-1} < w, w = n - q + 2 - m, so position j
     reads its spec only on [q + j, n - m + 1 + j], the indices a tuple can
     put there; specs defined there alone sum as well. Refuses windows
-    of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)) before any value is
-    read.
+    of more than BRUTE_MAX_TUPLES tuples (C(n-q+1, m)), and then of more
+    than WINDOW_MAX_TERMS terms, before any value is read.
     """
     specs, m, q, n = problem.specs, problem.m, problem.q, problem.n
     if m == 0:
@@ -328,7 +339,9 @@ def brute_multiple_sum(problem: SumProblem) -> Fraction:
     width = n - q + 2 - m
     if width < 1:
         return Fraction(0)
-    return _offset_sum(m, width, lambda: [list(_read(s, q + j, q + j + width - 1)) for j, s in enumerate(specs)])
+    return _offset_sum(
+        m, width, q, n, lambda: [list(_read(s, q + j, q + j + width - 1)) for j, s in enumerate(specs)]
+    )
 
 
 def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
@@ -336,14 +349,15 @@ def brute_recurrent_sum(spec: SequenceSpec, m: int, q: int, n: int) -> Fraction:
 
     The same offset enumeration as brute_multiple_sum, every position reading
     one table of [q, n]. Refuses windows of more than BRUTE_MAX_TUPLES tuples
-    (C(n-q+m, m)) before any value is read.
+    (C(n-q+m, m)), and then of more than WINDOW_MAX_TERMS terms, before any
+    value is read.
     """
     _check_window(m, q, n)
     if m == 0:
         return Fraction(1)
     if n < q:
         return Fraction(0)
-    return _offset_sum(m, n - q + 1, lambda: [list(_read(spec, q, n))] * m)
+    return _offset_sum(m, n - q + 1, q, n, lambda: [list(_read(spec, q, n))] * m)
 
 
 def power_sums(spec: SequenceSpec, q: int, n: int, m: int) -> list[Fraction]:
@@ -372,7 +386,17 @@ def elementary_from_power_sums(sums: Sequence[RationalLike], m: int) -> list[Fra
     beyond S_m are ignored.
     """
     _check_newton(m, len(sums))
-    return _newton([-s if i % 2 else s for i, s in enumerate(_rationals("sums", sums, _as_exact, m))])
+    return _elementary(_rationals("sums", sums, _as_exact, m))
+
+
+def _elementary(sums: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """e_0..e_m from S_1..S_m, m = len(sums), each sum already an int or a Fraction: Newton on the signed sums.
+
+    The one signed wrapper of Newton's recurrence. The public
+    elementary_from_power_sums reads its sums and runs it; the reductions
+    that build their own integer sums run it on them directly.
+    """
+    return _newton([-s if i % 2 else s for i, s in enumerate(sums)])
 
 
 def _scaled_elementary(terms: Iterable[_Term], m: int, tree: _Tree | None = None) -> tuple[list[int], int]:
@@ -384,7 +408,7 @@ def _scaled_elementary(terms: Iterable[_Term], m: int, tree: _Tree | None = None
     kernel in their place, so no lcm is computed twice.
     """
     sums, scale = _weighted_power_sums(terms, m, tree)
-    return elementary_from_power_sums(sums, m), scale
+    return _elementary(sums), scale
 
 
 def _takes_product(tree: _Tree, m: int) -> bool:
@@ -522,7 +546,8 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
     h reading spec h (an ordering on an increasing tuple), in one pass over
     int-pair tables of the whole window, built once: every index in it is
     reached by some tuple. More than BRUTE_MAX_TUPLES are refused before
-    any value is evaluated, so m <= 9: 10! alone exceeds the cap.
+    any value is evaluated, so m <= 9: 10! alone exceeds the cap, and then
+    a window of more than WINDOW_MAX_TERMS terms.
     """
     specs = tuple(specs)
     m = len(specs)
@@ -532,6 +557,7 @@ def symmetrized_multiple_sum(specs: Sequence[SequenceSpec], q: int, n: int) -> F
     if n - q + 1 < m:
         return Fraction(0)
     _check_tuple_count(n - q + 1, m, factorial(m))
+    _check_width(q, n)
     return _tuple_sum(permutations(range(n - q + 1), m), [list(_read(spec, q, n)) for spec in specs])
 
 

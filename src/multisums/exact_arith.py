@@ -18,21 +18,24 @@ hash seed, and a dict, which would be read as its keys.
 
 One block kernel here sums many rationals exactly, as integer power sums
 over one scale, with no Fraction built per term. Its terms are weighted,
-(num, den, count) int triples, and a count multiplies the term's
-powers, so a window read as its d distinct values with their
-multiplicities costs O(d m) products for m powers, not one per value and
-power. The power sums of a window, the tuple products of brute-force
-multiple sums (over tables of int pairs, as core's positional window reader
-gives them, each product a term of count 1) and the set-partition block
-sums all run on it; partition sums have their own walk in
-:mod:`multisums.partitions`. Viete's integer product prod (den + num t) **
-count over the same terms, truncated at a degree, is written once here
-too: the window reduction of core and the root expansion of polynomials
-both run it. Bernoulli numbers come from a table of tangent numbers,
-integers built by additions only. A :class:`PiPolynomial` is the record of
-one term c pi^e, and zero is 0 pi^0. Decimal arithmetic appears only
-inside :func:`pi_poly_numeric`, which renders a :class:`PiPolynomial` as a
-decimal string for display and trend checks, never for an equality
+(num, den, count) int triples, and a count multiplies the term's powers, so
+a window read as its d distinct values with their multiplicities costs O(d
+m) products for m powers, not one per value and power. The power sums of a
+window run on it. The tuple products of brute-force multiple sums and the
+set-partition block sums (over tables of int pairs, as core's positional
+window reader gives them) are summed in its blocks and merges, their
+products formed by column: a block's tuples are read off as one column of
+indices per position, which picks that position's numerators and
+denominators into the block's running product columns, one ``map`` per
+position and column, with no Python step per tuple. Partition sums have
+their own walk in :mod:`multisums.partitions`. Viete's integer product prod
+(den + num t) ** count over the same terms, truncated at a degree, is
+written once here too: the window reduction of core and the root expansion
+of polynomials both run it. Bernoulli numbers come from a table of tangent
+numbers, integers built by additions only. A :class:`PiPolynomial` is the
+record of one term c pi^e, and zero is 0 pi^0. Decimal arithmetic appears
+only inside :func:`pi_poly_numeric`, which renders a :class:`PiPolynomial`
+as a decimal string for display and trend checks, never for an equality
 verdict. The private ``_Record`` gives the package's value records,
 ``PiPolynomial`` among them, their equality, hash, immutability and repr.
 """
@@ -43,6 +46,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
+from operator import floordiv, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -58,7 +62,7 @@ __all__ = [
 
 NUMERIC_MAX_DIGITS = 1000  # longest pi_poly_numeric rendering; pi is summed at digits + 25
 _GUARD_DIGITS = 25
-_SUM_BLOCK = 32  # terms per integer block in _weighted_power_sums
+_SUM_BLOCK = 32  # terms per integer block in _weighted_power_sums, tuples per block in _tuple_sum
 
 # What _as_rational takes exactly; floats and bools are refused.
 RationalLike = Union[Fraction, int, str]
@@ -316,26 +320,36 @@ def _viete(terms: Iterable[_Term], m: int | None = None) -> list[int]:
 
 
 def _tuple_sum(combos: Iterable[Sequence[int]], tables: Sequence[Sequence[tuple[int, int]]]) -> Fraction:
-    """Sum over the index tuples of prod_j tables[j][combo[j]], exact.
+    """Sum over the index tuples of prod_j tables[j][combo[j]], exact; one table or more.
 
     Table entries are (numerator, denominator) int pairs, den > 0, as the
-    window reader of core gives them. Each product is one int numerator
-    over one int denominator, and the products are summed by
-    _weighted_power_sums as their S_1, each a term of count 1, so no
-    Fraction is built per entry or per tuple.
+    window reader of core gives them. The tuples are taken _SUM_BLOCK at a
+    time, and a block's products are formed by column: position j's
+    indices, read off the block at once, pick its numerators and
+    denominators, which multiply into the block's running numerator and
+    denominator columns, one map per position and column. The block is
+    summed over the lcm of its denominators, as _weighted_power_sums sums a
+    block of count-1 terms at m = 1, and the blocks merge as its blocks do,
+    so no Fraction is built per entry or per tuple.
     """
-    nums = [[num for num, _ in table] for table in tables]
-    dens = [[den for _, den in table] for table in tables]
+    # per position, the readers of its numerators and of its denominators by index
+    (first_num, first_den), *rest = [
+        ([num for num, _ in table].__getitem__, [den for _, den in table].__getitem__) for table in tables
+    ]
+    combos = iter(combos)
 
-    def products() -> Iterator[_Term]:
-        for combo in combos:
-            num = den = 1
-            for row_nums, row_dens, i in zip(nums, dens, combo):
-                num *= row_nums[i]
-                den *= row_dens[i]
-            yield num, den, 1
+    def block_sums() -> Iterator[tuple[list[int], int]]:
+        while block := list(islice(combos, _SUM_BLOCK)):
+            columns = zip(*block)
+            column = next(columns)
+            block_nums, block_dens = list(map(first_num, column)), list(map(first_den, column))
+            for (num_at, den_at), column in zip(rest, columns):
+                block_nums = list(map(mul, block_nums, map(num_at, column)))
+                block_dens = list(map(mul, block_dens, map(den_at, column)))
+            scale = math.lcm(*block_dens)
+            yield [sum(map(mul, block_nums, map(floordiv, repeat(scale), block_dens)))], scale
 
-    (total,), scale = _weighted_power_sums(products(), 1)
+    (total,), scale = _fold(block_sums(), _merge_sums) or ([0], 1)
     return Fraction(total, scale)
 
 

@@ -69,12 +69,13 @@ from .core import (
     SumProblem,
     _check_brute_order,
     _check_tuple_count,
+    _check_width,
+    _elementary,
     _read,
     _scaled_elementary,
     _terms,
     brute_multiple_sum,
     brute_recurrent_sum,
-    elementary_from_power_sums,
     power_sums,
     sequence_spec_from_json,
     sequence_spec_to_json,
@@ -431,7 +432,7 @@ def _binomial_rows(reports: Sequence[Mapping]) -> list[Fraction | int]:
     values = {}
     for n, orders in wanted.items():
         top = max(orders)
-        row = elementary_from_power_sums([n] * top, top)
+        row = _elementary([n] * top)
         values.update(((n, m), row[m]) for m in orders)
     return [values[params["n"], params["m"]] for params in reports]
 
@@ -468,7 +469,9 @@ def _recurrent_bridge(params: Mapping) -> Checked:
     sums = power_sums(spec, q, n, m)
 
     def weight(i: int, mult: int) -> Fraction:
-        return (sums[i - 1] / i) ** mult / math.factorial(mult)
+        # (S_i / i) ** mult / mult!, built as one Fraction
+        total = sums[i - 1]
+        return Fraction(total.numerator**mult, (i * total.denominator) ** mult * math.factorial(mult))
 
     even_sum, odd_sum = parity_partition_sums(m, weight)
     lhs = (recurrent + signed_multiple, recurrent - signed_multiple)
@@ -565,17 +568,20 @@ def _admit_product(params: Mapping) -> int:
 
 
 def _admit_bridge(params: Mapping) -> int:
-    """The brute-force tuples and order, then p(m), the terms of its own walk over rational rows.
+    """The brute-force tuples, order and window, then p(m), the terms of its own walk over rational rows.
 
     The recurrent side's C(n - q + m, m) tuples are never fewer than the
     multiple side's C(n - q + 1, m), and none are counted at m = 0 or
     n < q, so this refuses what the first brute-force sum would. The order
     is then capped at core.BRUTE_MAX_M, which bounds the brute sides at
-    high orders on few tuples and the partition side over rational weights.
+    high orders on few tuples and the partition side over rational weights,
+    and the window at core.WINDOW_MAX_TERMS terms, which both brute sums and
+    the power sums read: at m = 1 the tuple cap admits ten times more.
     """
     m, q, n = params["m"], params["q"], params["n"]
     _check_tuple_count(max(n - q + m, 0), m)
     _check_brute_order(m)
+    _check_width(q, n)
     return partition_count(m)
 
 

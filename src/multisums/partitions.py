@@ -23,8 +23,10 @@ den = prod_i D_i, one per number of parts: t_p sums the terms of the
 partitions with p parts, so the full sum is sum_p t_p, the even/odd split
 that of the even and odd p, and a weight that carries a further factor x
 per part gives sum_p x^p t_p from the same walk. It forms all p(m)
-terms, one partition at a time, a zero factor included; a sum that only
-some partitions reach is the caller's to write over those partitions, as
+terms, one partition at a time, a zero factor included, the last level
+in one loop (each y_2 gives y_1 the rest, with no call per partition);
+a sum that only some partitions reach is the caller's to write over
+those partitions, as
 :mod:`multisums.identities` walks the partitions z of m - r for the
 terms y = phi + z its binomial-filtered weights leave nonzero. The
 public functions read each per-entry weight w(i, k) as a rational and put
@@ -138,11 +140,13 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
 
     rows[i] holds the integer entries for y_i = 0..m // i; a zero entry is
     multiplied in like any other, so every one of the p(m) terms is formed.
-    A depth-first walk fixes y_m, y_{m-1}, ..., y_2 in turn and gives y_1
-    the rest, multiplying one row entry into a running product per step, so
-    terms that share their larger parts share that prefix product. Once the
-    rest is smaller than the next part size, the rows in between can only
-    take y_i = 0, and their product comes from a table.
+    A depth-first walk fixes y_m, y_{m-1}, ..., y_3 in turn, multiplying
+    one row entry into a running product per step, so terms that share
+    their larger parts share that prefix product. Once the rest is smaller
+    than the next part size, the rows in between can only take y_i = 0, and
+    their product comes from a table. The last level is one loop: each y_2
+    gives y_1 the rest, and its term is added to its total with no call per
+    partition.
     """
     m = len(rows) - 1
     if not m:
@@ -153,12 +157,18 @@ def _walk_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     for j in range(1, m + 1):
         zeros.append([z * rows[j][0] for z in zeros[-1]] + [1])
 
+    ones = rows[1]
+
     def walk(i: int, rest: int, product: int, parts: int) -> None:
         # y_m .. y_{i+1} are fixed, with `parts` parts so far, and 1 <= i <= rest
         if i == 1:
-            totals[parts + rest] += product * rows[1][rest]
+            totals[parts + rest] += product * ones[rest]
             return
         row = rows[i]
+        if i == 2:  # y_2 = k and y_1 the rest, rest - 2k: the last level, with no call per partition
+            for k in range(rest // 2 + 1):
+                totals[parts + rest - k] += product * row[k] * ones[rest - 2 * k]
+            return
         for k in range(rest // i + 1):
             left = rest - i * k
             term = product * row[k]

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IndexPower, elementary_from_power_sums
+from .core import IndexPower, _elementary
 from .exact_arith import PiPolynomial, _int_text, _integer, _is_int, bernoulli
 from .partitions import newton_coefficients
 from .polynomials import sum_of_multiple_sums
@@ -113,7 +113,7 @@ def multiple_power_sum(m: int, n: int, p: int) -> Fraction:
         raise ValueError("need n >= m")
     p = _integer("p", p)
     _check_bernoulli_index(m * p, m=m, p=p)
-    return Fraction(elementary_from_power_sums([faulhaber(n, i * p).numerator for i in range(1, m + 1)], m)[m])
+    return Fraction(_elementary([faulhaber(n, i * p).numerator for i in range(1, m + 1)])[m])
 
 
 def stirling_via_multiple_sum(m: int, n: int) -> int:

@@ -777,3 +777,23 @@ def test_three_unbounded_lines_end_in_bounded_time(capsys):
         code, out, _ = run_main(capsys, ["special", "mzv", "--m", "0", "--p", str(p)])
         assert time.perf_counter() - started < 2
         assert code == 0 and json.loads(out) == {"m": 0, "p": p, "value": {"0": "1/1"}}
+
+
+def test_brute_windows_past_the_window_cap_exit_2_in_bounded_time(capsys):
+    # both ran the brute sums in full before: the bridge until power_sums refused its window
+    # (2.8 s in process), and the order-1 brute sum over 10^6 terms (22.7 s)
+    harmonic = '{"kind":"index_power","exponent":-1}'
+    for argv, terms in [
+        (["verify", "RECURRENT_BRIDGE", "--spec", harmonic, "--m", "1", "--q", "1", "--n", "200000"], 200000),
+        (["multisum", "eval", "--spec", harmonic, "--m", "1", "--q", "1", "--n", "1000000", "--method", "brute"],
+         1000000),
+    ]:
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, argv)
+        assert time.perf_counter() - started < 2
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out) == {"error": f"window of {terms} terms exceeds the cap 100000"}
+    # the edge of 10^5 terms is still admitted at m = 1
+    argv = ["multisum", "eval", "--spec", _SPEC, "--m", "1", "--q", "1", "--n", "100000", "--method", "brute"]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0 and json.loads(out) == {"brute": "5000050000/1"}

@@ -3,8 +3,8 @@ import re
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement, islice, permutations
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -302,6 +302,34 @@ def test_brute_tuple_guard_runs_before_any_value_is_read(monkeypatch):
     assert brute_recurrent_sum(N, 3, 1, 3) == 90
 
 
+def test_brute_window_cap_binds_at_order_one_before_any_value_is_read(monkeypatch):
+    # at m = 1 the tuple cap admits 10^6 tuples, one per term; the brute routes keep the window
+    # cap of the window reductions too, checked after the tuple count and before any value is read
+    cap = core.WINDOW_MAX_TERMS
+    read = core._read
+
+    def unreachable(spec, q, n):
+        raise AssertionError("a value was read past the window cap")
+
+    monkeypatch.setattr(core, "_read", unreachable)
+    for call in (lambda n: brute_multiple_sum(SumProblem((N,), 1, n)),
+                 lambda n: brute_recurrent_sum(IndexPower(-1), 1, 1, n),
+                 lambda n: symmetrized_multiple_sum((N,), 1, n)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^window of {cap + 1} terms exceeds the cap {cap}$"):
+            call(cap + 1)
+        assert time.perf_counter() - started < 2
+    # past m = 1 the tuple cap binds first, with its own message, as before
+    with pytest.raises(ValueError, match=r"^brute force over C\(100001, 2\) tuples"):
+        brute_multiple_sum(SumProblem((N, N), 1, cap + 1))
+    monkeypatch.setattr(core, "_read", read)
+    # the edge of 10^5 terms is still admitted at m = 1
+    total = cap * (cap + 1) // 2
+    assert brute_multiple_sum(SumProblem((N,), 1, cap)) == total
+    assert brute_recurrent_sum(N, 1, 1, cap) == total
+    assert symmetrized_multiple_sum((N,), 1, cap) == total
+
+
 def test_symmetrized_tuple_guard_counts_all_orderings(monkeypatch):
     # 3! orderings of C(6, 3) = 20 tuples each: 120 in all, over a cap of 100
     # that each ordering alone stays under, refused before any value is evaluated
@@ -482,6 +510,57 @@ def test_summing_kernel_block_edges(length):
     pairs = ((k, length - 1 - k) for k in range(length))
     assert exact_arith._tuple_sum(pairs, [table, table]) == sum(
         (Fraction(a) * b for a, b in zip(values, reversed(values))), Fraction(0))
+
+
+# (num, den) entries as core's window reader gives them: zeros, negatives and the denominators of N^-1
+pair_entries = st.one_of(st.just((0, 1)), st.tuples(st.integers(-9, 9), st.integers(1, 9)),
+                         st.integers(1, 60).map(lambda N: (1, N)))
+
+
+def _tuple_combos(kind: str, width: int, m: int, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` index tuples of brute's weak, symmetrized's strict or a block sum's diagonal combos."""
+    if kind == "diagonal":
+        return [(k,) * m for k in range(min(count, width))]
+    combos = combinations_with_replacement(range(width), m) if kind == "weak" else permutations(range(width), m)
+    return list(islice(combos, count))
+
+
+def _fraction_tuple_sum(combos, tables) -> Fraction:
+    return sum((prod(Fraction(*tables[j][i]) for j, i in enumerate(combo)) for combo in combos), Fraction(0))
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(["weak", "strict", "diagonal"]),
+       st.one_of(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]), st.integers(0, 100)))
+def test_tuple_sum_matches_a_fraction_loop(data, m, kind, count):
+    # blocks of products formed by column, against one Fraction per entry and per tuple; the
+    # tables are wide enough for a diagonal of count tuples
+    width = max(count, 1) if kind == "diagonal" else data.draw(st.integers(1, 10))
+    tables = [data.draw(st.lists(pair_entries, min_size=width, max_size=width)) for _ in range(m)]
+    combos = _tuple_combos(kind, width, m, count)
+    assert exact_arith._tuple_sum(iter(combos), tables) == _fraction_tuple_sum(combos, tables)
+
+
+@pytest.mark.parametrize("kind", ["weak", "strict", "diagonal"])
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_tuple_sum_block_edges(kind, count):
+    # 31, 32, 33 and 65 tuples: blocks that end short of, on and past an edge, at m = 1..3
+    rng = random.Random(count)
+    for m in (1, 2, 3):
+        width = count if kind == "diagonal" else {1: 70, 2: 12, 3: 8}[m]  # at least 65 tuples of each kind
+        tables = [[(rng.randint(-9, 9), rng.choice([1, rng.randint(1, 60)])) for _ in range(width)] for _ in range(m)]
+        combos = _tuple_combos(kind, width, m, count)
+        assert len(combos) == count
+        assert exact_arith._tuple_sum(iter(combos), tables) == _fraction_tuple_sum(combos, tables)
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50)), max_size=12))
+def test_signed_newton_wrapper_equals_the_public_function(sums):
+    # the private wrapper the reductions run on their own integer sums, on ints, on Fractions
+    # and on a mix, against the public function that reads the sums first
+    m = len(sums)
+    assert core._elementary(sums) == elementary_from_power_sums(sums, m)
+    integers = [s for s in sums if isinstance(s, int)]
+    assert core._elementary(integers) == elementary_from_power_sums(integers, len(integers))
 
 
 def test_summing_kernel_merges_many_distinct_denominators():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -360,11 +361,13 @@ def test_binomial_sweep_rows_equal_per_point_newton(ranges):
 def test_binomial_rows_reach_only_the_largest_order_swept(monkeypatch):
     rows = []
 
-    def recording(sums, m):
-        rows.append((sums[0] if sums else None, m))
-        return elementary_from_power_sums(sums, m)
+    # each row runs the one signed Newton wrapper on the n's it builds, m of them for order m
+    def recording(sums):
+        rows.append((sums[0] if sums else None, len(sums)))
+        return elementary(sums)
 
-    monkeypatch.setattr(identities, "elementary_from_power_sums", recording)
+    elementary = identities._elementary
+    monkeypatch.setattr(identities, "_elementary", recording)
     assert verify(IdentityId.BINOMIAL_PARTITION, {"n": 30, "m": 7}).equal
     assert rows == [(30, 7)]
     rows.clear()
@@ -785,3 +788,47 @@ def test_shared_sides_match_the_public_oracle(identity, m, n, data):
         factor = math.prod(_unit_weight(phi, -1, 1)(i, k) for i, k in enumerate(phi, start=1) if k)
         full = partition_sum(m, _unit_weight(phi, -1, 1))
         assert warm.lhs == (full, factor * partition_sum(m - r, _unit_weight((0,) * (m - r), -1, 1)))
+
+
+def test_bridge_weights_equal_their_fraction_expression(monkeypatch):
+    # the bridge's weight (S_i / i)^k / k! is built as one Fraction; it equals the expression
+    # written with Fraction operations at every entry, k = 0 included: values 1, -1 give
+    # S_1 = S_3 = 0 and S_2 = 2, and -3/2, 1/3 a negative S_1 and S_3
+    recorded = []
+
+    def recording(m, weight):
+        recorded.append(weight)
+        return parity(m, weight)
+
+    parity = identities.parity_partition_sums
+    monkeypatch.setattr(identities, "parity_partition_sums", recording)
+    for values in ([1, -1, 0], [Fraction(-3, 2), Fraction(1, 3)]):
+        spec = ExplicitSequence(values)
+        m = 4
+        assert verify(IdentityId.RECURRENT_BRIDGE, {"spec": spec, "m": m, "q": 1, "n": len(values)}).equal
+        weight = recorded.pop()
+        sums = [sum((Fraction(v) ** i for v in values), Fraction(0)) for i in range(1, m + 1)]
+        assert 0 in sums or min(sums) < 0
+        for i in range(1, m + 1):
+            for k in range(m // i + 1):
+                assert weight(i, k) == (sums[i - 1] / i) ** k / math.factorial(k)
+
+
+def test_bridge_window_is_refused_before_any_value_is_read(monkeypatch):
+    # at m = 1 the tuple cap admits a window ten times wider than the window cap that both brute
+    # sums and the power sums keep: the admission refuses it before any report runs
+    from multisums import core
+
+    def unreachable(spec, q, n):
+        raise AssertionError("a value was read past the window cap")
+
+    read = core._read
+    monkeypatch.setattr(core, "_read", unreachable)
+    for m, n in ((1, 200_000), (0, core.WINDOW_MAX_TERMS + 1)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^window of {n} terms exceeds the cap {core.WINDOW_MAX_TERMS}$"):
+            verify(IdentityId.RECURRENT_BRIDGE, {"spec": IndexPower(-1), "m": m, "q": 1, "n": n})
+        assert time.perf_counter() - started < 2
+    monkeypatch.setattr(core, "_read", read)
+    # the edge of 10^5 terms is still admitted at m = 1
+    assert verify(IdentityId.RECURRENT_BRIDGE, {"spec": N, "m": 1, "q": 1, "n": core.WINDOW_MAX_TERMS}).equal

@@ -255,6 +255,18 @@ def test_walk_rows_match_the_term_by_term_sum(data, m):
     assert _walk_rows(rows) == totals
 
 
+@given(st.data(), st.integers(min_value=0, max_value=3))
+def test_walk_rows_last_level_with_zeros_in_rows_one_and_two(data, m):
+    # the walk's last level gives y_2 = k and y_1 the rest in one loop; zeros in rows 1 and 2,
+    # leading, interior or trailing, must still count every term where it belongs
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [[]] + [data.draw(st.lists(entries, min_size=m // i + 1, max_size=m // i + 1)) for i in range(1, m + 1)]
+    totals = [0] * (m + 1)
+    for y in enumerate_partitions(m):
+        totals[sum(y)] += prod(rows[i][k] for i, k in enumerate(y, start=1))
+    assert _walk_rows(rows) == totals
+
+
 def test_partition_sums_fold_many_denominators():
     # weight(i, k) = 1 / prime_i^k gives each of the p(38) = 26015 partitions
     # its own denominator, more than 8192 of them in each parity. Partition

@@ -1,9 +1,11 @@
-"""Time the window reductions and the variation expansions on wide probe rows.
+"""Time the window reductions, brute force and the variation expansions on wide probe rows.
 
 Each row is timed in process, once (or best of ``--repeat``), through the
-public entry point: ``reduce_multiple_sum``, ``variation_expand``,
-``variation_recursive``, ``verify(PRODUCT_IDENTITY)`` or
-``coeff_ratio_from_roots``. For the reduction rows the table also gives the
+public entry point: ``reduce_multiple_sum``, ``brute_multiple_sum``,
+``variation_expand``, ``variation_recursive``, ``verify(PRODUCT_IDENTITY)``
+or ``coeff_ratio_from_roots``. The brute rows lie on both sides of the tuple
+kernel's regime: a short window at m = 5, as the acceptance suite sums, and
+windows near the tuple cap at m = 1, 2 and 3. For the reduction rows the table also gives the
 two inputs of the route rule, bits(prod den) and m bits(L), and the route
 the rule picks; ``--routes`` times the Newton route and Viete's product on
 their own as well. A tree that lacks a private name prints ``-`` in its
@@ -53,6 +55,13 @@ REDUCTIONS = (
     ("2000 one-digit fractions, m = 10", ONE_DIGIT, 1, 2000, 10),
     ("10^4 of 19 small integers, m = 5", SMALL_INTEGERS, 1, 10**4, 5),
 )
+# (label, exponent or explicit values, q, n, m): brute_multiple_sum of one spec at every position
+BRUTE = (
+    ("9 one-digit fractions, m = 5", ONE_DIGIT[:9], 1, 9, 5),
+    ("N^-1 on [1, 100000], m = 1", -1, 1, 100000, 1),
+    ("N^-1 on [1, 1414], m = 2", -1, 1, 1414, 2),
+    ("N^1 on [1, 182], m = 3", 1, 1, 182, 3),
+)
 ROOTS = 400  # coeff_ratio_from_roots on the roots i / (i + 1), i = 1..ROOTS, at m = ROOTS / 2
 
 
@@ -96,6 +105,10 @@ def _rows(ms, routes: bool, repeat: int):
 
                 row["product s"] = _best(product, repeat)
         yield row
+    for label, source, q, n, m in BRUTE:
+        spec = ms.IndexPower(source) if isinstance(source, int) else ms.ExplicitSequence(source)
+        problem = ms.SumProblem((spec,) * m, q, n)
+        yield {"case": f"brute {label}", "entry s": _best(lambda: ms.brute_multiple_sum(problem), repeat)}
     rng = random.Random(6)
     specs = tuple(ms.ExplicitSequence([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(20)])
                   for _ in range(6))
@@ -126,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     print("| " + " | ".join(columns) + " |")
     print("|" + "---|" * len(columns))
     for row in _rows(multisums, args.routes, args.repeat):
-        cells = [f"{v:.4f}" if isinstance(v, float) else str(v) for v in (row.get(c, "-") for c in columns)]
+        cells = [f"{v:.4g}" if isinstance(v, float) else str(v) for v in (row.get(c, "-") for c in columns)]
         print("| " + " | ".join(cells) + " |", flush=True)
     return 0
 
